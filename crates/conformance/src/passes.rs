@@ -315,7 +315,7 @@ fn time_source(file: &SourceFile, code: &[(usize, &Tok)], out: &mut Vec<Diagnost
 
 /// `Cluster` methods that are non-communicating by design. Everything else
 /// public must charge the ledger (directly or via a charging sibling).
-const NON_COMMUNICATING: [&str; 10] = [
+const NON_COMMUNICATING: [&str; 11] = [
     "new",          // construction
     "config",       // accessor
     "ledger",       // accessor
@@ -325,7 +325,8 @@ const NON_COMMUNICATING: [&str; 10] = [
     "poll_kills",   // reads fault state injected at earlier barriers
     "set_phase",    // relabelling only
     "set_phase_scope",
-    "collect", // end-of-algorithm readback, documented as uncharged
+    "collect",    // end-of-algorithm readback, documented as uncharged
+    "rank_index", // local index build; every query on it charges the value side
 ];
 
 /// Direct evidence that a body charges the ledger / advances the clock.

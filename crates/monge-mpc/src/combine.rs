@@ -11,9 +11,14 @@
 //!    (from the pairwise crossovers `cmp(c,q,r)` of §3.2 and the breakpoint
 //!    reconstruction in `monge::multiway`). The default [`GridPhase::Tree`]
 //!    strategy descends the colored H-ary tree level by level with batched
-//!    rank-search packages ([`mpc_runtime::Cluster::rank_search_multi`]); every
-//!    machine stays within its space budget and the `O(1)` round bound follows
-//!    from the tree height `⌈log_H n⌉ ≤ 10/(1−δ)`.
+//!    rank-search packages; every machine stays within its space budget and the
+//!    `O(1)` round bound follows from the tree height `⌈log_H n⌉ ≤ 10/(1−δ)`.
+//!    The tree's value side — every union point at every level — is sorted
+//!    once per combine into one [`mpc_runtime::RankIndex`], which the grid
+//!    precompute, every descent level and the corner-`F` step all query with
+//!    [`mpc_runtime::Cluster::rank_search_multi_in`]. Each query is still
+//!    charged as a full rank search over its value side, so the ledger is the
+//!    same as re-sorting the points per search.
 //! 2. **Classification** — a subgrid crossed by a demarcation line is *active*;
 //!    points in non-active subgrids survive iff their color equals the locally
 //!    constant `opt` (Lemma 3.10). Each active subgrid is annotated with its
@@ -36,7 +41,7 @@ use crate::params::{GridPhase, Routing};
 use monge::multiway::{
     opt_breakpoints_from_cmp, process_subgrid, ColoredPoint, MultiwayOracle, SubgridInstance,
 };
-use mpc_runtime::{costs, Cluster, DistVec};
+use mpc_runtime::{costs, Cluster, DistVec, RankIndex};
 use rayon::prelude::*;
 use std::collections::BTreeMap;
 
@@ -131,19 +136,26 @@ pub fn distributed_combine(
     let specs: BTreeMap<u64, ParentSpec> = parents.iter().map(|p| (p.inst, *p)).collect();
     let specs = cluster.broadcast(specs);
 
+    // The colored tree's value side, sorted once for the whole combine: the
+    // grid descent and the corner-F step all query it.
+    let tree = match grid_phase {
+        GridPhase::Tree => Some(LeveledIndex::build(cluster, &colored, &specs)),
+        GridPhase::Reference => None,
+    };
+
     // Phase 1: per-line demarcation rows.
     cluster.set_phase(Some("combine-grid"));
-    let lines = match grid_phase {
-        GridPhase::Tree => grid_phase_tree(cluster, &colored, &specs),
-        GridPhase::Reference => grid_phase_reference(cluster, &colored, &specs),
+    let lines = match &tree {
+        Some(tree) => grid_phase_tree(cluster, &colored, &specs, tree),
+        None => grid_phase_reference(cluster, &colored, &specs),
     };
 
     // Phase 2: classify points, enumerate active subgrids with their windows.
     cluster.set_phase(Some("combine"));
     let (active, classified) = classify(cluster, &colored, lines, &specs, routing);
-    let active = match grid_phase {
-        GridPhase::Tree => attach_base_f_tree(cluster, &colored, active, &specs),
-        GridPhase::Reference => attach_base_f_reference(cluster, &colored, active, &specs),
+    let active = match &tree {
+        Some(tree) => attach_base_f_tree(cluster, &colored, active, &specs, tree),
+        None => attach_base_f_reference(cluster, &colored, active, &specs),
     };
 
     // Points of non-active subgrids that survive (Lemma 3.10, constant case).
@@ -427,6 +439,78 @@ fn prefix_decomposition(upto: u64, n: usize, h: usize) -> Vec<(u32, u64)> {
     out
 }
 
+/// Per-parent geometry of the colored tree: the composite stride `W = n + 1`
+/// of the value `v = color·W + col`, and per level its node size and the first
+/// dense group code of its nodes.
+#[derive(Debug)]
+struct TreeGeom {
+    w: u64,
+    sizes: Vec<u64>,
+    bases: Vec<u64>,
+}
+
+/// The colored H-ary tree of every parent in a combine as one rank index:
+/// each union point is entered once per tree level `0..=height` under its
+/// node's group, with value `color·W + col`. Groups are dense codes, one per
+/// `(parent, level, node)`, numbered parent by parent and level by level.
+///
+/// Built once per combine and shared by the grid precompute (level 0), every
+/// descent level `t` (level `min(t, height)`) and the corner-`F` step. The
+/// build charges nothing; every query charges its value side in full, so the
+/// ledger is that of one sort per search.
+struct LeveledIndex {
+    geom: BTreeMap<u64, TreeGeom>,
+    index: RankIndex<u64>,
+}
+
+impl LeveledIndex {
+    fn build(
+        cluster: &Cluster,
+        colored: &DistVec<Colored>,
+        specs: &BTreeMap<u64, ParentSpec>,
+    ) -> Self {
+        let mut next = 0u64;
+        let geom: BTreeMap<u64, TreeGeom> = specs
+            .iter()
+            .map(|(&pid, spec)| {
+                let sizes: Vec<u64> = (0..=tree_height(spec.n, spec.h))
+                    .map(|t| level_size(spec.n, spec.h, t))
+                    .collect();
+                let bases = sizes
+                    .iter()
+                    .map(|&size| {
+                        let base = next;
+                        next += (spec.n as u64).saturating_sub(1) / size + 1;
+                        base
+                    })
+                    .collect();
+                let w = spec.n as u64 + 1;
+                (pid, TreeGeom { w, sizes, bases })
+            })
+            .collect();
+        let index = cluster.rank_index(colored, |p| Self::entries_in(&geom, p));
+        Self { geom, index }
+    }
+
+    /// The `(group, value)` entries of one union point: one per tree level.
+    fn entries_in<'a>(
+        geom: &'a BTreeMap<u64, TreeGeom>,
+        p: &Colored,
+    ) -> impl Iterator<Item = (u64, u64)> + 'a {
+        let g = &geom[&p.inst];
+        let (row, v) = (p.row as u64, p.color as u64 * g.w + p.col as u64);
+        g.sizes
+            .iter()
+            .zip(&g.bases)
+            .map(move |(&size, &base)| (base + row / size, v))
+    }
+
+    /// The group code of tree node `node` at `level` of `parent`.
+    fn group(&self, parent: u64, level: u32, node: u64) -> u64 {
+        self.geom[&parent].bases[level as usize] + node
+    }
+}
+
 // =====================================================================================
 // Grid-line phase
 // =====================================================================================
@@ -491,10 +575,15 @@ struct LineQuery {
 /// other points cancel). Prefix-summing the segments narrows the search by a
 /// factor of `h` per level, so `⌈log_h n⌉` levels — `O(1)` with the paper's
 /// fan-out — pin the crossover exactly.
+///
+/// Every search reads the shared [`LeveledIndex`]: the precompute its level 0,
+/// descent level `t` its level `min(t, height)`. Each charges `colored.len()`
+/// values, what a rank search over the points keyed for that one level costs.
 fn grid_phase_tree(
     cluster: &mut Cluster,
     colored: &DistVec<Colored>,
     specs: &BTreeMap<u64, ParentSpec>,
+    tree: &LeveledIndex,
 ) -> DistVec<LineInfo> {
     let mut parent_ids: Vec<u64> = specs.keys().copied().collect();
     parent_ids.sort_unstable();
@@ -510,16 +599,10 @@ fn grid_phase_tree(
     // The line descriptors are O(n/G) metadata; like the input, they start out
     // distributed (no rounds charged).
     let queries = cluster.distribute(line_queries);
-    let specs_v = specs.clone();
     let specs_q = specs.clone();
-    let answered = cluster.rank_search_multi(
-        colored,
-        move |p| {
-            let w = specs_v[&p.inst].n as u64 + 1;
-            (p.inst, p.color as u64 * w + p.col as u64)
-        },
-        queries,
-        move |q| {
+    // Level 0 is the root: all of a parent's points.
+    let answered =
+        cluster.rank_search_multi_in(&tree.index, colored.len() as u64, queries, move |q| {
             let spec = specs_q[&q.parent];
             let w = spec.n as u64 + 1;
             let mut thresholds = Vec::with_capacity(2 * spec.h + 1);
@@ -528,9 +611,8 @@ fn grid_phase_tree(
                 thresholds.push(x * w + q.c as u64);
             }
             thresholds.push(spec.h as u64 * w);
-            (q.parent, thresholds)
-        },
-    );
+            (tree.group(q.parent, 0, 0), thresholds)
+        });
     let specs_init = specs.clone();
     let work: DistVec<GridWork> = cluster.flat_map(&answered, move |(lq, counts)| {
         let spec = specs_init[&lq.parent];
@@ -599,13 +681,13 @@ fn grid_phase_tree(
     // function of the parent specs alone (mirrored by the reference strategy).
     let max_height = grid_tree_levels(specs);
     for t in 1..=max_height {
-        // Per-parent geometry of this level, hoisted out of the per-point
-        // closures: (node size at level min(t, height), composite stride W).
-        let geom: BTreeMap<u64, (u64, u64)> = specs
+        // Per-parent geometry of this level, hoisted out of the per-package
+        // closures: (tree level min(t, height), its node size).
+        let geom: BTreeMap<u64, (u32, u64)> = specs
             .iter()
             .map(|(&pid, spec)| {
-                let size = level_size(spec.n, spec.h, t.min(tree_height(spec.n, spec.h)));
-                (pid, (size, spec.n as u64 + 1))
+                let level = t.min(tree_height(spec.n, spec.h));
+                (pid, (level, level_size(spec.n, spec.h, level)))
             })
             .collect();
 
@@ -613,7 +695,7 @@ fn grid_phase_tree(
         let geom_p = geom.clone();
         let packages: DistVec<SegPack> = cluster.flat_map(&searches, move |s| {
             let spec = specs_p[&s.parent];
-            let (size, _) = geom_p[&s.parent];
+            let (_, size) = geom_p[&s.parent];
             // Segments entirely inside the padded tail [n, h^height) hold no
             // points and cannot contain the crossover; skip their packages.
             (0..spec.h as u16)
@@ -621,28 +703,18 @@ fn grid_phase_tree(
                 .map(|seg| SegPack { search: *s, seg })
                 .collect()
         });
-        let geom_v = geom.clone();
         let geom_k = geom.clone();
-        let answered = cluster.rank_search_multi(
-            colored,
-            move |p| {
-                let (size, w) = geom_v[&p.inst];
-                (
-                    (p.inst, p.row as u64 / size),
-                    p.color as u64 * w + p.col as u64,
-                )
-            },
-            packages,
-            move |pk| {
+        let answered =
+            cluster.rank_search_multi_in(&tree.index, colored.len() as u64, packages, move |pk| {
                 let s = pk.search;
-                let (size, w) = geom_k[&s.parent];
+                let (level, size) = geom_k[&s.parent];
+                let w = tree.geom[&s.parent].w;
                 let node = s.lo / size + pk.seg as u64;
                 (
-                    (s.parent, node),
+                    tree.group(s.parent, level, node),
                     vec![s.q as u64 * w + s.c as u64, s.r as u64 * w + s.c as u64],
                 )
-            },
-        );
+            });
         let geom_g = geom.clone();
         let stepped: DistVec<GridWork> = cluster.group_map(
             answered,
@@ -653,7 +725,7 @@ fn grid_phase_tree(
             move |_, mut packs| {
                 packs.sort_unstable_by_key(|(pk, _)| pk.seg);
                 let s = packs[0].0.search;
-                let (size, _) = geom_g[&s.parent];
+                let (_, size) = geom_g[&s.parent];
                 // δ at successive segment boundaries; descend into the first
                 // segment whose right boundary turns positive.
                 let mut delta = s.delta_lo;
@@ -1008,39 +1080,24 @@ struct CornerPack {
 /// |{y, row < r0, col < c0}|`, whose window-relative differences need only
 /// per-window-color totals `n_y`, prefix counts `U_y(c0)`, and the two row-prefix
 /// counts. The row prefix `[0, r0)` splits into `O(h · height)` aligned tree
-/// nodes, each answered by one package.
+/// nodes, each answered by one package from the shared [`LeveledIndex`],
+/// charged as a search over the multicast per-level copies.
 fn attach_base_f_tree(
     cluster: &mut Cluster,
     colored: &DistVec<Colored>,
     active: DistVec<ActiveSubgrid>,
     specs: &BTreeMap<u64, ParentSpec>,
+    tree: &LeveledIndex,
 ) -> DistVec<ActiveSubgrid> {
     // Every point participates once per tree level (level 0 is the whole row
     // range, answering the global counts): Õ(1) copies — the tree's space cost.
-    // Per-parent geometry hoisted out of the per-point closure: the composite
-    // stride W and the node size of every level.
-    let geom: BTreeMap<u64, (u64, Vec<u64>)> = specs
-        .iter()
-        .map(|(&pid, spec)| {
-            let sizes: Vec<u64> = (0..=tree_height(spec.n, spec.h))
-                .map(|t| level_size(spec.n, spec.h, t))
-                .collect();
-            (pid, (spec.n as u64 + 1, sizes))
-        })
-        .collect();
-    let geom_v = geom.clone();
-    // The per-level copies are the tree's Õ(1)-factor space cost; they feed the
-    // batched rank search as its value side, so they leave rebalanced rather
-    // than piling up (height + 1)-fold beside their source points.
-    let leveled: DistVec<((u64, u32, u64), u64)> = cluster.flat_map_rebalanced(colored, move |p| {
-        let (w, sizes) = &geom_v[&p.inst];
-        let v = p.color as u64 * w + p.col as u64;
-        sizes
-            .iter()
-            .enumerate()
-            .map(|(t, &size)| ((p.inst, t as u32, p.row as u64 / size), v))
-            .collect()
+    // The per-level copies feed the batched rank search as its value side, so
+    // they leave rebalanced rather than piling up (height + 1)-fold beside
+    // their source points. They are exactly the shared index's entries.
+    let leveled: DistVec<(u64, u64)> = cluster.flat_map_rebalanced(colored, |p| {
+        LeveledIndex::entries_in(&tree.geom, p).collect()
     });
+    debug_assert_eq!(leveled.len(), tree.index.len());
 
     let specs_p = specs.clone();
     let packages: DistVec<CornerPack> = cluster.flat_map(&active, move |d| {
@@ -1070,11 +1127,8 @@ fn attach_base_f_tree(
     });
 
     let specs_q = specs.clone();
-    let answered = cluster.rank_search_multi(
-        &leveled,
-        |(key, v)| (*key, *v),
-        packages,
-        move |pk| {
+    let answered =
+        cluster.rank_search_multi_in(&tree.index, leveled.len() as u64, packages, move |pk| {
             let spec = specs_q[&pk.parent];
             let w = spec.n as u64 + 1;
             let c0 = (pk.gj * spec.g as u32) as u64;
@@ -1086,9 +1140,8 @@ fn attach_base_f_tree(
                 thresholds.push(y * w + c0);
             }
             thresholds.push((pk.whi as u64 + 1) * w);
-            ((pk.parent, pk.level, pk.node), thresholds)
-        },
-    );
+            (tree.group(pk.parent, pk.level, pk.node), thresholds)
+        });
 
     cluster.group_map(
         answered,

@@ -2,9 +2,10 @@
 
 use crate::config::MpcConfig;
 use crate::costs;
-use crate::distvec::DistVec;
+use crate::distvec::{concat, DistVec};
 use crate::faults::{FaultKind, FaultRecord};
 use crate::ledger::{Ledger, Superstep};
+use crate::rank_index::{RankIndex, RankKey};
 use rayon::prelude::*;
 
 /// Pure compute kernels: the parallel halves of the primitives.
@@ -107,40 +108,101 @@ mod compute {
 
     /// Gathers items into key-sorted groups (stable within a group's arrival
     /// order, deterministic at every thread count).
+    ///
+    /// Only `(key, arrival index)` pairs are sorted; each item then moves
+    /// once, straight into its group, visited in arrival order.
     pub(super) fn gather_groups<T, K, FK>(parts: Vec<Vec<T>>, key: FK) -> Vec<(K, Vec<T>)>
     where
         T: Send,
         K: Ord + Send + Sync,
         FK: Fn(&T) -> K + Send + Sync,
     {
-        let items: Vec<T> = parts.into_iter().flatten().collect();
-        let mut keyed: Vec<(K, T)> = items.into_par_iter().map(|t| (key(&t), t)).collect();
-        keyed.par_sort_by(|a, b| a.0.cmp(&b.0));
-        let mut groups: Vec<(K, Vec<T>)> = Vec::new();
-        for (k, t) in keyed {
-            match groups.last_mut() {
-                Some((gk, items)) if *gk == k => items.push(t),
-                _ => groups.push((k, vec![t])),
+        let items: Vec<T> = super::concat(parts);
+        // Keys are read in place: `T` need not be `Sync`.
+        let mut order: Vec<(K, usize)> =
+            items.iter().enumerate().map(|(i, t)| (key(t), i)).collect();
+        // Arrival indices make every pair distinct, so any sort is stable.
+        order.par_sort_unstable();
+        let mut group_of = vec![0usize; items.len()];
+        let mut keys: Vec<K> = Vec::new();
+        let mut sizes: Vec<usize> = Vec::new();
+        for (k, i) in order {
+            if keys.last() != Some(&k) {
+                keys.push(k);
+                sizes.push(0);
             }
+            group_of[i] = keys.len() - 1;
+            *sizes.last_mut().expect("pushed above") += 1;
+        }
+        let mut groups: Vec<(K, Vec<T>)> = keys
+            .into_iter()
+            .zip(sizes)
+            .map(|(k, size)| (k, Vec::with_capacity(size)))
+            .collect();
+        for (t, g) in items.into_iter().zip(group_of) {
+            groups[g].1.push(t);
         }
         groups
     }
 
-    /// Greedy packing: largest groups first, each onto the currently lightest
-    /// machine (the classical LPT heuristic); mirrors §3.3's "sort them in the
-    /// order of decreasing sizes and use greedy packing". Returns the machine
-    /// of every group and the per-machine loads.
+    /// Greedy packing: largest groups first (ties in group order), each onto
+    /// the currently lightest machine, lowest index among equals (the
+    /// classical LPT heuristic); mirrors §3.3's "sort them in the order of
+    /// decreasing sizes and use greedy packing". A min-heap over
+    /// `(load, machine)` finds the target in `O(log machines)`. Returns the
+    /// machine of every group and the per-machine loads.
     pub(super) fn pack_groups(sizes: &[usize], machines: usize) -> (Vec<usize>, Vec<usize>) {
+        use std::cmp::Reverse;
+        use std::collections::BinaryHeap;
         let mut order: Vec<usize> = (0..sizes.len()).collect();
-        order.sort_by_key(|&g| std::cmp::Reverse(sizes[g]));
+        order.sort_by_key(|&g| Reverse(sizes[g]));
         let mut machine_of_group = vec![0usize; sizes.len()];
         let mut loads = vec![0usize; machines];
+        let mut lightest: BinaryHeap<Reverse<(usize, usize)>> =
+            (0..machines).map(|i| Reverse((0, i))).collect();
         for &g in &order {
-            let target = (0..machines).min_by_key(|&i| loads[i]).unwrap_or(0);
+            let Reverse((load, target)) = lightest.pop().expect("at least one machine");
             machine_of_group[g] = target;
-            loads[target] += sizes[g];
+            loads[target] = load + sizes[g];
+            lightest.push(Reverse((loads[target], target)));
         }
         (machine_of_group, loads)
+    }
+
+    /// The oracles the fast kernels above are tested against.
+    #[cfg(test)]
+    pub(super) mod oracle {
+        /// Stable merge sort of whole `(key, item)` pairs, then run splitting.
+        pub(crate) fn gather_groups<T, K: Ord>(
+            parts: Vec<Vec<T>>,
+            key: impl Fn(&T) -> K,
+        ) -> Vec<(K, Vec<T>)> {
+            let mut keyed: Vec<(K, T)> =
+                parts.into_iter().flatten().map(|t| (key(&t), t)).collect();
+            keyed.sort_by(|a, b| a.0.cmp(&b.0));
+            let mut groups: Vec<(K, Vec<T>)> = Vec::new();
+            for (k, t) in keyed {
+                match groups.last_mut() {
+                    Some((gk, items)) if *gk == k => items.push(t),
+                    _ => groups.push((k, vec![t])),
+                }
+            }
+            groups
+        }
+
+        /// LPT with a linear scan for the lightest machine.
+        pub(crate) fn pack_groups(sizes: &[usize], machines: usize) -> (Vec<usize>, Vec<usize>) {
+            let mut order: Vec<usize> = (0..sizes.len()).collect();
+            order.sort_by_key(|&g| std::cmp::Reverse(sizes[g]));
+            let mut machine_of_group = vec![0usize; sizes.len()];
+            let mut loads = vec![0usize; machines];
+            for &g in &order {
+                let target = (0..machines).min_by_key(|&i| loads[i]).unwrap_or(0);
+                machine_of_group[g] = target;
+                loads[target] += sizes[g];
+            }
+            (machine_of_group, loads)
+        }
     }
 }
 
@@ -470,11 +532,9 @@ impl Cluster {
         // Globally sort the value keys once; answer each query by binary search in
         // its group's slice. (The simulated cost model charges the sort +
         // prefix-sum rounds in the accounting phase.)
-        let mut keyed: Vec<(K, u64)> =
-            compute::per_part(&values.parts, |_, part| part.iter().map(&vkey).collect())
-                .into_iter()
-                .flatten()
-                .collect();
+        let mut keyed: Vec<(K, u64)> = concat(compute::per_part(&values.parts, |_, part| {
+            part.iter().map(&vkey).collect()
+        }));
         keyed.par_sort();
         let answer = |q: &Q| -> u64 {
             let (group, threshold) = qkey(q);
@@ -500,13 +560,19 @@ impl Cluster {
 
     /// Batched rank-search packages (the §3.2 H-ary tree-descent primitive): like
     /// [`Cluster::rank_search`], but every query is a *package* of several
-    /// thresholds against one group key, answered together in one `O(1)`-round
-    /// exchange. For each query the result holds, per threshold, the number of
-    /// values sharing the query's group key that are strictly smaller.
+    /// ascending thresholds against one group key, answered together in one
+    /// `O(1)`-round exchange. For each query the result holds, per threshold,
+    /// the number of values sharing the query's group key that are strictly
+    /// smaller.
     ///
     /// This is how the colored H-ary tree of the paper is queried: a descent step
     /// sends one package per tree node naming the boundaries it needs, and the
     /// machines holding that node's points answer all boundaries at once.
+    ///
+    /// Equivalent to [`Cluster::rank_index`] over `values` followed by
+    /// [`Cluster::rank_search_multi_in`] charging `values.len()` values; a
+    /// caller querying the same values repeatedly builds the index once and
+    /// queries it directly, at identical charges.
     pub fn rank_search_multi<T, Q, K, FV, FQ>(
         &mut self,
         values: &DistVec<T>,
@@ -517,39 +583,70 @@ impl Cluster {
     where
         T: Sync,
         Q: Send + Sync,
-        K: Ord + Send + Sync,
+        K: RankKey,
         FV: Fn(&T) -> (K, u64) + Sync,
         FQ: Fn(&Q) -> (K, Vec<u64>) + Sync,
     {
-        let n_values = values.len() as u64;
+        let index = self.rank_index(values, |t| std::iter::once(vkey(t)));
+        self.rank_search_multi_in(&index, values.len() as u64, queries, qkey)
+    }
+
+    /// Builds the sorted value side of [`Cluster::rank_search_multi_in`]:
+    /// every value contributes the `(group, value)` entries `vkeys` yields
+    /// (several when one point is indexed at several tree levels).
+    ///
+    /// Charges nothing: the index is the simulator's cached copy of what the
+    /// machines sort when a rank search runs, and every query built on it
+    /// charges that value side in full.
+    pub fn rank_index<T, K, I, FV>(&self, values: &DistVec<T>, vkeys: FV) -> RankIndex<K>
+    where
+        T: Sync,
+        K: RankKey,
+        I: IntoIterator<Item = (K, u64)>,
+        FV: Fn(&T) -> I + Sync,
+    {
+        let entries: Vec<(u64, u64)> = concat(compute::per_part(&values.parts, |_, part| {
+            part.iter()
+                .flat_map(|t| vkeys(t).into_iter().map(|(k, v)| (k.pack(), v)))
+                .collect()
+        }));
+        RankIndex::from_entries(entries)
+    }
+
+    /// Answers batched rank-search packages (see [`Cluster::rank_search_multi`])
+    /// from a prebuilt [`RankIndex`], each package with one forward walk over
+    /// its ascending thresholds.
+    ///
+    /// Charges exactly what [`Cluster::rank_search_multi`] charges over
+    /// `charged_values` values — same primitive, rounds, communication and
+    /// rebalanced output — so sharing one index across several searches
+    /// changes the simulator's speed, never the ledger.
+    pub fn rank_search_multi_in<Q, K, FQ>(
+        &mut self,
+        index: &RankIndex<K>,
+        charged_values: u64,
+        queries: DistVec<Q>,
+        qkey: FQ,
+    ) -> DistVec<(Q, Vec<u64>)>
+    where
+        Q: Send + Sync,
+        K: RankKey,
+        FQ: Fn(&Q) -> (K, Vec<u64>) + Sync,
+    {
         let n_queries = queries.len() as u64;
-        let mut keyed: Vec<(K, u64)> =
-            compute::per_part(&values.parts, |_, part| part.iter().map(&vkey).collect())
-                .into_iter()
-                .flatten()
-                .collect();
-        keyed.par_sort();
-        let answered: Vec<(Q, Vec<u64>)> = compute::per_part_owned(queries.parts, |part| {
+        let answered: Vec<(Q, Vec<u64>)> = concat(compute::per_part_owned(queries.parts, |part| {
             part.into_iter()
                 .map(|q| {
                     let (group, thresholds) = qkey(&q);
-                    let lo = keyed.partition_point(|(g, _)| *g < group);
-                    let slice = &keyed[lo..];
-                    let counts: Vec<u64> = thresholds
-                        .into_iter()
-                        .map(|t| slice.partition_point(|(g, v)| *g == group && *v < t) as u64)
-                        .collect();
+                    let counts = index.count_below(group, &thresholds);
                     (q, counts)
                 })
                 .collect()
-        })
-        .into_iter()
-        .flatten()
-        .collect();
+        }));
         // Communication: every value key moves once; every package moves to its
         // group and back with one word per threshold answer.
         let thresholds_total: u64 = answered.iter().map(|(_, c)| c.len() as u64).sum();
-        let communication = n_values + 2 * n_queries + thresholds_total;
+        let communication = charged_values + 2 * n_queries + thresholds_total;
         // Lemma 2.6 routes packages to their groups and back; the answers come
         // home rebalanced.
         let out = DistVec::from_parts(compute::balance(answered, self.config.machines));
@@ -663,13 +760,12 @@ impl Cluster {
         let (groups, _) = self.gather_packed(dv.parts, key, "group_map_rebalanced");
 
         // Compute: run every group concurrently; outputs keep group-key order.
-        let emitted: Vec<U> = groups
-            .into_par_iter()
-            .map(|(k, items)| f(&k, items))
-            .collect::<Vec<Vec<U>>>()
-            .into_iter()
-            .flatten()
-            .collect();
+        let emitted: Vec<U> = concat(
+            groups
+                .into_par_iter()
+                .map(|(k, items)| f(&k, items))
+                .collect(),
+        );
         let communication = total + emitted.len() as u64;
         let out = DistVec::from_parts(compute::balance(emitted, m));
         self.account(
@@ -803,11 +899,9 @@ impl Cluster {
         U: Send,
         F: Fn(&T) -> Vec<U> + Sync,
     {
-        let emitted: Vec<U> =
-            compute::per_part(&dv.parts, |_, part| part.iter().flat_map(&f).collect())
-                .into_iter()
-                .flatten()
-                .collect();
+        let emitted: Vec<U> = concat(compute::per_part(&dv.parts, |_, part| {
+            part.iter().flat_map(&f).collect()
+        }));
         let communication = emitted.len() as u64;
         let out = DistVec::from_parts(compute::balance(emitted, self.config.machines));
         self.account(
@@ -850,12 +944,9 @@ impl Cluster {
     /// `p_i` and stored as `(p_i, i)`.
     pub fn inverse_permutation(&mut self, dv: DistVec<(u32, u32)>) -> DistVec<(u32, u32)> {
         let total = dv.len() as u64;
-        let mut items: Vec<(u32, u32)> = compute::per_part_owned(dv.parts, |part| {
+        let mut items: Vec<(u32, u32)> = concat(compute::per_part_owned(dv.parts, |part| {
             part.into_iter().map(|(i, p)| (p, i)).collect()
-        })
-        .into_iter()
-        .flatten()
-        .collect();
+        }));
         items.par_sort_unstable();
         let out = DistVec::from_parts(compute::balance(items, self.config.machines));
         self.account(
@@ -957,7 +1048,9 @@ mod tests {
             .map(|_| {
                 let group = rng.gen_range(0..8);
                 let k = rng.gen_range(1..6);
-                (group, (0..k).map(|_| rng.gen_range(0..600)).collect())
+                let mut thresholds: Vec<u64> = (0..k).map(|_| rng.gen_range(0..600)).collect();
+                thresholds.sort_unstable();
+                (group, thresholds)
             })
             .collect();
         let vdv = cl.distribute(values.clone());
@@ -974,6 +1067,91 @@ mod tests {
             }
         }
         assert_eq!(cl.rounds(), costs::RANK_SEARCH_MULTI);
+    }
+
+    #[test]
+    fn shared_index_queries_charge_like_rank_search_multi() {
+        // Values indexed at two "levels" (group g and group 100 + g/2); each
+        // level is queried through the shared index, charging one level's
+        // worth of values, exactly as a per-level rank_search_multi would.
+        let mut rng = StdRng::seed_from_u64(11);
+        let values: Vec<(u32, u64)> = (0..1500)
+            .map(|_| (rng.gen_range(0..6), rng.gen_range(0..300)))
+            .collect();
+        let queries: Vec<(u32, Vec<u64>)> = (0..120)
+            .map(|_| {
+                let mut t: Vec<u64> = (0..3).map(|_| rng.gen_range(0..320)).collect();
+                t.sort_unstable();
+                (rng.gen_range(0..7), t)
+            })
+            .collect();
+        let level = |l: u32, g: u32| if l == 0 { g } else { 100 + g / 2 };
+
+        let mut direct = Cluster::new(MpcConfig::new(1500, 0.5));
+        let vdv = direct.distribute(values.clone());
+        let mut expected = Vec::new();
+        for l in 0..2 {
+            let qdv = direct.distribute(queries.clone());
+            let out = direct.rank_search_multi(
+                &vdv,
+                |&(g, v)| (level(l, g), v),
+                qdv,
+                |(g, t)| (level(l, *g), t.clone()),
+            );
+            expected.push(out.into_inner());
+        }
+
+        let mut shared = Cluster::new(MpcConfig::new(1500, 0.5));
+        let vdv = shared.distribute(values.clone());
+        let index = shared.rank_index(&vdv, |&(g, v)| [(level(0, g), v), (level(1, g), v)]);
+        assert_eq!(index.len(), 2 * values.len());
+        for (l, expected) in expected.iter().enumerate() {
+            let qdv = shared.distribute(queries.clone());
+            let l = l as u32;
+            let out = shared.rank_search_multi_in(&index, vdv.len() as u64, qdv, |(g, t)| {
+                (level(l, *g), t.clone())
+            });
+            assert_eq!(&out.into_inner(), expected, "level {l}");
+        }
+        assert_eq!(direct.ledger(), shared.ledger());
+    }
+
+    #[test]
+    fn heap_packing_matches_linear_scan_lpt() {
+        let mut rng = StdRng::seed_from_u64(13);
+        let cases: Vec<Vec<usize>> = vec![
+            Vec::new(),
+            vec![5; 40],
+            vec![0; 9],
+            (0..300).map(|_| rng.gen_range(1..4)).collect(),
+            (0..500).map(|_| rng.gen_range(0..1000)).collect(),
+        ];
+        for sizes in &cases {
+            for machines in [1, 2, 7, 128] {
+                assert_eq!(
+                    compute::pack_groups(sizes, machines),
+                    compute::oracle::pack_groups(sizes, machines),
+                    "machines={machines} sizes={sizes:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn gather_groups_keeps_arrival_order_of_non_copy_payloads() {
+        let mut rng = StdRng::seed_from_u64(17);
+        let parts: Vec<Vec<(u32, String)>> = (0..5)
+            .map(|m| {
+                (0..rng.gen_range(0..60))
+                    .map(|i| (rng.gen_range(0..9), format!("m{m}-{i}")))
+                    .collect()
+            })
+            .collect();
+        let got = compute::gather_groups(parts.clone(), |(k, _)| *k);
+        assert_eq!(got, compute::oracle::gather_groups(parts, |(k, _)| *k));
+        assert!(got.windows(2).all(|w| w[0].0 < w[1].0));
+        let empty: Vec<Vec<(u32, String)>> = vec![Vec::new(); 3];
+        assert!(compute::gather_groups(empty, |(k, _)| *k).is_empty());
     }
 
     #[test]

@@ -56,13 +56,23 @@ impl<T> DistVec<T> {
     /// This models reading the final output off the cluster and is not charged
     /// rounds; do not use it inside an algorithm.
     pub fn into_inner(self) -> Vec<T> {
-        self.parts.into_iter().flatten().collect()
+        concat(self.parts)
     }
 
     /// Per-machine loads.
     pub fn loads(&self) -> impl Iterator<Item = usize> + '_ {
         self.parts.iter().map(Vec::len)
     }
+}
+
+/// Concatenates per-machine parts in machine order into one `Vec` sized up
+/// front, moving each part with a single bulk copy.
+pub(crate) fn concat<T>(parts: Vec<Vec<T>>) -> Vec<T> {
+    let mut all = Vec::with_capacity(parts.iter().map(Vec::len).sum());
+    for mut part in parts {
+        all.append(&mut part);
+    }
+    all
 }
 
 impl<T> IntoIterator for DistVec<T> {

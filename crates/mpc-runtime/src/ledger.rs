@@ -81,7 +81,7 @@ impl Ledger {
         self.communicate(step.communication);
         if step.communication > 0 {
             if let Some(p) = phase {
-                *self.comm_by_phase.entry(p.to_string()).or_default() += step.communication;
+                *phase_slot(&mut self.comm_by_phase, p, u64::default) += step.communication;
             }
         }
     }
@@ -91,7 +91,7 @@ impl Ledger {
         self.rounds += rounds;
         *self.primitive_counts.entry(primitive).or_default() += 1;
         if let Some(p) = phase {
-            *self.rounds_by_phase.entry(p.to_string()).or_default() += rounds;
+            *phase_slot(&mut self.rounds_by_phase, p, u64::default) += rounds;
         }
     }
 
@@ -114,13 +114,13 @@ impl Ledger {
         }
         self.max_machine_load = self.max_machine_load.max(peak);
         if let Some(p) = phase {
-            let entry = self.max_load_by_phase.entry(p.to_string()).or_default();
+            let entry = phase_slot(&mut self.max_load_by_phase, p, usize::default);
             *entry = (*entry).max(peak);
         }
         if violated {
             self.space_violations += 1;
             if let Some(p) = phase {
-                *self.violations_by_phase.entry(p.to_string()).or_default() += 1;
+                *phase_slot(&mut self.violations_by_phase, p, u64::default) += 1;
             }
         }
         violated
@@ -134,10 +134,7 @@ impl Ledger {
     /// Records that superstep `index` ran under `phase` (span bookkeeping).
     pub(crate) fn note_superstep(&mut self, index: u64, phase: Option<&str>) {
         if let Some(p) = phase {
-            let span = self
-                .superstep_spans
-                .entry(p.to_string())
-                .or_insert((index, index));
+            let span = phase_slot(&mut self.superstep_spans, p, || (index, index));
             span.0 = span.0.min(index);
             span.1 = span.1.max(index);
         }
@@ -214,6 +211,20 @@ impl Ledger {
             self.stall_rounds
         )
     }
+}
+
+/// The value under `phase`, inserted from `init` on first use. The key is
+/// allocated only on that first insert: every later charge under a phase is a
+/// lookup, not a `String` allocation.
+fn phase_slot<'a, V>(
+    map: &'a mut BTreeMap<String, V>,
+    phase: &str,
+    init: impl FnOnce() -> V,
+) -> &'a mut V {
+    if !map.contains_key(phase) {
+        map.insert(phase.to_owned(), init());
+    }
+    map.get_mut(phase).expect("inserted above")
 }
 
 #[cfg(test)]

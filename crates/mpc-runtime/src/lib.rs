@@ -50,9 +50,11 @@ pub mod costs;
 pub mod distvec;
 pub mod faults;
 pub mod ledger;
+pub mod rank_index;
 
 pub use cluster::Cluster;
 pub use config::MpcConfig;
 pub use distvec::DistVec;
 pub use faults::{FaultEvent, FaultKind, FaultPlan, FaultRecord};
 pub use ledger::{Ledger, Superstep};
+pub use rank_index::{RankIndex, RankKey};

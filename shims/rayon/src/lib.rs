@@ -190,6 +190,11 @@ const MIN_PAR_SORT_LEN: usize = 2048;
 /// Sorts `items` by first sorting contiguous chunks in parallel, then merging
 /// the sorted runs with one pass of the standard library's (run-adaptive)
 /// stable sort. The result is identical to a sequential stable sort.
+///
+/// The final merge pass runs on the calling thread alone and touches every
+/// item, so with two threads a sort gains little: each thread sorts half,
+/// then one thread merges all of it. Callers that sort the same data
+/// repeatedly gain more from sorting it once.
 fn par_sort_impl<T, F>(items: &mut [T], compare: &F)
 where
     T: Send,

@@ -13,12 +13,16 @@
 //!    strategy descends the colored H-ary tree level by level with batched
 //!    rank-search packages; every machine stays within its space budget and the
 //!    `O(1)` round bound follows from the tree height `⌈log_H n⌉ ≤ 10/(1−δ)`.
-//!    The tree's value side — every union point at every level — is sorted
+//!    The tree's value side — every union point at every level — is built
 //!    once per combine into one [`mpc_runtime::RankIndex`], which the grid
 //!    precompute, every descent level and the corner-`F` step all query with
-//!    [`mpc_runtime::Cluster::rank_search_multi_in`]. Each query is still
-//!    charged as a full rank search over its value side, so the ledger is the
-//!    same as re-sorting the points per search.
+//!    [`mpc_runtime::Cluster::rank_search_multi_in`]. A parent's colored union
+//!    has exactly one point per row, so every tree node is a contiguous row
+//!    block: the build writes the points' values in row order and sorts each
+//!    block in place, with no global sort. Each query is still charged as a
+//!    full rank search over its value side, and the per-level copies that
+//!    feed it as a multicast, so the ledger is the same as re-sorting the
+//!    points per search.
 //! 2. **Classification** — a subgrid crossed by a demarcation line is *active*;
 //!    points in non-active subgrids survive iff their color equals the locally
 //!    constant `opt` (Lemma 3.10). Each active subgrid is annotated with its
@@ -136,15 +140,14 @@ pub fn distributed_combine(
     let specs: BTreeMap<u64, ParentSpec> = parents.iter().map(|p| (p.inst, *p)).collect();
     let specs = cluster.broadcast(specs);
 
-    // The colored tree's value side, sorted once for the whole combine: the
-    // grid descent and the corner-F step all query it.
+    // Phase 1: per-line demarcation rows. The colored tree's value side is
+    // built once for the whole combine: the grid descent and the corner-F
+    // step all query it.
+    cluster.set_phase(Some("combine-grid"));
     let tree = match grid_phase {
-        GridPhase::Tree => Some(LeveledIndex::build(cluster, &colored, &specs)),
+        GridPhase::Tree => Some(LeveledIndex::build(&colored, &specs)),
         GridPhase::Reference => None,
     };
-
-    // Phase 1: per-line demarcation rows.
-    cluster.set_phase(Some("combine-grid"));
     let lines = match &tree {
         Some(tree) => grid_phase_tree(cluster, &colored, &specs, tree),
         None => grid_phase_reference(cluster, &colored, &specs),
@@ -154,7 +157,7 @@ pub fn distributed_combine(
     cluster.set_phase(Some("combine"));
     let (active, classified) = classify(cluster, &colored, lines, &specs, routing);
     let active = match &tree {
-        Some(tree) => attach_base_f_tree(cluster, &colored, active, &specs, tree),
+        Some(tree) => attach_base_f_tree(cluster, active, &specs, tree),
         None => attach_base_f_reference(cluster, &colored, active, &specs),
     };
 
@@ -439,20 +442,34 @@ fn prefix_decomposition(upto: u64, n: usize, h: usize) -> Vec<(u32, u64)> {
     out
 }
 
-/// Per-parent geometry of the colored tree: the composite stride `W = n + 1`
-/// of the value `v = color·W + col`, and per level its node size and the first
-/// dense group code of its nodes.
+/// Per-parent geometry of the colored tree: the parent's size `n`, the
+/// composite stride `W = n + 1` of the value `v = color·W + col`, and per level
+/// its node size and the first dense group code of its nodes.
 #[derive(Debug)]
 struct TreeGeom {
+    n: usize,
     w: u64,
     sizes: Vec<u64>,
     bases: Vec<u64>,
 }
 
+/// Nodes at a tree level of node size `size`: the row blocks that meet
+/// `[0, n)`.
+fn node_count(n: usize, size: u64) -> u64 {
+    (n as u64).saturating_sub(1) / size + 1
+}
+
 /// The colored H-ary tree of every parent in a combine as one rank index:
-/// each union point is entered once per tree level `0..=height` under its
-/// node's group, with value `color·W + col`. Groups are dense codes, one per
+/// tree node `(parent, level, node)` holds the values `color·W + col` of the
+/// union points in its row block. Groups are dense codes, one per
 /// `(parent, level, node)`, numbered parent by parent and level by level.
+///
+/// A parent's colored union is a permutation — exactly one point per row — so
+/// every node is a contiguous block of the parent's values written in row
+/// order. The build writes each point's value at its row once, then, per
+/// `(parent, level)` and in parallel, copies the row-ordered values and sorts
+/// every `level_size` block in place; the runs land in group order, so the
+/// index is assembled without any global sort.
 ///
 /// Built once per combine and shared by the grid precompute (level 0), every
 /// descent level `t` (level `min(t, height)`) and the corner-`F` step. The
@@ -464,13 +481,76 @@ struct LeveledIndex {
 }
 
 impl LeveledIndex {
-    fn build(
-        cluster: &Cluster,
-        colored: &DistVec<Colored>,
-        specs: &BTreeMap<u64, ParentSpec>,
-    ) -> Self {
+    fn build(colored: &DistVec<Colored>, specs: &BTreeMap<u64, ParentSpec>) -> Self {
+        let geom = Self::geometry(specs);
+
+        // Every parent's values in row order, parents back to back: each
+        // parent's first slot and geometry, by parent id.
+        let mut total = 0usize;
+        let parents: BTreeMap<u64, (usize, &TreeGeom)> = geom
+            .iter()
+            .map(|(&pid, g)| {
+                total += g.n;
+                (pid, (total - g.n, g))
+            })
+            .collect();
+        let mut rows = vec![u64::MAX; total];
+        for p in colored.iter() {
+            let (first, g) = parents[&p.inst];
+            debug_assert!(
+                (p.row as usize) < g.n && rows[first + p.row as usize] == u64::MAX,
+                "the colored union of parent {} must have one union point per row \
+                 (row {} of n = {})",
+                p.inst,
+                p.row,
+                g.n
+            );
+            rows[first + p.row as usize] = p.color as u64 * g.w + p.col as u64;
+        }
+        debug_assert!(
+            !rows.contains(&u64::MAX),
+            "the colored union of every parent must have one union point per row \
+             (a row has none)"
+        );
+
+        // One run per (parent, level): its rows, each node's block sorted.
+        let entries = geom.values().map(|g| g.n * g.sizes.len()).sum();
+        let mut values = vec![0u64; entries];
+        let mut groups = Vec::new();
+        let mut starts = Vec::new();
+        let mut blocks: Vec<(&mut [u64], &[u64], usize)> = Vec::new();
+        let mut rest = values.as_mut_slice();
+        let mut offset = 0usize;
+        for &(first, g) in parents.values() {
+            for (&size, &base) in g.sizes.iter().zip(&g.bases) {
+                let (run, tail) = std::mem::take(&mut rest).split_at_mut(g.n);
+                rest = tail;
+                blocks.push((run, &rows[first..first + g.n], size as usize));
+                for node in 0..node_count(g.n, size) {
+                    groups.push(base + node);
+                    starts.push(offset + node as usize * size as usize);
+                }
+                offset += g.n;
+            }
+        }
+        starts.push(offset);
+        blocks.into_par_iter().for_each(|(run, src, size)| {
+            run.copy_from_slice(src);
+            if size > 1 {
+                for block in run.chunks_mut(size) {
+                    block.sort_unstable();
+                }
+            }
+        });
+        let index = RankIndex::from_sorted_runs(groups, starts, values);
+        Self { geom, index }
+    }
+
+    /// Per-parent tree geometry, group codes numbered parent by parent (in
+    /// ascending parent id) and level by level.
+    fn geometry(specs: &BTreeMap<u64, ParentSpec>) -> BTreeMap<u64, TreeGeom> {
         let mut next = 0u64;
-        let geom: BTreeMap<u64, TreeGeom> = specs
+        specs
             .iter()
             .map(|(&pid, spec)| {
                 let sizes: Vec<u64> = (0..=tree_height(spec.n, spec.h))
@@ -480,29 +560,14 @@ impl LeveledIndex {
                     .iter()
                     .map(|&size| {
                         let base = next;
-                        next += (spec.n as u64).saturating_sub(1) / size + 1;
+                        next += node_count(spec.n, size);
                         base
                     })
                     .collect();
-                let w = spec.n as u64 + 1;
-                (pid, TreeGeom { w, sizes, bases })
+                let (n, w) = (spec.n, spec.n as u64 + 1);
+                (pid, TreeGeom { n, w, sizes, bases })
             })
-            .collect();
-        let index = cluster.rank_index(colored, |p| Self::entries_in(&geom, p));
-        Self { geom, index }
-    }
-
-    /// The `(group, value)` entries of one union point: one per tree level.
-    fn entries_in<'a>(
-        geom: &'a BTreeMap<u64, TreeGeom>,
-        p: &Colored,
-    ) -> impl Iterator<Item = (u64, u64)> + 'a {
-        let g = &geom[&p.inst];
-        let (row, v) = (p.row as u64, p.color as u64 * g.w + p.col as u64);
-        g.sizes
-            .iter()
-            .zip(&g.bases)
-            .map(move |(&size, &base)| (base + row / size, v))
+            .collect()
     }
 
     /// The group code of tree node `node` at `level` of `parent`.
@@ -1084,7 +1149,6 @@ struct CornerPack {
 /// charged as a search over the multicast per-level copies.
 fn attach_base_f_tree(
     cluster: &mut Cluster,
-    colored: &DistVec<Colored>,
     active: DistVec<ActiveSubgrid>,
     specs: &BTreeMap<u64, ParentSpec>,
     tree: &LeveledIndex,
@@ -1093,11 +1157,9 @@ fn attach_base_f_tree(
     // range, answering the global counts): Õ(1) copies — the tree's space cost.
     // The per-level copies feed the batched rank search as its value side, so
     // they leave rebalanced rather than piling up (height + 1)-fold beside
-    // their source points. They are exactly the shared index's entries.
-    let leveled: DistVec<(u64, u64)> = cluster.flat_map_rebalanced(colored, |p| {
-        LeveledIndex::entries_in(&tree.geom, p).collect()
-    });
-    debug_assert_eq!(leveled.len(), tree.index.len());
+    // their source points. They are exactly the shared index's entries, which
+    // already hold them sorted, so the multicast is charged, not built.
+    cluster.charge_multicast(tree.index.len());
 
     let specs_p = specs.clone();
     let packages: DistVec<CornerPack> = cluster.flat_map(&active, move |d| {
@@ -1128,7 +1190,7 @@ fn attach_base_f_tree(
 
     let specs_q = specs.clone();
     let answered =
-        cluster.rank_search_multi_in(&tree.index, leveled.len() as u64, packages, move |pk| {
+        cluster.rank_search_multi_in(&tree.index, tree.index.len() as u64, packages, move |pk| {
             let spec = specs_q[&pk.parent];
             let w = spec.n as u64 + 1;
             let c0 = (pk.gj * spec.g as u32) as u64;
@@ -1262,6 +1324,122 @@ fn attach_base_f_reference(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mpc_runtime::MpcConfig;
+    use rand::prelude::*;
+
+    impl LeveledIndex {
+        /// The oracle build: every union point entered once per tree level
+        /// as a `(group, value)` entry, then radix-sorted by the runtime.
+        fn build_from_entries(
+            cluster: &Cluster,
+            colored: &DistVec<Colored>,
+            specs: &BTreeMap<u64, ParentSpec>,
+        ) -> Self {
+            let geom = Self::geometry(specs);
+            let index = cluster.rank_index(colored, |p| {
+                let g = &geom[&p.inst];
+                let (row, v) = (p.row as u64, p.color as u64 * g.w + p.col as u64);
+                g.sizes
+                    .iter()
+                    .zip(&g.bases)
+                    .map(move |(&size, &base)| (base + row / size, v))
+                    .collect::<Vec<_>>()
+            });
+            Self { geom, index }
+        }
+    }
+
+    /// A random colored union per parent: a permutation of `n` rows onto `n`
+    /// columns, each point colored by one of `h` subproblems.
+    fn random_unions(rng: &mut StdRng, parents: &[(u64, usize, usize)]) -> Vec<Colored> {
+        let mut points = Vec::new();
+        for &(inst, n, h) in parents {
+            let mut cols: Vec<u32> = (0..n as u32).collect();
+            cols.shuffle(rng);
+            for (row, col) in cols.into_iter().enumerate() {
+                let color = rng.gen_range(0..h as u16);
+                points.push(Colored {
+                    inst,
+                    row: row as u32,
+                    col,
+                    color,
+                });
+            }
+        }
+        points.shuffle(rng);
+        points
+    }
+
+    fn specs_of(parents: &[(u64, usize, usize)]) -> BTreeMap<u64, ParentSpec> {
+        parents
+            .iter()
+            .map(|&(inst, n, h)| (inst, ParentSpec { inst, n, h, g: 1 }))
+            .collect()
+    }
+
+    #[test]
+    fn row_ordered_tree_answers_like_the_entry_built_oracle() {
+        let mut rng = StdRng::seed_from_u64(29);
+        let batches: Vec<Vec<(u64, usize, usize)>> = vec![
+            vec![(0, 1, 2)],
+            vec![(5, 1, 3), (6, 2, 2)],
+            vec![(0, 37, 2), (3, 64, 4), (4, 100, 7), (900, 26, 3)],
+            vec![(2, 81, 3), (7, 82, 3), (8, 5, 9)],
+        ];
+        for parents in batches {
+            let specs = specs_of(&parents);
+            let points = random_unions(&mut rng, &parents);
+            let mut cluster = Cluster::new(MpcConfig::lenient(1000, 0.5).with_machines(6));
+            let colored = cluster.distribute(points);
+            let tree = LeveledIndex::build(&colored, &specs);
+            let oracle = LeveledIndex::build_from_entries(&cluster, &colored, &specs);
+            assert_eq!(tree.index.len(), oracle.index.len(), "{parents:?}");
+
+            // Every node of every level, plus one code past the last group.
+            let mut queries: Vec<(u64, Vec<u64>)> = Vec::new();
+            for (&pid, g) in &tree.geom {
+                for (level, &size) in g.sizes.iter().enumerate() {
+                    for node in 0..node_count(g.n, size) {
+                        let mut t: Vec<u64> = (0..6)
+                            .map(|_| rng.gen_range(0..g.w * (specs[&pid].h as u64 + 1)))
+                            .collect();
+                        t.push(0);
+                        t.push(u64::MAX);
+                        t.sort_unstable();
+                        queries.push((tree.group(pid, level as u32, node), t));
+                    }
+                }
+            }
+            let last = queries.iter().map(|q| q.0).max().unwrap_or(0);
+            queries.push((last + 1, vec![0, 5, u64::MAX]));
+            let answer = |cluster: &mut Cluster, index: &RankIndex<u64>| {
+                let q = cluster.distribute(queries.clone());
+                cluster
+                    .rank_search_multi_in(index, 0, q, |(g, t)| (*g, t.clone()))
+                    .into_inner()
+            };
+            let got = answer(&mut cluster, &tree.index);
+            let expected = answer(&mut cluster, &oracle.index);
+            assert_eq!(got, expected, "{parents:?}");
+        }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "one union point per row")]
+    fn a_union_with_a_repeated_row_is_rejected() {
+        let specs = specs_of(&[(1, 3, 2)]);
+        let mut cluster = Cluster::new(MpcConfig::lenient(100, 0.5));
+        let point = |row, col, color| Colored {
+            inst: 1,
+            row,
+            col,
+            color,
+        };
+        // Row 0 holds two points, row 1 none.
+        let colored = cluster.distribute(vec![point(0, 0, 0), point(0, 1, 1), point(2, 2, 0)]);
+        let _ = LeveledIndex::build(&colored, &specs);
+    }
 
     #[test]
     fn tree_height_covers_the_domain() {

@@ -17,6 +17,10 @@ use rayon::prelude::*;
 /// thread count.
 mod compute {
     use rayon::prelude::*;
+    use std::collections::hash_map::RandomState;
+    use std::collections::HashMap;
+    use std::hash::{BuildHasher, Hash, Hasher};
+    use std::sync::OnceLock;
 
     /// Splits items evenly across machines (block distribution). Each item is
     /// moved exactly once — O(n) regardless of the machine count.
@@ -106,41 +110,126 @@ mod compute {
             .collect()
     }
 
+    /// The gather's hasher: dependency-free, folding each word in with a
+    /// rotate–xor–multiply step and finishing with the MurmurHash3 `fmix64`
+    /// avalanche, so keys that differ only in their high bits still spread
+    /// over every bucket. The map it serves is only ever probed, never
+    /// iterated, so no hash order can reach an output.
+    pub(super) struct MixHasher(u64);
+
+    /// Builds [`MixHasher`]s from one seed drawn per process: group keys can
+    /// carry caller data (the LCS join groups by input symbol), and an unknown
+    /// seed keeps crafted keys from piling into one bucket.
+    #[derive(Clone, Copy)]
+    pub(super) struct MixState(u64);
+
+    impl MixState {
+        pub(super) fn new() -> Self {
+            static SEED: OnceLock<u64> = OnceLock::new();
+            Self(*SEED.get_or_init(|| RandomState::new().build_hasher().finish()))
+        }
+    }
+
+    impl BuildHasher for MixState {
+        type Hasher = MixHasher;
+
+        fn build_hasher(&self) -> MixHasher {
+            MixHasher(self.0)
+        }
+    }
+
+    impl Hasher for MixHasher {
+        fn write(&mut self, bytes: &[u8]) {
+            let mut words = bytes.chunks_exact(8);
+            for word in &mut words {
+                let mut buf = [0u8; 8];
+                buf.copy_from_slice(word);
+                self.write_u64(u64::from_le_bytes(buf));
+            }
+            let rest = words.remainder();
+            if !rest.is_empty() {
+                let mut buf = [0u8; 8];
+                buf[..rest.len()].copy_from_slice(rest);
+                self.write_u64(u64::from_le_bytes(buf) ^ ((rest.len() as u64) << 56));
+            }
+        }
+
+        fn write_u8(&mut self, x: u8) {
+            self.write_u64(x as u64);
+        }
+
+        fn write_u16(&mut self, x: u16) {
+            self.write_u64(x as u64);
+        }
+
+        fn write_u32(&mut self, x: u32) {
+            self.write_u64(x as u64);
+        }
+
+        fn write_u64(&mut self, x: u64) {
+            self.0 = (self.0.rotate_left(23) ^ x).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        }
+
+        fn write_usize(&mut self, x: usize) {
+            self.write_u64(x as u64);
+        }
+
+        fn finish(&self) -> u64 {
+            let mut h = self.0;
+            h ^= h >> 33;
+            h = h.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
+            h ^= h >> 33;
+            h = h.wrapping_mul(0xC4CE_B9FE_1A85_EC53);
+            h ^ (h >> 33)
+        }
+    }
+
     /// Gathers items into key-sorted groups (stable within a group's arrival
     /// order, deterministic at every thread count).
     ///
-    /// Only `(key, arrival index)` pairs are sorted; each item then moves
-    /// once, straight into its group, visited in arrival order.
+    /// Every item gets a dense group id in first-arrival order from a hash
+    /// map; only the distinct keys are then sorted, and each item moves once,
+    /// straight into its pre-sized group, visited in arrival order.
     pub(super) fn gather_groups<T, K, FK>(parts: Vec<Vec<T>>, key: FK) -> Vec<(K, Vec<T>)>
     where
         T: Send,
-        K: Ord + Send + Sync,
+        K: Ord + Hash + Clone + Send + Sync,
         FK: Fn(&T) -> K + Send + Sync,
     {
-        let items: Vec<T> = super::concat(parts);
-        // Keys are read in place: `T` need not be `Sync`.
-        let mut order: Vec<(K, usize)> =
-            items.iter().enumerate().map(|(i, t)| (key(t), i)).collect();
-        // Arrival indices make every pair distinct, so any sort is stable.
-        order.par_sort_unstable();
-        let mut group_of = vec![0usize; items.len()];
-        let mut keys: Vec<K> = Vec::new();
+        let mut ids: HashMap<K, u32, MixState> = HashMap::with_hasher(MixState::new());
+        let mut keys: Vec<(K, u32)> = Vec::new();
         let mut sizes: Vec<usize> = Vec::new();
-        for (k, i) in order {
-            if keys.last() != Some(&k) {
-                keys.push(k);
-                sizes.push(0);
-            }
-            group_of[i] = keys.len() - 1;
-            *sizes.last_mut().expect("pushed above") += 1;
+        // Keys are read in place: `T` need not be `Sync`.
+        let mut group_of: Vec<u32> = parts
+            .iter()
+            .flatten()
+            .map(|t| {
+                let id = *ids.entry(key(t)).or_insert_with_key(|k| {
+                    let id = u32::try_from(keys.len()).expect("fewer than 2^32 groups");
+                    keys.push((k.clone(), id));
+                    sizes.push(0);
+                    id
+                });
+                sizes[id as usize] += 1;
+                id
+            })
+            .collect();
+        drop(ids);
+        // The keys are distinct, so any sort orders them the same way.
+        keys.par_sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        let mut rank = vec![0u32; keys.len()];
+        for (r, (_, id)) in keys.iter().enumerate() {
+            rank[*id as usize] = r as u32;
+        }
+        for g in &mut group_of {
+            *g = rank[*g as usize];
         }
         let mut groups: Vec<(K, Vec<T>)> = keys
             .into_iter()
-            .zip(sizes)
-            .map(|(k, size)| (k, Vec::with_capacity(size)))
+            .map(|(k, id)| (k, Vec::with_capacity(sizes[id as usize])))
             .collect();
-        for (t, g) in items.into_iter().zip(group_of) {
-            groups[g].1.push(t);
+        for (t, g) in parts.into_iter().flatten().zip(group_of) {
+            groups[g as usize].1.push(t);
         }
         groups
     }
@@ -148,14 +237,30 @@ mod compute {
     /// Greedy packing: largest groups first (ties in group order), each onto
     /// the currently lightest machine, lowest index among equals (the
     /// classical LPT heuristic); mirrors §3.3's "sort them in the order of
-    /// decreasing sizes and use greedy packing". A min-heap over
-    /// `(load, machine)` finds the target in `O(log machines)`. Returns the
-    /// machine of every group and the per-machine loads.
+    /// decreasing sizes and use greedy packing". The size order is a stable
+    /// counting sort (sizes are bounded by the item total), and a min-heap
+    /// over `(load, machine)` finds the target in `O(log machines)`. Returns
+    /// the machine of every group and the per-machine loads.
     pub(super) fn pack_groups(sizes: &[usize], machines: usize) -> (Vec<usize>, Vec<usize>) {
         use std::cmp::Reverse;
         use std::collections::BinaryHeap;
-        let mut order: Vec<usize> = (0..sizes.len()).collect();
-        order.sort_by_key(|&g| Reverse(sizes[g]));
+        let max = sizes.iter().copied().max().unwrap_or(0);
+        // `next[s]`: the next slot of a size-`s` group; larger sizes go first.
+        let mut next = vec![0usize; max + 1];
+        for &size in sizes {
+            next[size] += 1;
+        }
+        let mut slot = 0;
+        for count in next.iter_mut().rev() {
+            let here = *count;
+            *count = slot;
+            slot += here;
+        }
+        let mut order = vec![0usize; sizes.len()];
+        for (g, &size) in sizes.iter().enumerate() {
+            order[next[size]] = g;
+            next[size] += 1;
+        }
         let mut machine_of_group = vec![0usize; sizes.len()];
         let mut loads = vec![0usize; machines];
         let mut lightest: BinaryHeap<Reverse<(usize, usize)>> =
@@ -406,17 +511,25 @@ impl Cluster {
     }
 
     fn observe<T>(&mut self, dv: &DistVec<T>, context: &'static str) {
-        let violated =
-            self.ledger
-                .observe_loads(dv.loads(), self.config.space, self.label.as_deref());
+        self.observe_loads(dv.loads(), dv.max_load(), context);
+    }
+
+    /// Records a load profile whose largest load is `max_load`, panicking on
+    /// a strict cluster when it exceeds the space budget.
+    fn observe_loads(
+        &mut self,
+        loads: impl Iterator<Item = usize>,
+        max_load: usize,
+        context: &'static str,
+    ) {
+        let violated = self
+            .ledger
+            .observe_loads(loads, self.config.space, self.label.as_deref());
         if violated && self.config.enforce_space {
             panic!(
-                "MPC space budget exceeded in `{context}`: max load {} > s = {} \
+                "MPC space budget exceeded in `{context}`: max load {max_load} > s = {} \
                  (n = {}, δ = {})",
-                dv.max_load(),
-                self.config.space,
-                self.config.n,
-                self.config.delta
+                self.config.space, self.config.n, self.config.delta
             );
         }
     }
@@ -671,7 +784,7 @@ impl Cluster {
     ) -> (Vec<(K, Vec<T>)>, Vec<usize>)
     where
         T: Send,
-        K: Ord + Send + Sync,
+        K: Ord + std::hash::Hash + Clone + Send + Sync,
         FK: Fn(&T) -> K + Sync,
     {
         let groups = compute::gather_groups(parts, &key);
@@ -911,6 +1024,24 @@ impl Cluster {
         out
     }
 
+    /// Charges a balanced multicast of `volume` copies without materializing
+    /// them: the receipt and the observed load profile are exactly those of a
+    /// [`Cluster::flat_map_rebalanced`] emitting `volume` items — the copies
+    /// spread over the machines in equal blocks — and a strict cluster panics
+    /// identically.
+    ///
+    /// For a caller that needs a multicast's cost but not its copies, e.g.
+    /// when a prebuilt [`RankIndex`] already holds what the copies would feed.
+    pub fn charge_multicast(&mut self, volume: usize) {
+        self.apply_step(Superstep::new("multicast", costs::MULTICAST, volume as u64));
+        // The block distribution of `compute::balance`, computed: `per` items
+        // on each machine until the copies run out.
+        let machines = self.config.machines.max(1);
+        let per = volume.div_ceil(machines).max(1);
+        let loads = (0..machines).map(move |i| volume.saturating_sub(i * per).min(per));
+        self.observe_loads(loads, per.min(volume), "multicast");
+    }
+
     /// Applies `f` to every item and flattens the results (purely local).
     pub fn flat_map<T, U, F>(&mut self, dv: &DistVec<T>, f: F) -> DistVec<U>
     where
@@ -1125,6 +1256,11 @@ mod tests {
             vec![0; 9],
             (0..300).map(|_| rng.gen_range(1..4)).collect(),
             (0..500).map(|_| rng.gen_range(0..1000)).collect(),
+            // Many ties: the counting sort must keep tied groups in index order.
+            (0..2000)
+                .map(|_| [0, 1, 7, 7, 7, 64][rng.gen_range(0..6usize)])
+                .collect(),
+            (0..700).map(|g| 5 + g % 3).collect(),
         ];
         for sizes in &cases {
             for machines in [1, 2, 7, 128] {
@@ -1137,21 +1273,76 @@ mod tests {
         }
     }
 
+    /// Random parts of `(key, String)` items: `keys` draws each key, and a
+    /// part may be empty.
+    fn keyed_parts<K>(
+        rng: &mut StdRng,
+        machines: usize,
+        items: usize,
+        mut keys: impl FnMut(&mut StdRng) -> K,
+    ) -> Vec<Vec<(K, String)>> {
+        let mut parts: Vec<Vec<(K, String)>> = (0..machines).map(|_| Vec::new()).collect();
+        for i in 0..items {
+            let m = rng.gen_range(0..machines);
+            let k = keys(rng);
+            parts[m].push((k, format!("item-{i}")));
+        }
+        parts
+    }
+
+    fn assert_gather_matches_oracle<K>(parts: Vec<Vec<(K, String)>>, case: &str)
+    where
+        K: Ord + std::hash::Hash + Clone + Send + Sync + std::fmt::Debug,
+    {
+        let got = compute::gather_groups(parts.clone(), |(k, _)| k.clone());
+        let expected = compute::oracle::gather_groups(parts, |(k, _)| k.clone());
+        assert!(got.windows(2).all(|w| w[0].0 < w[1].0), "{case}: key order");
+        assert_eq!(got, expected, "{case}");
+    }
+
     #[test]
-    fn gather_groups_keeps_arrival_order_of_non_copy_payloads() {
-        let mut rng = StdRng::seed_from_u64(17);
-        let parts: Vec<Vec<(u32, String)>> = (0..5)
-            .map(|m| {
-                (0..rng.gen_range(0..60))
-                    .map(|i| (rng.gen_range(0..9), format!("m{m}-{i}")))
-                    .collect()
-            })
-            .collect();
-        let got = compute::gather_groups(parts.clone(), |(k, _)| *k);
-        assert_eq!(got, compute::oracle::gather_groups(parts, |(k, _)| *k));
-        assert!(got.windows(2).all(|w| w[0].0 < w[1].0));
-        let empty: Vec<Vec<(u32, String)>> = vec![Vec::new(); 3];
-        assert!(compute::gather_groups(empty, |(k, _)| *k).is_empty());
+    fn hashed_gather_matches_the_comparison_oracle() {
+        let mut rng = StdRng::seed_from_u64(19);
+        for round in 0..40 {
+            let machines = rng.gen_range(1..9);
+            let items = rng.gen_range(0..400);
+            // Tuple keys, as the descent and lift joins use.
+            let span = rng.gen_range(1..50u32);
+            let parts = keyed_parts(&mut rng, machines, items, |r| {
+                (
+                    r.gen_range(0..3u64),
+                    r.gen_range(0..span),
+                    r.gen_range(0..2u32),
+                )
+            });
+            assert_gather_matches_oracle(parts, &format!("tuple keys, round {round}"));
+            // Keys that differ only in their high bits.
+            let parts = keyed_parts(&mut rng, machines, items, |r| {
+                r.gen_range(0..64u64) << 58 | 0x5A5A
+            });
+            assert_gather_matches_oracle(parts, &format!("high-bit keys, round {round}"));
+            // Heavy duplicates: two distinct keys.
+            let parts = keyed_parts(&mut rng, machines, items, |r| r.gen_range(0..2u32));
+            assert_gather_matches_oracle(parts, &format!("duplicates, round {round}"));
+            // One group.
+            let parts = keyed_parts(&mut rng, machines, items, |_| 7u32);
+            assert_gather_matches_oracle(parts, &format!("one group, round {round}"));
+            // All keys distinct (the arrival index, scrambled).
+            let mut next = 0u64;
+            let parts = keyed_parts(&mut rng, machines, items, |_| {
+                next += 1;
+                next.wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            });
+            assert_gather_matches_oracle(parts, &format!("distinct, round {round}"));
+            // Non-Copy keys.
+            let parts = keyed_parts(&mut rng, machines, items, |r| {
+                format!("k{}", r.gen_range(0..30))
+            });
+            assert_gather_matches_oracle(parts, &format!("string keys, round {round}"));
+        }
+        // Only empty parts.
+        assert_gather_matches_oracle::<u64>(vec![Vec::new(); 4], "empty parts");
+        assert_gather_matches_oracle::<u64>(Vec::new(), "no parts");
     }
 
     #[test]
@@ -1247,6 +1438,44 @@ mod tests {
     }
 
     #[test]
+    fn cogroup_map_keeps_side_order_under_scattered_tuple_keys() {
+        // Both sides scattered over the machines with tuple keys that differ
+        // only in their high part, the right side shuffled: each side still
+        // arrives in its own global order.
+        let mut rng = StdRng::seed_from_u64(23);
+        let mut cl = Cluster::new(MpcConfig::new(2000, 0.5).with_machines(5));
+        let key = |i: u32| ((i as u64 % 4) << 40, i % 3);
+        let left: Vec<((u64, u32), u32)> = (0..400).map(|i| (key(i), i)).collect();
+        let mut right: Vec<((u64, u32), u32)> =
+            (0..150).map(|i| (key(i * 7), 10_000 + i)).collect();
+        right.shuffle(&mut rng);
+        let expected_right: Vec<u32> = right.iter().map(|&(_, v)| v).collect();
+        let ldv = cl.distribute(left);
+        let rdv = cl.distribute(right);
+        let out = cl.cogroup_map(
+            ldv,
+            rdv,
+            |&(k, _)| k,
+            |&(k, _)| k,
+            |&k, lefts, rights| {
+                assert!(lefts.windows(2).all(|w| w[0].1 < w[1].1), "key {k:?}");
+                vec![(k, rights.iter().map(|&(_, v)| v).collect::<Vec<_>>())]
+            },
+        );
+        let mut flat = out.into_inner();
+        flat.sort_unstable();
+        assert_eq!(flat.len(), 12);
+        for (k, rights) in flat {
+            let in_arrival: Vec<u32> = expected_right
+                .iter()
+                .copied()
+                .filter(|&v| key((v - 10_000) * 7) == k)
+                .collect();
+            assert_eq!(rights, in_arrival, "key {k:?}");
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "space budget exceeded in `cogroup_map`")]
     fn strict_mode_panics_on_oversized_cogroup() {
         let mut cl = Cluster::new(MpcConfig::new(10_000, 0.5).with_space(10).strict());
@@ -1295,6 +1524,57 @@ mod tests {
         assert!(out.max_load() <= cl.config().space);
         assert_eq!(cl.rounds() - rounds_before, costs::MULTICAST);
         assert!(cl.ledger().communication >= 300);
+    }
+
+    #[test]
+    fn charged_multicast_leaves_the_ledger_of_a_materialized_one() {
+        for machines in [1, 7, 64] {
+            for volume in [0usize, 3, 64, 65, 10_000, 123_457] {
+                let config = MpcConfig::lenient(100_000, 0.5).with_machines(machines);
+                let mut built = Cluster::new(config.clone());
+                let mut charged = Cluster::new(config);
+                // One source item fans out `volume` copies; the phase holds
+                // only the multicast's load profile.
+                let dv = built.distribute(vec![()]);
+                let _ = charged.distribute(vec![()]);
+                built.set_phase(Some("tree"));
+                charged.set_phase(Some("tree"));
+                let out = built.flat_map_rebalanced(&dv, |_| vec![0u8; volume]);
+                assert_eq!(out.len(), volume);
+                charged.charge_multicast(volume);
+                assert_eq!(
+                    built.ledger(),
+                    charged.ledger(),
+                    "machines={machines} volume={volume}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn charged_multicast_panics_like_a_materialized_one() {
+        let panic_of = |f: Box<dyn FnOnce() + std::panic::UnwindSafe>| -> String {
+            let err = std::panic::catch_unwind(f).expect_err("strict cluster must refuse");
+            err.downcast_ref::<String>()
+                .cloned()
+                .expect("formatted message")
+        };
+        let config = || MpcConfig::new(1000, 0.5).with_machines(4).with_space(10);
+        let built = panic_of(Box::new(move || {
+            let mut cl = Cluster::new(config());
+            let dv = cl.distribute(vec![0u32; 8]);
+            let _ = cl.flat_map_rebalanced(&dv, |_| vec![0u32; 6]);
+        }));
+        let charged = panic_of(Box::new(move || {
+            let mut cl = Cluster::new(config());
+            let _ = cl.distribute(vec![0u32; 8]);
+            cl.charge_multicast(48);
+        }));
+        assert!(
+            built.contains("space budget exceeded in `multicast`"),
+            "{built}"
+        );
+        assert_eq!(built, charged);
     }
 
     #[test]

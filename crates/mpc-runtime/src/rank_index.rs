@@ -5,15 +5,22 @@
 //! entry sorted — depends only on the values, so a caller that queries the
 //! same values repeatedly (the ⊡ combine's tree descent queries one colored
 //! union once per tree level, then again for the corner `F` vectors) builds a
-//! [`RankIndex`] once with [`crate::Cluster::rank_index`] and answers every
-//! batch from it with [`crate::Cluster::rank_search_multi_in`]. The build is
-//! local simulator work; each query still charges the full value side, as if
-//! the machines had re-sorted it.
+//! [`RankIndex`] once and answers every batch from it with
+//! [`crate::Cluster::rank_search_multi_in`]. The build is local simulator
+//! work; each query still charges the full value side, as if the machines had
+//! re-sorted it.
 //!
-//! The build packs every entry into one machine word — group bits above value
-//! bits — and sorts the words with an LSD radix sort whose all-equal digits
-//! are skipped, so its cost follows the key space actually in use rather than
-//! `n log n` comparisons.
+//! An index is built one of two ways:
+//!
+//! * from unordered entries ([`crate::Cluster::rank_index`]): every entry is
+//!   packed into one machine word — group bits above value bits — and the
+//!   words are sorted with an LSD radix sort whose all-equal digits are
+//!   skipped, so the cost follows the key space actually in use rather than
+//!   `n log n` comparisons;
+//! * from runs the caller already holds grouped and sorted
+//!   ([`RankIndex::from_sorted_runs`], compressed-sparse-row form): nothing is
+//!   sorted at all. The ⊡ combine builds its colored tree this way, because
+//!   every tree node is a contiguous block of rows.
 
 use std::marker::PhantomData;
 
@@ -61,6 +68,45 @@ impl<K: RankKey> RankIndex<K> {
             Self::from_words::<u64>(&entries, value_bits, group_bits + value_bits)
         } else {
             Self::from_words::<u128>(&entries, value_bits, group_bits + value_bits)
+        }
+    }
+
+    /// Builds the index from runs already grouped and sorted:
+    /// `values[starts[i]..starts[i + 1]]` are the values of `groups[i]`,
+    /// ascending, and the groups ascend by their packed key. Nothing is
+    /// sorted; debug builds check both orders.
+    ///
+    /// # Panics
+    ///
+    /// If `starts` does not hold one more offset than there are groups, or
+    /// its last offset is not `values.len()`.
+    pub fn from_sorted_runs(groups: Vec<K>, starts: Vec<usize>, values: Vec<u64>) -> Self {
+        assert_eq!(
+            starts.len(),
+            groups.len() + 1,
+            "a rank index needs one start per group plus the end"
+        );
+        assert_eq!(
+            starts.last(),
+            Some(&values.len()),
+            "the last start must close the value array"
+        );
+        let groups: Vec<u64> = groups.into_iter().map(RankKey::pack).collect();
+        debug_assert!(
+            groups.windows(2).all(|w| w[0] < w[1]),
+            "rank-index groups must strictly ascend by packed key"
+        );
+        debug_assert!(
+            starts
+                .windows(2)
+                .all(|w| w[0] <= w[1] && values[w[0]..w[1]].windows(2).all(|v| v[0] <= v[1])),
+            "every rank-index run must be sorted ascending"
+        );
+        Self {
+            groups,
+            starts,
+            values,
+            key: PhantomData,
         }
     }
 
@@ -289,6 +335,57 @@ mod tests {
             (0, vec![0, 1, u64::MAX]),
         ];
         check(entries, &queries);
+    }
+
+    #[test]
+    fn sorted_runs_answer_like_sorted_entries() {
+        let mut rng = StdRng::seed_from_u64(0x5C);
+        for groups in [1usize, 5, 200] {
+            // Runs of random lengths, empty ones included, over sparse keys.
+            let mut keys: Vec<u64> = (0..groups).map(|_| rng.gen_range(0..1 << 40)).collect();
+            keys.sort_unstable();
+            keys.dedup();
+            let mut entries = Vec::new();
+            let mut starts = vec![0];
+            let mut values = Vec::new();
+            for &g in &keys {
+                let mut run: Vec<u64> = (0..rng.gen_range(0..30))
+                    .map(|_| rng.gen_range(0..100))
+                    .collect();
+                run.sort_unstable();
+                entries.extend(run.iter().map(|&v| (g, v)));
+                values.extend(run);
+                starts.push(values.len());
+            }
+            let runs = RankIndex::<u64>::from_sorted_runs(keys.clone(), starts, values);
+            let sorted = RankIndex::<u64>::from_entries(entries.clone());
+            assert_eq!(runs.len(), sorted.len());
+            for &g in keys.iter().chain(&[1 << 41]) {
+                let t: Vec<u64> = (0..110).step_by(3).collect();
+                assert_eq!(runs.count_below(g, &t), sorted.count_below(g, &t));
+                assert_eq!(runs.count_below(g, &t), brute(&entries, g, &t));
+            }
+        }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "run must be sorted")]
+    fn unsorted_runs_are_rejected() {
+        let _ = RankIndex::<u32>::from_sorted_runs(vec![0, 1], vec![0, 1, 3], vec![4, 9, 2]);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "groups must strictly ascend")]
+    fn descending_groups_are_rejected() {
+        let _ = RankIndex::<u32>::from_sorted_runs(vec![3, 1], vec![0, 1, 2], vec![4, 9]);
+    }
+
+    #[test]
+    #[should_panic(expected = "one start per group")]
+    fn runs_need_one_start_per_group() {
+        let _ = RankIndex::<u32>::from_sorted_runs(vec![0, 1], vec![0, 2], vec![4, 9]);
     }
 
     #[test]

@@ -137,7 +137,7 @@ fn match_pairs<T: Ord + std::hash::Hash + Clone + Send + Sync>(
         |_, items| {
             let mut is: Vec<u32> = Vec::new();
             let mut js: Vec<u32> = Vec::new();
-            for (_, is_b, pos) in items {
+            for &(_, is_b, pos) in items.iter() {
                 if is_b {
                     js.push(pos);
                 } else {

@@ -303,10 +303,12 @@ pub(crate) fn pipeline<T: Ord>(
     );
     let entries = {
         let bs = block_size as u32;
-        cluster.group_map(
+        cluster.group_map_view(
             positions,
             move |&(pos, _)| pos / bs,
-            move |&block_id, items| comb_block_entries(block_id, items, chunk),
+            move |&block_id, items| {
+                comb_block_entries(block_id, items.iter().copied().collect(), chunk)
+            },
         )
     };
     let mut blocks: Vec<Block> = blocks_from_entries(cluster.collect(entries))

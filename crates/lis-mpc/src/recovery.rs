@@ -107,10 +107,12 @@ pub(crate) fn repair_base(
     let bs = block_size as u32;
     let entries = {
         let dv = cluster.distribute(elems);
-        cluster.group_map(
+        cluster.group_map_view(
             dv,
             move |&(pos, _)| pos / bs,
-            move |&block_id, items| comb_block_entries(block_id, items, chunk),
+            move |&block_id, items| {
+                comb_block_entries(block_id, items.iter().copied().collect(), chunk)
+            },
         )
     };
     let flat = cluster.collect(entries);

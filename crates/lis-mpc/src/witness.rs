@@ -421,8 +421,12 @@ pub fn recover_batch(
         move |&(pos, _)| pos / block_size,
         |&(block, ..)| block,
         |_, elems, qs| {
+            if qs.is_empty() {
+                return Vec::new();
+            }
+            let elems: Vec<(u32, u32)> = elems.iter().copied().collect();
             let mut out = Vec::new();
-            for (_, qid, vlo, vhi, t) in qs {
+            for &(_, qid, vlo, vhi, t) in qs.iter() {
                 let slice = lis_witness_in_rank_range(&elems, vlo, vhi);
                 assert_eq!(
                     slice.len(),

@@ -45,7 +45,7 @@ use crate::params::{GridPhase, Routing};
 use monge::multiway::{
     opt_breakpoints_from_cmp, process_subgrid, ColoredPoint, MultiwayOracle, SubgridInstance,
 };
-use mpc_runtime::{costs, Cluster, DistVec, RankIndex};
+use mpc_runtime::{costs, Cluster, DistVec, Group, RankIndex};
 use rayon::prelude::*;
 use std::collections::BTreeMap;
 
@@ -193,7 +193,7 @@ pub fn distributed_combine(
     // Phase 4: local subgrid resolution (communication-wise this is the routed
     // volume arriving at its target machines, so it stays under "combine-route").
     let specs_local = specs.clone();
-    let subgrid_out: DistVec<Nonzero> = cluster.group_map(
+    let subgrid_out: DistVec<Nonzero> = cluster.group_map_view(
         all_items,
         |(target, _)| *target,
         move |&(parent, gi, gj), items| resolve_subgrid(parent, gi, gj, items, &specs_local),
@@ -295,8 +295,8 @@ fn route_band(
         move |&(parent, _, _), items| {
             let mut target = None;
             let mut pts = Vec::new();
-            for (_, slot) in items {
-                match slot {
+            for (_, slot) in items.iter() {
+                match *slot {
                     Slot::Reg(gi, gj) => target = Some((gi, gj)),
                     Slot::Pt(p) => pts.push(p),
                 }
@@ -335,7 +335,7 @@ fn resolve_subgrid(
     parent: u64,
     gi: u32,
     gj: u32,
-    items: Vec<(Target, Payload)>,
+    items: Group<'_, (Target, Payload)>,
     specs: &BTreeMap<u64, ParentSpec>,
 ) -> Vec<Nonzero> {
     let spec = specs[&parent];
@@ -345,17 +345,17 @@ fn resolve_subgrid(
     let (r1, c1) = ((r0 + g).min(n), (c0 + g).min(n));
 
     let mut wlo = 0u16;
-    let mut base_f = Vec::new();
+    let mut base_f: &[u64] = &[];
     let mut row_pts = Vec::new();
     let mut col_pts = Vec::new();
-    for (_, payload) in items {
+    for (_, payload) in items.iter() {
         match payload {
             Payload::Desc { wlo: w, base_f: f } => {
-                wlo = w;
+                wlo = *w;
                 base_f = f;
             }
-            Payload::RowPt(p) => row_pts.push(p),
-            Payload::ColPt(p) => col_pts.push(p),
+            Payload::RowPt(p) => row_pts.push(*p),
+            Payload::ColPt(p) => col_pts.push(*p),
         }
     }
     assert!(
@@ -381,7 +381,7 @@ fn resolve_subgrid(
         c0,
         c1,
         h: base_f.len() as u16,
-        base_f,
+        base_f: base_f.to_vec(),
         row_pts,
         col_pts,
     };
@@ -781,13 +781,14 @@ fn grid_phase_tree(
                 )
             });
         let geom_g = geom.clone();
-        let stepped: DistVec<GridWork> = cluster.group_map(
+        let stepped: DistVec<GridWork> = cluster.group_map_view(
             answered,
             |(pk, _)| {
                 let s = pk.search;
                 (s.parent, s.c, s.q, s.r)
             },
-            move |_, mut packs| {
+            move |_, group| {
+                let mut packs: Vec<&(SegPack, Vec<u64>)> = group.iter().collect();
                 packs.sort_unstable_by_key(|(pk, _)| pk.seg);
                 let s = packs[0].0.search;
                 let (_, size) = geom_g[&s.parent];
@@ -795,7 +796,7 @@ fn grid_phase_tree(
                 // segment whose right boundary turns positive.
                 let mut delta = s.delta_lo;
                 let mut chosen = None;
-                for (pk, counts) in &packs {
+                for (pk, counts) in packs {
                     let contrib = counts[1] as i64 - counts[0] as i64;
                     if delta + contrib > 0 {
                         chosen = Some((pk.seg as u64, delta));
@@ -806,21 +807,21 @@ fn grid_phase_tree(
                 let (seg, delta_at) =
                     chosen.expect("δ must turn positive within the node (invariant)");
                 let lo = s.lo + seg * size;
-                if size == 1 {
-                    vec![GridWork::Resolved(ResolvedCmp {
+                Some(if size == 1 {
+                    GridWork::Resolved(ResolvedCmp {
                         parent: s.parent,
                         c: s.c,
                         q: s.q,
                         r: s.r,
                         val: (lo + 1) as u32,
-                    })]
+                    })
                 } else {
-                    vec![GridWork::Search(CrossSearch {
+                    GridWork::Search(CrossSearch {
                         lo,
                         delta_lo: delta_at,
                         ..s
-                    })]
-                }
+                    })
+                })
             },
         );
         let newly = {
@@ -843,24 +844,23 @@ fn grid_phase_tree(
 
     // Assemble per-line demarcation rows from the crossover values.
     let specs_l = specs.clone();
-    cluster.group_map(
+    cluster.group_map_view(
         resolved,
         |rc| (rc.parent, rc.c),
-        move |&(parent, _), items| {
+        move |&(parent, c), items| {
             let spec = specs_l[&parent];
             let (h, n) = (spec.h, spec.n as u32);
             let mut cmp = vec![vec![0u32; h]; h];
             debug_assert_eq!(items.len(), h * (h - 1) / 2);
-            let c = items[0].c;
-            for rc in items {
+            for rc in items.iter() {
                 cmp[rc.q as usize][rc.r as usize] = rc.val;
             }
             let breakpoints = opt_breakpoints_from_cmp(&cmp, h, n);
-            vec![LineInfo {
+            Some(LineInfo {
                 parent,
                 c,
                 b: b_vector(&breakpoints, h, n),
-            }]
+            })
         },
     )
 }
@@ -909,7 +909,7 @@ fn grid_phase_reference(
         costs::RANK_SEARCH_MULTI + levels * (costs::RANK_SEARCH_MULTI + costs::GROUP_MAP),
     );
     let specs = specs.clone();
-    cluster.group_map(
+    cluster.group_map_view(
         colored.clone(),
         |p| p.inst,
         move |&inst, points| {
@@ -1035,15 +1035,15 @@ fn classify(
             let h = spec.h;
             let c_left = band * g;
             let c_right = (c_left + g).min(n);
-            let mut left: Option<LineInfo> = None;
-            let mut right: Option<LineInfo> = None;
+            let mut left: Option<&LineInfo> = None;
+            let mut right: Option<&LineInfo> = None;
             let mut points = Vec::new();
-            for (_, item) in items {
+            for (_, item) in items.iter() {
                 match item {
                     BandItem::Line(l) if l.c == c_left => left = Some(l),
                     BandItem::Line(l) if l.c == c_right => right = Some(l),
                     BandItem::Line(_) => {}
-                    BandItem::Point(p) => points.push(p),
+                    BandItem::Point(p) => points.push(*p),
                 }
             }
             let left = left.expect("left grid line missing for band");
@@ -1078,7 +1078,7 @@ fn classify(
                     Routing::Pierced => {
                         let r_lo = gi * g;
                         let r_hi = (r_lo + g).min(n);
-                        (opt_on(&left, r_lo), opt_on(&right, r_hi))
+                        (opt_on(left, r_lo), opt_on(right, r_hi))
                     }
                     Routing::Bands => (0, (h - 1) as u16),
                 };
@@ -1096,7 +1096,7 @@ fn classify(
                 let gi = p.row / g;
                 let verdict = if active_rows.contains(&gi) {
                     Verdict::Active
-                } else if opt_on(&left, gi * g) == p.color {
+                } else if opt_on(left, gi * g) == p.color {
                     Verdict::Keep
                 } else {
                     Verdict::Drop
@@ -1205,23 +1205,23 @@ fn attach_base_f_tree(
             (tree.group(pk.parent, pk.level, pk.node), thresholds)
         });
 
-    cluster.group_map(
+    cluster.group_map_view(
         answered,
         |(pk, _)| (pk.parent, pk.gi, pk.gj),
         |&(parent, gi, gj), packs| {
             let (wlo, whi) = {
-                let pk = &packs[0].0;
+                let pk = &packs.get(0).0;
                 (pk.wlo, pk.whi)
             };
             let k = (whi - wlo) as usize;
             // Per window index i (color y = wlo + i): global color-prefix totals
             // and U_y(c0), plus row-prefix counts summed over the decomposition.
-            let mut glob: Option<Vec<u64>> = None;
+            let mut glob: Option<&[u64]> = None;
             let mut row_lt = vec![0i64; k + 2]; // Σ decomposition: #{color < y, row < r0} at boundaries
             let mut b_cnt = vec![0i64; k + 1]; // #{color = y, row < r0, col < c0}
-            for (pk, counts) in &packs {
+            for (pk, counts) in packs.iter() {
                 if pk.level == 0 {
-                    glob = Some(counts.clone());
+                    glob = Some(counts);
                 } else {
                     for i in 0..=k {
                         row_lt[i] += counts[2 * i] as i64;
@@ -1252,14 +1252,14 @@ fn attach_base_f_tree(
                 f[i + 1] = f[i] + n_y(i) - u_y(i) - r_y(i) - b_cnt[i + 1] + b_cnt[i];
             }
             let anchor = f.iter().copied().min().unwrap_or(0);
-            vec![ActiveSubgrid {
+            Some(ActiveSubgrid {
                 parent,
                 gi,
                 gj,
                 wlo,
                 whi,
                 base_f: f.into_iter().map(|v| (v - anchor) as u64).collect(),
-            }]
+            })
         },
     )
 }
@@ -1287,7 +1287,7 @@ fn attach_base_f_reference(
     let ds = cluster.map(&active, |d| Item::Desc(d.clone()));
     let all = cluster.concat(pts, ds);
     let specs = specs.clone();
-    cluster.group_map(
+    cluster.group_map_view(
         all,
         |item| match item {
             Item::Point(p) => p.inst,
@@ -1297,7 +1297,7 @@ fn attach_base_f_reference(
             let spec = specs[&inst];
             let mut pts = Vec::new();
             let mut descs = Vec::new();
-            for item in items {
+            for item in items.iter() {
                 match item {
                     Item::Point(p) => pts.push(ColoredPoint {
                         row: p.row,
@@ -1310,13 +1310,15 @@ fn attach_base_f_reference(
             let oracle = MultiwayOracle::new(&pts, spec.h);
             descs
                 .into_iter()
-                .map(|mut d| {
+                .map(|d| {
                     let g = spec.g as u32;
                     let f = oracle.f_vec(d.gi * g, d.gj * g);
-                    d.base_f = f[d.wlo as usize..=d.whi as usize].to_vec();
-                    d
+                    ActiveSubgrid {
+                        base_f: f[d.wlo as usize..=d.whi as usize].to_vec(),
+                        ..d.clone()
+                    }
                 })
-                .collect()
+                .collect::<Vec<_>>()
         },
     )
 }

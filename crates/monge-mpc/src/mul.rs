@@ -23,7 +23,7 @@ use crate::params::MulParams;
 use monge::steady_ant;
 use monge::PermutationMatrix;
 use mpc_runtime::{Cluster, DistVec};
-use std::collections::{HashMap, HashSet};
+use std::ops::Range;
 
 /// A nonzero of an operand or result matrix, tagged with its (batched) instance id.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -78,18 +78,16 @@ pub fn mul_batch(
 
     // Driver-side registry of instance sizes and parentage. The paper keeps the
     // corresponding mappings implicit in the machine layout; here they are O(#sub-
-    // problems) metadata, broadcast when needed.
-    struct Meta {
-        n: usize,
-    }
-    let mut meta: HashMap<u64, Meta> = HashMap::new();
-    let mut child_parent_color: HashMap<u64, (u64, u16)> = HashMap::new();
+    // problems) metadata, broadcast when needed. Instance ids are dense: the
+    // batch is `0..k`, and every level's children take the next contiguous id
+    // range, so the registry is a `Vec` indexed by id and a level's lookups are
+    // offsets into its id range.
+    let mut n_of: Vec<usize> = instances.iter().map(|(a, _)| a.size()).collect();
 
     let mut a_pts = Vec::new();
     let mut b_pts = Vec::new();
     for (i, (a, b)) in instances.iter().enumerate() {
         let inst = i as u64;
-        meta.insert(inst, Meta { n: a.size() });
         a_pts.extend(a.nonzeros().map(|(r, c)| Nonzero {
             inst,
             row: r as u32,
@@ -105,13 +103,16 @@ pub fn mul_batch(
     let mut a = cluster.distribute(a_pts);
     let mut b = cluster.distribute(b_pts);
     let mut results: DistVec<Nonzero> = cluster.empty();
-    let mut frontier: Vec<u64> = (0..k as u64).collect();
-    let mut next_id = k as u64;
+    // The instances of the current level: every point of `a` and `b` belongs
+    // to one of them.
+    let mut frontier: Range<u64> = 0..k as u64;
 
     /// Everything needed to lift and combine one level on the way back up.
     struct LevelRecord {
         parents: Vec<ParentSpec>,
-        children: Vec<u64>,
+        children: Range<u64>,
+        /// `(parent, color)` of every child, indexed by `child - children.start`.
+        parent_color: Vec<(u64, u16)>,
         row_maps: DistVec<(u64, u32, u32)>, // (child, child_row, parent_row)
         col_maps: DistVec<(u64, u32, u32)>, // (child, child_col, parent_col)
     }
@@ -119,31 +120,31 @@ pub fn mul_batch(
 
     // ------------------------------------------------------------------ descend
     loop {
-        let (small, large): (Vec<u64>, Vec<u64>) = frontier
-            .iter()
-            .partition(|id| meta[id].n <= rp.local_threshold);
+        let base = frontier.start;
+        let at = move |inst: u64| (inst - base) as usize;
+        // Per frontier instance: whether it fits the local solve.
+        let small_flags: Vec<bool> = frontier
+            .clone()
+            .map(|id| n_of[id as usize] <= rp.local_threshold)
+            .collect();
 
-        if !small.is_empty() {
+        if small_flags.contains(&true) {
             cluster.set_phase(Some("local-solve"));
-            let sizes: HashMap<u64, usize> = small.iter().map(|id| (*id, meta[id].n)).collect();
-            let sizes = cluster.broadcast(sizes);
-            let in_small = {
-                let keys: HashSet<u64> = small.iter().copied().collect();
-                cluster.broadcast(keys)
-            };
-            let a_small = cluster.filter(a.clone(), |p| in_small.contains(&p.inst));
-            let b_small = cluster.filter(b.clone(), |p| in_small.contains(&p.inst));
+            let sizes = cluster.broadcast(n_of[base as usize..frontier.end as usize].to_vec());
+            let in_small = cluster.broadcast(small_flags.clone());
+            let a_small = cluster.filter(a.clone(), |p| in_small[at(p.inst)]);
+            let b_small = cluster.filter(b.clone(), |p| in_small[at(p.inst)]);
             let a_tagged = cluster.map(&a_small, |p| (false, *p));
             let b_tagged = cluster.map(&b_small, |p| (true, *p));
             let tagged = cluster.concat(a_tagged, b_tagged);
-            let solved = cluster.group_map(
+            let solved = cluster.group_map_view(
                 tagged,
                 |(_, p)| p.inst,
-                move |&inst, items| {
-                    let n = sizes[&inst];
+                |&inst, items| {
+                    let n = sizes[at(inst)];
                     let mut pa = vec![0u32; n];
                     let mut pb = vec![0u32; n];
-                    for (is_b, p) in items {
+                    for &(is_b, p) in items.iter() {
                         if is_b {
                             pb[p.row as usize] = p.col;
                         } else {
@@ -151,51 +152,42 @@ pub fn mul_batch(
                         }
                     }
                     let pc = steady_ant::mul_rows(&pa, &pb);
-                    pc.into_iter()
-                        .enumerate()
-                        .map(|(r, c)| Nonzero {
-                            inst,
-                            row: r as u32,
-                            col: c,
-                        })
-                        .collect()
+                    pc.into_iter().enumerate().map(move |(r, c)| Nonzero {
+                        inst,
+                        row: r as u32,
+                        col: c,
+                    })
                 },
             );
             results = cluster.concat(results, solved);
         }
 
-        if large.is_empty() {
+        if !small_flags.contains(&false) {
             break;
         }
 
         // ----------------------------------------------------------------- split
         cluster.set_phase(Some("split"));
-        let in_large = {
-            let keys: HashSet<u64> = large.iter().copied().collect();
-            cluster.broadcast(keys)
-        };
-        let a_large = cluster.filter(a, |p| in_large.contains(&p.inst));
-        let b_large = cluster.filter(b, |p| in_large.contains(&p.inst));
+        let in_small = cluster.broadcast(small_flags.clone());
+        let a_large = cluster.filter(a, |p| !in_small[at(p.inst)]);
+        let b_large = cluster.filter(b, |p| !in_small[at(p.inst)]);
 
-        // Allocate children and slice boundaries.
+        // Allocate children and slice boundaries: parent `p`'s slice `q` is
+        // child `first_child[at(p)] + q`.
         let mut parents = Vec::new();
-        let mut children = Vec::new();
-        let mut bounds_of: HashMap<u64, Vec<u32>> = HashMap::new();
-        let mut child_of: HashMap<(u64, u16), u64> = HashMap::new();
-        for &p in &large {
-            let n_p = meta[&p].n;
+        let mut parent_color = Vec::new();
+        let mut bounds_of: Vec<Vec<u32>> = vec![Vec::new(); small_flags.len()];
+        let mut first_child: Vec<u64> = vec![0; small_flags.len()];
+        for p in frontier.clone().filter(|&p| !small_flags[at(p)]) {
+            let n_p = n_of[p as usize];
             let h_p = rp.h.min(n_p).max(2);
             let bounds: Vec<u32> = (0..=h_p).map(|q| (q * n_p / h_p) as u32).collect();
+            first_child[at(p)] = n_of.len() as u64;
             for q in 0..h_p {
-                let child = next_id;
-                next_id += 1;
-                let child_n = (bounds[q + 1] - bounds[q]) as usize;
-                meta.insert(child, Meta { n: child_n });
-                child_parent_color.insert(child, (p, q as u16));
-                child_of.insert((p, q as u16), child);
-                children.push(child);
+                n_of.push((bounds[q + 1] - bounds[q]) as usize);
+                parent_color.push((p, q as u16));
             }
-            bounds_of.insert(p, bounds);
+            bounds_of[at(p)] = bounds;
             parents.push(ParentSpec {
                 inst: p,
                 n: n_p,
@@ -203,17 +195,16 @@ pub fn mul_batch(
                 g: rp.g.min(n_p).max(1),
             });
         }
+        let children = frontier.end..n_of.len() as u64;
         let bounds_of = cluster.broadcast(bounds_of);
-        let child_of = cluster.broadcast(child_of);
+        let first_child = cluster.broadcast(first_child);
 
         // P_A slices: the column decides the subproblem; rows are rank-compacted.
-        let bounds_a = bounds_of.clone();
-        let child_a = child_of.clone();
-        let a_recs = cluster.map(&a_large, move |p| {
-            let bounds = &bounds_a[&p.inst];
+        let a_recs = cluster.map(&a_large, |p| {
+            let bounds = &bounds_of[at(p.inst)];
             let q = slice_of(bounds, p.col);
             SplitRec {
-                child: child_a[&(p.inst, q)],
+                child: first_child[at(p.inst)] + q as u64,
                 ranked_coord: p.row,
                 other_coord: p.col - bounds[q as usize],
             }
@@ -237,13 +228,11 @@ pub fn mul_batch(
         });
 
         // P_B slices: the row decides the subproblem; columns are rank-compacted.
-        let bounds_b = bounds_of.clone();
-        let child_b = child_of.clone();
-        let b_recs = cluster.map(&b_large, move |p| {
-            let bounds = &bounds_b[&p.inst];
+        let b_recs = cluster.map(&b_large, |p| {
+            let bounds = &bounds_of[at(p.inst)];
             let q = slice_of(bounds, p.row);
             SplitRec {
-                child: child_b[&(p.inst, q)],
+                child: first_child[at(p.inst)] + q as u64,
                 ranked_coord: p.col,
                 other_coord: p.row - bounds[q as usize],
             }
@@ -269,6 +258,7 @@ pub fn mul_batch(
         level_records.push(LevelRecord {
             parents,
             children: children.clone(),
+            parent_color,
             row_maps,
             col_maps,
         });
@@ -280,9 +270,8 @@ pub fn mul_batch(
     // ------------------------------------------------------------------- unwind
     for record in level_records.into_iter().rev() {
         cluster.set_phase(Some("lift"));
-        let child_set: HashSet<u64> = record.children.iter().copied().collect();
-        let child_set = cluster.broadcast(child_set);
-        let child_products = cluster.filter(results.clone(), |p| child_set.contains(&p.inst));
+        let children = cluster.broadcast(record.children.clone());
+        let child_products = cluster.filter(results.clone(), |p| children.contains(&p.inst));
 
         // Join 1: restore parent rows.
         #[derive(Clone, Copy, Debug)]
@@ -293,7 +282,7 @@ pub fn mul_batch(
         let prod_items = cluster.map(&child_products, |p| RowJoin::Prod(*p));
         let map_items = cluster.map(&record.row_maps, |&(c, cr, pr)| RowJoin::Map(c, cr, pr));
         let joined = cluster.concat(prod_items, map_items);
-        let lifted_rows: DistVec<(u64, u32, u32)> = cluster.group_map(
+        let lifted_rows: DistVec<(u64, u32, u32)> = cluster.group_map_view(
             joined,
             |item| match item {
                 RowJoin::Prod(p) => (p.inst, p.row),
@@ -302,16 +291,15 @@ pub fn mul_batch(
             |&(child, _), items| {
                 let mut parent_row = None;
                 let mut child_col = None;
-                for item in items {
-                    match item {
+                for item in items.iter() {
+                    match *item {
                         RowJoin::Prod(p) => child_col = Some(p.col),
                         RowJoin::Map(_, _, pr) => parent_row = Some(pr),
                     }
                 }
-                match (parent_row, child_col) {
-                    (Some(pr), Some(cc)) => vec![(child, pr, cc)],
-                    _ => Vec::new(), // a map record for a row of an instance solved at another level
-                }
+                // No product: a map record for a row of an instance solved at
+                // another level.
+                Some((child, parent_row?, child_col?))
             },
         );
 
@@ -324,34 +312,29 @@ pub fn mul_batch(
         let lifted_items = cluster.map(&lifted_rows, |&(c, pr, cc)| ColJoin::Lifted(c, pr, cc));
         let cmap_items = cluster.map(&record.col_maps, |&(c, cc, pc)| ColJoin::Map(c, cc, pc));
         let joined2 = cluster.concat(lifted_items, cmap_items);
-        let parent_color = cluster.broadcast(child_parent_color.clone());
-        let colored: DistVec<Colored> = cluster.group_map(
+        let parent_color = cluster.broadcast(record.parent_color);
+        let colored: DistVec<Colored> = cluster.group_map_view(
             joined2,
             |item| match item {
                 ColJoin::Lifted(c, _, cc) => (*c, *cc),
                 ColJoin::Map(c, cc, _) => (*c, *cc),
             },
-            move |&(child, _), items| {
+            |&(child, _), items| {
                 let mut parent_row = None;
                 let mut parent_col = None;
-                for item in items {
-                    match item {
+                for item in items.iter() {
+                    match *item {
                         ColJoin::Lifted(_, pr, _) => parent_row = Some(pr),
                         ColJoin::Map(_, _, pc) => parent_col = Some(pc),
                     }
                 }
-                match (parent_row, parent_col) {
-                    (Some(row), Some(col)) => {
-                        let (parent, color) = parent_color[&child];
-                        vec![Colored {
-                            inst: parent,
-                            row,
-                            col,
-                            color,
-                        }]
-                    }
-                    _ => Vec::new(),
-                }
+                let (parent, color) = parent_color[(child - children.start) as usize];
+                Some(Colored {
+                    inst: parent,
+                    row: parent_row?,
+                    col: parent_col?,
+                    color,
+                })
             },
         );
 

@@ -4,6 +4,7 @@ use crate::config::MpcConfig;
 use crate::costs;
 use crate::distvec::{concat, DistVec};
 use crate::faults::{FaultKind, FaultRecord};
+use crate::group::{self, Group};
 use crate::ledger::{Ledger, Superstep};
 use crate::rank_index::{RankIndex, RankKey};
 use rayon::prelude::*;
@@ -17,10 +18,6 @@ use rayon::prelude::*;
 /// thread count.
 mod compute {
     use rayon::prelude::*;
-    use std::collections::hash_map::RandomState;
-    use std::collections::HashMap;
-    use std::hash::{BuildHasher, Hash, Hasher};
-    use std::sync::OnceLock;
 
     /// Splits items evenly across machines (block distribution). Each item is
     /// moved exactly once — O(n) regardless of the machine count.
@@ -108,130 +105,6 @@ mod compute {
                 pairs
             })
             .collect()
-    }
-
-    /// The gather's hasher: dependency-free, folding each word in with a
-    /// rotate–xor–multiply step and finishing with the MurmurHash3 `fmix64`
-    /// avalanche, so keys that differ only in their high bits still spread
-    /// over every bucket. The map it serves is only ever probed, never
-    /// iterated, so no hash order can reach an output.
-    pub(super) struct MixHasher(u64);
-
-    /// Builds [`MixHasher`]s from one seed drawn per process: group keys can
-    /// carry caller data (the LCS join groups by input symbol), and an unknown
-    /// seed keeps crafted keys from piling into one bucket.
-    #[derive(Clone, Copy)]
-    pub(super) struct MixState(u64);
-
-    impl MixState {
-        pub(super) fn new() -> Self {
-            static SEED: OnceLock<u64> = OnceLock::new();
-            Self(*SEED.get_or_init(|| RandomState::new().build_hasher().finish()))
-        }
-    }
-
-    impl BuildHasher for MixState {
-        type Hasher = MixHasher;
-
-        fn build_hasher(&self) -> MixHasher {
-            MixHasher(self.0)
-        }
-    }
-
-    impl Hasher for MixHasher {
-        fn write(&mut self, bytes: &[u8]) {
-            let mut words = bytes.chunks_exact(8);
-            for word in &mut words {
-                let mut buf = [0u8; 8];
-                buf.copy_from_slice(word);
-                self.write_u64(u64::from_le_bytes(buf));
-            }
-            let rest = words.remainder();
-            if !rest.is_empty() {
-                let mut buf = [0u8; 8];
-                buf[..rest.len()].copy_from_slice(rest);
-                self.write_u64(u64::from_le_bytes(buf) ^ ((rest.len() as u64) << 56));
-            }
-        }
-
-        fn write_u8(&mut self, x: u8) {
-            self.write_u64(x as u64);
-        }
-
-        fn write_u16(&mut self, x: u16) {
-            self.write_u64(x as u64);
-        }
-
-        fn write_u32(&mut self, x: u32) {
-            self.write_u64(x as u64);
-        }
-
-        fn write_u64(&mut self, x: u64) {
-            self.0 = (self.0.rotate_left(23) ^ x).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        }
-
-        fn write_usize(&mut self, x: usize) {
-            self.write_u64(x as u64);
-        }
-
-        fn finish(&self) -> u64 {
-            let mut h = self.0;
-            h ^= h >> 33;
-            h = h.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
-            h ^= h >> 33;
-            h = h.wrapping_mul(0xC4CE_B9FE_1A85_EC53);
-            h ^ (h >> 33)
-        }
-    }
-
-    /// Gathers items into key-sorted groups (stable within a group's arrival
-    /// order, deterministic at every thread count).
-    ///
-    /// Every item gets a dense group id in first-arrival order from a hash
-    /// map; only the distinct keys are then sorted, and each item moves once,
-    /// straight into its pre-sized group, visited in arrival order.
-    pub(super) fn gather_groups<T, K, FK>(parts: Vec<Vec<T>>, key: FK) -> Vec<(K, Vec<T>)>
-    where
-        T: Send,
-        K: Ord + Hash + Clone + Send + Sync,
-        FK: Fn(&T) -> K + Send + Sync,
-    {
-        let mut ids: HashMap<K, u32, MixState> = HashMap::with_hasher(MixState::new());
-        let mut keys: Vec<(K, u32)> = Vec::new();
-        let mut sizes: Vec<usize> = Vec::new();
-        // Keys are read in place: `T` need not be `Sync`.
-        let mut group_of: Vec<u32> = parts
-            .iter()
-            .flatten()
-            .map(|t| {
-                let id = *ids.entry(key(t)).or_insert_with_key(|k| {
-                    let id = u32::try_from(keys.len()).expect("fewer than 2^32 groups");
-                    keys.push((k.clone(), id));
-                    sizes.push(0);
-                    id
-                });
-                sizes[id as usize] += 1;
-                id
-            })
-            .collect();
-        drop(ids);
-        // The keys are distinct, so any sort orders them the same way.
-        keys.par_sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        let mut rank = vec![0u32; keys.len()];
-        for (r, (_, id)) in keys.iter().enumerate() {
-            rank[*id as usize] = r as u32;
-        }
-        for g in &mut group_of {
-            *g = rank[*g as usize];
-        }
-        let mut groups: Vec<(K, Vec<T>)> = keys
-            .into_iter()
-            .map(|(k, id)| (k, Vec::with_capacity(sizes[id as usize])))
-            .collect();
-        for (t, g) in parts.into_iter().flatten().zip(group_of) {
-            groups[g as usize].1.push(t);
-        }
-        groups
     }
 
     /// Greedy packing: largest groups first (ties in group order), each onto
@@ -624,8 +497,9 @@ impl Cluster {
 
     /// Offline rank searching (Lemma 2.6), generalized to *grouped* queries: for
     /// every query, counts the values that share its group key and are strictly
-    /// smaller than the query value. Returns each query paired with its count, in an
-    /// arbitrary (rebalanced) distribution.
+    /// smaller than the query value. Returns each query paired with its count in
+    /// the queries' own distribution: every answer stays on the machine that
+    /// held its query, in the same order.
     pub fn rank_search<T, Q, K, FV, FQ>(
         &mut self,
         values: &DistVec<T>,
@@ -770,25 +644,14 @@ impl Cluster {
         out
     }
 
-    /// Shared gather phase of [`Cluster::group_map`] and
-    /// [`Cluster::group_map_rebalanced`]: collects `parts` into key-sorted
-    /// groups, picks the LPT packing and accounts the packed load profile
-    /// *before* any group runs, so strict clusters refuse oversized groups up
-    /// front. Returns the groups with their target machines.
-    #[allow(clippy::type_complexity)]
-    fn gather_packed<T, K, FK>(
-        &mut self,
-        parts: Vec<Vec<T>>,
-        key: FK,
-        primitive: &'static str,
-    ) -> (Vec<(K, Vec<T>)>, Vec<usize>)
-    where
-        T: Send,
-        K: Ord + std::hash::Hash + Clone + Send + Sync,
-        FK: Fn(&T) -> K + Sync,
-    {
-        let groups = compute::gather_groups(parts, &key);
-        let sizes: Vec<usize> = groups.iter().map(|(_, items)| items.len()).collect();
+    /// Shared packing phase of the grouping primitives: picks the LPT machine
+    /// of every group and accounts the packed load profile *before* any group
+    /// runs, so strict clusters refuse oversized groups up front. `offsets`
+    /// is the item prefix over the groups (group `g` holds
+    /// `offsets[g + 1] - offsets[g]` items). Returns the machine of every
+    /// group.
+    fn pack_checked(&mut self, offsets: &[usize], primitive: &'static str) -> Vec<usize> {
+        let sizes: Vec<usize> = offsets.windows(2).map(|w| w[1] - w[0]).collect();
         let (machine_of_group, loads) = compute::pack_groups(&sizes, self.config.machines);
         let violated = self.ledger.observe_loads(
             loads.iter().copied(),
@@ -802,47 +665,67 @@ impl Cluster {
                 self.config.space
             );
         }
-        (groups, machine_of_group)
+        machine_of_group
     }
 
-    /// Groups items by key, places every group on a single machine (greedy packing)
-    /// and applies `f` to each group. The group key and its items are passed by
-    /// value; the outputs of all groups are left distributed as packed.
+    /// Groups items by key, places every group on a single machine (greedy
+    /// packing) and applies `f` to each group. The outputs of all groups are
+    /// left distributed as packed.
     ///
     /// This is the workhorse for "solve each subproblem locally" steps; a group
-    /// larger than the space budget is a space violation.
-    pub fn group_map<T, K, U, FK, F>(&mut self, dv: DistVec<T>, key: FK, f: F) -> DistVec<U>
+    /// larger than the space budget is a space violation, refused on a strict
+    /// cluster before any group runs.
+    ///
+    /// Contract:
+    /// - **View.** `f` runs once per distinct key and reads the group through
+    ///   a borrowed [`Group`], its items in arrival order (machine by machine,
+    ///   then position on the machine). No item is moved or cloned to build
+    ///   it.
+    /// - **Output.** `f` returns any [`IntoIterator`]: an `Option` for a 1:1
+    ///   join, a `Vec` or an owning iterator otherwise.
+    /// - **Order.** Every machine holds the outputs of the groups packed onto
+    ///   it, group after group in ascending key order, each group's outputs in
+    ///   the order `f` yielded them — at every thread count.
+    ///
+    /// Charged under `group_map`.
+    pub fn group_map_view<T, K, U, I, FK, F>(&mut self, dv: DistVec<T>, key: FK, f: F) -> DistVec<U>
     where
-        T: Send,
+        T: Send + Sync,
         K: Ord + Send + std::hash::Hash + Clone + Sync,
         U: Send,
+        I: IntoIterator<Item = U>,
         FK: Fn(&T) -> K + Sync,
-        F: Fn(&K, Vec<T>) -> Vec<U> + Sync + Send,
+        F: Fn(&K, Group<'_, T>) -> I + Sync,
     {
         let total = dv.len() as u64;
-        let m = self.config.machines;
         self.apply_step(Superstep::new("group_map", costs::GROUP_MAP, total));
-        let (groups, machine_of_group) = self.gather_packed(dv.parts, key, "group_map");
-
-        // Compute: run every group concurrently, then collect results onto their
-        // machines (a deterministic sequential scatter).
-        let results: Vec<(usize, Vec<U>)> = groups
-            .into_par_iter()
-            .zip(machine_of_group.par_iter().copied())
-            .map(|((k, items), machine)| (machine, f(&k, items)))
-            .collect();
-        let mut parts: Vec<Vec<U>> = (0..m).map(|_| Vec::new()).collect();
-        for (machine, mut out) in results {
-            parts[machine].append(&mut out);
-        }
+        let (keys, side) = group::gather(dv.parts, key);
+        let machine_of_group = self.pack_checked(side.offsets(), "group_map");
+        let emitted = group::run_groups(side.offsets(), |g| f(&keys[g], side.group(g)));
+        let parts = group::scatter(emitted, &machine_of_group, self.config.machines);
         let out = DistVec::from_parts(parts);
         self.observe(&out, "group_map");
         out
     }
 
-    /// Like [`Cluster::group_map`], but the combined group outputs leave on the
-    /// wire: they are *rebalanced* across all machines instead of staying packed
-    /// on the machine that ran their group.
+    /// The owned form of [`Cluster::group_map_view`]: every group's items
+    /// arrive cloned into a fresh `Vec`, in arrival order. Same charges, same
+    /// output placement and order; a step that only reads its group should
+    /// use the view.
+    pub fn group_map<T, K, U, FK, F>(&mut self, dv: DistVec<T>, key: FK, f: F) -> DistVec<U>
+    where
+        T: Clone + Send + Sync,
+        K: Ord + Send + std::hash::Hash + Clone + Sync,
+        U: Send,
+        FK: Fn(&T) -> K + Sync,
+        F: Fn(&K, Vec<T>) -> Vec<U> + Sync,
+    {
+        self.group_map_view(dv, key, |k, group| f(k, group.iter().cloned().collect()))
+    }
+
+    /// Like [`Cluster::group_map_view`], but the combined group outputs leave
+    /// on the wire: they are *rebalanced* across all machines instead of
+    /// staying packed on the machine that ran their group.
     ///
     /// This is the right primitive for **emission** steps — a group inspects its
     /// items and produces messages addressed to the *next* superstep's groups
@@ -855,32 +738,32 @@ impl Cluster {
     /// charged as communication on top of the input shuffle; the bound that
     /// remains the caller's obligation — and is checked by the next
     /// key-grouping superstep — is that every *receiving* group fits in `s`.
-    pub fn group_map_rebalanced<T, K, U, FK, F>(
+    ///
+    /// Contract: the view and output of [`Cluster::group_map_view`]; the
+    /// outputs of all groups, concatenated in ascending key order, are spread
+    /// over the machines in equal blocks.
+    pub fn group_map_rebalanced<T, K, U, I, FK, F>(
         &mut self,
         dv: DistVec<T>,
         key: FK,
         f: F,
     ) -> DistVec<U>
     where
-        T: Send,
+        T: Send + Sync,
         K: Ord + Send + std::hash::Hash + Clone + Sync,
         U: Send,
+        I: IntoIterator<Item = U>,
         FK: Fn(&T) -> K + Sync,
-        F: Fn(&K, Vec<T>) -> Vec<U> + Sync + Send,
+        F: Fn(&K, Group<'_, T>) -> I + Sync,
     {
         let total = dv.len() as u64;
-        let m = self.config.machines;
-        let (groups, _) = self.gather_packed(dv.parts, key, "group_map_rebalanced");
-
-        // Compute: run every group concurrently; outputs keep group-key order.
-        let emitted: Vec<U> = concat(
-            groups
-                .into_par_iter()
-                .map(|(k, items)| f(&k, items))
-                .collect(),
-        );
+        let (keys, side) = group::gather(dv.parts, key);
+        self.pack_checked(side.offsets(), "group_map_rebalanced");
+        let emitted = group::flatten(group::run_groups(side.offsets(), |g| {
+            f(&keys[g], side.group(g))
+        }));
         let communication = total + emitted.len() as u64;
-        let out = DistVec::from_parts(compute::balance(emitted, m));
+        let out = DistVec::from_parts(compute::balance(emitted, self.config.machines));
         self.account(
             Superstep::new("group_map_rebalanced", costs::GROUP_MAP, communication),
             &out,
@@ -890,9 +773,9 @@ impl Cluster {
 
     /// Keyed co-group (sort-join): groups *two* distributed vectors by a shared
     /// key space, places every key's combined group on one machine (greedy
-    /// packing, like [`Cluster::group_map`]) and applies `f` to the key with
-    /// both sides' items (each in its global arrival order). Keys present on
-    /// only one side still run, with the other side empty.
+    /// packing, like [`Cluster::group_map_view`]) and applies `f` to the key
+    /// with both sides' groups. Keys present on only one side still run, with
+    /// the other side's group empty.
     ///
     /// This is the routing primitive for "join a query stream against resident
     /// data" steps — e.g. the witness traceback delivering per-block
@@ -900,7 +783,10 @@ impl Cluster {
     /// and costs the same `O(1)` rounds as a group map (one sort + prefix-sum
     /// packing + route). A combined group larger than the space budget is a
     /// space violation.
-    pub fn cogroup_map<A, B, K, U, FA, FB, F>(
+    ///
+    /// Contract: each side's [`Group`] reads that side's items in its own
+    /// arrival order; output and placement as in [`Cluster::group_map_view`].
+    pub fn cogroup_map<A, B, K, U, I, FA, FB, F>(
         &mut self,
         a: DistVec<A>,
         b: DistVec<B>,
@@ -909,59 +795,27 @@ impl Cluster {
         f: F,
     ) -> DistVec<U>
     where
-        A: Send,
-        B: Send,
+        A: Send + Sync,
+        B: Send + Sync,
         K: Ord + Send + std::hash::Hash + Clone + Sync,
         U: Send,
+        I: IntoIterator<Item = U>,
         FA: Fn(&A) -> K + Sync,
         FB: Fn(&B) -> K + Sync,
-        F: Fn(&K, Vec<A>, Vec<B>) -> Vec<U> + Sync + Send,
+        F: Fn(&K, Group<'_, A>, Group<'_, B>) -> I + Sync,
     {
-        enum Side<A, B> {
-            Left(A),
-            Right(B),
-        }
         let total = (a.len() + b.len()) as u64;
-        let m = self.config.machines;
         self.apply_step(Superstep::new("cogroup_map", costs::GROUP_MAP, total));
-        // Tag the two streams and gather them as one keyed stream; within a
-        // group, gathering is stable, so each side keeps its own global order.
-        let mut parts: Vec<Vec<Side<A, B>>> = a
-            .parts
-            .into_iter()
-            .map(|p| p.into_iter().map(Side::Left).collect())
+        let (keys, left, right) = group::cogather(a.parts, b.parts, key_a, key_b);
+        let offsets: Vec<usize> = left
+            .offsets()
+            .iter()
+            .zip(right.offsets())
+            .map(|(l, r)| l + r)
             .collect();
-        parts.resize_with(parts.len().max(b.parts.len()).max(m), Vec::new);
-        for (i, p) in b.parts.into_iter().enumerate() {
-            parts[i].extend(p.into_iter().map(Side::Right));
-        }
-        let (groups, machine_of_group) = self.gather_packed(
-            parts,
-            |side: &Side<A, B>| match side {
-                Side::Left(x) => key_a(x),
-                Side::Right(y) => key_b(y),
-            },
-            "cogroup_map",
-        );
-        let results: Vec<(usize, Vec<U>)> = groups
-            .into_par_iter()
-            .zip(machine_of_group.par_iter().copied())
-            .map(|((k, items), machine)| {
-                let mut lefts = Vec::new();
-                let mut rights = Vec::new();
-                for side in items {
-                    match side {
-                        Side::Left(x) => lefts.push(x),
-                        Side::Right(y) => rights.push(y),
-                    }
-                }
-                (machine, f(&k, lefts, rights))
-            })
-            .collect();
-        let mut parts: Vec<Vec<U>> = (0..m).map(|_| Vec::new()).collect();
-        for (machine, mut out) in results {
-            parts[machine].append(&mut out);
-        }
+        let machine_of_group = self.pack_checked(&offsets, "cogroup_map");
+        let emitted = group::run_groups(&offsets, |g| f(&keys[g], left.group(g), right.group(g)));
+        let parts = group::scatter(emitted, &machine_of_group, self.config.machines);
         let out = DistVec::from_parts(parts);
         self.observe(&out, "cogroup_map");
         out
@@ -1294,9 +1148,14 @@ mod tests {
     where
         K: Ord + std::hash::Hash + Clone + Send + Sync + std::fmt::Debug,
     {
-        let got = compute::gather_groups(parts.clone(), |(k, _)| k.clone());
+        let (keys, side) = group::gather(parts.clone(), |(k, _)| k.clone());
+        let got: Vec<(K, Vec<(K, String)>)> = keys
+            .iter()
+            .enumerate()
+            .map(|(g, k)| (k.clone(), side.group(g).iter().cloned().collect()))
+            .collect();
         let expected = compute::oracle::gather_groups(parts, |(k, _)| k.clone());
-        assert!(got.windows(2).all(|w| w[0].0 < w[1].0), "{case}: key order");
+        assert!(keys.windows(2).all(|w| w[0] < w[1]), "{case}: key order");
         assert_eq!(got, expected, "{case}");
     }
 
@@ -1343,6 +1202,335 @@ mod tests {
         // Only empty parts.
         assert_gather_matches_oracle::<u64>(vec![Vec::new(); 4], "empty parts");
         assert_gather_matches_oracle::<u64>(Vec::new(), "no parts");
+    }
+
+    /// The grouping primitives as they ran on an owned per-group gather: the
+    /// comparison oracle gathers, every group gets its items by value, and
+    /// the charges are the documented ones.
+    mod owned {
+        use super::*;
+
+        /// The item prefix over the groups.
+        fn offsets<K, T>(groups: &[(K, Vec<T>)]) -> Vec<usize> {
+            std::iter::once(0)
+                .chain(groups.iter().scan(0, |end, (_, items)| {
+                    *end += items.len();
+                    Some(*end)
+                }))
+                .collect()
+        }
+
+        pub(super) fn group_map<T, K: Ord, U>(
+            cl: &mut Cluster,
+            dv: DistVec<T>,
+            key: impl Fn(&T) -> K,
+            f: impl Fn(&K, Vec<T>) -> Vec<U>,
+        ) -> DistVec<U> {
+            cl.apply_step(Superstep::new(
+                "group_map",
+                costs::GROUP_MAP,
+                dv.len() as u64,
+            ));
+            let groups = compute::oracle::gather_groups(dv.parts, key);
+            let offsets = offsets(&groups);
+            let machine_of_group = cl.pack_checked(&offsets, "group_map");
+            let mut parts: Vec<Vec<U>> = (0..cl.config.machines).map(|_| Vec::new()).collect();
+            for ((k, items), machine) in groups.into_iter().zip(machine_of_group) {
+                parts[machine].extend(f(&k, items));
+            }
+            let out = DistVec::from_parts(parts);
+            cl.observe(&out, "group_map");
+            out
+        }
+
+        pub(super) fn group_map_rebalanced<T, K: Ord, U: Send>(
+            cl: &mut Cluster,
+            dv: DistVec<T>,
+            key: impl Fn(&T) -> K,
+            f: impl Fn(&K, Vec<T>) -> Vec<U>,
+        ) -> DistVec<U> {
+            let total = dv.len() as u64;
+            let groups = compute::oracle::gather_groups(dv.parts, key);
+            let offsets = offsets(&groups);
+            cl.pack_checked(&offsets, "group_map_rebalanced");
+            let emitted: Vec<U> = groups
+                .into_iter()
+                .flat_map(|(k, items)| f(&k, items))
+                .collect();
+            let communication = total + emitted.len() as u64;
+            let out = DistVec::from_parts(compute::balance(emitted, cl.config.machines));
+            cl.account(
+                Superstep::new("group_map_rebalanced", costs::GROUP_MAP, communication),
+                &out,
+            );
+            out
+        }
+
+        enum Tagged<A, B> {
+            Left(A),
+            Right(B),
+        }
+
+        /// Tags both sides into one stream, gathers it, and splits every
+        /// group back into its sides.
+        pub(super) fn cogroup_map<A, B, K: Ord, U>(
+            cl: &mut Cluster,
+            a: DistVec<A>,
+            b: DistVec<B>,
+            key_a: impl Fn(&A) -> K,
+            key_b: impl Fn(&B) -> K,
+            f: impl Fn(&K, Vec<A>, Vec<B>) -> Vec<U>,
+        ) -> DistVec<U> {
+            let total = (a.len() + b.len()) as u64;
+            cl.apply_step(Superstep::new("cogroup_map", costs::GROUP_MAP, total));
+            let mut parts: Vec<Vec<Tagged<A, B>>> = a
+                .parts
+                .into_iter()
+                .map(|p| p.into_iter().map(Tagged::Left).collect())
+                .collect();
+            parts.resize_with(parts.len().max(b.parts.len()), Vec::new);
+            for (i, p) in b.parts.into_iter().enumerate() {
+                parts[i].extend(p.into_iter().map(Tagged::Right));
+            }
+            let groups = compute::oracle::gather_groups(parts, |t| match t {
+                Tagged::Left(x) => key_a(x),
+                Tagged::Right(y) => key_b(y),
+            });
+            let offsets = offsets(&groups);
+            let machine_of_group = cl.pack_checked(&offsets, "cogroup_map");
+            let mut parts: Vec<Vec<U>> = (0..cl.config.machines).map(|_| Vec::new()).collect();
+            for ((k, items), machine) in groups.into_iter().zip(machine_of_group) {
+                let (mut lefts, mut rights) = (Vec::new(), Vec::new());
+                for t in items {
+                    match t {
+                        Tagged::Left(x) => lefts.push(x),
+                        Tagged::Right(y) => rights.push(y),
+                    }
+                }
+                parts[machine].extend(f(&k, lefts, rights));
+            }
+            let out = DistVec::from_parts(parts);
+            cl.observe(&out, "cogroup_map");
+            out
+        }
+    }
+
+    /// Whether a side's second fields strictly ascend in arrival order.
+    fn ascending<K>(side: &Group<'_, (K, u32)>) -> bool {
+        side.iter().zip(side.iter().skip(1)).all(|(x, y)| x.1 < y.1)
+    }
+
+    /// A group's outputs, chosen by its key: none, one, or one per item plus
+    /// a trailer.
+    fn emit<K: std::hash::Hash>(k: &K, items: Vec<(K, String)>) -> Vec<String> {
+        use std::hash::{DefaultHasher, Hasher};
+        let mut h = DefaultHasher::new();
+        k.hash(&mut h);
+        match h.finish() % 3 {
+            0 => Vec::new(),
+            1 => vec![format!("{} items", items.len())],
+            _ => items
+                .into_iter()
+                .map(|(_, s)| s)
+                .chain(std::iter::once("end".to_string()))
+                .collect(),
+        }
+    }
+
+    /// Runs `run` on a pool of `threads` threads.
+    fn on_threads<R: Send>(threads: usize, run: impl FnOnce() -> R + Send) -> R {
+        rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .unwrap()
+            .install(run)
+    }
+
+    /// Every grouping primitive against its owned oracle run on `parts`:
+    /// identical per-machine outputs and ledgers, at 1 and 4 threads.
+    fn assert_grouping_matches_owned<K>(parts: Vec<Vec<(K, String)>>, case: &str)
+    where
+        K: Ord + std::hash::Hash + Clone + Send + Sync + std::fmt::Debug,
+    {
+        let items: usize = parts.iter().map(Vec::len).sum();
+        let config = MpcConfig::lenient(items.max(1), 0.5).with_machines(parts.len().max(1));
+        let key = |(k, _): &(K, String)| k.clone();
+        let owned_view = |g: Group<'_, (K, String)>| g.iter().cloned().collect::<Vec<_>>();
+        // The right side of a cogroup: each machine's odd positions, with the
+        // payload upper-cased so the sides cannot be confused.
+        let split = |parts: &[Vec<(K, String)>]| {
+            let side = |odd: bool| -> Vec<Vec<(K, String)>> {
+                parts
+                    .iter()
+                    .map(|p| {
+                        p.iter()
+                            .enumerate()
+                            .filter(|(i, _)| (i % 2 == 1) == odd)
+                            .map(|(_, (k, s))| {
+                                (k.clone(), if odd { s.to_uppercase() } else { s.clone() })
+                            })
+                            .collect()
+                    })
+                    .collect()
+            };
+            (side(false), side(true))
+        };
+        let co = |k: &K, lefts: Vec<(K, String)>, rights: Vec<(K, String)>| {
+            let mut out = emit(k, lefts);
+            out.extend(rights.into_iter().map(|(_, s)| s));
+            out
+        };
+        let (left, right) = split(&parts);
+
+        let mut want = Cluster::new(config.clone());
+        let expected = [
+            owned::group_map(&mut want, DistVec::from_parts(parts.clone()), key, emit).parts,
+            owned::group_map_rebalanced(&mut want, DistVec::from_parts(parts.clone()), key, emit)
+                .parts,
+            owned::cogroup_map(
+                &mut want,
+                DistVec::from_parts(left.clone()),
+                DistVec::from_parts(right.clone()),
+                key,
+                key,
+                co,
+            )
+            .parts,
+        ];
+        for threads in [1, 4] {
+            let (got, ledger) = on_threads(threads, || {
+                let mut cl = Cluster::new(config.clone());
+                let view = cl.group_map_view(DistVec::from_parts(parts.clone()), key, |k, g| {
+                    emit(k, owned_view(g))
+                });
+                let rebalanced =
+                    cl.group_map_rebalanced(DistVec::from_parts(parts.clone()), key, |k, g| {
+                        emit(k, owned_view(g))
+                    });
+                let cogrouped = cl.cogroup_map(
+                    DistVec::from_parts(left.clone()),
+                    DistVec::from_parts(right.clone()),
+                    key,
+                    key,
+                    |k, l, r| co(k, owned_view(l), owned_view(r)),
+                );
+                (
+                    [view.parts, rebalanced.parts, cogrouped.parts],
+                    cl.ledger().clone(),
+                )
+            });
+            assert_eq!(got, expected, "{case}, {threads} threads");
+            assert_eq!(&ledger, want.ledger(), "{case}, {threads} threads: ledger");
+
+            // The owned adapter charges and places exactly like the view.
+            let (adapted, ledger) = on_threads(threads, || {
+                let mut cl = Cluster::new(config.clone());
+                let out = cl.group_map(DistVec::from_parts(parts.clone()), key, emit);
+                (out.parts, cl.ledger().clone())
+            });
+            let mut once = Cluster::new(config.clone());
+            owned::group_map(&mut once, DistVec::from_parts(parts.clone()), key, emit);
+            assert_eq!(adapted, expected[0], "{case}, {threads} threads: adapter");
+            assert_eq!(&ledger, once.ledger(), "{case}, {threads} threads: adapter");
+        }
+    }
+
+    #[test]
+    fn grouping_primitives_match_their_owned_oracle_runs() {
+        let mut rng = StdRng::seed_from_u64(29);
+        for round in 0..12 {
+            let machines = rng.gen_range(1..9);
+            let items = rng.gen_range(0..300);
+            let span = rng.gen_range(1..40u32);
+            let parts = keyed_parts(&mut rng, machines, items, |r| {
+                (
+                    r.gen_range(0..3u64),
+                    r.gen_range(0..span),
+                    r.gen_range(0..2u32),
+                )
+            });
+            assert_grouping_matches_owned(parts, &format!("tuple keys, round {round}"));
+            let parts = keyed_parts(&mut rng, machines, items, |r| {
+                format!("k{}", r.gen_range(0..25))
+            });
+            assert_grouping_matches_owned(parts, &format!("string keys, round {round}"));
+            let parts = keyed_parts(&mut rng, machines, items, |_| 3u32);
+            assert_grouping_matches_owned(parts, &format!("one group, round {round}"));
+            let mut next = 0u64;
+            let parts = keyed_parts(&mut rng, machines, items, |_| {
+                next += 1;
+                next.wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            });
+            assert_grouping_matches_owned(parts, &format!("distinct, round {round}"));
+        }
+        assert_grouping_matches_owned::<u64>(vec![Vec::new(); 3], "empty input");
+        assert_grouping_matches_owned::<u64>(vec![Vec::new()], "empty single machine");
+    }
+
+    #[test]
+    fn oversized_groups_panic_like_the_owned_oracle_before_any_group_runs() {
+        fn parts() -> Vec<Vec<u32>> {
+            vec![(0..12).collect(), (0..9).collect()]
+        }
+        fn ran<T>(_: &u32, _: Group<'_, T>) -> Option<u32> {
+            panic!("a group ran")
+        }
+        type Run = fn(&mut Cluster);
+        let cases: [(&str, Run, Run); 3] = [
+            (
+                "group_map",
+                |cl| {
+                    cl.group_map_view(DistVec::from_parts(parts()), |v| v % 2, ran);
+                },
+                |cl| {
+                    owned::group_map(cl, DistVec::from_parts(parts()), |v| v % 2, |_, v| v);
+                },
+            ),
+            (
+                "group_map_rebalanced",
+                |cl| {
+                    cl.group_map_rebalanced(DistVec::from_parts(parts()), |v| v % 2, ran);
+                },
+                |cl| {
+                    let dv = DistVec::from_parts(parts());
+                    owned::group_map_rebalanced(cl, dv, |v| v % 2, |_, v| v);
+                },
+            ),
+            (
+                "cogroup_map",
+                |cl| {
+                    let [a, b] = [0, 1].map(|i| DistVec::from_parts(vec![parts()[i].clone()]));
+                    cl.cogroup_map(a, b, |v| v % 2, |v| v % 2, |k, l, _| ran(k, l));
+                },
+                |cl| {
+                    let [a, b] = [0, 1].map(|i| DistVec::from_parts(vec![parts()[i].clone()]));
+                    owned::cogroup_map(cl, a, b, |v| v % 2, |v| v % 2, |_, l, _| l);
+                },
+            ),
+        ];
+        let panic_of = |run: Run| -> String {
+            let config = MpcConfig::new(10_000, 0.5).with_machines(3).with_space(10);
+            let err = std::panic::catch_unwind(move || run(&mut Cluster::new(config)))
+                .expect_err("strict cluster must refuse");
+            err.downcast_ref::<String>()
+                .cloned()
+                .expect("formatted message")
+        };
+        for (primitive, view, oracle) in cases {
+            let got = panic_of(view);
+            assert!(
+                got.contains(&format!("space budget exceeded in `{primitive}`")),
+                "{primitive}: {got}"
+            );
+            assert_eq!(got, panic_of(oracle), "{primitive}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "fewer than 2^32 items")]
+    fn a_gather_of_2_pow_32_items_is_refused() {
+        // Zero-sized items: 2^32 of them take no memory.
+        let _ = group::gather(vec![vec![(); 1 << 32]], |_| 0u8);
     }
 
     #[test]
@@ -1396,7 +1584,7 @@ mod tests {
             rdv,
             |&(k, _)| k,
             |&(k, _)| k,
-            |&k, lefts, rights| vec![(k, lefts.len(), rights.len())],
+            |&k, lefts, rights| Some((k, lefts.len(), rights.len())),
         );
         let mut flat = out.into_inner();
         flat.sort_unstable();
@@ -1427,9 +1615,9 @@ mod tests {
             |&(k, _)| k,
             |&k, lefts, rights| {
                 // Each side must arrive in its own global order.
-                assert!(lefts.windows(2).all(|w| w[0].1 < w[1].1), "key {k}");
-                assert!(rights.windows(2).all(|w| w[0].1 < w[1].1), "key {k}");
-                vec![(k, lefts.len() + rights.len())]
+                assert!(ascending(&lefts), "key {k}");
+                assert!(ascending(&rights), "key {k}");
+                Some((k, lefts.len() + rights.len()))
             },
         );
         let mut flat = out.into_inner();
@@ -1458,8 +1646,8 @@ mod tests {
             |&(k, _)| k,
             |&(k, _)| k,
             |&k, lefts, rights| {
-                assert!(lefts.windows(2).all(|w| w[0].1 < w[1].1), "key {k:?}");
-                vec![(k, rights.iter().map(|&(_, v)| v).collect::<Vec<_>>())]
+                assert!(ascending(&lefts), "key {k:?}");
+                Some((k, rights.iter().map(|&(_, v)| v).collect::<Vec<_>>()))
             },
         );
         let mut flat = out.into_inner();
@@ -1483,7 +1671,13 @@ mod tests {
         let right: Vec<u32> = (0..30).collect();
         let ldv = cl.distribute(left);
         let rdv = cl.distribute(right);
-        let _ = cl.cogroup_map(ldv, rdv, |_| 0u32, |_| 0u32, |_, l, _| l);
+        let _ = cl.cogroup_map(
+            ldv,
+            rdv,
+            |_| 0u32,
+            |_| 0u32,
+            |_, l, _| l.iter().copied().collect::<Vec<_>>(),
+        );
     }
 
     #[test]
@@ -1498,8 +1692,8 @@ mod tests {
             |_| 0u32,
             |_, items| {
                 items
-                    .into_iter()
-                    .flat_map(|v| (0..10).map(move |c| (v, c)))
+                    .iter()
+                    .flat_map(|&v| (0..10).map(move |c| (v, c)))
                     .collect::<Vec<_>>()
             },
         );
@@ -1656,9 +1850,9 @@ mod tests {
             |&(k, _)| k,
             |&(k, _)| k,
             |&k, lefts, rights| {
-                assert!(lefts.windows(2).all(|w| w[0].1 < w[1].1), "key {k}");
-                assert!(rights.windows(2).all(|w| w[0].1 < w[1].1), "key {k}");
-                vec![(k, lefts.len(), rights.len())]
+                assert!(ascending(&lefts), "key {k}");
+                assert!(ascending(&rights), "key {k}");
+                Some((k, lefts.len(), rights.len()))
             },
         );
         let mut flat = out.into_inner();
@@ -1675,7 +1869,7 @@ mod tests {
             let mut cl = Cluster::new(MpcConfig::new(100, 0.5).with_machines(machines));
             let ldv = cl.empty::<(u32, u32)>();
             let rdv = cl.empty::<(u32, u32)>();
-            let out = cl.cogroup_map(ldv, rdv, |&(k, _)| k, |&(k, _)| k, |&k, _, _| vec![k]);
+            let out = cl.cogroup_map(ldv, rdv, |&(k, _)| k, |&(k, _)| k, |&k, _, _| Some(k));
             assert_eq!(out.len(), 0, "machines={machines}");
             assert_eq!(out.machines(), machines);
             assert_eq!(cl.rounds(), costs::GROUP_MAP);
@@ -1693,7 +1887,7 @@ mod tests {
             rdv,
             |&(k, _)| k,
             |&(k, _)| k,
-            |&k, lefts, rights| vec![(k, lefts.len(), rights.len())],
+            |&k, lefts, rights| Some((k, lefts.len(), rights.len())),
         );
         let mut flat = out.into_inner();
         flat.sort_unstable();
@@ -1726,11 +1920,12 @@ mod tests {
     fn group_map_rebalanced_single_machine_and_empty() {
         let mut cl = Cluster::new(MpcConfig::new(100, 0.5).with_machines(1));
         let dv = cl.distribute((0..10u32).collect());
-        let out = cl.group_map_rebalanced(dv, |&v| v % 2, |_, items| items);
+        let copied = |_: &u32, items: Group<'_, u32>| items.iter().copied().collect::<Vec<_>>();
+        let out = cl.group_map_rebalanced(dv, |&v| v % 2, copied);
         assert_eq!(out.len(), 10);
 
         let empty = cl.empty::<u32>();
-        let out = cl.group_map_rebalanced(empty, |&v| v, |_, items| items);
+        let out = cl.group_map_rebalanced(empty, |&v| v, copied);
         assert_eq!(out.len(), 0);
         assert_eq!(out.machines(), 1);
     }

@@ -14,7 +14,7 @@
 //!   `RAYON_NUM_THREADS`); every primitive is split into a pure parallel *compute*
 //!   phase and a single-threaded *account* phase applying a [`ledger::Superstep`]
 //!   receipt, so ledger totals and outputs are bit-identical at every thread count.
-//! * [`Cluster::sort_by_key`], [`Cluster::group_map`], [`Cluster::rank_search`],
+//! * [`Cluster::sort_by_key`], [`Cluster::group_map_view`], [`Cluster::rank_search`],
 //!   [`Cluster::broadcast`], … implement the deterministic `O(1)`-round primitives of
 //!   Goodrich–Sitchinava–Zhang that the paper invokes (Lemmas 2.3–2.6), each charged a
 //!   fixed constant number of rounds (see [`costs`]).
@@ -49,6 +49,7 @@ pub mod config;
 pub mod costs;
 pub mod distvec;
 pub mod faults;
+pub mod group;
 pub mod ledger;
 pub mod rank_index;
 
@@ -56,5 +57,6 @@ pub use cluster::Cluster;
 pub use config::MpcConfig;
 pub use distvec::DistVec;
 pub use faults::{FaultEvent, FaultKind, FaultPlan, FaultRecord};
+pub use group::Group;
 pub use ledger::{Ledger, Superstep};
 pub use rank_index::{RankIndex, RankKey};

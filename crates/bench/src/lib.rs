@@ -15,9 +15,6 @@ use rand::prelude::*;
 /// * `--threads N` — size the global thread pool before any work runs
 ///   (equivalent to `RAYON_NUM_THREADS=N`, but overriding it), so one binary
 ///   can be re-run at several thread counts to measure wall-clock speedup.
-/// * `--grid-phase tree|reference` — restrict binaries that ablate the combine's
-///   grid-phase strategy (currently `exp_ablation`) to one strategy; others
-///   ignore it.
 /// * `--max-n N` — scale the experiment's problem-size grid up to `N`
 ///   (binaries with a size sweep extend their grid; others size their single
 ///   instance from it).
@@ -27,8 +24,6 @@ pub struct ExpOpts {
     pub json: bool,
     /// Explicit thread-pool size (already applied by [`ExpOpts::from_env`]).
     pub threads: Option<usize>,
-    /// Grid-phase restriction (`"tree"` or `"reference"`).
-    pub grid_phase: Option<String>,
     /// Upper bound of the problem-size sweep (`--max-n`).
     pub max_n: Option<usize>,
 }
@@ -38,9 +33,7 @@ impl ExpOpts {
     /// returns the options. Unknown arguments print usage and exit.
     pub fn from_env() -> Self {
         fn usage(program: &str) -> ! {
-            eprintln!(
-                "usage: {program} [--json] [--threads N] [--grid-phase tree|reference] [--max-n N]"
-            );
+            eprintln!("usage: {program} [--json] [--threads N] [--max-n N]");
             std::process::exit(2);
         }
         let mut args = std::env::args();
@@ -57,23 +50,15 @@ impl ExpOpts {
                     Some(n) if n > 0 => opts.max_n = Some(n),
                     _ => usage(&program),
                 },
-                "--grid-phase" => match args.next().as_deref() {
-                    Some(v @ ("tree" | "reference")) => opts.grid_phase = Some(v.to_string()),
-                    _ => usage(&program),
-                },
                 other => match (
                     other.strip_prefix("--threads="),
-                    other.strip_prefix("--grid-phase="),
                     other.strip_prefix("--max-n="),
                 ) {
-                    (Some(v), _, _) => match v.parse() {
+                    (Some(v), _) => match v.parse() {
                         Ok(n) if n > 0 => opts.threads = Some(n),
                         _ => usage(&program),
                     },
-                    (_, Some(v @ ("tree" | "reference")), _) => {
-                        opts.grid_phase = Some(v.to_string())
-                    }
-                    (_, _, Some(v)) => match v.parse() {
+                    (_, Some(v)) => match v.parse() {
                         Ok(n) if n > 0 => opts.max_n = Some(n),
                         _ => usage(&program),
                     },

@@ -9,10 +9,10 @@
 //! 1. **Grid-line phase** — for every vertical grid line `c` (a multiple of `G`)
 //!    compute, for every color `q`, the demarcation row `b_q(c) = min{i : opt(i,c) > q}`
 //!    (from the pairwise crossovers `cmp(c,q,r)` of §3.2 and the breakpoint
-//!    reconstruction in `monge::multiway`). The default [`GridPhase::Tree`]
-//!    strategy descends the colored H-ary tree level by level with batched
-//!    rank-search packages; every machine stays within its space budget and the
-//!    `O(1)` round bound follows from the tree height `⌈log_H n⌉ ≤ 10/(1−δ)`.
+//!    reconstruction in `monge::multiway`). The phase descends the colored
+//!    H-ary tree level by level with batched rank-search packages; every
+//!    machine stays within its space budget and the `O(1)` round bound
+//!    follows from the tree height `⌈log_H n⌉ ≤ 10/(1−δ)`.
 //!    The tree's value side — every union point at every level — is built
 //!    once per combine into one [`mpc_runtime::RankIndex`], which the grid
 //!    precompute, every descent level and the corner-`F` step all query with
@@ -41,11 +41,9 @@
 //!    Lemma 3.9 and the surviving union points.
 
 use crate::mul::Nonzero;
-use crate::params::{GridPhase, Routing};
-use monge::multiway::{
-    opt_breakpoints_from_cmp, process_subgrid, ColoredPoint, MultiwayOracle, SubgridInstance,
-};
-use mpc_runtime::{costs, Cluster, DistVec, Group, RankIndex};
+use crate::params::Routing;
+use monge::multiway::{opt_breakpoints_from_cmp, process_subgrid, ColoredPoint, SubgridInstance};
+use mpc_runtime::{Cluster, DistVec, Group, RankIndex};
 use rayon::prelude::*;
 use std::collections::BTreeMap;
 
@@ -134,7 +132,6 @@ pub fn distributed_combine(
     cluster: &mut Cluster,
     colored: DistVec<Colored>,
     parents: &[ParentSpec],
-    grid_phase: GridPhase,
     routing: Routing,
 ) -> DistVec<Nonzero> {
     let specs: BTreeMap<u64, ParentSpec> = parents.iter().map(|p| (p.inst, *p)).collect();
@@ -144,22 +141,13 @@ pub fn distributed_combine(
     // built once for the whole combine: the grid descent and the corner-F
     // step all query it.
     cluster.set_phase(Some("combine-grid"));
-    let tree = match grid_phase {
-        GridPhase::Tree => Some(LeveledIndex::build(&colored, &specs)),
-        GridPhase::Reference => None,
-    };
-    let lines = match &tree {
-        Some(tree) => grid_phase_tree(cluster, &colored, &specs, tree),
-        None => grid_phase_reference(cluster, &colored, &specs),
-    };
+    let tree = LeveledIndex::build(&colored, &specs);
+    let lines = grid_phase_tree(cluster, &colored, &specs, &tree);
 
     // Phase 2: classify points, enumerate active subgrids with their windows.
     cluster.set_phase(Some("combine"));
     let (active, classified) = classify(cluster, &colored, lines, &specs, routing);
-    let active = match &tree {
-        Some(tree) => attach_base_f_tree(cluster, active, &specs, tree),
-        None => attach_base_f_reference(cluster, &colored, active, &specs),
-    };
+    let active = attach_base_f_tree(cluster, active, &specs, &tree);
 
     // Points of non-active subgrids that survive (Lemma 3.10, constant case).
     let kept: DistVec<Nonzero> = {
@@ -726,25 +714,16 @@ fn grid_phase_tree(
         }
         out
     });
-    let mut resolved = {
-        let r = cluster.filter(work.clone(), |w| matches!(w, GridWork::Resolved(_)));
-        cluster.map(&r, |w| match w {
-            GridWork::Resolved(rc) => *rc,
-            GridWork::Search(_) => unreachable!(),
-        })
-    };
-    let mut searches = {
-        let s = cluster.filter(work, |w| matches!(w, GridWork::Search(_)));
-        cluster.map(&s, |w| match w {
-            GridWork::Search(s) => *s,
-            GridWork::Resolved(_) => unreachable!(),
-        })
-    };
+    let (mut resolved, mut searches) = split_work(cluster, work);
 
     // Descent: one batched package exchange plus one regroup per tree level.
     // The loop always runs the full height so that the superstep schedule is a
-    // function of the parent specs alone (mirrored by the reference strategy).
-    let max_height = grid_tree_levels(specs);
+    // function of the parent specs alone.
+    let max_height = specs
+        .values()
+        .map(|s| tree_height(s.n, s.h))
+        .max()
+        .unwrap_or(0);
     for t in 1..=max_height {
         // Per-parent geometry of this level, hoisted out of the per-package
         // closures: (tree level min(t, height), its node size).
@@ -824,21 +803,9 @@ fn grid_phase_tree(
                 })
             },
         );
-        let newly = {
-            let r = cluster.filter(stepped.clone(), |w| matches!(w, GridWork::Resolved(_)));
-            cluster.map(&r, |w| match w {
-                GridWork::Resolved(rc) => *rc,
-                GridWork::Search(_) => unreachable!(),
-            })
-        };
+        let (newly, pending) = split_work(cluster, stepped);
         resolved = cluster.concat(resolved, newly);
-        searches = {
-            let s = cluster.filter(stepped, |w| matches!(w, GridWork::Search(_)));
-            cluster.map(&s, |w| match w {
-                GridWork::Search(s) => *s,
-                GridWork::Resolved(_) => unreachable!(),
-            })
-        };
+        searches = pending;
     }
     debug_assert!(searches.is_empty(), "all searches resolve at the leaves");
 
@@ -865,14 +832,22 @@ fn grid_phase_tree(
     )
 }
 
-/// The number of descent levels the tree grid phase performs for these parents
-/// (also the schedule mirrored by [`grid_phase_reference`]).
-fn grid_tree_levels(specs: &BTreeMap<u64, ParentSpec>) -> u32 {
-    specs
-        .values()
-        .map(|s| tree_height(s.n, s.h))
-        .max()
-        .unwrap_or(0)
+/// Splits descent work into its resolved crossovers and its pending searches.
+fn split_work(
+    cluster: &mut Cluster,
+    work: DistVec<GridWork>,
+) -> (DistVec<ResolvedCmp>, DistVec<CrossSearch>) {
+    let resolved = cluster.filter(work.clone(), |w| matches!(w, GridWork::Resolved(_)));
+    let resolved = cluster.map(&resolved, |w| match w {
+        GridWork::Resolved(rc) => *rc,
+        GridWork::Search(_) => unreachable!(),
+    });
+    let searches = cluster.filter(work, |w| matches!(w, GridWork::Search(_)));
+    let searches = cluster.map(&searches, |w| match w {
+        GridWork::Search(s) => *s,
+        GridWork::Resolved(_) => unreachable!(),
+    });
+    (resolved, searches)
 }
 
 /// The grid-line columns of a parent: every multiple of `G`, plus `n`.
@@ -888,72 +863,6 @@ fn line_columns(spec: &ParentSpec) -> Vec<u32> {
         c = (c + spec.g as u32).min(n);
     }
     columns
-}
-
-/// Reference grid-line phase: gathers each parent's union permutation on one machine
-/// and computes the per-line demarcation rows with the sequential oracle.
-///
-/// The gather ignores the per-machine space budget for parents larger than `s`
-/// (recorded by the ledger as violations — run it on a lenient cluster); the
-/// tree strategy computes exactly the same `cmp(c, q, r)` values within the
-/// budget. To keep the two strategies round-identical (the documented
-/// substitution), this path mirrors the tree descent's superstep schedule.
-fn grid_phase_reference(
-    cluster: &mut Cluster,
-    colored: &DistVec<Colored>,
-    specs: &BTreeMap<u64, ParentSpec>,
-) -> DistVec<LineInfo> {
-    let levels = grid_tree_levels(specs) as u64;
-    cluster.charge_rounds(
-        "grid_tree_mirror",
-        costs::RANK_SEARCH_MULTI + levels * (costs::RANK_SEARCH_MULTI + costs::GROUP_MAP),
-    );
-    let specs = specs.clone();
-    cluster.group_map_view(
-        colored.clone(),
-        |p| p.inst,
-        move |&inst, points| {
-            let spec = specs[&inst];
-            let pts: Vec<ColoredPoint> = points
-                .iter()
-                .map(|p| ColoredPoint {
-                    row: p.row,
-                    col: p.col,
-                    color: p.color,
-                })
-                .collect();
-            let oracle = MultiwayOracle::new(&pts, spec.h);
-            grid_lines(&oracle, spec)
-        },
-    )
-}
-
-/// Computes every vertical grid line's demarcation rows from an oracle.
-///
-/// The grid lines are independent of one another (each needs only the shared,
-/// read-only oracle), so the `h²/2` crossover computations of every line run
-/// concurrently — this is the §3.2 work the paper spreads over one machine per
-/// line, and the dominant local cost of the combine.
-fn grid_lines(oracle: &MultiwayOracle, spec: ParentSpec) -> Vec<LineInfo> {
-    let n = spec.n as u32;
-    let h = spec.h;
-    line_columns(&spec)
-        .into_par_iter()
-        .map(|c| {
-            let mut cmp = vec![vec![0u32; h]; h];
-            for q in 0..h {
-                for r in q + 1..h {
-                    cmp[q][r] = oracle.cmp(n, c, q, r);
-                }
-            }
-            let breakpoints = opt_breakpoints_from_cmp(&cmp, h, n);
-            LineInfo {
-                parent: spec.inst,
-                c,
-                b: b_vector(&breakpoints, h, n),
-            }
-        })
-        .collect()
 }
 
 /// Converts `opt(·, c)` breakpoints into the demarcation rows
@@ -1260,65 +1169,6 @@ fn attach_base_f_tree(
                 whi,
                 base_f: f.into_iter().map(|v| (v - anchor) as u64).collect(),
             })
-        },
-    )
-}
-
-/// Reference attach step: gathers each parent's points, builds the sequential
-/// oracle, and reads the window slice of `F` at every active corner. Ignores the
-/// space budget exactly like [`grid_phase_reference`] (and mirrors the
-/// conformant path's superstep schedule).
-fn attach_base_f_reference(
-    cluster: &mut Cluster,
-    colored: &DistVec<Colored>,
-    active: DistVec<ActiveSubgrid>,
-    specs: &BTreeMap<u64, ParentSpec>,
-) -> DistVec<ActiveSubgrid> {
-    cluster.charge_rounds(
-        "corner_f_tree_mirror",
-        costs::MULTICAST + costs::RANK_SEARCH_MULTI,
-    );
-    #[derive(Clone, Debug)]
-    enum Item {
-        Point(Colored),
-        Desc(ActiveSubgrid),
-    }
-    let pts = cluster.map(colored, |p| Item::Point(*p));
-    let ds = cluster.map(&active, |d| Item::Desc(d.clone()));
-    let all = cluster.concat(pts, ds);
-    let specs = specs.clone();
-    cluster.group_map_view(
-        all,
-        |item| match item {
-            Item::Point(p) => p.inst,
-            Item::Desc(d) => d.parent,
-        },
-        move |&inst, items| {
-            let spec = specs[&inst];
-            let mut pts = Vec::new();
-            let mut descs = Vec::new();
-            for item in items.iter() {
-                match item {
-                    Item::Point(p) => pts.push(ColoredPoint {
-                        row: p.row,
-                        col: p.col,
-                        color: p.color,
-                    }),
-                    Item::Desc(d) => descs.push(d),
-                }
-            }
-            let oracle = MultiwayOracle::new(&pts, spec.h);
-            descs
-                .into_iter()
-                .map(|d| {
-                    let g = spec.g as u32;
-                    let f = oracle.f_vec(d.gi * g, d.gj * g);
-                    ActiveSubgrid {
-                        base_f: f[d.wlo as usize..=d.whi as usize].to_vec(),
-                        ..d.clone()
-                    }
-                })
-                .collect::<Vec<_>>()
         },
     )
 }

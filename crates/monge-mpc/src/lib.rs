@@ -8,7 +8,7 @@
 //!   rounds overall; with `H = 2` the same code becomes the §1.4 warmup baseline
 //!   whose depth (and round count) grows as `Θ(log n)`.
 //! * [`mul_sub`] — Theorem 1.2: the sub-permutation extension via the §4.1 padding.
-//! * [`MulParams`] — the tunables (`H`, `G`, local threshold, grid-phase strategy).
+//! * [`MulParams`] — the tunables (`H`, `G`, local threshold, routing strategy).
 //!
 //! The algorithm follows §3 of the paper:
 //!
@@ -28,19 +28,18 @@
 //! ## Space conformance
 //!
 //! Two earlier engineering deviations from the paper are **retired**: the §3.2
-//! crossover values are now computed by the space-conformant H-ary tree descent
-//! ([`GridPhase::Tree`], the default) instead of a per-instance gather, and the
-//! §3.3 routing ships the Lemma 3.12 pierced intervals ([`Routing::Pierced`],
-//! the default) instead of whole row/column point ranges. With the paper's
-//! parameters the whole multiplication runs on a *strict* cluster — one that
-//! panics the moment any machine would exceed its `Õ(n^{1−δ})` budget — with
-//! zero recorded violations (`tests/mpc_model.rs`,
-//! `exp_space`). The old behaviours survive as explicitly-selected baselines
-//! for differential testing and ablation: [`GridPhase::Reference`] (gather;
-//! identical nonzeros and identical round counts, but budget overshoots
-//! recorded by the ledger) and [`Routing::Bands`] (factor-`H` extra routed
-//! volume, visible in the ledger's per-phase communication breakdown). Both
-//! baselines require [`mpc_runtime::MpcConfig::lenient`] clusters.
+//! crossover values are computed by the space-conformant H-ary tree descent
+//! instead of a per-instance gather, and the §3.3 routing ships the Lemma 3.12
+//! pierced intervals ([`Routing::Pierced`], the default) instead of whole
+//! row/column point ranges. With the paper's parameters the whole
+//! multiplication runs on a *strict* cluster — one that panics the moment any
+//! machine would exceed its `Õ(n^{1−δ})` budget — with zero recorded
+//! violations (`tests/mpc_model.rs`, `exp_space`). The correctness oracle is
+//! the sequential product (`monge::steady_ant`). The band routing survives as
+//! an explicitly-selected ablation baseline, [`Routing::Bands`] (factor-`H`
+//! extra routed volume, visible in the ledger's per-phase communication
+//! breakdown); its ablation runs use [`mpc_runtime::MpcConfig::lenient`]
+//! clusters.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -51,5 +50,5 @@ pub mod params;
 pub mod subperm;
 
 pub use mul::{mul, mul_batch};
-pub use params::{GridPhase, MulParams, Routing};
+pub use params::{MulParams, Routing};
 pub use subperm::mul_sub;

@@ -338,8 +338,7 @@ pub fn mul_batch(
             },
         );
 
-        let combined =
-            distributed_combine(cluster, colored, &record.parents, rp.grid_phase, rp.routing);
+        let combined = distributed_combine(cluster, colored, &record.parents, rp.routing);
         results = cluster.concat(results, combined);
     }
 
@@ -373,7 +372,6 @@ fn slice_of(bounds: &[u32], x: u32) -> u16 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::params::GridPhase;
     use mpc_runtime::MpcConfig;
     use rand::prelude::*;
 
@@ -445,15 +443,8 @@ mod tests {
     }
 
     #[test]
-    fn reference_grid_phase_flag() {
-        check(
-            120,
-            0.4,
-            MulParams::default()
-                .with_local_threshold(20)
-                .with_grid_phase(GridPhase::Reference),
-            5,
-        );
+    fn low_delta_forced_recursion_matches_sequential() {
+        check(120, 0.4, MulParams::default().with_local_threshold(20), 5);
     }
 
     #[test]

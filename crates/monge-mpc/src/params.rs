@@ -2,24 +2,6 @@
 
 use mpc_runtime::MpcConfig;
 
-/// How the grid-line phase of the combine (§3.2) obtains the pairwise crossovers
-/// `cmp(c, q, r)` and the active-subgrid corner values.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum GridPhase {
-    /// The paper's data structure: the colored H-ary tree, descended level by level
-    /// with batched rank-search packages (`O(1)` rounds because the tree height is
-    /// bounded by `10/(1−δ)`).
-    Tree,
-    /// Reference implementation: each instance's union permutation is gathered on one
-    /// machine and the grid quantities are computed there with the sequential oracle.
-    /// Produces identical results, identical downstream routing and identical round
-    /// charges (it mirrors the tree descent's superstep schedule), but the gather
-    /// step ignores the space budget (violations are recorded in the ledger), so it
-    /// must run on a [`mpc_runtime::MpcConfig::lenient`] cluster. Used as the
-    /// differential-testing oracle and the ablation baseline.
-    Reference,
-}
-
 /// How the §3.3 routing delivers union points to the active subgrids.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Routing {
@@ -50,8 +32,6 @@ pub struct MulParams {
     /// the greedy packing may co-locate instances, so `s/4` keeps the gather
     /// within the budget on strict clusters).
     pub local_threshold: usize,
-    /// Strategy for the grid-line phase of the combine.
-    pub grid_phase: GridPhase,
     /// Strategy for the §3.3 routing of the combine.
     pub routing: Routing,
 }
@@ -62,7 +42,6 @@ impl Default for MulParams {
             h: 0,
             g: 0,
             local_threshold: 0,
-            grid_phase: GridPhase::Tree,
             routing: Routing::Pierced,
         }
     }
@@ -95,7 +74,6 @@ impl MulParams {
             h,
             g,
             local_threshold,
-            grid_phase: self.grid_phase,
             routing: self.routing,
         }
     }
@@ -127,12 +105,6 @@ impl MulParams {
         self
     }
 
-    /// Selects the grid-phase strategy.
-    pub fn with_grid_phase(mut self, grid_phase: GridPhase) -> Self {
-        self.grid_phase = grid_phase;
-        self
-    }
-
     /// Selects the routing strategy.
     pub fn with_routing(mut self, routing: Routing) -> Self {
         self.routing = routing;
@@ -149,8 +121,6 @@ pub struct ResolvedParams {
     pub g: usize,
     /// Gather-and-solve-locally threshold.
     pub local_threshold: usize,
-    /// Grid-phase strategy.
-    pub grid_phase: GridPhase,
     /// Routing strategy.
     pub routing: Routing,
 }

@@ -316,8 +316,9 @@ pub fn step_lookup(breakpoints: &[(u32, u16)], at: u32) -> u16 {
 
 /// All data a single machine needs to resolve one active subgrid: the absolute
 /// `F_q` values at the subgrid's upper-left corner plus every union point in the
-/// subgrid's row range and column range. (See DESIGN.md for how this relates to the
-/// paper's tighter Lemma 3.12 routing.)
+/// subgrid's row range and column range. (The distributed combine in `monge-mpc`
+/// builds it under the paper's tighter Lemma 3.12 routing: only the colors of the
+/// pierced interval, shifted to start at 0, with `F` restricted to them.)
 #[derive(Clone, Debug)]
 pub struct SubgridInstance {
     /// First block row of the subgrid (inclusive).

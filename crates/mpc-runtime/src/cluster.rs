@@ -1570,6 +1570,24 @@ mod tests {
     }
 
     #[test]
+    fn lenient_mode_records_an_oversized_group() {
+        let mut cl = Cluster::new(MpcConfig::lenient(10_000, 0.5).with_space(10));
+        cl.set_phase(Some("gather"));
+        let items: Vec<u32> = (0..1000).collect();
+        let dv = DistVec::from_parts(vec![items]);
+        let mut out = cl.group_map(dv, |_| 0u32, |_, items| items).into_inner();
+        out.sort_unstable();
+        assert_eq!(
+            out,
+            (0..1000).collect::<Vec<u32>>(),
+            "every item comes back"
+        );
+        let ledger = cl.ledger();
+        assert!(ledger.space_violations > 0);
+        assert!(ledger.violations_by_phase["gather"] > 0);
+    }
+
+    #[test]
     fn cogroup_map_joins_both_sides_per_key() {
         let mut cl = cluster(1000, 0.5);
         // Left: 2 items per key 0..10; right: 1 query per even key, plus a

@@ -43,8 +43,8 @@ impl MpcConfig {
     /// The budget is a **hard invariant**: any primitive that would place more
     /// than `space` items on one machine panics. This is the default because the
     /// paper's algorithms are fully scalable — they never need more. Use
-    /// [`MpcConfig::lenient`] for ablation baselines (e.g. the reference
-    /// grid-phase gather) that deliberately overshoot and only record violations.
+    /// [`MpcConfig::lenient`] for ablation runs (e.g. forced, off-paper `(H, G)`
+    /// choices in `exp_ablation`) that may overshoot and only record violations.
     pub fn new(n: usize, delta: f64) -> Self {
         Self::lenient(n, delta).strict()
     }

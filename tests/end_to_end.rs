@@ -7,7 +7,7 @@ use monge_mpc_suite::monge::verify::{
     explicit_distribution, is_monge, is_subunit_monge, verify_product,
 };
 use monge_mpc_suite::monge::{mul_dense, mul_steady_ant, PermutationMatrix};
-use monge_mpc_suite::monge_mpc::{self, GridPhase, MulParams};
+use monge_mpc_suite::monge_mpc::{self, MulParams};
 use monge_mpc_suite::mpc_runtime::{Cluster, MpcConfig};
 use monge_mpc_suite::seaweed_lis::baselines::{lcs_length_dp, lis_length_patience};
 use monge_mpc_suite::seaweed_lis::kernel::SeaweedKernel;
@@ -154,34 +154,18 @@ fn kernel_composition_through_mpc_multiplication() {
 }
 
 #[test]
-fn grid_phase_strategies_are_equivalent() {
-    // The space-conformant tree descent and the gathering reference oracle must
-    // produce bit-identical products with identical round counts; only the tree
-    // strategy stays within the per-machine budget (it runs on a strict
-    // cluster), while the reference gather records violations.
+fn strict_mpc_mul_matches_sequential_with_zero_violations() {
+    // The paper-default ⊡ equals the sequential product on a strict cluster
+    // (which panics on any overshoot) and records no violation.
     let mut rng = StdRng::seed_from_u64(105);
     let n = 1 << 11;
     let a = random_permutation(n, &mut rng);
     let b = random_permutation(n, &mut rng);
-    let expected = mul_steady_ant(&a, &b);
 
-    let params = MulParams::default().with_grid_phase(GridPhase::Tree);
-    let mut tree = Cluster::new(MpcConfig::new(n, 0.5)); // strict: panics on overshoot
-    assert_eq!(monge_mpc::mul(&mut tree, &a, &b, &params), expected);
-    assert_eq!(tree.ledger().space_violations, 0);
-
-    let params = MulParams::default().with_grid_phase(GridPhase::Reference);
-    let mut reference = Cluster::new(MpcConfig::lenient(n, 0.5));
-    assert_eq!(monge_mpc::mul(&mut reference, &a, &b, &params), expected);
-    assert!(
-        reference.ledger().space_violations > 0,
-        "the reference gather must overshoot at n = {n}"
-    );
-    assert_eq!(
-        tree.rounds(),
-        reference.rounds(),
-        "reference mirrors the tree descent's superstep schedule"
-    );
+    let mut cluster = Cluster::new(MpcConfig::new(n, 0.5));
+    let got = monge_mpc::mul(&mut cluster, &a, &b, &MulParams::default());
+    assert_eq!(got, mul_steady_ant(&a, &b));
+    assert_eq!(cluster.ledger().space_violations, 0);
 }
 
 #[test]

@@ -13,7 +13,7 @@ use monge_mpc_suite::monge::verify::{explicit_distribution, is_subunit_monge, ve
 use monge_mpc_suite::monge::{
     mul_dense, mul_steady_ant, mul_steady_ant_sub, PermutationMatrix, SubPermutationMatrix,
 };
-use monge_mpc_suite::monge_mpc::{self, GridPhase, MulParams};
+use monge_mpc_suite::monge_mpc::{self, MulParams};
 use monge_mpc_suite::mpc_runtime::{costs, Cluster, Ledger, MpcConfig};
 use monge_mpc_suite::seaweed_lis::baselines::{lcs_length_dp, lis_length_patience};
 use monge_mpc_suite::seaweed_lis::kernel::{compose_horizontal, SeaweedKernel};
@@ -39,7 +39,7 @@ fn facade_paths_stay_wired() {
 
     // The MPC layer and its ledger.
     let mut cluster = Cluster::new(MpcConfig::new(4, 0.5).with_space(8));
-    let params = MulParams::default().with_grid_phase(GridPhase::Reference);
+    let params = MulParams::default();
     assert_eq!(monge_mpc::mul(&mut cluster, &a, &b, &params), product);
     let ledger: &Ledger = cluster.ledger();
     assert!(ledger.rounds >= costs::SORT);

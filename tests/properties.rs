@@ -3,8 +3,10 @@
 
 use monge_mpc_suite::monge::distribution::DistributionMatrix;
 use monge_mpc_suite::monge::multiway::mul_multiway;
-use monge_mpc_suite::monge::{mul_dense, mul_steady_ant, PermutationMatrix, SubPermutationMatrix};
-use monge_mpc_suite::monge_mpc::{self, GridPhase, MulParams};
+use monge_mpc_suite::monge::{
+    mul_dense, mul_steady_ant, mul_steady_ant_sub, PermutationMatrix, SubPermutationMatrix,
+};
+use monge_mpc_suite::monge_mpc::{self, MulParams};
 use monge_mpc_suite::mpc_runtime::{Cluster, FaultPlan, MpcConfig};
 use monge_mpc_suite::seaweed_lis::baselines::{lcs_length_dp, lis_length_patience};
 use monge_mpc_suite::seaweed_lis::kernel::{compose_horizontal, SeaweedKernel};
@@ -247,13 +249,12 @@ proptest! {
         prop_assert_eq!(cluster.ledger().space_violations, 0);
     }
 
-    /// The space-conformant tree grid phase and the gathering reference oracle are
-    /// genuinely distinct code paths that agree bit-for-bit: identical product
-    /// nonzeros and identical round counts, across random sub-permutations and
+    /// The distributed ⊡ (tree grid phase, pierced routing) equals the sequential
+    /// sub-permutation product bit-for-bit across random sub-permutations and
     /// (h, g, δ) choices. (Arbitrary parameter choices sit outside the paper's
-    /// regime, so both run with record-only space enforcement.)
+    /// regime, so the cluster runs with record-only space enforcement.)
     #[test]
-    fn grid_phase_tree_matches_reference_on_subperms(
+    fn mpc_mul_sub_matches_sequential_on_subperms(
         (a, b) in perm_pair(44),
         mask_a in prop::collection::vec(0u32..2, 44),
         mask_b in prop::collection::vec(0u32..2, 44),
@@ -265,18 +266,11 @@ proptest! {
         let delta = delta_tenths as f64 / 10.0;
         let sa = subperm_from(&a, &mask_a);
         let sb = subperm_from(&b, &mask_b);
-        let base = MulParams::default().with_h(h).with_g(g).with_local_threshold(6);
+        let params = MulParams::default().with_h(h).with_g(g).with_local_threshold(6);
 
-        let mut tree = Cluster::new(MpcConfig::lenient(n.max(4), delta));
-        let got_tree = monge_mpc::mul_sub(
-            &mut tree, &sa, &sb, &base.clone().with_grid_phase(GridPhase::Tree));
-
-        let mut reference = Cluster::new(MpcConfig::lenient(n.max(4), delta));
-        let got_reference = monge_mpc::mul_sub(
-            &mut reference, &sa, &sb, &base.with_grid_phase(GridPhase::Reference));
-
-        prop_assert_eq!(got_tree, got_reference);
-        prop_assert_eq!(tree.rounds(), reference.rounds());
+        let mut cluster = Cluster::new(MpcConfig::lenient(n.max(4), delta));
+        let got = monge_mpc::mul_sub(&mut cluster, &sa, &sb, &params);
+        prop_assert_eq!(got, mul_steady_ant_sub(&sa, &sb));
     }
 
     /// Semi-local LIS window queries match brute force on arbitrary windows.

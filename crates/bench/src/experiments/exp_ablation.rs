@@ -10,15 +10,14 @@
 //! paper's regime: at `H = 16, G = 32` the grid phase's peak load exceeds the
 //! space budget and the row records 9 violations.
 //!
-//! Run with: `cargo run --release -p bench --bin exp_ablation [-- --json
+//! Run with: `cargo run --release -p bench -- exp_ablation [--json
 //! --threads N]`
 
-use bench_suite::{json_envelope, random_permutation, ExpOpts, Table};
+use crate::{random_permutation, ExpOpts, Report, Table};
 use monge_mpc::{MulParams, Routing};
 use mpc_runtime::{Cluster, MpcConfig};
 
-fn main() {
-    let opts = ExpOpts::from_env();
+pub(crate) fn run(_: &ExpOpts) -> Report {
     let n = 1usize << 14;
     let delta = 0.5;
     let a = random_permutation(n, 31);
@@ -69,22 +68,15 @@ fn main() {
             }
         }
     }
-    if opts.json {
-        println!(
-            "{}",
-            json_envelope("exp_ablation", &[("rows", table.render_json())])
-        );
-        return;
-    }
-    println!("Ablation: ⊡ at n = {n}, δ = {delta}\n");
-    println!("{}", table.render());
-    println!(
-        "Reading: larger H shrinks the recursion depth (fewer rounds) at the price of more\n\
-         routing communication in the combine; G trades the number of active subgrids against\n\
-         the size of each subgrid instance — the paper's choices (H = n^{{(1-δ)/10}}, G = n^{{1-δ}})\n\
-         sit in the flat region of both curves. The `route comm` column shows the Lemma 3.12\n\
-         saving: pierced-interval routing undercuts the band baseline by a factor that grows\n\
-         with H. `grid peak` grows with H and shrinks with G; at the forced H = 16, G = 32\n\
-         the grid phase overshoots the space budget (the `violations` column)."
-    );
+    Report::new(format!("Ablation: ⊡ at n = {n}, δ = {delta}"))
+        .table("rows", "", table)
+        .reading(
+            "larger H shrinks the recursion depth (fewer rounds) at the price of more\n\
+             routing communication in the combine; G trades the number of active subgrids against\n\
+             the size of each subgrid instance — the paper's choices (H = n^{(1-δ)/10}, G = n^{1-δ})\n\
+             sit in the flat region of both curves. The `route comm` column shows the Lemma 3.12\n\
+             saving: pierced-interval routing undercuts the band baseline by a factor that grows\n\
+             with H. `grid peak` grows with H and shrinks with G; at the forced H = 16, G = 32\n\
+             the grid phase overshoots the space budget (the `violations` column).",
+        )
 }

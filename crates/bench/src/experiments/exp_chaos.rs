@@ -11,17 +11,16 @@
 //! asserts through `--json`. The straggler row checks the complementary
 //! accounting rule: delays charge `stall_rounds`, never `rounds`.
 //!
-//! Run with: `cargo run --release -p bench --bin exp_chaos
-//! [-- --json --threads N --max-n N]` (`--max-n` sets the instance size,
+//! Run with: `cargo run --release -p bench -- exp_chaos
+//! [--json --threads N --max-n N]` (`--max-n` sets the instance size,
 //! default 2^12).
 
-use bench_suite::{json_envelope, noisy_trend, ExpOpts, Table};
+use crate::{kill_and_recover, noisy_trend, ExpOpts, Report, Table};
 use lis_mpc::lis_witness_mpc;
 use monge_mpc::MulParams;
 use mpc_runtime::{Cluster, FaultPlan, MpcConfig};
 
-fn main() {
-    let opts = ExpOpts::from_env();
+pub(crate) fn run(opts: &ExpOpts) -> Report {
     let n = opts.max_n.unwrap_or(1 << 12);
     let delta = 0.5;
     let seq = noisy_trend(n, (n / 3).max(2) as u32, 0xC4A05 + n as u64);
@@ -31,7 +30,6 @@ fn main() {
     // merge level (the clock positions recovery must be aimed at).
     let mut probe = Cluster::new(MpcConfig::new(n, delta));
     let baseline = lis_witness_mpc(&mut probe, &seq, &params);
-    let base_witness = baseline.witness.clone().expect("witness requested");
     let base_rounds = probe.rounds();
     let machines = probe.config().machines;
     assert!(machines >= 2, "chaos runs need a surviving replica machine");
@@ -51,10 +49,11 @@ fn main() {
     let mut total_kills = 0usize;
     let mut total_violations = 0u64;
 
-    // One kill aimed inside each merge level, always at machine 0: node i of
-    // every level lives on machine i % m, so machine 0 owns node 0 of every
-    // level and each kill is guaranteed to destroy live state (other machines
-    // may own no node at the shallow top levels).
+    // One kill aimed inside each merge level, always at machine 0
+    // (`kill_and_recover`): node i of every level lives on machine i % m, so
+    // machine 0 owns node 0 of every level and each kill is guaranteed to
+    // destroy live state (other machines may own no node at the shallow top
+    // levels). Each run must reproduce the baseline bit for bit.
     for level in 1..=baseline.levels {
         let Some((lo, hi)) = probe
             .ledger()
@@ -63,17 +62,9 @@ fn main() {
             continue;
         };
         let superstep = lo + (hi - lo) / 2;
-        let machine = 0;
-        let plan = FaultPlan::kill(machine, superstep);
-        let mut cluster = Cluster::new(MpcConfig::new(n, delta).with_faults(plan));
-        let outcome = lis_witness_mpc(&mut cluster, &seq, &params);
-        let witness = outcome.witness.expect("witness requested");
-        let identical = outcome.length == baseline.length
-            && outcome.kernel == baseline.kernel
-            && witness == base_witness;
-        assert!(identical, "recovery diverged after a kill at level {level}");
+        let cluster =
+            kill_and_recover(&seq, MpcConfig::new(n, delta), superstep, &baseline).cluster;
         let ledger = cluster.ledger();
-        assert_eq!(ledger.kills(), 1, "the scheduled kill must fire");
         let recovery_scopes = ledger
             .rounds_by_phase
             .keys()
@@ -90,7 +81,7 @@ fn main() {
         total_violations += ledger.space_violations;
         table.row(vec![
             format!("kill@L{level}"),
-            machine.to_string(),
+            "0".to_string(),
             superstep.to_string(),
             cluster.rounds().to_string(),
             format!("{ratio:.2}"),
@@ -109,7 +100,7 @@ fn main() {
     let outcome = lis_witness_mpc(&mut cluster, &seq, &params);
     assert_eq!(outcome.length, baseline.length);
     assert_eq!(outcome.kernel, baseline.kernel);
-    assert_eq!(outcome.witness.expect("witness requested"), base_witness);
+    assert_eq!(outcome.witness, baseline.witness);
     assert_eq!(
         cluster.rounds(),
         base_rounds,
@@ -130,35 +121,23 @@ fn main() {
         "yes".to_string(),
     ]);
 
-    if opts.json {
-        println!(
-            "{}",
-            json_envelope(
-                "exp_chaos",
-                &[
-                    ("rows", table.render_json()),
-                    ("n", n.to_string()),
-                    ("baseline_rounds", base_rounds.to_string()),
-                    ("levels", baseline.levels.to_string()),
-                    ("kills", total_kills.to_string()),
-                    ("max_round_ratio", format!("{max_ratio:.3}")),
-                    ("violations", total_violations.to_string()),
-                ]
-            )
-        );
-        return;
-    }
-    println!(
+    Report::new(format!(
         "E6: chaos injection at n = {n}, δ = {delta} ({machines} machines, \
-         fault-free rounds = {base_rounds})\n"
-    );
-    println!("{}", table.render());
-    println!(
-        "Reading: each kill row schedules one machine crash at the mid-span superstep of a\n\
+         fault-free rounds = {base_rounds})"
+    ))
+    .table("rows", "", table)
+    .field("n", n)
+    .field("baseline_rounds", base_rounds)
+    .field("levels", baseline.levels)
+    .field("kills", total_kills)
+    .field("max_round_ratio", format!("{max_ratio:.3}"))
+    .field("violations", total_violations)
+    .reading(format!(
+        "each kill row schedules one machine crash at the mid-span superstep of a\n\
          merge level; the pipeline repairs the lost shard from the level below (recovery-*\n\
          ledger scopes) and must reproduce the fault-free length, kernel and witness bit for\n\
          bit on strict clusters — zero violations, ≤ 2× rounds (measured max {max_ratio:.2}×).\n\
          The straggler row shows delays being absorbed by the barrier: identical rounds, the\n\
          lost time charged to stall_rounds."
-    );
+    ))
 }

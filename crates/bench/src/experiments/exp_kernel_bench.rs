@@ -15,18 +15,24 @@
 //!   [`monge::steady_ant::Workspace`], dense base case) and the data-parallel
 //!   [`monge::steady_ant::mul_batch`] vs the allocate-per-level
 //!   [`monge::steady_ant::mul_rows_reference`].
-//! * **comb-par params** — a [`CombParams`] sweep at one fixed size, exposing
-//!   the block/chunk tunables' wall-clock effect.
+//! * **baselines** — the sequential algorithms the fast kernels replace:
+//!   the `O(n³)` [`monge::mul_dense`] (up to [`DENSE_CAP`]) against the
+//!   steady ant and the H-way combine ([`monge::multiway::mul_multiway`],
+//!   `h = 8`), and patience sorting against the seaweed LIS kernel; the
+//!   variants' answers are asserted equal before they are timed.
 //!
-//! Run with: `cargo run --release -p bench --bin exp_kernel_bench
-//! [-- --json --threads N --max-n N]` (the size grids double from 2^10 up to
+//! Run with: `cargo run --release -p bench -- exp_kernel_bench
+//! [--json --threads N --max-n N]` (the size grids double from 2^10 up to
 //! `--max-n`, default 2^16).
 
-use bench_suite::{bench_ns, json_envelope, random_sequence, size_sweep, ExpOpts, Table};
+use crate::{bench_ns, noisy_trend, random_permutation, random_sequence, size_sweep};
+use crate::{ExpOpts, Report, Table};
+use monge::multiway::mul_multiway;
 use monge::steady_ant::{mul_batch, mul_rows, mul_rows_reference};
-use monge::PermutationMatrix;
-use rand::prelude::*;
-use seaweed_lis::kernel::{CombParams, SeaweedKernel};
+use monge::{mul_dense, mul_steady_ant, PermutationMatrix};
+use seaweed_lis::baselines::lis_length_patience;
+use seaweed_lis::kernel::SeaweedKernel;
+use seaweed_lis::lis::lis_kernel;
 
 /// Rows of the comb workload (the `x` string / alphabet side).
 const COMB_M: usize = 256;
@@ -39,15 +45,10 @@ const REF_COMB_CAP: usize = 1 << 16;
 /// Instances per `mul_batch` timing, sharing one arena per worker.
 const BATCH_K: usize = 4;
 
-fn random_perm_rows(n: usize, seed: u64) -> Vec<u32> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut v: Vec<u32> = (0..n as u32).collect();
-    v.shuffle(&mut rng);
-    v
-}
+/// Largest size the cubic dense product is timed at.
+const DENSE_CAP: usize = 256;
 
-fn main() {
-    let opts = ExpOpts::from_env();
+pub(crate) fn run(opts: &ExpOpts) -> Report {
     let sizes = {
         let mut s = size_sweep(1 << 10, 1 << 16, opts.max_n);
         if s.is_empty() {
@@ -111,13 +112,16 @@ fn main() {
         "identical",
     ]);
     for &n in &sizes {
-        let pa = random_perm_rows(n, 0xA0 + n as u64);
-        let pb = random_perm_rows(n, 0xB0 + n as u64);
+        let (a, b) = (
+            random_permutation(n, 0xA0 + n as u64),
+            random_permutation(n, 0xB0 + n as u64),
+        );
+        let (pa, pb) = (a.rows(), b.rows());
         let instances: Vec<(PermutationMatrix, PermutationMatrix)> = (0..BATCH_K as u64)
             .map(|i| {
                 (
-                    PermutationMatrix::from_rows(random_perm_rows(n, 2 * i + 1)),
-                    PermutationMatrix::from_rows(random_perm_rows(n, 2 * i + 2)),
+                    random_permutation(n, 2 * i + 1),
+                    random_permutation(n, 2 * i + 2),
                 )
             })
             .collect();
@@ -126,12 +130,12 @@ fn main() {
         // skewing one side of the speedup ratio.
         let (mut ref_ns, mut ws_ns, mut batch_total) = (u64::MAX, u64::MAX, u64::MAX);
         for _ in 0..runs_for(n) {
-            ref_ns = ref_ns.min(bench_ns(1, total_ms / 10, || mul_rows_reference(&pa, &pb)));
-            ws_ns = ws_ns.min(bench_ns(1, total_ms / 10, || mul_rows(&pa, &pb)));
+            ref_ns = ref_ns.min(bench_ns(1, total_ms / 10, || mul_rows_reference(pa, pb)));
+            ws_ns = ws_ns.min(bench_ns(1, total_ms / 10, || mul_rows(pa, pb)));
             batch_total = batch_total.min(bench_ns(1, total_ms / 10, || mul_batch(&instances)));
         }
         let batch_ns = batch_total / instances.len() as u64;
-        let identical = mul_rows(&pa, &pb) == mul_rows_reference(&pa, &pb)
+        let identical = mul_rows(pa, pb) == mul_rows_reference(pa, pb)
             && mul_batch(&instances)
                 .iter()
                 .zip(&instances)
@@ -147,60 +151,67 @@ fn main() {
         ]);
     }
 
-    // ------------------------------------------------------- comb-par params
-    let sweep_n = sizes.last().copied().unwrap_or(1 << 10).min(1 << 15);
-    let sx = random_sequence(COMB_M, COMB_M as u32, 0xD0);
-    let sy = random_sequence(sweep_n, COMB_M as u32, 0xD1);
-    let mut params_table = Table::new(vec!["n", "min block", "max comb cols", "ns"]);
-    for min_block in [64usize, 256, 1024] {
-        for max_comb_cols in [1024usize, 4096, 16384] {
-            let params = CombParams {
-                min_block,
-                max_comb_cols,
-            };
-            let ns = bench_ns(runs_for(sweep_n), total_ms, || {
-                SeaweedKernel::comb_par_with(&sx, &sy, &params)
-            });
-            params_table.row(vec![
-                sweep_n.to_string(),
-                min_block.to_string(),
-                max_comb_cols.to_string(),
-                ns.to_string(),
-            ]);
-        }
+    // -------------------------------------------------------------- baselines
+    let mut baselines = Table::new(vec![
+        "n",
+        "dense ns",
+        "steady ant ns",
+        "multiway h8 ns",
+        "patience ns",
+        "seaweed ns",
+    ]);
+    let small = [64, DENSE_CAP];
+    let large = sizes.iter().copied().filter(|&n| n > DENSE_CAP);
+    for n in small.into_iter().chain(large) {
+        let a = random_permutation(n, 1);
+        let b = random_permutation(n, 2);
+        let ant = mul_steady_ant(&a, &b);
+        assert_eq!(mul_multiway(&a, &b, 8, 1 << 8), ant, "multiway at n = {n}");
+        let dense_ns = if n <= DENSE_CAP {
+            assert_eq!(mul_dense(&a, &b), ant, "dense at n = {n}");
+            bench_ns(runs_for(n), total_ms, || mul_dense(&a, &b)).to_string()
+        } else {
+            String::new()
+        };
+        let seq = noisy_trend(n, (n / 4) as u32, 5);
+        let lis = lis_length_patience(&seq);
+        assert_eq!(lis_kernel(&seq).lcs_window(0, n), lis, "LIS at n = {n}");
+        baselines.row(vec![
+            n.to_string(),
+            dense_ns,
+            bench_ns(runs_for(n), total_ms, || mul_steady_ant(&a, &b)).to_string(),
+            bench_ns(runs_for(n), total_ms, || mul_multiway(&a, &b, 8, 1 << 8)).to_string(),
+            bench_ns(runs_for(n), total_ms, || lis_length_patience(&seq)).to_string(),
+            bench_ns(runs_for(n), total_ms, || lis_kernel(&seq)).to_string(),
+        ]);
     }
 
-    if opts.json {
-        println!(
-            "{}",
-            json_envelope(
-                "exp_kernel_bench",
-                &[
-                    ("comb", comb.render_json()),
-                    ("mul", mul.render_json()),
-                    ("comb_par_params", params_table.render_json()),
-                ]
-            )
-        );
-        return;
-    }
-    println!(
-        "E7: local kernel wall-clock (best-of timing, {} threads)\n",
-        opts.effective_threads()
-    );
-    println!("seaweed comb — bit-parallel fast path vs crossing-history oracle (m = {COMB_M})\n");
-    println!("{}", comb.render());
-    println!(
-        "steady-ant ⊡ — arena workspace / data-parallel batch vs allocate-per-level reference\n"
-    );
-    println!("{}", mul.render());
-    println!("comb_par CombParams sweep (n = {sweep_n})\n");
-    println!("{}", params_table.render());
-    println!(
-        "Reading: `identical` must be \"yes\" wherever the reference runs — the optimized\n\
+    Report::new(format!(
+        "E7: local kernel wall-clock (best-of timing, {} threads)",
+        rayon::current_num_threads()
+    ))
+    .table(
+        "comb",
+        format!("seaweed comb — bit-parallel fast path vs crossing-history oracle (m = {COMB_M})"),
+        comb,
+    )
+    .table(
+        "mul",
+        "steady-ant ⊡ — arena workspace / data-parallel batch vs allocate-per-level reference",
+        mul,
+    )
+    .table(
+        "baselines",
+        "sequential baselines — dense vs steady ant vs 8-way ⊡; patience vs seaweed LIS kernel",
+        baselines,
+    )
+    .reading(format!(
+        "`identical` must be \"yes\" wherever the reference runs — the optimized\n\
          kernels are bit-identical, only faster. The comb reference column stops at\n\
          n = {REF_COMB_CAP} (its crossing bitset is quadratic; the fast path is linear-space\n\
          and continues), and the mul speedup column is the arena workspace against the\n\
-         allocate-per-level recursion on the same operands."
-    );
+         allocate-per-level recursion on the same operands. In the baselines table the cubic\n\
+         dense product stops at n = {DENSE_CAP}; each row asserts every product and LIS length\n\
+         equal across the variants before timing them."
+    ))
 }

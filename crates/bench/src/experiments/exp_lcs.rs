@@ -4,13 +4,13 @@
 //! matching pairs (the quantity behind the Õ(n²) total-space requirement), the
 //! MPC round count and the (must-be-zero) space-violation count.
 //!
-//! Run with: `cargo run --release -p bench --bin exp_lcs
-//! [-- --json --threads N --max-n N]` (a `--max-n` of 8192 or more extends the
+//! Run with: `cargo run --release -p bench -- exp_lcs
+//! [--json --threads N --max-n N]` (a `--max-n` of 8192 or more extends the
 //! fixed case list with string lengths doubling from 8192 up to it, using a
 //! sparse `|Σ| = n/4` alphabet so the pair count stays near linear on the
 //! large sizes).
 
-use bench_suite::{json_envelope, random_sequence, size_sweep, ExpOpts, Table};
+use crate::{random_sequence, size_sweep, ExpOpts, Report, Table};
 use lis_mpc::lcs::lcs_mpc;
 use monge_mpc::MulParams;
 use mpc_runtime::{Cluster, MpcConfig};
@@ -20,8 +20,7 @@ use seaweed_lis::lcs::lcs_via_lis;
 /// Largest size still checked against the quadratic DP.
 const DP_CHECK_MAX: usize = 4096;
 
-fn main() {
-    let opts = ExpOpts::from_env();
+pub(crate) fn run(opts: &ExpOpts) -> Report {
     let mut table = Table::new(vec![
         "n",
         "alphabet",
@@ -65,19 +64,12 @@ fn main() {
             ledger.space_violations.to_string(),
         ]);
     }
-    if opts.json {
-        println!(
-            "{}",
-            json_envelope("exp_lcs", &[("rows", table.render_json())])
-        );
-        return;
-    }
-    println!("E6: LCS via Hunt–Szymanski on the MPC simulator\n");
-    println!("{}", table.render());
-    println!(
-        "Reading: the pair count — and with it the required total space — scales as ~n²/|Σ|,\n\
-         which is exactly why Corollary 1.3.1 assumes the Õ(n²) total-space regime; small\n\
-         alphabets are the expensive case, large alphabets approach linear total space. The\n\
-         distributed sort-join and the strict LIS pipeline keep the violations column at zero."
-    );
+    Report::new("E6: LCS via Hunt–Szymanski on the MPC simulator")
+        .table("rows", "", table)
+        .reading(
+            "the pair count — and with it the required total space — scales as ~n²/|Σ|,\n\
+             which is exactly why Corollary 1.3.1 assumes the Õ(n²) total-space regime; small\n\
+             alphabets are the expensive case, large alphabets approach linear total space. The\n\
+             distributed sort-join and the strict LIS pipeline keep the violations column at zero.",
+        )
 }

@@ -4,9 +4,9 @@
 //! with `log n`. Also reports wall-clock time of the simulator's local phases,
 //! which scales with `--threads` (the round counts must not).
 //!
-//! Run with: `cargo run --release -p bench --bin exp_mul_rounds [-- --json --threads N]`
+//! Run with: `cargo run --release -p bench -- exp_mul_rounds [--json --threads N]`
 
-use bench_suite::{json_envelope, random_permutation, ExpOpts, Table};
+use crate::{random_permutation, ExpOpts, Report, Table};
 use monge_mpc::MulParams;
 use mpc_runtime::{Cluster, MpcConfig};
 use std::time::Instant;
@@ -36,8 +36,7 @@ fn measure(n: usize, delta: f64, params: &MulParams) -> Measurement {
     }
 }
 
-fn main() {
-    let opts = ExpOpts::from_env();
+pub(crate) fn run(_: &ExpOpts) -> Report {
     let mut table = Table::new(vec![
         "δ",
         "n",
@@ -73,24 +72,20 @@ fn main() {
         }
     }
 
-    if opts.json {
-        println!(
-            "{}",
-            json_envelope("exp_mul_rounds", &[("rows", table.render_json())])
-        );
-        return;
-    }
-    println!("E2: rounds of one ⊡ multiplication vs n and δ\n");
-    println!(
-        "(\"paper\" rows use H = 8 — at these sizes the asymptotic n^{{(1-δ)/10}} is still ≈ 2 —\n\
-         the warmup baseline keeps the binary splits of §1.4. Wall-clock columns measure the\n\
-         simulator's local phases on {} thread(s); rounds are thread-count invariant.)\n",
-        opts.effective_threads()
-    );
-    println!("{}", table.render());
-    println!(
-        "Reading: for fixed δ the H = 8 rounds stay (near-)constant as n grows 16×, because the\n\
-         recursion depth log_H(n/s) barely moves; the warmup baseline's depth — and with it the\n\
-         round count — grows with log n. This is the Theorem 1.1 vs §1.4 gap."
-    );
+    Report::new("E2: rounds of one ⊡ multiplication vs n and δ")
+        .table(
+            "rows",
+            format!(
+                "(\"paper\" rows use H = 8 — at these sizes the asymptotic n^{{(1-δ)/10}} is still ≈ 2 —\n\
+                 the warmup baseline keeps the binary splits of §1.4. Wall-clock columns measure the\n\
+                 simulator's local phases on {} thread(s); rounds are thread-count invariant.)",
+                rayon::current_num_threads()
+            ),
+            table,
+        )
+        .reading(
+            "for fixed δ the H = 8 rounds stay (near-)constant as n grows 16×, because the\n\
+             recursion depth log_H(n/s) barely moves; the warmup baseline's depth — and with it the\n\
+             round count — grows with log n. This is the Theorem 1.1 vs §1.4 gap.",
+        )
 }

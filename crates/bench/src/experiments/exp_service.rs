@@ -14,12 +14,12 @@
 //!   `service-append` communication equals exactly the items the spine
 //!   recombed, and the resulting kernel is bit-identical to a full rebuild.
 //!
-//! Run with: `cargo run --release -p bench --bin exp_service
-//! [-- --json --threads N --max-n N]` (default n = 2^16; the speedup
+//! Run with: `cargo run --release -p bench -- exp_service
+//! [--json --threads N --max-n N]` (default n = 2^16; the speedup
 //! assertions arm at n ≥ 2^16, so smoke runs at smaller `--max-n` only check
 //! correctness).
 
-use bench_suite::{bench_ns, json_envelope, random_sequence, ExpOpts, Table};
+use crate::{bench_ns, random_sequence, ExpOpts, Report, Table};
 use lis_mpc::AppendableLisKernel;
 use lis_service::{Client, Server, ServiceConfig, Value};
 use mpc_runtime::{Cluster, MpcConfig};
@@ -73,8 +73,7 @@ fn witness_positions(response: &Value) -> Vec<Vec<i64>> {
         .collect()
 }
 
-fn main() {
-    let opts = ExpOpts::from_env();
+pub(crate) fn run(opts: &ExpOpts) -> Report {
     let n = opts.max_n.unwrap_or(1 << 16);
     let full_size = n >= (1 << 16);
     let span = (n as u32) / 2;
@@ -303,19 +302,7 @@ fn main() {
     client.request(r#"{"op":"shutdown"}"#).expect("shutdown");
     server.join();
 
-    if opts.json {
-        println!(
-            "{}",
-            json_envelope(
-                "exp_service",
-                &[
-                    ("rows", serving.render_json()),
-                    ("append", append.render_json()),
-                ],
-            )
-        );
-    } else {
-        println!("serving (n = {n}):\n{}", serving.render());
-        println!("\nincremental append:\n{}", append.render());
-    }
+    Report::new("E8: the serving path over the line-JSON socket")
+        .table("rows", format!("serving (n = {n}):"), serving)
+        .table("append", "incremental append:", append)
 }

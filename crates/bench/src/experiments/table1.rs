@@ -6,9 +6,9 @@
 //! Θ(log² n)-ish rounds in the multiplication depth). The published comparators
 //! (KT10a, CHS23, IMS17) are reported analytically, as in the paper's table.
 //!
-//! Run with: `cargo run --release -p bench --bin table1 [-- --json --threads N]`
+//! Run with: `cargo run --release -p bench -- table1 [--json --threads N]`
 
-use bench_suite::{json_envelope, noisy_trend, ExpOpts, Table};
+use crate::{noisy_trend, ExpOpts, Report, Table};
 use lis_mpc::lis_kernel_mpc;
 use monge_mpc::MulParams;
 use mpc_runtime::{Cluster, MpcConfig};
@@ -28,8 +28,7 @@ fn measure(n: usize, delta: f64, params: &MulParams) -> (u64, usize, usize, f64)
     )
 }
 
-fn main() {
-    let opts = ExpOpts::from_env();
+pub(crate) fn run(_: &ExpOpts) -> Report {
     let delta = 0.5;
     let sizes = [1usize << 12, 1 << 14, 1 << 16];
     // At these input sizes the paper's asymptotic fan-out n^{(1-δ)/10} is still ≈ 2,
@@ -82,31 +81,19 @@ fn main() {
         ]);
     }
 
-    if opts.json {
-        println!(
-            "{}",
-            json_envelope(
-                "table1",
-                &[
-                    ("published", published.render_json()),
-                    ("measured", measured.render_json()),
-                ]
-            )
-        );
-        return;
-    }
-    println!("Table 1 (paper) — summary of massively parallel LIS algorithms");
-    println!();
-    println!("{}", published.render());
-    println!(
-        "Measured on the MPC simulator (δ = {delta}, {} thread(s)), exact LIS:",
-        opts.effective_threads()
-    );
-    println!();
-    println!("{}", measured.render());
-    println!(
-        "Reading: rounds / log2(n) stays flat for this paper's parameters (O(log n) total),\n\
-         while the warmup baseline pays an extra Θ(log n) factor inside each multiplication,\n\
-         mirroring the gap Table 1 reports between this paper and the prior exact algorithms."
-    );
+    Report::new("Table 1 (paper) — summary of massively parallel LIS algorithms")
+        .table("published", "", published)
+        .table(
+            "measured",
+            format!(
+                "Measured on the MPC simulator (δ = {delta}, {} thread(s)), exact LIS:",
+                rayon::current_num_threads()
+            ),
+            measured,
+        )
+        .reading(
+            "rounds / log2(n) stays flat for this paper's parameters (O(log n) total),\n\
+             while the warmup baseline pays an extra Θ(log n) factor inside each multiplication,\n\
+             mirroring the gap Table 1 reports between this paper and the prior exact algorithms.",
+        )
 }

@@ -1,178 +1,114 @@
-//! Shared helpers for the benchmark and experiment harness: deterministic workload
-//! generators, command-line options, and table formatting (plain text and JSON)
-//! used by the experiment binaries.
+//! The benchmark and experiment harness: deterministic workload generators,
+//! best-of timing, the LIS witness-recovery chain the experiments share, and
+//! the registry behind the `bench` command:
+//!
+//! ```text
+//! cargo run --release -p bench -- <experiment> [--json] [--threads N] [--max-n N]
+//! ```
+//!
+//! Each experiment returns one [`Report`]; the command prints it as text or,
+//! with `--json`, as the `{"experiment": …, "threads": N, …}` envelope.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-use monge::PermutationMatrix;
-use rand::prelude::*;
+mod experiments;
+mod report;
 
-/// Command-line options shared by every `exp_*` / `table1` binary.
+pub use report::{Report, Table};
+
+use lis_mpc::{lis_kernel_mpc, lis_witness_mpc, MpcLisOutcome};
+use monge::PermutationMatrix;
+use monge_mpc::MulParams;
+use mpc_runtime::{Cluster, FaultPlan, MpcConfig};
+use rand::prelude::*;
+use std::time::Instant;
+
+/// Options shared by every experiment.
 ///
-/// * `--json` — emit a machine-readable JSON document instead of the plain-text
-///   tables, so perf PRs can diff numbers.
+/// * `--json` — emit the JSON envelope instead of the text report.
 /// * `--threads N` — size the global thread pool before any work runs
-///   (equivalent to `RAYON_NUM_THREADS=N`, but overriding it), so one binary
-///   can be re-run at several thread counts to measure wall-clock speedup.
+///   (equivalent to `RAYON_NUM_THREADS=N`, but overriding it), so one
+///   experiment can be re-run at several thread counts.
 /// * `--max-n N` — scale the experiment's problem-size grid up to `N`
-///   (binaries with a size sweep extend their grid; others size their single
-///   instance from it).
-#[derive(Clone, Debug, Default)]
+///   (experiments with a size sweep extend their grid; others size their
+///   single instance from it).
+///
+/// Each option also takes the `--name=value` form.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ExpOpts {
-    /// Emit JSON instead of plain-text tables.
+    /// Emit JSON instead of the text report.
     pub json: bool,
-    /// Explicit thread-pool size (already applied by [`ExpOpts::from_env`]).
+    /// Explicit thread-pool size.
     pub threads: Option<usize>,
-    /// Upper bound of the problem-size sweep (`--max-n`).
+    /// Upper bound of the problem-size sweep.
     pub max_n: Option<usize>,
 }
 
-impl ExpOpts {
-    /// Parses `std::env::args`, applies `--threads` to the global pool, and
-    /// returns the options. Unknown arguments print usage and exit.
-    pub fn from_env() -> Self {
-        fn usage(program: &str) -> ! {
-            eprintln!("usage: {program} [--json] [--threads N] [--max-n N]");
-            std::process::exit(2);
-        }
-        let mut args = std::env::args();
-        let program = args.next().unwrap_or_else(|| "exp".into());
-        let mut opts = Self::default();
-        while let Some(arg) = args.next() {
-            match arg.as_str() {
-                "--json" => opts.json = true,
-                "--threads" => match args.next().and_then(|v| v.parse().ok()) {
-                    Some(n) if n > 0 => opts.threads = Some(n),
-                    _ => usage(&program),
-                },
-                "--max-n" => match args.next().and_then(|v| v.parse().ok()) {
-                    Some(n) if n > 0 => opts.max_n = Some(n),
-                    _ => usage(&program),
-                },
-                other => match (
-                    other.strip_prefix("--threads="),
-                    other.strip_prefix("--max-n="),
-                ) {
-                    (Some(v), _) => match v.parse() {
-                        Ok(n) if n > 0 => opts.threads = Some(n),
-                        _ => usage(&program),
-                    },
-                    (_, Some(v)) => match v.parse() {
-                        Ok(n) if n > 0 => opts.max_n = Some(n),
-                        _ => usage(&program),
-                    },
-                    _ => usage(&program),
-                },
-            }
-        }
-        if let Some(n) = opts.threads {
-            rayon::ThreadPoolBuilder::new()
-                .num_threads(n)
-                .build_global()
-                .expect("configuring the global thread pool cannot fail");
-        }
-        opts
-    }
+/// An experiment's entry point.
+pub type Run = fn(&ExpOpts) -> Report;
 
-    /// The thread count experiments should report: the explicit `--threads`
-    /// value, or whatever the pool resolved from the environment.
-    pub fn effective_threads(&self) -> usize {
-        self.threads.unwrap_or_else(rayon::current_num_threads)
-    }
+/// Every experiment, by subcommand name. The name is also the envelope's
+/// `experiment` key.
+pub(crate) const EXPERIMENTS: [(&str, Run); 9] = [
+    ("exp_mul_rounds", experiments::exp_mul_rounds::run),
+    ("exp_lis_rounds", experiments::exp_lis_rounds::run),
+    ("exp_kernel_bench", experiments::exp_kernel_bench::run),
+    ("exp_lcs", experiments::exp_lcs::run),
+    ("exp_space", experiments::exp_space::run),
+    ("exp_ablation", experiments::exp_ablation::run),
+    ("exp_chaos", experiments::exp_chaos::run),
+    ("exp_service", experiments::exp_service::run),
+    ("table1", experiments::table1::run),
+];
+
+/// The usage line, listing every experiment.
+pub(crate) fn usage() -> String {
+    let names: Vec<&str> = EXPERIMENTS.iter().map(|(name, _)| *name).collect();
+    format!(
+        "usage: bench <experiment> [--json] [--threads N] [--max-n N]\nexperiments: {}",
+        names.join(", ")
+    )
 }
 
-/// Escapes a string for embedding in a JSON document.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+/// Parses the command line after the program name: one experiment name,
+/// then options. Returns the experiment's name, entry point and options, or
+/// the usage text listing every experiment.
+pub fn parse<I: IntoIterator<Item = String>>(
+    args: I,
+) -> Result<(&'static str, Run, ExpOpts), String> {
+    let mut args = args.into_iter();
+    let name = args.next().unwrap_or_default();
+    let &(name, run) = EXPERIMENTS
+        .iter()
+        .find(|(known, _)| *known == name)
+        .ok_or_else(usage)?;
+    let mut opts = ExpOpts::default();
+    while let Some(arg) = args.next() {
+        let (flag, inline) = match arg.split_once('=') {
+            Some((flag, value)) => (flag.to_string(), Some(value.to_string())),
+            None => (arg, None),
+        };
+        if flag == "--json" && inline.is_none() {
+            opts.json = true;
+            continue;
+        }
+        let slot = match flag.as_str() {
+            "--threads" => &mut opts.threads,
+            "--max-n" => &mut opts.max_n,
+            _ => return Err(usage()),
+        };
+        match inline.or_else(|| args.next()).and_then(|v| v.parse().ok()) {
+            Some(n) if n > 0 => *slot = Some(n),
+            _ => return Err(usage()),
         }
     }
-    out
-}
-
-/// Whether `s` matches the JSON number grammar exactly
-/// (`-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?`). Rust's `f64` parser is
-/// laxer than JSON (`"+1"`, `"1."`, `".5"`), so cells must pass this check to
-/// be emitted unquoted.
-fn is_json_number(s: &str) -> bool {
-    let b = s.as_bytes();
-    let mut i = 0;
-    if b.first() == Some(&b'-') {
-        i += 1;
-    }
-    let int_start = i;
-    while i < b.len() && b[i].is_ascii_digit() {
-        i += 1;
-    }
-    if i == int_start || (b[int_start] == b'0' && i - int_start > 1) {
-        return false;
-    }
-    if i < b.len() && b[i] == b'.' {
-        i += 1;
-        let frac_start = i;
-        while i < b.len() && b[i].is_ascii_digit() {
-            i += 1;
-        }
-        if i == frac_start {
-            return false;
-        }
-    }
-    if i < b.len() && (b[i] == b'e' || b[i] == b'E') {
-        i += 1;
-        if i < b.len() && (b[i] == b'+' || b[i] == b'-') {
-            i += 1;
-        }
-        let exp_start = i;
-        while i < b.len() && b[i].is_ascii_digit() {
-            i += 1;
-        }
-        if i == exp_start {
-            return false;
-        }
-    }
-    i == b.len()
-}
-
-/// Renders a cell as a JSON value: numeric cells stay numbers, the rest
-/// become strings.
-fn json_cell(s: &str) -> String {
-    if is_json_number(s) {
-        s.to_string()
-    } else {
-        format!("\"{}\"", json_escape(s))
-    }
-}
-
-/// Wraps named JSON fragments into one experiment document:
-/// `{"experiment": ..., "threads": N, "<name>": <value>, ...}`.
-///
-/// `parts` values must already be valid JSON (e.g. from [`Table::render_json`]
-/// or a bare number).
-pub fn json_envelope(experiment: &str, parts: &[(&str, String)]) -> String {
-    let mut out = format!(
-        "{{\"experiment\":\"{}\",\"threads\":{}",
-        json_escape(experiment),
-        rayon::current_num_threads()
-    );
-    for (name, value) in parts {
-        out.push_str(&format!(",\"{}\":{}", json_escape(name), value));
-    }
-    out.push('}');
-    out
+    Ok((name, run, opts))
 }
 
 /// Doubling problem-size grid: `base, 2·base, …` up to `max_n` (when given)
-/// or `default_max`. Used by the experiment binaries to honor `--max-n`; a
-/// cap below `base` yields an *empty* grid, so a binary that appends the
+/// or `default_max`. Used by the experiments to honor `--max-n`; a
+/// cap below `base` yields an *empty* grid, so an experiment that appends the
 /// sweep to a fixed case list can be held to the fixed list alone.
 pub fn size_sweep(base: usize, default_max: usize, max_n: Option<usize>) -> Vec<usize> {
     let cap = max_n.unwrap_or(default_max);
@@ -231,81 +167,189 @@ pub fn bench_ns<R>(min_runs: usize, min_total_ms: u64, mut f: impl FnMut() -> R)
     best.max(1)
 }
 
-/// Simple fixed-width table printer for the experiment binaries.
-pub struct Table {
-    headers: Vec<String>,
-    rows: Vec<Vec<String>>,
+/// One timed pipeline run: its outputs, the cluster whose ledger it left,
+/// and its wall-clock time.
+pub(crate) struct LisRun {
+    /// The pipeline's outputs.
+    pub(crate) outcome: MpcLisOutcome,
+    /// The cluster the pipeline ran on.
+    pub(crate) cluster: Cluster,
+    /// Wall-clock milliseconds of the run.
+    pub(crate) wall_ms: f64,
 }
 
-impl Table {
-    /// Creates a table with the given column headers.
-    pub fn new<S: Into<String>>(headers: Vec<S>) -> Self {
-        Self {
-            headers: headers.into_iter().map(Into::into).collect(),
-            rows: Vec::new(),
-        }
+fn timed_run(config: MpcConfig, pipeline: impl FnOnce(&mut Cluster) -> MpcLisOutcome) -> LisRun {
+    let mut cluster = Cluster::new(config);
+    let started = Instant::now();
+    let outcome = pipeline(&mut cluster);
+    LisRun {
+        outcome,
+        wall_ms: started.elapsed().as_secs_f64() * 1e3,
+        cluster,
     }
+}
 
-    /// Appends one row (stringified cells).
-    pub fn row<S: Into<String>>(&mut self, cells: Vec<S>) {
-        let cells: Vec<String> = cells.into_iter().map(Into::into).collect();
-        assert_eq!(cells.len(), self.headers.len(), "row width mismatch");
-        self.rows.push(cells);
-    }
+/// Re-runs the witness pipeline on `config` with machine 0 killed at
+/// `superstep` and asserts that the kill fired and that the recovered
+/// length, kernel and witness are bit-identical to `baseline`.
+///
+/// Machine 0 owns node 0 of every merge level, so a kill inside a merge
+/// level always destroys live state.
+pub(crate) fn kill_and_recover(
+    seq: &[u32],
+    config: MpcConfig,
+    superstep: u64,
+    baseline: &MpcLisOutcome,
+) -> LisRun {
+    let config = config.with_faults(FaultPlan::kill(0, superstep));
+    let run = timed_run(config, |c| lis_witness_mpc(c, seq, &MulParams::default()));
+    let recovered = &run.outcome;
+    let at = format!("n = {}, kill at superstep {superstep}", seq.len());
+    assert_eq!(
+        recovered.length, baseline.length,
+        "recovered length diverged ({at})"
+    );
+    assert_eq!(
+        recovered.kernel, baseline.kernel,
+        "recovered kernel diverged ({at})"
+    );
+    assert_eq!(
+        recovered.witness, baseline.witness,
+        "recovered witness diverged ({at})"
+    );
+    assert_eq!(run.cluster.ledger().kills(), 1, "the kill must fire ({at})");
+    run
+}
 
-    /// Renders the table as a JSON array of row objects keyed by the headers;
-    /// numeric-looking cells are emitted as JSON numbers.
-    pub fn render_json(&self) -> String {
-        let mut out = String::from("[");
-        for (i, row) in self.rows.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('{');
-            for (j, (header, cell)) in self.headers.iter().zip(row).enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!("\"{}\":{}", json_escape(header), json_cell(cell)));
-            }
-            out.push('}');
-        }
-        out.push(']');
-        out
-    }
+/// The chain the LIS experiments share, each link on a fresh recording
+/// cluster at `(seq.len(), δ)`:
+///
+/// 1. `length` — the length-only pipeline ([`lis_kernel_mpc`]);
+/// 2. `witness` — the witness pipeline ([`lis_witness_mpc`]); its witness is
+///    asserted to be a strictly increasing subsequence of the length found;
+/// 3. `recovery` — the witness pipeline with machine 0 killed mid-way
+///    through the merge levels (at superstep 2 when the input fits one base
+///    block and there are none), asserted bit-identical by
+///    [`kill_and_recover`].
+pub(crate) struct LisChain {
+    /// The length-only run.
+    pub(crate) length: LisRun,
+    /// The witness run.
+    pub(crate) witness: LisRun,
+    /// The witness run under a machine kill.
+    pub(crate) recovery: LisRun,
+}
 
-    /// Renders the table with aligned columns.
-    pub fn render(&self) -> String {
-        let mut widths: Vec<usize> = self.headers.iter().map(String::len).collect();
-        for row in &self.rows {
-            for (w, cell) in widths.iter_mut().zip(row) {
-                *w = (*w).max(cell.len());
-            }
-        }
-        let mut out = String::new();
-        let fmt_row = |cells: &[String], widths: &[usize]| -> String {
-            cells
-                .iter()
-                .zip(widths)
-                .map(|(c, w)| format!("{c:>w$}", w = w))
-                .collect::<Vec<_>>()
-                .join("  ")
-        };
-        out.push_str(&fmt_row(&self.headers, &widths));
-        out.push('\n');
-        out.push_str(&"-".repeat(widths.iter().sum::<usize>() + 2 * (widths.len() - 1)));
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&fmt_row(row, &widths));
-            out.push('\n');
-        }
-        out
+/// Runs the [`LisChain`] on `seq` at space exponent `delta`.
+pub(crate) fn lis_chain(seq: &[u32], delta: f64) -> LisChain {
+    let config = || MpcConfig::new(seq.len(), delta).recording();
+    let params = MulParams::default();
+    let length = timed_run(config(), |c| lis_kernel_mpc(c, seq, &params));
+    let witness = timed_run(config(), |c| lis_witness_mpc(c, seq, &params));
+    let positions = witness
+        .outcome
+        .witness
+        .as_deref()
+        .expect("witness requested");
+    let n = seq.len();
+    assert_eq!(
+        positions.len(),
+        length.outcome.length,
+        "witness length at n = {n}"
+    );
+    assert!(
+        positions.windows(2).all(|w| seq[w[0]] < seq[w[1]]),
+        "invalid witness at n = {n}"
+    );
+    let target = witness
+        .cluster
+        .ledger()
+        .superstep_span_of("lis-merge-L")
+        .map_or(2, |(lo, hi)| lo + (hi - lo) / 2);
+    let recovery = kill_and_recover(seq, config(), target, &witness.outcome);
+    LisChain {
+        length,
+        witness,
+        recovery,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn args(line: &str) -> Vec<String> {
+        line.split_whitespace().map(String::from).collect()
+    }
+
+    #[test]
+    fn experiment_names_are_unique() {
+        let mut names: Vec<&str> = EXPERIMENTS.iter().map(|(name, _)| *name).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), EXPERIMENTS.len());
+    }
+
+    #[test]
+    fn committed_bench_envelopes_name_registered_experiments() {
+        let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+        for file in ["BENCH_lis.json", "BENCH_service.json"] {
+            let text = std::fs::read_to_string(format!("{root}/{file}")).unwrap();
+            let mut found = 0;
+            for chunk in text.split("\"experiment\"").skip(1) {
+                let name = chunk
+                    .trim_start_matches([' ', ':'])
+                    .trim_start_matches('"')
+                    .split('"')
+                    .next()
+                    .unwrap();
+                assert!(
+                    EXPERIMENTS.iter().any(|(known, _)| *known == name),
+                    "{file} names unregistered experiment `{name}`"
+                );
+                found += 1;
+            }
+            assert!(found > 0, "{file} holds no experiment envelope");
+        }
+    }
+
+    #[test]
+    fn unknown_or_missing_experiment_lists_every_name() {
+        for line in ["", "exp_nope", "--json", "exp_space_extra --json"] {
+            let error = parse(args(line)).expect_err(line);
+            assert_eq!(error, usage());
+            for (name, _) in EXPERIMENTS {
+                assert!(error.contains(name), "usage lacks {name}");
+            }
+        }
+    }
+
+    #[test]
+    fn options_parse_in_both_forms() {
+        let (name, _, opts) = parse(args("exp_chaos --json --threads 3 --max-n=512")).unwrap();
+        assert_eq!(name, "exp_chaos");
+        assert_eq!(
+            opts,
+            ExpOpts {
+                json: true,
+                threads: Some(3),
+                max_n: Some(512)
+            }
+        );
+        assert_eq!(
+            parse(args("table1 --threads=2")).unwrap().2.threads,
+            Some(2)
+        );
+        for bad in [
+            "table1 --threads",
+            "table1 --threads 0",
+            "table1 --max-n x",
+            "table1 --json=1",
+            "table1 --verbose",
+        ] {
+            assert_eq!(parse(args(bad)).err(), Some(usage()), "{bad}");
+        }
+    }
 
     #[test]
     fn size_sweep_honors_the_cap() {
@@ -325,45 +369,13 @@ mod tests {
     }
 
     #[test]
-    fn table_renders_aligned_rows() {
-        let mut t = Table::new(vec!["algo", "rounds"]);
-        t.row(vec!["ours", "42"]);
-        t.row(vec!["warmup", "130"]);
-        let rendered = t.render();
-        assert!(rendered.contains("ours"));
-        assert!(rendered.lines().count() == 4);
-    }
-
-    #[test]
-    fn table_renders_json_rows() {
-        let mut t = Table::new(vec!["algo", "rounds", "ratio"]);
-        t.row(vec!["ours \"fast\"", "42", "0.50"]);
+    fn lis_chain_recovers_bit_identically() {
+        let seq = noisy_trend(512, 170, 1);
+        let chain = lis_chain(&seq, 0.5);
         assert_eq!(
-            t.render_json(),
-            r#"[{"algo":"ours \"fast\"","rounds":42,"ratio":0.50}]"#
+            chain.recovery.outcome.witness,
+            chain.witness.outcome.witness
         );
-    }
-
-    #[test]
-    fn json_cells_follow_json_number_grammar() {
-        // Rust-parseable but JSON-invalid numbers must be quoted.
-        let mut t = Table::new(vec!["a", "b", "c", "d", "e"]);
-        t.row(vec!["+1", "1.", ".5", "007", "-0.5e+3"]);
-        assert_eq!(
-            t.render_json(),
-            r#"[{"a":"+1","b":"1.","c":".5","d":"007","e":-0.5e+3}]"#
-        );
-    }
-
-    #[test]
-    fn json_envelope_wraps_parts() {
-        let doc = json_envelope("exp_x", &[("rows", "[1,2]".to_string())]);
-        assert!(doc.starts_with("{\"experiment\":\"exp_x\",\"threads\":"));
-        assert!(doc.ends_with(",\"rows\":[1,2]}"));
-    }
-
-    #[test]
-    fn json_escape_handles_specials() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+        assert!(chain.witness.cluster.rounds() >= chain.length.cluster.rounds());
     }
 }

@@ -7,7 +7,10 @@
 //! append extends the hash from the stored state in `O(block)` — the prefix is
 //! never re-hashed — and re-submitting an identical sequence dedupes to a
 //! cache hit instead of a rebuild (FNV is sequential, so `ingest(s)` and
-//! `ingest(p) + append(q)` with `s = p ∥ q` land on the same key).
+//! `ingest(p) + append(q)` with `s = p ∥ q` land on the same key). A 64-bit
+//! hash can collide, so a hit is served only after the stored sequence
+//! compares equal; an ingest or append that lands on another sequence's key
+//! is refused with an error and mutates nothing.
 //!
 //! **Byte budget.** Each entry charges what it actually keeps resident: the
 //! raw sequence, the append spine's value sets and kernel permutation entries
@@ -49,7 +52,8 @@ pub fn content_hash(seq: &[u32]) -> u64 {
 pub struct CacheCounters {
     /// Requests served off a hot entry (including ingest dedupes).
     pub hits: u64,
-    /// Requests that had to build (ingest) or could not find their id.
+    /// Requests that had to build (ingest), could not find their id, or
+    /// were refused on a content-hash collision.
     pub misses: u64,
     /// Entries evicted to fit the byte budget.
     pub evictions: u64,
@@ -249,22 +253,28 @@ impl KernelCache {
         self.tick
     }
 
-    /// Ingests a sequence: a known content hash dedupes to a hit; otherwise
-    /// the kernel is built and cached. Returns the key and whether it hit.
-    pub fn ingest(&mut self, seq: Vec<u32>) -> (u64, bool) {
+    /// Ingests a sequence: a known content hash whose stored sequence is equal
+    /// dedupes to a hit; otherwise the kernel is built and cached. Returns the
+    /// key and whether it hit. A hash hit on a *different* stored sequence (an
+    /// FNV collision) is refused and counted as a miss, never served.
+    pub fn ingest(&mut self, seq: Vec<u32>) -> Result<(u64, bool), String> {
         let hash = content_hash(&seq);
         let stamp = self.stamp();
         if let Some(entry) = self.entries.get_mut(&hash) {
+            if entry.seq != seq {
+                self.counters.misses += 1;
+                return Err(collision(hash));
+            }
             entry.last_used = stamp;
             self.counters.hits += 1;
-            return (hash, true);
+            return Ok((hash, true));
         }
         self.counters.misses += 1;
         let entry = CacheEntry::new(seq, self.delta, self.block_size, stamp);
         debug_assert_eq!(entry.hash, hash);
         self.entries.insert(hash, entry);
         self.evict_over_budget(hash);
-        (hash, false)
+        Ok((hash, false))
     }
 
     /// Looks up a hot entry by key, bumping its LRU stamp. A miss only
@@ -297,8 +307,19 @@ impl KernelCache {
 
     /// Extends a hot entry by `block`. The entry is re-keyed under the
     /// extended content hash (so a later `ingest` of the full sequence hits).
+    /// If another entry already holds that key with different content (an FNV
+    /// collision), the append is refused before anything is mutated.
     pub fn append(&mut self, hash: u64, block: &[u32]) -> Result<(u64, AppendStats), String> {
         let stamp = self.stamp();
+        let new_hash = extend_hash(hash, block);
+        if let (Some(entry), Some(target)) = (self.entries.get(&hash), self.entries.get(&new_hash))
+        {
+            let (head, tail) = target.seq.split_at(target.seq.len().min(entry.seq.len()));
+            if new_hash != hash && (head != entry.seq.as_slice() || tail != block) {
+                self.counters.misses += 1;
+                return Err(collision(new_hash));
+            }
+        }
         let Some(mut entry) = self.entries.remove(&hash) else {
             self.counters.misses += 1;
             return Err(format!("unknown kernel id `{hash:016x}`"));
@@ -306,31 +327,39 @@ impl KernelCache {
         self.counters.hits += 1;
         entry.last_used = stamp;
         let stats = entry.append(block, self.delta);
-        let new_hash = entry.hash;
+        debug_assert_eq!(entry.hash, new_hash);
         self.entries.insert(new_hash, entry);
         self.evict_over_budget(new_hash);
         Ok((new_hash, stats))
     }
 
     /// Evicts least-recently-used entries (never `keep`) until the budget
-    /// fits or only the protected entry remains.
+    /// fits or only the protected entry remains. The resident total is
+    /// summed once; each eviction subtracts its victim's footprint.
     fn evict_over_budget(&mut self, keep: u64) {
-        while self.total_bytes() > self.budget_bytes && self.entries.len() > 1 {
+        let mut total = self.total_bytes();
+        while total > self.budget_bytes && self.entries.len() > 1 {
             let victim = self
                 .entries
                 .iter()
                 .filter(|(&k, _)| k != keep)
                 .min_by_key(|(_, e)| e.last_used)
                 .map(|(&k, _)| k);
-            match victim {
-                Some(k) => {
-                    self.entries.remove(&k);
+            match victim.and_then(|k| self.entries.remove(&k)) {
+                Some(evicted) => {
+                    total -= evicted.footprint_bytes();
                     self.counters.evictions += 1;
                 }
                 None => break,
             }
         }
     }
+}
+
+/// The error a content-hash collision answers: two different sequences
+/// share `hash`, so neither may be served under the other's id.
+fn collision(hash: u64) -> String {
+    format!("content hash collision on `{hash:016x}`: another sequence holds this id")
 }
 
 #[cfg(test)]
@@ -359,8 +388,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(52);
         let seq = random_seq(&mut rng, 200);
         let mut cache = KernelCache::new(usize::MAX, 0.5, 32);
-        let (id1, hit1) = cache.ingest(seq.clone());
-        let (id2, hit2) = cache.ingest(seq.clone());
+        let (id1, hit1) = cache.ingest(seq.clone()).unwrap();
+        let (id2, hit2) = cache.ingest(seq.clone()).unwrap();
         assert_eq!(id1, id2);
         assert!(!hit1 && hit2);
         assert_eq!(cache.entry_count(), 1);
@@ -380,12 +409,12 @@ mod tests {
         let seq = random_seq(&mut rng, 300);
         let (prefix, suffix) = seq.split_at(200);
         let mut cache = KernelCache::new(usize::MAX, 0.5, 32);
-        let (id, _) = cache.ingest(prefix.to_vec());
+        let (id, _) = cache.ingest(prefix.to_vec()).unwrap();
         let (new_id, stats) = cache.append(id, suffix).unwrap();
         assert_eq!(new_id, content_hash(&seq), "append key = full-sequence key");
         assert!(stats.blocks_combed >= 1);
         // Ingesting the full sequence now hits the appended entry.
-        let (again, hit) = cache.ingest(seq.clone());
+        let (again, hit) = cache.ingest(seq.clone()).unwrap();
         assert_eq!(again, new_id);
         assert!(hit);
         // The appended kernel answers like a fresh build.
@@ -402,8 +431,8 @@ mod tests {
     fn byte_budget_evicts_least_recently_used() {
         let mut rng = StdRng::seed_from_u64(54);
         let mut cache = KernelCache::new(1, 0.5, 16); // everything over budget
-        let (a, _) = cache.ingest(random_seq(&mut rng, 100));
-        let (b, _) = cache.ingest(random_seq(&mut rng, 100));
+        let (a, _) = cache.ingest(random_seq(&mut rng, 100)).unwrap();
+        let (b, _) = cache.ingest(random_seq(&mut rng, 100)).unwrap();
         // The just-inserted entry is protected; the older one is evicted.
         assert_eq!(cache.entry_count(), 1);
         assert!(cache.get(b).is_some());
@@ -412,10 +441,27 @@ mod tests {
 
         // A generous budget keeps both.
         let mut cache = KernelCache::new(usize::MAX, 0.5, 16);
-        cache.ingest(random_seq(&mut rng, 100));
-        cache.ingest(random_seq(&mut rng, 100));
+        cache.ingest(random_seq(&mut rng, 100)).unwrap();
+        cache.ingest(random_seq(&mut rng, 100)).unwrap();
         assert_eq!(cache.entry_count(), 2);
         assert!(cache.total_bytes() > 0);
+
+        // One large insert evicts several older entries at once.
+        let small: Vec<Vec<u32>> = (0..3).map(|_| random_seq(&mut rng, 50)).collect();
+        let mut probe = KernelCache::new(usize::MAX, 0.5, 16);
+        for seq in &small {
+            probe.ingest(seq.clone()).unwrap();
+        }
+        let mut cache = KernelCache::new(probe.total_bytes(), 0.5, 16);
+        for seq in &small {
+            cache.ingest(seq.clone()).unwrap();
+        }
+        assert_eq!(cache.entry_count(), 3);
+        assert_eq!(cache.counters().evictions, 0);
+        let (big, _) = cache.ingest(random_seq(&mut rng, 2000)).unwrap();
+        assert_eq!(cache.entry_count(), 1);
+        assert_eq!(cache.counters().evictions, 3);
+        assert!(cache.get(big).is_some());
     }
 
     #[test]

@@ -98,7 +98,10 @@ impl Service {
             Ok(cache) => cache,
             Err(e) => return error_response(&e),
         };
-        let (hash, cached) = cache.ingest(seq.to_vec());
+        let (hash, cached) = match cache.ingest(seq.to_vec()) {
+            Ok(out) => out,
+            Err(e) => return error_response(&e),
+        };
         let Some(entry) = cache.peek(hash) else {
             return error_response("ingested kernel evicted before it could be answered");
         };
@@ -384,6 +387,48 @@ mod tests {
         ));
         let lis = response.get("lis").and_then(Value::as_arr).unwrap();
         assert_eq!(lis[0].as_int().unwrap() as usize, direct.lis_window(0, 350));
+    }
+
+    #[test]
+    fn colliding_sequences_are_refused_not_served() {
+        // Different sequences with equal FNV-1a content hashes; the shared
+        // suffix `7` keeps them colliding through an append re-key.
+        let (a, b) = ([2558450625u32, 3386183631], [3229645608u32, 1749676266]);
+        assert_eq!(crate::content_hash(&a), crate::content_hash(&b));
+        let ok = |response: &Value| response.get("ok").and_then(Value::as_bool);
+        let hits = |service: &Service| {
+            let stats = service.handle_line(r#"{"op":"stats"}"#);
+            stats
+                .get("cache")
+                .and_then(|c| c.get("hits"))
+                .and_then(Value::as_int)
+        };
+
+        let service = service();
+        ingest(&service, &a);
+        let response =
+            service.handle_line(&format!(r#"{{"op":"ingest","seq":[{},{}]}}"#, b[0], b[1]));
+        assert_eq!(ok(&response), Some(false), "{response}");
+        assert_eq!(hits(&service), Some(0));
+
+        let service = self::service();
+        let b_id = ingest(&service, &b);
+        let a7_id = ingest(&service, &[a[0], a[1], 7]);
+        let response =
+            service.handle_line(&format!(r#"{{"op":"append","id":"{b_id}","block":[7]}}"#));
+        assert_eq!(ok(&response), Some(false), "{response}");
+        assert_eq!(hits(&service), Some(0));
+        // Both entries still answer for their own content.
+        let lis = |id: &str| {
+            let response =
+                service.handle_line(&format!(r#"{{"op":"window","id":"{id}","l":0,"r":2}}"#));
+            response
+                .get("lis")
+                .and_then(Value::as_arr)
+                .map(|lis| lis[0].as_int())
+        };
+        assert_eq!(lis(&b_id), Some(Some(1)));
+        assert_eq!(lis(&a7_id), Some(Some(2)));
     }
 
     #[test]

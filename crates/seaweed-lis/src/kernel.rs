@@ -232,33 +232,30 @@ impl SeaweedKernel {
             .expect("y has at least one chunk")
     }
 
-    /// Parallel block combing with default [`CombParams`]: splits `Y` into one
-    /// block per thread, combs the blocks concurrently, and merges the block
-    /// kernels left to right with the concatenation law
-    /// `P_{X, Y₁Y₂} = (P₁ ⊕ I) ⊡ (I ⊕ P₂)`.
+    /// Parallel block combing: splits `Y` into one block per thread, combs the
+    /// blocks concurrently, and merges the block kernels left to right with
+    /// the concatenation law `P_{X, Y₁Y₂} = (P₁ ⊕ I) ⊡ (I ⊕ P₂)`.
     ///
     /// The result is **identical** to [`SeaweedKernel::comb`] (the composition
     /// law is exact, not approximate — see the `composition_matches_direct_combing`
     /// test), so this is a drop-in for large inputs. With one thread, or below
     /// the block threshold, it falls back to streamed combing.
     pub fn comb_par(x: &[u32], y: &[u32]) -> Self {
-        Self::comb_par_with(x, y, &CombParams::default())
-    }
-
-    /// [`SeaweedKernel::comb_par`] with explicit tuning knobs, so the bench
-    /// harness (`exp_kernel_bench`) can sweep block and chunk sizes.
-    pub fn comb_par_with(x: &[u32], y: &[u32], params: &CombParams) -> Self {
-        let min_block = params.min_block.max(1);
-        let max_cols = params.max_comb_cols.max(1);
+        // Below this many columns per block the O(mn) combing is cheaper than
+        // the O((m+n) log(m+n)) merge multiplications parallel blocking saves.
+        const MIN_BLOCK: usize = 256;
+        // Each block is combed in streamed chunks of at most this many
+        // columns, capping the per-chunk footprint however long `y` is.
+        const MAX_COMB_COLS: usize = 4096;
         let threads = rayon::current_num_threads();
-        if threads <= 1 || y.len() < 2 * min_block {
-            return Self::comb_streamed(x, y, max_cols);
+        if threads <= 1 || y.len() < 2 * MIN_BLOCK {
+            return Self::comb_streamed(x, y, MAX_COMB_COLS);
         }
-        let block = y.len().div_ceil(threads).max(min_block);
+        let block = y.len().div_ceil(threads).max(MIN_BLOCK);
         let blocks: Vec<&[u32]> = y.chunks(block).collect();
         let kernels: Vec<SeaweedKernel> = blocks
             .into_par_iter()
-            .map(|b| Self::comb_streamed(x, b, max_cols))
+            .map(|b| Self::comb_streamed(x, b, MAX_COMB_COLS))
             .collect();
         kernels
             .into_iter()
@@ -448,29 +445,6 @@ impl SeaweedKernel {
             m: m_big,
             n,
             perm: PermutationMatrix::from_rows(exits),
-        }
-    }
-}
-
-/// Tuning knobs for [`SeaweedKernel::comb_par_with`].
-///
-/// The defaults reproduce the previously hard-coded constants; `exp_kernel_bench`
-/// sweeps both knobs to expose their wall-clock effect.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct CombParams {
-    /// Below this many columns per block the O(mn) combing is cheaper than the
-    /// O((m+n) log(m+n)) merge multiplications parallel blocking would save.
-    pub min_block: usize,
-    /// Each block is combed in streamed sub-chunks of at most this many columns,
-    /// capping the modeled per-chunk footprint no matter how long `y` is.
-    pub max_comb_cols: usize,
-}
-
-impl Default for CombParams {
-    fn default() -> Self {
-        Self {
-            min_block: 256,
-            max_comb_cols: 4096,
         }
     }
 }
@@ -780,35 +754,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn comb_par_with_params_equals_direct_combing() {
-        // Sweeping CombParams must never change the result, only the schedule.
-        let mut rng = StdRng::seed_from_u64(17);
-        let x = random_string(24, 6, &mut rng);
-        let y = random_string(900, 6, &mut rng);
-        let direct = SeaweedKernel::comb(&x, &y);
-        for min_block in [1usize, 64, 256, 2048] {
-            for max_comb_cols in [32usize, 300, 4096] {
-                let params = CombParams {
-                    min_block,
-                    max_comb_cols,
-                };
-                assert_eq!(
-                    SeaweedKernel::comb_par_with(&x, &y, &params),
-                    direct,
-                    "params={params:?}"
-                );
-            }
-        }
-        assert_eq!(
-            CombParams::default(),
-            CombParams {
-                min_block: 256,
-                max_comb_cols: 4096
-            }
-        );
     }
 
     #[test]

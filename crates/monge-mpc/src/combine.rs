@@ -36,6 +36,12 @@
 //!    cannot change an `opt` comparison and need not travel. The
 //!    [`Routing::Bands`] baseline ships the whole row/column ranges (factor-`H`
 //!    more routed volume, measured by the ledger's `comm_by_phase`).
+//!    The model routes with rank searches, a multicast and a rebalancing
+//!    join; the simulator charges exactly those, but computes them by dense
+//!    index: one table per `(parent, band)` of its active subgrids in ordinal
+//!    order, two binary searches per point (the windows are nondecreasing
+//!    along a band), and the copies emitted in `(parent, band, ordinal,
+//!    arrival)` order, the order the charged join would leave them in.
 //! 4. **Local phase** — each active subgrid is resolved on one machine with
 //!    [`monge::multiway::process_subgrid`], emitting the interesting points of
 //!    Lemma 3.9 and the surviving union points.
@@ -46,6 +52,7 @@ use monge::multiway::{opt_breakpoints_from_cmp, process_subgrid, ColoredPoint, S
 use mpc_runtime::{Cluster, DistVec, Group, RankIndex};
 use rayon::prelude::*;
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 /// A nonzero of the union permutation, tagged with its parent instance and color.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -103,7 +110,7 @@ enum Verdict {
 }
 
 /// Payload routed to the final per-subgrid groups.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 enum Payload {
     /// The subgrid descriptor: first window color and the window `F` vector.
     Desc {
@@ -200,20 +207,27 @@ pub fn distributed_combine(
 /// more active subgrids than one machine's budget, so the routing never gathers
 /// a band. Instead it exploits the monotonicity of the pierced windows along a
 /// band (`opt` is nondecreasing in both coordinates, hence so are `wlo` and
-/// `whi` in the cross-band index):
+/// `whi` in the cross-band index). The model runs it as:
 ///
 /// 1. every active subgrid learns its *ordinal* within its band (one rank
 ///    search over the band's cross-band indices);
 /// 2. every point finds the contiguous ordinal range of subgrids whose window
 ///    contains its color — `[#{whi < color}, #{wlo ≤ color})` (two rank
 ///    searches);
-/// 3. the point multicasts one copy per target ordinal
-///    ([`Cluster::flat_map_rebalanced`] — the copies leave balanced, as down a
-///    broadcast tree), and one final grouping joins each copy with the subgrid
-///    registered under that ordinal, re-addressing it to `(parent, gi, gj)`.
+/// 3. the point multicasts one copy per target ordinal (the copies leave
+///    balanced, as down a broadcast tree), and one final rebalancing grouping
+///    joins each copy with the subgrid registered under that ordinal,
+///    re-addressing it to `(parent, gi, gj)`.
 ///
 /// Every group along the way holds `O(1)` descriptors plus one band's worth of
 /// in-window points, so the whole exchange stays within the space budget.
+///
+/// The simulator charges exactly those steps (their local maps and
+/// concatenation included) but computes them by dense index: one table per
+/// `(parent, band)` of its active subgrids sorted by ordinal answers each
+/// point's range with two binary searches, and the copies are emitted in
+/// `(parent, band, ordinal, arrival)` order without being multicast or
+/// gathered.
 fn route_band(
     cluster: &mut Cluster,
     points: &DistVec<Colored>,
@@ -221,95 +235,108 @@ fn route_band(
     specs: &BTreeMap<u64, ParentSpec>,
     by_rows: bool,
 ) -> DistVec<(Target, Payload)> {
-    // A descriptor slimmed to plain words: (parent, gi, gj, wlo, whi).
-    type Slim = (u64, u32, u32, u16, u16);
     let band = move |gi: u32, gj: u32| if by_rows { gi } else { gj };
     let cross = move |gi: u32, gj: u32| if by_rows { gj } else { gi };
 
-    // Step 1: per-band ordinals for the active subgrids.
-    let slim: DistVec<Slim> = cluster.map(active, |d| (d.parent, d.gi, d.gj, d.wlo, d.whi));
-    let ordinals: DistVec<(Slim, u64)> = {
-        let queries = slim.clone();
-        let key =
-            move |&(parent, gi, gj, _, _): &Slim| ((parent, band(gi, gj)), cross(gi, gj) as u64);
-        cluster.rank_search(&slim, key, queries, key)
-    };
-
-    // Step 2: each point's contiguous target-ordinal range [j_lo, j_hi).
-    let specs_pt = specs.clone();
-    let point_band = move |p: &Colored| -> (u64, u32) {
-        let g = specs_pt[&p.inst].g as u32;
-        (p.inst, if by_rows { p.row / g } else { p.col / g })
-    };
-    let pb = point_band.clone();
-    let with_lo: DistVec<(Colored, u64)> = cluster.rank_search(
-        &slim,
-        move |&(parent, gi, gj, _, whi): &Slim| ((parent, band(gi, gj)), whi as u64),
-        points.clone(),
-        move |p| (pb(p), p.color as u64),
-    );
-    let pb = point_band.clone();
-    let with_range: DistVec<((Colored, u64), u64)> = cluster.rank_search(
-        &slim,
-        move |&(parent, gi, gj, wlo, _): &Slim| ((parent, band(gi, gj)), wlo as u64),
-        with_lo,
-        move |(p, _)| (pb(p), p.color as u64 + 1),
-    );
-
-    // Step 3: multicast one copy per target ordinal, then join each copy with
-    // the subgrid registered under that ordinal.
-    #[derive(Clone, Debug)]
-    enum Slot {
-        /// The subgrid registered at this ordinal: its cross-band identity.
-        Reg(u32, u32),
-        Pt(Colored),
+    // The band tables: every active subgrid as (parent, band, cross, wlo,
+    // whi), sorted, so each band's subgrids are a run in ordinal order.
+    let mut table: Vec<(u64, u32, u32, u16, u16)> = active
+        .iter()
+        .map(|d| (d.parent, band(d.gi, d.gj), cross(d.gi, d.gj), d.wlo, d.whi))
+        .collect();
+    table.par_sort_unstable();
+    // Dense band ids: parent `p`'s band `b` is `first_band[p] + b`; band `id`
+    // owns the table run `runs[id]..runs[id + 1]`.
+    let mut first_band: BTreeMap<u64, (u32, usize)> = BTreeMap::new();
+    let mut bands = 0usize;
+    for (&parent, spec) in specs {
+        first_band.insert(parent, (spec.g as u32, bands));
+        bands += spec.n.div_ceil(spec.g);
     }
-    let pb = point_band.clone();
-    let copies: DistVec<((u64, u32, u64), Slot)> =
-        cluster.flat_map_rebalanced(&with_range, move |&((p, j_lo), j_hi)| {
-            let (parent, band) = pb(&p);
-            (j_lo..j_hi)
-                .map(|ordinal| ((parent, band, ordinal), Slot::Pt(p)))
-                .collect()
-        });
-    let regs: DistVec<((u64, u32, u64), Slot)> =
-        cluster.map(&ordinals, move |&((parent, gi, gj, _, _), ordinal)| {
-            ((parent, band(gi, gj), ordinal), Slot::Reg(gi, gj))
-        });
-    let both = cluster.concat(regs, copies);
-    cluster.group_map_rebalanced(
-        both,
-        |(key, _)| *key,
-        move |&(parent, _, _), items| {
-            let mut target = None;
-            let mut pts = Vec::new();
-            for (_, slot) in items.iter() {
-                match *slot {
-                    Slot::Reg(gi, gj) => target = Some((gi, gj)),
-                    Slot::Pt(p) => pts.push(p),
-                }
-            }
-            let Some((gi, gj)) = target else {
-                debug_assert!(pts.is_empty(), "copies addressed to an empty ordinal");
-                return Vec::new();
+    let mut runs = vec![0usize; bands + 1];
+    for &(parent, b, ..) in &table {
+        runs[first_band[&parent].1 + b as usize + 1] += 1;
+    }
+    for id in 0..bands {
+        runs[id + 1] += runs[id];
+    }
+    for id in 0..bands {
+        let run = &table[runs[id]..runs[id + 1]];
+        debug_assert!(
+            run.windows(2).all(|w| w[0].3 <= w[1].3 && w[0].4 <= w[1].4),
+            "pierced windows of parent {} decrease along band {}",
+            run[0].0,
+            run[0].1
+        );
+    }
+
+    // Each point's target run `lo..hi` of the table, in arrival order: the
+    // subgrids with `whi < color` come first in the band, then those whose
+    // window holds the color, then those with `wlo > color`.
+    let ranges: Vec<Range<usize>> = points
+        .iter()
+        .map(|p| {
+            let (g, first) = first_band[&p.inst];
+            let id = first + (if by_rows { p.row } else { p.col } / g) as usize;
+            let run = &table[runs[id]..runs[id + 1]];
+            let lo = run.partition_point(|s| s.4 < p.color);
+            let hi = run.partition_point(|s| s.3 <= p.color);
+            runs[id] + lo..runs[id] + hi
+        })
+        .collect();
+    // Every subgrid's copies in arrival order: a counting-sort scatter.
+    let mut offsets = vec![0usize; table.len() + 1];
+    for range in &ranges {
+        for t in range.clone() {
+            offsets[t + 1] += 1;
+        }
+    }
+    let sizes: Vec<usize> = offsets[1..].iter().map(|copies| 1 + copies).collect();
+    for t in 0..table.len() {
+        offsets[t + 1] += offsets[t];
+    }
+    let volume = offsets[table.len()];
+    let mut next = offsets[..table.len()].to_vec();
+    let mut copies = vec![
+        ColoredPoint {
+            row: 0,
+            col: 0,
+            color: 0
+        };
+        volume
+    ];
+    for (p, range) in points.iter().zip(ranges) {
+        for slot in &mut next[range] {
+            copies[*slot] = ColoredPoint {
+                row: p.row,
+                col: p.col,
+                color: p.color,
             };
-            pts.into_iter()
-                .map(|p| {
-                    let cp = ColoredPoint {
-                        row: p.row,
-                        col: p.col,
-                        color: p.color,
-                    };
-                    let payload = if by_rows {
-                        Payload::RowPt(cp)
-                    } else {
-                        Payload::ColPt(cp)
-                    };
-                    ((parent, gi, gj), payload)
-                })
-                .collect()
-        },
-    )
+            *slot += 1;
+        }
+    }
+
+    let active_shape = active.shape();
+    let points_shape = points.shape();
+    cluster.charge_map(&active_shape);
+    cluster.charge_rank_search(active.len(), &active_shape);
+    cluster.charge_rank_search(active.len(), &points_shape);
+    cluster.charge_rank_search(active.len(), &points_shape);
+    let copies_shape = cluster.charge_multicast(volume);
+    cluster.charge_map(&active_shape);
+    cluster.charge_concat(&active_shape, &copies_shape);
+    cluster.group_map_rebalanced_sized(&sizes, |t| {
+        let (parent, b, c, ..) = table[t];
+        let (gi, gj) = if by_rows { (b, c) } else { (c, b) };
+        copies[offsets[t]..offsets[t + 1]].iter().map(move |&cp| {
+            let payload = if by_rows {
+                Payload::RowPt(cp)
+            } else {
+                Payload::ColPt(cp)
+            };
+            ((parent, gi, gj), payload)
+        })
+    })
 }
 
 /// Builds a [`SubgridInstance`] from the routed items and resolves it locally.
@@ -1173,9 +1200,118 @@ fn attach_base_f_tree(
     )
 }
 
+/// The materialized routing the indexed one is tested against: every rank
+/// search, multicast and join runs as the primitive it is charged as.
+#[cfg(test)]
+mod oracle {
+    use super::*;
+
+    /// [`super::route_band`], with three rank searches, a multicast and a
+    /// gathering join.
+    pub(super) fn route_band(
+        cluster: &mut Cluster,
+        points: &DistVec<Colored>,
+        active: &DistVec<ActiveSubgrid>,
+        specs: &BTreeMap<u64, ParentSpec>,
+        by_rows: bool,
+    ) -> DistVec<(Target, Payload)> {
+        // A descriptor slimmed to plain words: (parent, gi, gj, wlo, whi).
+        type Slim = (u64, u32, u32, u16, u16);
+        let band = move |gi: u32, gj: u32| if by_rows { gi } else { gj };
+        let cross = move |gi: u32, gj: u32| if by_rows { gj } else { gi };
+
+        // Step 1: per-band ordinals for the active subgrids.
+        let slim: DistVec<Slim> = cluster.map(active, |d| (d.parent, d.gi, d.gj, d.wlo, d.whi));
+        let ordinals: DistVec<(Slim, u64)> = {
+            let queries = slim.clone();
+            let key = move |&(parent, gi, gj, _, _): &Slim| {
+                ((parent, band(gi, gj)), cross(gi, gj) as u64)
+            };
+            cluster.rank_search(&slim, key, queries, key)
+        };
+
+        // Step 2: each point's contiguous target-ordinal range [j_lo, j_hi).
+        let specs_pt = specs.clone();
+        let point_band = move |p: &Colored| -> (u64, u32) {
+            let g = specs_pt[&p.inst].g as u32;
+            (p.inst, if by_rows { p.row / g } else { p.col / g })
+        };
+        let pb = point_band.clone();
+        let with_lo: DistVec<(Colored, u64)> = cluster.rank_search(
+            &slim,
+            move |&(parent, gi, gj, _, whi): &Slim| ((parent, band(gi, gj)), whi as u64),
+            points.clone(),
+            move |p| (pb(p), p.color as u64),
+        );
+        let pb = point_band.clone();
+        let with_range: DistVec<((Colored, u64), u64)> = cluster.rank_search(
+            &slim,
+            move |&(parent, gi, gj, wlo, _): &Slim| ((parent, band(gi, gj)), wlo as u64),
+            with_lo,
+            move |(p, _)| (pb(p), p.color as u64 + 1),
+        );
+
+        // Step 3: multicast one copy per target ordinal, then join each copy with
+        // the subgrid registered under that ordinal.
+        #[derive(Clone, Debug)]
+        enum Slot {
+            /// The subgrid registered at this ordinal: its cross-band identity.
+            Reg(u32, u32),
+            Pt(Colored),
+        }
+        let pb = point_band.clone();
+        let copies: DistVec<((u64, u32, u64), Slot)> =
+            cluster.flat_map_rebalanced(&with_range, move |&((p, j_lo), j_hi)| {
+                let (parent, band) = pb(&p);
+                (j_lo..j_hi)
+                    .map(|ordinal| ((parent, band, ordinal), Slot::Pt(p)))
+                    .collect()
+            });
+        let regs: DistVec<((u64, u32, u64), Slot)> =
+            cluster.map(&ordinals, move |&((parent, gi, gj, _, _), ordinal)| {
+                ((parent, band(gi, gj), ordinal), Slot::Reg(gi, gj))
+            });
+        let both = cluster.concat(regs, copies);
+        cluster.group_map_rebalanced(
+            both,
+            |(key, _)| *key,
+            move |&(parent, _, _), items| {
+                let mut target = None;
+                let mut pts = Vec::new();
+                for (_, slot) in items.iter() {
+                    match *slot {
+                        Slot::Reg(gi, gj) => target = Some((gi, gj)),
+                        Slot::Pt(p) => pts.push(p),
+                    }
+                }
+                let Some((gi, gj)) = target else {
+                    debug_assert!(pts.is_empty(), "copies addressed to an empty ordinal");
+                    return Vec::new();
+                };
+                pts.into_iter()
+                    .map(|p| {
+                        let cp = ColoredPoint {
+                            row: p.row,
+                            col: p.col,
+                            color: p.color,
+                        };
+                        let payload = if by_rows {
+                            Payload::RowPt(cp)
+                        } else {
+                            Payload::ColPt(cp)
+                        };
+                        ((parent, gi, gj), payload)
+                    })
+                    .collect()
+            },
+        )
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use monge::multiway::{lift_subresult, split_into_subproblems};
     use mpc_runtime::MpcConfig;
     use rand::prelude::*;
 
@@ -1227,6 +1363,116 @@ mod tests {
             .iter()
             .map(|&(inst, n, h)| (inst, ParentSpec { inst, n, h, g: 1 }))
             .collect()
+    }
+
+    /// Real colored unions: per parent `(inst, n, h)`, two random
+    /// permutations split into `h` subproblems, each solved sequentially and
+    /// lifted back in its color (so `opt` is monotone, as the routing needs).
+    fn real_unions(rng: &mut StdRng, parents: &[(u64, usize, usize)]) -> Vec<Colored> {
+        let mut points = Vec::new();
+        for &(inst, n, h) in parents {
+            let mut random = || {
+                let mut v: Vec<u32> = (0..n as u32).collect();
+                v.shuffle(rng);
+                v
+            };
+            let (a, b) = (random(), random());
+            for (q, sub) in split_into_subproblems(&a, &b, h).iter().enumerate() {
+                let c = monge::steady_ant::mul_rows(&sub.a, &sub.b);
+                points.extend(
+                    lift_subresult(sub, &c, q as u16)
+                        .into_iter()
+                        .map(|p| Colored {
+                            inst,
+                            row: p.row,
+                            col: p.col,
+                            color: p.color,
+                        }),
+                );
+            }
+        }
+        points.shuffle(rng);
+        points
+    }
+
+    fn on_threads<R: Send>(threads: usize, run: impl FnOnce() -> R + Send) -> R {
+        rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .unwrap()
+            .install(run)
+    }
+
+    type Route = fn(
+        &mut Cluster,
+        &DistVec<Colored>,
+        &DistVec<ActiveSubgrid>,
+        &BTreeMap<u64, ParentSpec>,
+        bool,
+    ) -> DistVec<(Target, Payload)>;
+
+    #[test]
+    fn indexed_routing_matches_the_materialized_oracle() {
+        // (inst, n, h): one or several parents, n not a multiple of h.
+        let batches: [&[(u64, usize, usize)]; 4] = [
+            &[(0, 65, 2)],
+            &[(2, 61, 3), (5, 40, 3)],
+            &[(1, 90, 4), (4, 37, 4)],
+            &[(3, 77, 5), (8, 23, 5), (9, 101, 5)],
+        ];
+        let config = MpcConfig::lenient(1000, 0.5).with_machines(5);
+        for threads in [1, 4] {
+            on_threads(threads, || {
+                let mut rng = StdRng::seed_from_u64(41 + threads as u64);
+                let mut routed = 0;
+                for parents in batches {
+                    // A small G, and the paper's G = ⌈n^{1−δ}⌉ at δ = 0.5.
+                    for paper_g in [false, true] {
+                        for routing in [Routing::Pierced, Routing::Bands] {
+                            let case = format!(
+                                "{parents:?} paper_g={paper_g} {routing:?} threads={threads}"
+                            );
+                            let specs: BTreeMap<u64, ParentSpec> = parents
+                                .iter()
+                                .map(|&(inst, n, h)| {
+                                    let g = if paper_g {
+                                        ((n as f64).sqrt().ceil() as usize).max(4)
+                                    } else {
+                                        5
+                                    };
+                                    (inst, ParentSpec { inst, n, h, g })
+                                })
+                                .collect();
+                            let mut cluster = Cluster::new(config.clone());
+                            let colored = cluster.distribute(real_unions(&mut rng, parents));
+                            let tree = LeveledIndex::build(&colored, &specs);
+                            let lines = grid_phase_tree(&mut cluster, &colored, &specs, &tree);
+                            let (active, classified) =
+                                classify(&mut cluster, &colored, lines, &specs, routing);
+                            let active = attach_base_f_tree(&mut cluster, active, &specs, &tree);
+                            let points = cluster.map(&classified, |(p, _)| *p);
+                            for by_rows in [true, false] {
+                                let run = |route: Route| {
+                                    let mut cluster = Cluster::new(config.clone());
+                                    cluster.set_phase(Some("combine-route"));
+                                    let out =
+                                        route(&mut cluster, &points, &active, &specs, by_rows);
+                                    let out: Vec<Vec<_>> =
+                                        (0..out.machines()).map(|i| out.part(i).to_vec()).collect();
+                                    (out, cluster.ledger().clone())
+                                };
+                                let (got, ledger) = run(route_band);
+                                let (want, want_ledger) = run(oracle::route_band);
+                                assert_eq!(got, want, "routed copies, by_rows={by_rows} {case}");
+                                assert_eq!(ledger, want_ledger, "ledger, by_rows={by_rows} {case}");
+                                routed += got.iter().map(Vec::len).sum::<usize>();
+                            }
+                        }
+                    }
+                }
+                assert!(routed > 0, "no case routed a point");
+            });
+        }
     }
 
     #[test]

@@ -14,9 +14,19 @@
 //!   per-level merge pairs of `lis-mpc` and the grid phase's batched packages
 //!   alike — runs allocation-free after warm-up);
 //! * **split** — larger instances are cut into `H` compacted subproblems with one
-//!   sort-based rank relabelling (Lemma 2.3/2.5);
-//! * on the way back up, **lift** (two sort-based joins restore parent coordinates)
+//!   rank relabelling per operand (Lemma 2.3/2.5);
+//! * on the way back up, **lift** (two joins restore parent coordinates)
 //!   and **combine** (the distributed §3.2/§3.3 merge in `crate::combine`).
+//!
+//! The split's rank searches and the lift's joins are charged exactly as the
+//! primitives the model runs (`rank_search`, and a `group_map` per join with
+//! the local maps and concatenations that feed it), but computed by dense
+//! index: a parent's points are a permutation, so its ranked coordinates are
+//! exactly `0..n`, and one ascending scan with a counter per child yields
+//! every rank; the children's coordinates are the dense ranges `0..n_child`,
+//! so each join is an array lookup whose outputs land on the machines the
+//! charged group map packs them onto, in key order. Nothing is sorted, hashed
+//! or gathered.
 
 use crate::combine::{distributed_combine, Colored, ParentSpec};
 use crate::params::MulParams;
@@ -36,16 +46,71 @@ pub struct Nonzero {
     pub col: u32,
 }
 
-/// Record produced by the split phase before rank-relabelling.
+/// Where one level's slices go: the large frontier instance `p` is cut at
+/// `bounds_of[p - base]`, and its slice `q` is child `first_child[p - base] + q`.
+/// Small instances have empty bounds.
+struct Slicing<'a> {
+    base: u64,
+    bounds_of: &'a [Vec<u32>],
+    first_child: &'a [u64],
+}
+
+impl Slicing<'_> {
+    /// The frontier offset of instance `inst`.
+    fn at(&self, inst: u64) -> usize {
+        (inst - self.base) as usize
+    }
+}
+
+/// Which operand a split relabels: the `P_A` slices are cut by column and
+/// rank-compact their rows; the `P_B` slices are cut by row and
+/// rank-compact their columns.
 #[derive(Clone, Copy, Debug)]
-struct SplitRec {
-    /// Child instance the record belongs to.
-    child: u64,
-    /// Parent coordinate that still needs rank-compaction (row for `P_A` slices,
-    /// column for `P_B` slices).
-    ranked_coord: u32,
-    /// The other coordinate, already translated to child coordinates.
-    other_coord: u32,
+enum Operand {
+    A,
+    B,
+}
+
+impl Operand {
+    /// A point's `(ranked, sliced)` coordinates.
+    fn coords(self, p: &Nonzero) -> (u32, u32) {
+        match self {
+            Operand::A => (p.row, p.col),
+            Operand::B => (p.col, p.row),
+        }
+    }
+
+    /// The child nonzero of a point whose ranked coordinate became `rank` and
+    /// whose sliced coordinate became `offset` inside slice `child`.
+    fn child_point(self, child: u64, rank: u32, offset: u32) -> Nonzero {
+        match self {
+            Operand::A => Nonzero {
+                inst: child,
+                row: rank,
+                col: offset,
+            },
+            Operand::B => Nonzero {
+                inst: child,
+                row: offset,
+                col: rank,
+            },
+        }
+    }
+}
+
+/// A child's coordinate map: `(child, child coordinate, parent coordinate)`.
+type CoordMap = (u64, u32, u32);
+
+/// Everything needed to lift and combine one level on the way back up.
+struct LevelRecord {
+    parents: Vec<ParentSpec>,
+    children: Range<u64>,
+    /// Size of every child, indexed by `child - children.start`.
+    sizes: Vec<usize>,
+    /// `(parent, color)` of every child, indexed by `child - children.start`.
+    parent_color: Vec<(u64, u16)>,
+    row_maps: DistVec<CoordMap>, // (child, child_row, parent_row)
+    col_maps: DistVec<CoordMap>, // (child, child_col, parent_col)
 }
 
 /// Multiplies one pair of permutation matrices on the cluster (`P_C = P_A ⊡ P_B`).
@@ -107,15 +172,6 @@ pub fn mul_batch(
     // to one of them.
     let mut frontier: Range<u64> = 0..k as u64;
 
-    /// Everything needed to lift and combine one level on the way back up.
-    struct LevelRecord {
-        parents: Vec<ParentSpec>,
-        children: Range<u64>,
-        /// `(parent, color)` of every child, indexed by `child - children.start`.
-        parent_color: Vec<(u64, u16)>,
-        row_maps: DistVec<(u64, u32, u32)>, // (child, child_row, parent_row)
-        col_maps: DistVec<(u64, u32, u32)>, // (child, child_col, parent_col)
-    }
     let mut level_records: Vec<LevelRecord> = Vec::new();
 
     // ------------------------------------------------------------------ descend
@@ -199,65 +255,18 @@ pub fn mul_batch(
         let bounds_of = cluster.broadcast(bounds_of);
         let first_child = cluster.broadcast(first_child);
 
-        // P_A slices: the column decides the subproblem; rows are rank-compacted.
-        let a_recs = cluster.map(&a_large, |p| {
-            let bounds = &bounds_of[at(p.inst)];
-            let q = slice_of(bounds, p.col);
-            SplitRec {
-                child: first_child[at(p.inst)] + q as u64,
-                ranked_coord: p.row,
-                other_coord: p.col - bounds[q as usize],
-            }
-        });
-        let a_ranked = {
-            let queries = a_recs.clone();
-            cluster.rank_search(
-                &a_recs,
-                |r| (r.child, r.ranked_coord as u64),
-                queries,
-                |r| (r.child, r.ranked_coord as u64),
-            )
+        let slicing = Slicing {
+            base,
+            bounds_of: &bounds_of,
+            first_child: &first_child,
         };
-        let a_children = cluster.map(&a_ranked, |(r, rank)| Nonzero {
-            inst: r.child,
-            row: *rank as u32,
-            col: r.other_coord,
-        });
-        let row_maps = cluster.map(&a_ranked, |(r, rank)| {
-            (r.child, *rank as u32, r.ranked_coord)
-        });
-
-        // P_B slices: the row decides the subproblem; columns are rank-compacted.
-        let b_recs = cluster.map(&b_large, |p| {
-            let bounds = &bounds_of[at(p.inst)];
-            let q = slice_of(bounds, p.row);
-            SplitRec {
-                child: first_child[at(p.inst)] + q as u64,
-                ranked_coord: p.col,
-                other_coord: p.row - bounds[q as usize],
-            }
-        });
-        let b_ranked = {
-            let queries = b_recs.clone();
-            cluster.rank_search(
-                &b_recs,
-                |r| (r.child, r.ranked_coord as u64),
-                queries,
-                |r| (r.child, r.ranked_coord as u64),
-            )
-        };
-        let b_children = cluster.map(&b_ranked, |(r, rank)| Nonzero {
-            inst: r.child,
-            row: r.other_coord,
-            col: *rank as u32,
-        });
-        let col_maps = cluster.map(&b_ranked, |(r, rank)| {
-            (r.child, *rank as u32, r.ranked_coord)
-        });
+        let (a_children, row_maps) = relabel(cluster, &a_large, &slicing, Operand::A);
+        let (b_children, col_maps) = relabel(cluster, &b_large, &slicing, Operand::B);
 
         level_records.push(LevelRecord {
             parents,
             children: children.clone(),
+            sizes: n_of[children.start as usize..].to_vec(),
             parent_color,
             row_maps,
             col_maps,
@@ -269,6 +278,282 @@ pub fn mul_batch(
 
     // ------------------------------------------------------------------- unwind
     for record in level_records.into_iter().rev() {
+        let colored = lift(cluster, &results, &record);
+        let combined = distributed_combine(cluster, colored, &record.parents, rp.routing);
+        results = cluster.concat(results, combined);
+    }
+
+    // ------------------------------------------------------------------ readout
+    let all = cluster.collect(results);
+    let mut out: Vec<Vec<u32>> = instances
+        .iter()
+        .map(|(a, _)| vec![u32::MAX; a.size()])
+        .collect();
+    for nz in all {
+        if (nz.inst as usize) < k {
+            let slot = &mut out[nz.inst as usize][nz.row as usize];
+            debug_assert_eq!(*slot, u32::MAX, "row produced twice");
+            *slot = nz.col;
+        }
+    }
+    out.into_iter().map(PermutationMatrix::from_rows).collect()
+}
+
+/// One operand's split: relabels every point of a large instance into its
+/// child slice, rank-compacting the ranked coordinate, and returns the child
+/// points and the children's coordinate maps (both in the points'
+/// distribution).
+///
+/// Charged as the model runs it — a local map building the split records,
+/// one `rank_search` of the records against themselves, then the two local
+/// maps — but every rank comes from one ascending scan of each parent's
+/// ranked coordinates (exactly `0..n`, a permutation's) with a counter per
+/// child.
+fn relabel(
+    cluster: &mut Cluster,
+    points: &DistVec<Nonzero>,
+    slicing: &Slicing<'_>,
+    operand: Operand,
+) -> (DistVec<Nonzero>, DistVec<CoordMap>) {
+    // Parent `i`'s ranked coordinates own `rank[start[i]..start[i + 1]]`.
+    let start = starts(
+        slicing
+            .bounds_of
+            .iter()
+            .map(|bounds| bounds.last().map_or(0, |&n| n as usize)),
+    );
+    // First the child slice at every ranked coordinate, then its rank there.
+    let mut rank = vec![u32::MAX; start[start.len() - 1]];
+    for p in points.iter() {
+        let i = slicing.at(p.inst);
+        let (ranked, sliced) = operand.coords(p);
+        let slot = &mut rank[start[i] + ranked as usize];
+        debug_assert_eq!(*slot, u32::MAX, "instance {} repeats a coordinate", p.inst);
+        *slot = slice_of(&slicing.bounds_of[i], sliced) as u32;
+    }
+    for (i, bounds) in slicing.bounds_of.iter().enumerate() {
+        let mut next = vec![0u32; bounds.len().saturating_sub(1)];
+        for slot in &mut rank[start[i]..start[i + 1]] {
+            let child = *slot as usize;
+            *slot = next[child];
+            next[child] += 1;
+        }
+    }
+
+    let shape = points.shape();
+    cluster.charge_map(&shape);
+    cluster.charge_rank_search(points.len(), &shape);
+    let relabelled = |p: &Nonzero| {
+        let i = slicing.at(p.inst);
+        let bounds = &slicing.bounds_of[i];
+        let (ranked, sliced) = operand.coords(p);
+        let q = slice_of(bounds, sliced);
+        let child = slicing.first_child[i] + q as u64;
+        let r = rank[start[i] + ranked as usize];
+        (child, r, ranked, sliced - bounds[q as usize])
+    };
+    let children = cluster.map(points, |p| {
+        let (child, r, _, offset) = relabelled(p);
+        operand.child_point(child, r, offset)
+    });
+    let maps = cluster.map(points, |p| {
+        let (child, r, ranked, _) = relabelled(p);
+        (child, r, ranked)
+    });
+    (children, maps)
+}
+
+/// One level's lift: joins every child product with the children's
+/// coordinate maps to restore parent rows, then parent columns, and colors
+/// every nonzero with its child's parent and slice.
+///
+/// Charged as the model runs it — per join, local maps tagging both sides,
+/// their concatenation and one `group_map` on `(child, child coordinate)` —
+/// but every join key is a dense index (child `c`'s coordinates are
+/// `0..sizes[c]`), so each join is an array lookup. Every output lands on
+/// the machine the charged group map packs its key onto, in key order.
+///
+/// # Panics
+///
+/// If a child row or column lacks its product or its map record, or has two:
+/// every child of a level holds its full product when the level unwinds.
+fn lift(
+    cluster: &mut Cluster,
+    results: &DistVec<Nonzero>,
+    record: &LevelRecord,
+) -> DistVec<Colored> {
+    cluster.set_phase(Some("lift"));
+    let children = cluster.broadcast(record.children.clone());
+    let child_products = cluster.filter(results.clone(), |p| children.contains(&p.inst));
+
+    // Child `c`'s coordinates own the slots `start[c]..start[c + 1]`.
+    let start = starts(record.sizes.iter().copied());
+    let total = start[record.sizes.len()];
+    let slot = |child: u64, coord: u32| {
+        let c = (child - children.start) as usize;
+        debug_assert!(
+            (coord as usize) < record.sizes[c],
+            "child {child} has no coordinate {coord}"
+        );
+        start[c] + coord as usize
+    };
+    let child_of = |g: usize| children.start + (start.partition_point(|&s| s <= g) - 1) as u64;
+    // One table per join side, filled from its records: `what` names the
+    // record, `axis` the coordinate.
+    let table = |items: &mut dyn Iterator<Item = (u64, u32, u32)>, what: &str, axis: &str| {
+        let mut table = vec![u32::MAX; total];
+        for (child, coord, value) in items {
+            let entry = &mut table[slot(child, coord)];
+            assert_eq!(
+                *entry,
+                u32::MAX,
+                "lift: child {child} {axis} {coord} has two {what}s"
+            );
+            *entry = value;
+        }
+        table
+    };
+    let pairs = vec![2usize; total];
+
+    // Join 1: restore parent rows.
+    let child_col = table(
+        &mut child_products.iter().map(|p| (p.inst, p.row, p.col)),
+        "product",
+        "row",
+    );
+    let parent_row = table(
+        &mut record.row_maps.iter().copied(),
+        "row map record",
+        "row",
+    );
+    let product_shape = child_products.shape();
+    cluster.charge_map(&product_shape);
+    cluster.charge_map(&record.row_maps.shape());
+    cluster.charge_concat(&product_shape, &record.row_maps.shape());
+    let lifted_rows: DistVec<(u64, u32, u32)> = cluster.group_map_sized(&pairs, |g| {
+        let child = child_of(g);
+        let (row, col) = (parent_row[g], child_col[g]);
+        assert!(
+            row != u32::MAX && col != u32::MAX,
+            "lift: child {child} row {} lacks its product or its row map record",
+            g - start[(child - children.start) as usize]
+        );
+        Some((child, row, col))
+    });
+
+    // Join 2: restore parent columns and attach parent/color.
+    let parent_row = table(
+        &mut lifted_rows.iter().map(|&(c, pr, cc)| (c, cc, pr)),
+        "lifted row",
+        "column",
+    );
+    let parent_col = table(
+        &mut record.col_maps.iter().copied(),
+        "column map record",
+        "column",
+    );
+    let lifted_shape = lifted_rows.shape();
+    cluster.charge_map(&lifted_shape);
+    cluster.charge_map(&record.col_maps.shape());
+    cluster.charge_concat(&lifted_shape, &record.col_maps.shape());
+    let parent_color = cluster.broadcast(record.parent_color.clone());
+    cluster.group_map_sized(&pairs, |g| {
+        let child = child_of(g);
+        let (row, col) = (parent_row[g], parent_col[g]);
+        assert!(
+            row != u32::MAX && col != u32::MAX,
+            "lift: child {child} column {} lacks its lifted row or its column map record",
+            g - start[(child - children.start) as usize]
+        );
+        let (parent, color) = parent_color[(child - children.start) as usize];
+        Some(Colored {
+            inst: parent,
+            row,
+            col,
+            color,
+        })
+    })
+}
+
+/// The running starts of consecutive ranges of the given lengths, closed by
+/// the total: range `i` is `starts[i]..starts[i + 1]`.
+fn starts(lengths: impl Iterator<Item = usize>) -> Vec<usize> {
+    let mut starts = vec![0];
+    for len in lengths {
+        starts.push(starts[starts.len() - 1] + len);
+    }
+    starts
+}
+
+/// Index of the slice (among boundaries `bounds`) containing coordinate `x`.
+fn slice_of(bounds: &[u32], x: u32) -> u16 {
+    debug_assert!(x < *bounds.last().expect("nonempty bounds"));
+    // bounds is short (≤ H+1 entries); a linear scan keeps this branch-predictable.
+    let mut q = 0u16;
+    while bounds[(q + 1) as usize] <= x {
+        q += 1;
+    }
+    q
+}
+
+/// The materialized split and lift the indexed steps are tested against:
+/// every rank search, tagging map, concatenation and join runs as the
+/// primitive it is charged as.
+#[cfg(test)]
+mod oracle {
+    use super::*;
+
+    /// Record produced by the split phase before rank-relabelling.
+    #[derive(Clone, Copy, Debug)]
+    struct SplitRec {
+        /// Child instance the record belongs to.
+        child: u64,
+        /// Parent coordinate that still needs rank-compaction.
+        ranked_coord: u32,
+        /// The other coordinate, already translated to child coordinates.
+        other_coord: u32,
+    }
+
+    /// [`super::relabel`], with a self rank search.
+    pub(super) fn relabel(
+        cluster: &mut Cluster,
+        points: &DistVec<Nonzero>,
+        slicing: &Slicing<'_>,
+        operand: Operand,
+    ) -> (DistVec<Nonzero>, DistVec<CoordMap>) {
+        let recs = cluster.map(points, |p| {
+            let i = slicing.at(p.inst);
+            let bounds = &slicing.bounds_of[i];
+            let (ranked, sliced) = operand.coords(p);
+            let q = slice_of(bounds, sliced);
+            SplitRec {
+                child: slicing.first_child[i] + q as u64,
+                ranked_coord: ranked,
+                other_coord: sliced - bounds[q as usize],
+            }
+        });
+        let ranked = {
+            let queries = recs.clone();
+            cluster.rank_search(
+                &recs,
+                |r| (r.child, r.ranked_coord as u64),
+                queries,
+                |r| (r.child, r.ranked_coord as u64),
+            )
+        };
+        let children = cluster.map(&ranked, |(r, rank)| {
+            operand.child_point(r.child, *rank as u32, r.other_coord)
+        });
+        let maps = cluster.map(&ranked, |(r, rank)| (r.child, *rank as u32, r.ranked_coord));
+        (children, maps)
+    }
+
+    /// [`super::lift`], with two gathering joins.
+    pub(super) fn lift(
+        cluster: &mut Cluster,
+        results: &DistVec<Nonzero>,
+        record: &LevelRecord,
+    ) -> DistVec<Colored> {
         cluster.set_phase(Some("lift"));
         let children = cluster.broadcast(record.children.clone());
         let child_products = cluster.filter(results.clone(), |p| children.contains(&p.inst));
@@ -297,8 +582,6 @@ pub fn mul_batch(
                         RowJoin::Map(_, _, pr) => parent_row = Some(pr),
                     }
                 }
-                // No product: a map record for a row of an instance solved at
-                // another level.
                 Some((child, parent_row?, child_col?))
             },
         );
@@ -312,8 +595,8 @@ pub fn mul_batch(
         let lifted_items = cluster.map(&lifted_rows, |&(c, pr, cc)| ColJoin::Lifted(c, pr, cc));
         let cmap_items = cluster.map(&record.col_maps, |&(c, cc, pc)| ColJoin::Map(c, cc, pc));
         let joined2 = cluster.concat(lifted_items, cmap_items);
-        let parent_color = cluster.broadcast(record.parent_color);
-        let colored: DistVec<Colored> = cluster.group_map_view(
+        let parent_color = cluster.broadcast(record.parent_color.clone());
+        cluster.group_map_view(
             joined2,
             |item| match item {
                 ColJoin::Lifted(c, _, cc) => (*c, *cc),
@@ -336,43 +619,14 @@ pub fn mul_batch(
                     color,
                 })
             },
-        );
-
-        let combined = distributed_combine(cluster, colored, &record.parents, rp.routing);
-        results = cluster.concat(results, combined);
+        )
     }
-
-    // ------------------------------------------------------------------ readout
-    let all = cluster.collect(results);
-    let mut out: Vec<Vec<u32>> = instances
-        .iter()
-        .map(|(a, _)| vec![u32::MAX; a.size()])
-        .collect();
-    for nz in all {
-        if (nz.inst as usize) < k {
-            let slot = &mut out[nz.inst as usize][nz.row as usize];
-            debug_assert_eq!(*slot, u32::MAX, "row produced twice");
-            *slot = nz.col;
-        }
-    }
-    out.into_iter().map(PermutationMatrix::from_rows).collect()
-}
-
-/// Index of the slice (among boundaries `bounds`) containing coordinate `x`.
-fn slice_of(bounds: &[u32], x: u32) -> u16 {
-    debug_assert!(x < *bounds.last().expect("nonempty bounds"));
-    // bounds is short (≤ H+1 entries); a linear scan keeps this branch-predictable.
-    let mut q = 0u16;
-    while bounds[(q + 1) as usize] <= x {
-        q += 1;
-    }
-    q
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpc_runtime::MpcConfig;
+    use mpc_runtime::{Ledger, MpcConfig};
     use rand::prelude::*;
 
     fn random_permutation(n: usize, rng: &mut StdRng) -> PermutationMatrix {
@@ -389,6 +643,258 @@ mod tests {
         let mut cluster = Cluster::new(MpcConfig::new(n, delta));
         let got = mul(&mut cluster, &a, &b, &params);
         assert_eq!(got, expected, "n={n} δ={delta} params={params:?}");
+    }
+
+    fn on_threads<R: Send>(threads: usize, run: impl FnOnce() -> R + Send) -> R {
+        rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .unwrap()
+            .install(run)
+    }
+
+    fn parts<T: Clone>(dv: &DistVec<T>) -> Vec<Vec<T>> {
+        (0..dv.machines()).map(|i| dv.part(i).to_vec()).collect()
+    }
+
+    type Relabel = fn(
+        &mut Cluster,
+        &DistVec<Nonzero>,
+        &Slicing<'_>,
+        Operand,
+    ) -> (DistVec<Nonzero>, DistVec<CoordMap>);
+    type Lift = fn(&mut Cluster, &DistVec<Nonzero>, &LevelRecord) -> DistVec<Colored>;
+
+    /// One split level: the frontier `base..base + ns.len()` of instances of
+    /// sizes `ns`, all large but the one at index `small`, each large one cut
+    /// into `h` slices. Returns the level's operands and its slicing.
+    struct Level {
+        base: u64,
+        bounds_of: Vec<Vec<u32>>,
+        first_child: Vec<u64>,
+        a: Vec<Nonzero>,
+        b: Vec<Nonzero>,
+        parents: Vec<ParentSpec>,
+        children: Range<u64>,
+        sizes: Vec<usize>,
+        parent_color: Vec<(u64, u16)>,
+    }
+
+    impl Level {
+        fn new(ns: &[usize], h: usize, small: usize, base: u64, rng: &mut StdRng) -> Self {
+            let mut lv = Level {
+                base,
+                bounds_of: Vec::new(),
+                first_child: Vec::new(),
+                a: Vec::new(),
+                b: Vec::new(),
+                parents: Vec::new(),
+                children: base + ns.len() as u64..base + ns.len() as u64,
+                sizes: Vec::new(),
+                parent_color: Vec::new(),
+            };
+            for (i, &n) in ns.iter().enumerate() {
+                let inst = base + i as u64;
+                let (pa, pb) = (random_permutation(n, rng), random_permutation(n, rng));
+                let point = |(row, col): (usize, usize)| Nonzero {
+                    inst,
+                    row: row as u32,
+                    col: col as u32,
+                };
+                lv.a.extend(pa.nonzeros().map(point));
+                lv.b.extend(pb.nonzeros().map(point));
+                if i == small {
+                    lv.bounds_of.push(Vec::new());
+                    lv.first_child.push(0);
+                    continue;
+                }
+                let h_p = h.min(n).max(2);
+                let bounds: Vec<u32> = (0..=h_p).map(|q| (q * n / h_p) as u32).collect();
+                lv.first_child.push(lv.children.end);
+                for q in 0..h_p {
+                    lv.sizes.push((bounds[q + 1] - bounds[q]) as usize);
+                    lv.parent_color.push((inst, q as u16));
+                }
+                lv.children.end += h_p as u64;
+                lv.bounds_of.push(bounds);
+                lv.parents.push(ParentSpec {
+                    inst,
+                    n,
+                    h: h_p,
+                    g: 4,
+                });
+            }
+            // The small instance's points are filtered out before the split.
+            let small_inst = base + small as u64;
+            lv.a.retain(|p| p.inst != small_inst);
+            lv.b.retain(|p| p.inst != small_inst);
+            lv.a.shuffle(rng);
+            lv.b.shuffle(rng);
+            lv
+        }
+
+        fn slicing(&self) -> Slicing<'_> {
+            Slicing {
+                base: self.base,
+                bounds_of: &self.bounds_of,
+                first_child: &self.first_child,
+            }
+        }
+
+        /// Runs the split of both operands on a fresh cluster.
+        fn split(
+            &self,
+            config: &MpcConfig,
+            relabel: Relabel,
+        ) -> ([DistVec<Nonzero>; 2], [DistVec<CoordMap>; 2], Ledger) {
+            let mut cluster = Cluster::new(config.clone());
+            let a = cluster.distribute(self.a.clone());
+            let b = cluster.distribute(self.b.clone());
+            cluster.set_phase(Some("split"));
+            let (a_children, row_maps) = relabel(&mut cluster, &a, &self.slicing(), Operand::A);
+            let (b_children, col_maps) = relabel(&mut cluster, &b, &self.slicing(), Operand::B);
+            (
+                [a_children, b_children],
+                [row_maps, col_maps],
+                cluster.ledger().clone(),
+            )
+        }
+
+        /// Every child's product, computed sequentially from its split
+        /// operands, plus the rows of an instance that is no child.
+        fn products(&self, children: &[DistVec<Nonzero>], rng: &mut StdRng) -> Vec<Nonzero> {
+            let mut out = Vec::new();
+            for (c, &n) in self.children.clone().zip(&self.sizes) {
+                let (mut pa, mut pb) = (vec![0u32; n], vec![0u32; n]);
+                for p in children[0].iter().filter(|p| p.inst == c) {
+                    pa[p.row as usize] = p.col;
+                }
+                for p in children[1].iter().filter(|p| p.inst == c) {
+                    pb[p.row as usize] = p.col;
+                }
+                let pc = steady_ant::mul_rows(&pa, &pb);
+                out.extend(pc.into_iter().enumerate().map(|(r, col)| Nonzero {
+                    inst: c,
+                    row: r as u32,
+                    col,
+                }));
+            }
+            out.extend((0..5).map(|r| Nonzero {
+                inst: self.children.end + 1,
+                row: r,
+                col: 4 - r,
+            }));
+            out.shuffle(rng);
+            out
+        }
+
+        fn record(&self, [row_maps, col_maps]: [DistVec<CoordMap>; 2]) -> LevelRecord {
+            LevelRecord {
+                parents: self.parents.clone(),
+                children: self.children.clone(),
+                sizes: self.sizes.clone(),
+                parent_color: self.parent_color.clone(),
+                row_maps,
+                col_maps,
+            }
+        }
+    }
+
+    /// Runs `lift` over `products` on a fresh cluster.
+    fn lift_on(
+        config: &MpcConfig,
+        products: &[Nonzero],
+        record: &LevelRecord,
+        lift: Lift,
+    ) -> (Vec<Vec<Colored>>, Ledger) {
+        let mut cluster = Cluster::new(config.clone());
+        let results = cluster.distribute(products.to_vec());
+        let colored = lift(&mut cluster, &results, record);
+        (parts(&colored), cluster.ledger().clone())
+    }
+
+    #[test]
+    fn indexed_split_and_lift_match_their_materialized_oracles() {
+        // (instance sizes, h, index of the small instance): one or several
+        // parents, n not a multiple of h, a small instance between large ones.
+        let cases: [(&[usize], usize, usize); 5] = [
+            (&[51], 2, 9),
+            (&[37, 20, 41], 3, 1),
+            (&[101, 9, 64], 4, 9),
+            (&[83, 3, 57, 12], 5, 0),
+            (&[2, 7, 3], 5, 9),
+        ];
+        for threads in [1, 4] {
+            on_threads(threads, || {
+                let mut rng = StdRng::seed_from_u64(threads as u64);
+                for (ns, h, small) in cases {
+                    for machines in [1, 6] {
+                        let case = format!("ns={ns:?} h={h} machines={machines} threads={threads}");
+                        let lv = Level::new(ns, h, small, 3, &mut rng);
+                        let config = MpcConfig::lenient(400, 0.5).with_machines(machines);
+
+                        let (children, maps, ledger) = lv.split(&config, relabel);
+                        let (want_children, want_maps, want_ledger) =
+                            lv.split(&config, oracle::relabel);
+                        for (got, want) in children.iter().zip(&want_children) {
+                            assert_eq!(parts(got), parts(want), "split children, {case}");
+                        }
+                        for (got, want) in maps.iter().zip(&want_maps) {
+                            assert_eq!(parts(got), parts(want), "split maps, {case}");
+                        }
+                        assert_eq!(ledger, want_ledger, "split ledger, {case}");
+
+                        let products = lv.products(&children, &mut rng);
+                        let record = lv.record(maps);
+                        let got = lift_on(&config, &products, &record, lift);
+                        let want = lift_on(&config, &products, &record, oracle::lift);
+                        assert_eq!(got.0, want.0, "lifted union, {case}");
+                        assert_eq!(got.1, want.1, "lift ledger, {case}");
+                        assert_eq!(
+                            got.0.iter().map(Vec::len).sum::<usize>(),
+                            ns.iter()
+                                .enumerate()
+                                .filter(|&(i, _)| i != small)
+                                .map(|(_, n)| n)
+                                .sum::<usize>(),
+                            "one union point per parent row, {case}"
+                        );
+                    }
+                }
+            });
+        }
+    }
+
+    /// The lift of a level whose first child lost its row `row` product
+    /// (or, with `twice`, holds it twice).
+    fn lift_with_a_broken_product(twice: bool) {
+        let mut rng = StdRng::seed_from_u64(3);
+        let lv = Level::new(&[10], 2, 9, 0, &mut rng);
+        let config = MpcConfig::lenient(100, 0.5).with_machines(3);
+        let (children, maps, _) = lv.split(&config, relabel);
+        let mut products = lv.products(&children, &mut rng);
+        let at = products
+            .iter()
+            .position(|p| p.inst == 1 && p.row == 3)
+            .expect("child 1 has a row 3");
+        if twice {
+            products.push(products[at]);
+        } else {
+            products.remove(at);
+        }
+        lift_on(&config, &products, &lv.record(maps), lift);
+    }
+
+    #[test]
+    #[should_panic(expected = "lift: child 1 row 3 lacks its product or its row map record")]
+    fn a_lift_missing_a_product_names_the_child_and_row() {
+        lift_with_a_broken_product(false);
+    }
+
+    #[test]
+    #[should_panic(expected = "lift: child 1 row 3 has two products")]
+    fn a_lift_with_a_repeated_product_names_the_child_and_row() {
+        lift_with_a_broken_product(true);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use crate::config::MpcConfig;
 use crate::costs;
-use crate::distvec::{concat, DistVec};
+use crate::distvec::{concat, DistVec, Shape};
 use crate::faults::{FaultKind, FaultRecord};
 use crate::group::{self, Group};
 use crate::ledger::{Ledger, Superstep};
@@ -387,6 +387,10 @@ impl Cluster {
         self.observe_loads(dv.loads(), dv.max_load(), context);
     }
 
+    fn observe_shape(&mut self, shape: &Shape, context: &'static str) {
+        self.observe_loads(shape.loads(), shape.max_load(), context);
+    }
+
     /// Records a load profile whose largest load is `max_load`, panicking on
     /// a strict cluster when it exceeds the space budget.
     fn observe_loads(
@@ -441,6 +445,17 @@ impl Cluster {
         let out = DistVec::from_parts(parts);
         self.account(Superstep::local("map"), &out);
         out
+    }
+
+    /// Charges a [`Cluster::map`] over a vector of shape `input` without
+    /// running it: a map keeps every item on its machine, so the receipt and
+    /// the observed load profile are those of any map over such a vector.
+    ///
+    /// For a step that computes a map's outputs by other means, or whose
+    /// outputs only feed another charged step.
+    pub fn charge_map(&mut self, input: &Shape) {
+        self.apply_step(Superstep::local("map"));
+        self.observe_shape(input, "map");
     }
 
     /// Applies `f` to every machine's local slice, producing a new local slice.
@@ -543,6 +558,23 @@ impl Cluster {
             &out,
         );
         out
+    }
+
+    /// Charges a [`Cluster::rank_search`] of queries of shape `queries`
+    /// against `values` values without running it: the same receipt, and the
+    /// answers' load profile, which is the queries' own (every answer stays
+    /// beside its query). A strict cluster panics identically.
+    ///
+    /// For a caller that already knows every rank, e.g. from one ascending
+    /// scan over a dense coordinate range.
+    pub fn charge_rank_search(&mut self, values: usize, queries: &Shape) {
+        let communication = values as u64 + 2 * queries.len() as u64;
+        self.apply_step(Superstep::new(
+            "rank_search",
+            costs::RANK_SEARCH,
+            communication,
+        ));
+        self.observe_shape(queries, "rank_search");
     }
 
     /// Batched rank-search packages (the §3.2 H-ary tree-descent primitive): like
@@ -700,11 +732,50 @@ impl Cluster {
         let total = dv.len() as u64;
         self.apply_step(Superstep::new("group_map", costs::GROUP_MAP, total));
         let (keys, side) = group::gather(dv.parts, key);
-        let machine_of_group = self.pack_checked(side.offsets(), "group_map");
-        let emitted = group::run_groups(side.offsets(), |g| f(&keys[g], side.group(g)));
+        self.run_packed(side.offsets(), "group_map", |g| f(&keys[g], side.group(g)))
+    }
+
+    /// A [`Cluster::group_map_view`] whose groups the caller already knows:
+    /// `sizes` holds every group's item count in ascending key order, and
+    /// `f(g)` runs group `g` (reading its items from wherever the caller
+    /// keeps them). Same receipt, packing, strict-space check (before any
+    /// group runs) and output placement and order as a `group_map_view` over
+    /// the `sizes.iter().sum()` items those groups hold.
+    ///
+    /// For a join whose groups are dense index ranges, e.g. one item of each
+    /// side per `(instance, coordinate)`.
+    pub fn group_map_sized<U, I, F>(&mut self, sizes: &[usize], f: F) -> DistVec<U>
+    where
+        U: Send,
+        I: IntoIterator<Item = U>,
+        F: Fn(usize) -> I + Sync,
+    {
+        let offsets = group::offsets(sizes);
+        let total = offsets[sizes.len()] as u64;
+        self.apply_step(Superstep::new("group_map", costs::GROUP_MAP, total));
+        self.run_packed(&offsets, "group_map", f)
+    }
+
+    /// The tail every packing grouping primitive shares once its groups are
+    /// known: packs them (see [`Cluster::pack_checked`]), runs `run(g)` for
+    /// every group and leaves each group's outputs on its machine, group
+    /// after group in key order.
+    fn run_packed<U, I, F>(
+        &mut self,
+        offsets: &[usize],
+        primitive: &'static str,
+        run: F,
+    ) -> DistVec<U>
+    where
+        U: Send,
+        I: IntoIterator<Item = U>,
+        F: Fn(usize) -> I + Sync,
+    {
+        let machine_of_group = self.pack_checked(offsets, primitive);
+        let emitted = group::run_groups(offsets, run);
         let parts = group::scatter(emitted, &machine_of_group, self.config.machines);
         let out = DistVec::from_parts(parts);
-        self.observe(&out, "group_map");
+        self.observe(&out, primitive);
         out
     }
 
@@ -758,10 +829,36 @@ impl Cluster {
     {
         let total = dv.len() as u64;
         let (keys, side) = group::gather(dv.parts, key);
-        self.pack_checked(side.offsets(), "group_map_rebalanced");
-        let emitted = group::flatten(group::run_groups(side.offsets(), |g| {
-            f(&keys[g], side.group(g))
-        }));
+        self.run_rebalanced(total, side.offsets(), |g| f(&keys[g], side.group(g)))
+    }
+
+    /// A [`Cluster::group_map_rebalanced`] whose groups the caller already
+    /// knows, as [`Cluster::group_map_sized`] is for
+    /// [`Cluster::group_map_view`]: `sizes` in ascending key order, `f(g)`
+    /// runs group `g`. Same receipt, strict-space check (before any group
+    /// runs) and rebalanced output, in the same order.
+    pub fn group_map_rebalanced_sized<U, I, F>(&mut self, sizes: &[usize], f: F) -> DistVec<U>
+    where
+        U: Send,
+        I: IntoIterator<Item = U>,
+        F: Fn(usize) -> I + Sync,
+    {
+        let offsets = group::offsets(sizes);
+        let total = offsets[sizes.len()] as u64;
+        self.run_rebalanced(total, &offsets, f)
+    }
+
+    /// The tail of the rebalancing grouping primitives: packs the groups
+    /// (the strict-space check), runs them and spreads their outputs,
+    /// concatenated in key order, over the machines in equal blocks.
+    fn run_rebalanced<U, I, F>(&mut self, total: u64, offsets: &[usize], run: F) -> DistVec<U>
+    where
+        U: Send,
+        I: IntoIterator<Item = U>,
+        F: Fn(usize) -> I + Sync,
+    {
+        self.pack_checked(offsets, "group_map_rebalanced");
+        let emitted = group::flatten(group::run_groups(offsets, run));
         let communication = total + emitted.len() as u64;
         let out = DistVec::from_parts(compute::balance(emitted, self.config.machines));
         self.account(
@@ -813,12 +910,9 @@ impl Cluster {
             .zip(right.offsets())
             .map(|(l, r)| l + r)
             .collect();
-        let machine_of_group = self.pack_checked(&offsets, "cogroup_map");
-        let emitted = group::run_groups(&offsets, |g| f(&keys[g], left.group(g), right.group(g)));
-        let parts = group::scatter(emitted, &machine_of_group, self.config.machines);
-        let out = DistVec::from_parts(parts);
-        self.observe(&out, "cogroup_map");
-        out
+        self.run_packed(&offsets, "cogroup_map", |g| {
+            f(&keys[g], left.group(g), right.group(g))
+        })
     }
 
     /// Concatenates two distributed vectors machine-wise (no data movement, no
@@ -832,6 +926,15 @@ impl Cluster {
         }
         let out = DistVec::from_parts(parts);
         self.account(Superstep::local("concat"), &out);
+        out
+    }
+
+    /// Charges a [`Cluster::concat`] of vectors of shapes `a` and `b` without
+    /// building it, and returns the concatenation's shape.
+    pub fn charge_concat(&mut self, a: &Shape, b: &Shape) -> Shape {
+        let out = a.concat(b, self.config.machines);
+        self.apply_step(Superstep::local("concat"));
+        self.observe_shape(&out, "concat");
         out
     }
 
@@ -882,18 +985,15 @@ impl Cluster {
     /// them: the receipt and the observed load profile are exactly those of a
     /// [`Cluster::flat_map_rebalanced`] emitting `volume` items — the copies
     /// spread over the machines in equal blocks — and a strict cluster panics
-    /// identically.
+    /// identically. Returns the copies' shape.
     ///
     /// For a caller that needs a multicast's cost but not its copies, e.g.
     /// when a prebuilt [`RankIndex`] already holds what the copies would feed.
-    pub fn charge_multicast(&mut self, volume: usize) {
+    pub fn charge_multicast(&mut self, volume: usize) -> Shape {
         self.apply_step(Superstep::new("multicast", costs::MULTICAST, volume as u64));
-        // The block distribution of `compute::balance`, computed: `per` items
-        // on each machine until the copies run out.
-        let machines = self.config.machines.max(1);
-        let per = volume.div_ceil(machines).max(1);
-        let loads = (0..machines).map(move |i| volume.saturating_sub(i * per).min(per));
-        self.observe_loads(loads, per.min(volume), "multicast");
+        let out = Shape::balanced(volume, self.config.machines);
+        self.observe_shape(&out, "multicast");
+        out
     }
 
     /// Applies `f` to every item and flattens the results (purely local).
@@ -1760,6 +1860,195 @@ mod tests {
                     "machines={machines} volume={volume}"
                 );
             }
+        }
+    }
+
+    /// Per-machine parts of keyed items.
+    type Parts = Vec<Vec<(u32, String)>>;
+
+    /// Keyed items on `machines` machines, as the charge-only primitives'
+    /// tests need them: no items, one group, all-distinct keys, and skewed
+    /// group sizes (key `k` holding `2^k` items), scattered over the machines.
+    fn charge_cases(rng: &mut StdRng, machines: usize) -> Vec<(&'static str, Parts)> {
+        let mut next = 0u32;
+        let skewed: Vec<u32> = (0..8u32)
+            .flat_map(|k| std::iter::repeat_n(k, 1 << k))
+            .collect();
+        let mut at = 0;
+        vec![
+            ("empty", keyed_parts(rng, machines, 0, |_| 0u32)),
+            ("one group", keyed_parts(rng, machines, 40, |_| 7u32)),
+            (
+                "all distinct",
+                keyed_parts(rng, machines, 90, |_| {
+                    next += 1;
+                    next.wrapping_mul(0x9E37_79B9)
+                }),
+            ),
+            (
+                "skewed",
+                keyed_parts(rng, machines, skewed.len(), |_| {
+                    at += 1;
+                    skewed[at - 1]
+                }),
+            ),
+        ]
+    }
+
+    /// The groups `group_map_view` forms over `parts`: distinct keys
+    /// ascending, each with its items in arrival order.
+    fn groups_of(parts: &[Vec<(u32, String)>]) -> (Vec<u32>, Parts) {
+        let mut groups: std::collections::BTreeMap<u32, Vec<(u32, String)>> = Default::default();
+        for item in parts.iter().flatten() {
+            groups.entry(item.0).or_default().push(item.clone());
+        }
+        groups.into_iter().unzip()
+    }
+
+    #[test]
+    fn charge_only_primitives_leave_the_ledger_of_materialized_ones() {
+        let mut rng = StdRng::seed_from_u64(37);
+        for machines in [1, 7, 64] {
+            for (case, parts) in charge_cases(&mut rng, machines) {
+                let case = format!("{case}, {machines} machines");
+                let config = MpcConfig::lenient(10_000, 0.5).with_machines(machines);
+                let dv = DistVec::from_parts(parts.clone());
+                // A second vector of another shape: the items moved one
+                // machine over.
+                let mut rotated = parts.clone();
+                rotated.rotate_right(1);
+                let other = DistVec::from_parts(rotated);
+                let key = |(k, _): &(u32, String)| *k;
+                let rank_key = |(k, s): &(u32, String)| (*k, s.len() as u64);
+                let (keys, groups) = groups_of(&parts);
+                let sizes: Vec<usize> = groups.iter().map(Vec::len).collect();
+
+                for threads in [1, 4] {
+                    let ((built, grouped, shapes), (charged, sized, charged_shapes)) =
+                        on_threads(threads, || {
+                            let mut cl = Cluster::new(config.clone());
+                            cl.set_phase(Some("step"));
+                            let mapped = cl.map(&dv, |&(k, _)| k);
+                            let ranked = cl.rank_search(&dv, rank_key, other.clone(), rank_key);
+                            let ranked = cl.map(&ranked, |((k, _), r)| k + *r as u32);
+                            let joined = cl.concat(mapped, ranked);
+                            let copies = cl.flat_map_rebalanced(&dv, |&(k, _)| vec![k; 3]);
+                            let copies_shape = copies.shape();
+                            let all = cl.concat(joined.clone(), copies);
+                            let view = cl.group_map_view(dv.clone(), key, |k, g| {
+                                emit(k, g.iter().cloned().collect())
+                            });
+                            let rebalanced = cl.group_map_rebalanced(dv.clone(), key, |k, g| {
+                                emit(k, g.iter().cloned().collect())
+                            });
+                            let built = (
+                                cl.ledger().clone(),
+                                [view.parts, rebalanced.parts],
+                                [joined.shape(), copies_shape, all.shape()],
+                            );
+
+                            let mut cl = Cluster::new(config.clone());
+                            cl.set_phase(Some("step"));
+                            cl.charge_map(&dv.shape());
+                            cl.charge_rank_search(dv.len(), &other.shape());
+                            cl.charge_map(&other.shape());
+                            let joined = cl.charge_concat(&dv.shape(), &other.shape());
+                            let copies = cl.charge_multicast(3 * dv.len());
+                            let all = cl.charge_concat(&joined, &copies);
+                            let run = |g: usize| emit(&keys[g], groups[g].clone());
+                            let view = cl.group_map_sized(&sizes, run);
+                            let rebalanced = cl.group_map_rebalanced_sized(&sizes, run);
+                            let charged = (
+                                cl.ledger().clone(),
+                                [view.parts, rebalanced.parts],
+                                [joined, copies, all],
+                            );
+                            (built, charged)
+                        });
+                    assert_eq!(grouped, sized, "{case}, {threads} threads: outputs");
+                    assert_eq!(shapes, charged_shapes, "{case}, {threads} threads: shapes");
+                    assert_eq!(built, charged, "{case}, {threads} threads: ledger");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn charge_only_primitives_panic_like_materialized_ones() {
+        fn parts() -> Vec<Vec<u32>> {
+            vec![(0..12).collect(), (0..9).collect(), Vec::new()]
+        }
+        fn ran(_: usize) -> Option<u32> {
+            panic!("a group ran")
+        }
+        // Keyed by parity: 11 even items, 10 odd ones.
+        const SIZES: [usize; 2] = [11, 10];
+        type Run = fn(&mut Cluster);
+        let cases: [(&str, Run, Run); 5] = [
+            (
+                "map",
+                |cl| {
+                    cl.map(&DistVec::from_parts(parts()), |&v| v);
+                },
+                |cl| cl.charge_map(&DistVec::from_parts(parts()).shape()),
+            ),
+            (
+                "concat",
+                |cl| {
+                    let dv = DistVec::from_parts(vec![Vec::new(), (0..9).collect()]);
+                    cl.concat(dv.clone(), dv);
+                },
+                |cl| {
+                    let shape =
+                        DistVec::from_parts(vec![Vec::<u32>::new(), (0..9).collect()]).shape();
+                    cl.charge_concat(&shape, &shape);
+                },
+            ),
+            (
+                "rank_search",
+                |cl| {
+                    let dv = DistVec::from_parts(parts());
+                    cl.rank_search(&dv, |&v| (0, v as u64), dv.clone(), |&v| (0, v as u64));
+                },
+                |cl| {
+                    let dv = DistVec::from_parts(parts());
+                    cl.charge_rank_search(dv.len(), &dv.shape());
+                },
+            ),
+            (
+                "group_map",
+                |cl| {
+                    cl.group_map_view(DistVec::from_parts(parts()), |v| v % 2, |_, _| ran(0));
+                },
+                |cl| {
+                    cl.group_map_sized(&SIZES, ran);
+                },
+            ),
+            (
+                "group_map_rebalanced",
+                |cl| {
+                    cl.group_map_rebalanced(DistVec::from_parts(parts()), |v| v % 2, |_, _| ran(0));
+                },
+                |cl| {
+                    cl.group_map_rebalanced_sized(&SIZES, ran);
+                },
+            ),
+        ];
+        let panic_of = |run: Run| -> String {
+            let config = MpcConfig::new(10_000, 0.5).with_machines(3).with_space(10);
+            let err = std::panic::catch_unwind(move || run(&mut Cluster::new(config)))
+                .expect_err("strict cluster must refuse");
+            err.downcast_ref::<String>()
+                .cloned()
+                .expect("formatted message")
+        };
+        for (primitive, built, charged) in cases {
+            let want = panic_of(built);
+            assert!(
+                want.contains(&format!("space budget exceeded in `{primitive}`")),
+                "{primitive}: {want}"
+            );
+            assert_eq!(panic_of(charged), want, "{primitive}");
         }
     }
 

@@ -63,6 +63,69 @@ impl<T> DistVec<T> {
     pub fn loads(&self) -> impl Iterator<Item = usize> + '_ {
         self.parts.iter().map(Vec::len)
     }
+
+    /// The per-machine item counts, without the items.
+    pub fn shape(&self) -> Shape {
+        Shape {
+            loads: self.loads().collect(),
+        }
+    }
+}
+
+/// The per-machine item counts of a distributed vector — all the ledger
+/// observes of it. A charge-only primitive (such as
+/// [`crate::Cluster::charge_map`]) takes the shape of the vector it would
+/// have produced or consumed, so a step computed outside the primitives
+/// charges exactly what the materialized run charges.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Shape {
+    loads: Vec<usize>,
+}
+
+impl Shape {
+    /// The block distribution `volume` items take when spread over
+    /// `machines` machines in equal blocks (see `Cluster::distribute`).
+    pub(crate) fn balanced(volume: usize, machines: usize) -> Self {
+        let machines = machines.max(1);
+        let per = volume.div_ceil(machines).max(1);
+        Self {
+            loads: (0..machines)
+                .map(|i| volume.saturating_sub(i * per).min(per))
+                .collect(),
+        }
+    }
+
+    /// The shape of the machine-wise concatenation of two vectors over
+    /// `machines` machines (see `Cluster::concat`).
+    pub(crate) fn concat(&self, other: &Shape, machines: usize) -> Self {
+        let mut loads = self.loads.clone();
+        let m = loads.len().max(other.loads.len()).max(machines);
+        loads.resize(m, 0);
+        for (load, extra) in loads.iter_mut().zip(&other.loads) {
+            *load += extra;
+        }
+        Self { loads }
+    }
+
+    /// Total number of items.
+    pub fn len(&self) -> usize {
+        self.loads.iter().sum()
+    }
+
+    /// Whether the shape holds no items.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Largest per-machine load.
+    pub fn max_load(&self) -> usize {
+        self.loads.iter().copied().max().unwrap_or(0)
+    }
+
+    /// Per-machine loads.
+    pub fn loads(&self) -> impl Iterator<Item = usize> + '_ {
+        self.loads.iter().copied()
+    }
 }
 
 /// Concatenates per-machine parts in machine order into one `Vec` sized up

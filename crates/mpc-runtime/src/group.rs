@@ -191,13 +191,11 @@ impl<T> Side<T> {
     /// scatter; `group_of` holds dense ids, `rank` maps them to key ranks.
     fn new(items: Vec<T>, group_of: &[u32], rank: &[u32]) -> Self {
         let groups = rank.len();
-        let mut offsets = vec![0usize; groups + 1];
+        let mut sizes = vec![0usize; groups];
         for &id in group_of {
-            offsets[rank[id as usize] as usize + 1] += 1;
+            sizes[rank[id as usize] as usize] += 1;
         }
-        for g in 0..groups {
-            offsets[g + 1] += offsets[g];
-        }
+        let offsets = offsets(&sizes);
         let mut next = offsets[..groups].to_vec();
         let mut idx = vec![0u32; group_of.len()];
         for (i, &id) in group_of.iter().enumerate() {
@@ -225,6 +223,19 @@ impl<T> Side<T> {
             idx: &self.idx[self.offsets[g]..self.offsets[g + 1]],
         }
     }
+}
+
+/// The item prefix over groups of the given sizes: group `g` holds the
+/// items `offsets[g]..offsets[g + 1]`.
+pub(crate) fn offsets(sizes: &[usize]) -> Vec<usize> {
+    let mut offsets = Vec::with_capacity(sizes.len() + 1);
+    let mut running = 0;
+    offsets.push(0);
+    for &size in sizes {
+        running += size;
+        offsets.push(running);
+    }
+    offsets
 }
 
 /// Gathers `parts` by `key`: the distinct keys in ascending order and the

@@ -55,7 +55,7 @@ pub mod rank_index;
 
 pub use cluster::Cluster;
 pub use config::MpcConfig;
-pub use distvec::DistVec;
+pub use distvec::{DistVec, Shape};
 pub use faults::{FaultEvent, FaultKind, FaultPlan, FaultRecord};
 pub use group::Group;
 pub use ledger::{Ledger, Superstep};

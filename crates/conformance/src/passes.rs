@@ -8,7 +8,7 @@ use crate::model::{CrateScope, Diagnostic, SourceFile};
 use std::collections::BTreeSet;
 
 /// The lint vocabulary: `(name, what it enforces)`.
-pub const LINTS: [(&str, &str); 7] = [
+pub const LINTS: [(&str, &str); 8] = [
     (
         "safety-comment",
         "every `unsafe` block or fn is preceded by a `// SAFETY:` comment arguing its soundness",
@@ -44,6 +44,12 @@ pub const LINTS: [(&str, &str); 7] = [
         "no raw `std::thread::spawn`/`thread::Builder` outside the rayon/loom shims and the \
          server accept loop: ad-hoc threads bypass the pool's determinism and budget discipline",
     ),
+    (
+        "oracle-call",
+        "kernel, runtime and service code never calls the reference constructions \
+         `SeaweedKernel::comb` and `steady_ant::mul_rows_reference` outside tests: they are \
+         differential oracles, not production paths",
+    ),
 ];
 
 /// True when `name` is a known lint.
@@ -69,6 +75,12 @@ pub fn lint_file(file: &SourceFile) -> Vec<Diagnostic> {
     }
     if file.scope != CrateScope::ThreadShim {
         raw_spawn(file, &code, &mut out);
+    }
+    if matches!(
+        file.scope,
+        CrateScope::Kernel | CrateScope::RuntimeCluster | CrateScope::Service
+    ) {
+        oracle_call(file, &code, &mut out);
     }
     out
 }
@@ -552,5 +564,38 @@ fn raw_spawn(file: &SourceFile, code: &[(usize, &Tok)], out: &mut Vec<Diagnostic
                 ),
             );
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// L6: oracle-call
+// ---------------------------------------------------------------------------
+
+fn oracle_call(file: &SourceFile, code: &[(usize, &Tok)], out: &mut Vec<Diagnostic>) {
+    for i in 0..code.len() {
+        let t = code[i].1;
+        if t.kind != TokKind::Ident || file.in_test_code(t.line) || !seq(code, i + 1, &["("]) {
+            continue;
+        }
+        let what = match t.text.as_str() {
+            "comb" if i >= 3 && seq(code, i - 3, &["SeaweedKernel", ":", ":"]) => {
+                "SeaweedKernel::comb"
+            }
+            "mul_rows_reference" if i == 0 || code[i - 1].1.text != "fn" => {
+                "steady_ant::mul_rows_reference"
+            }
+            _ => continue,
+        };
+        report(
+            file,
+            out,
+            "oracle-call",
+            t.line,
+            format!(
+                "call to the reference construction `{what}` outside test code — production \
+                 paths use the fast kernels (`comb_bitparallel`, `steady_ant::mul`); reach the \
+                 oracle from tests and benches, or allowlist the reference's own recursion"
+            ),
+        );
     }
 }

@@ -20,7 +20,7 @@ fn check_fixture(kind: &str, name: &str) -> Vec<conformance::model::Diagnostic> 
 }
 
 /// Each `(fixture, lint)` pair: the bad file fires that lint, and nothing else.
-const SEEDS: [(&str, &str); 7] = [
+const SEEDS: [(&str, &str); 8] = [
     ("safety_comment", "safety-comment"),
     ("hash_iteration", "hash-iteration"),
     ("time_source", "time-source"),
@@ -28,6 +28,7 @@ const SEEDS: [(&str, &str); 7] = [
     ("scope_restore", "scope-restore"),
     ("service_panic", "service-panic"),
     ("raw_spawn", "raw-spawn"),
+    ("oracle_call", "oracle-call"),
 ];
 
 #[test]

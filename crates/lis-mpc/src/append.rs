@@ -40,10 +40,9 @@
 //! the communication of one append is bounded by the touched spine nodes, not
 //! by the sequence length times its merge depth.
 
-use crate::lis::{prepare_merge, Block};
-use monge::mul;
+use crate::lis::Block;
 use mpc_runtime::{costs, Cluster};
-use seaweed_lis::kernel::{compose_from_product, SeaweedKernel};
+use seaweed_lis::kernel::SeaweedKernel;
 use seaweed_lis::lis::lis_kernel_permutation;
 
 /// What one [`AppendableLisKernel::append`] call actually did — the
@@ -84,35 +83,6 @@ pub struct AppendableLisKernel {
 /// frozen so it survives appends.
 fn key_of(value: u32, pos: usize) -> usize {
     ((value as usize) << 32) | ((u32::MAX - pos as u32) as usize)
-}
-
-/// Combs one base block of keys locally: compact alphabet + bit-parallel comb,
-/// exactly the pipeline's base step with keys in place of global ranks.
-fn comb_base(keys: &[usize]) -> Block {
-    let mut values = keys.to_vec();
-    values.sort_unstable();
-    let relabelled: Vec<u32> = keys
-        .iter()
-        .map(|&k| values.partition_point(|&v| v < k) as u32)
-        .collect();
-    Block {
-        kernel: lis_kernel_permutation(&relabelled),
-        values,
-    }
-}
-
-/// Merges two adjacent segments: relabel to the union alphabet and compose
-/// with one `⊡` (the pipeline's `prepare_merge` + steady-ant product).
-fn merge_blocks(lo: &Block, hi: &Block) -> Block {
-    let prep = prepare_merge(&lo.values, &lo.kernel, &hi.values, &hi.kernel);
-    Block {
-        kernel: compose_from_product(
-            &prep.lo_inflated,
-            &prep.hi_inflated,
-            mul(&prep.operands.0, &prep.operands.1),
-        ),
-        values: prep.union,
-    }
 }
 
 impl AppendableLisKernel {
@@ -173,8 +143,11 @@ impl AppendableLisKernel {
     /// sorted value set plus kernel permutation entries. This is the
     /// footprint a kernel cache's byte budget charges for the entry.
     pub fn footprint_items(&self) -> usize {
-        let node = |b: &Block| b.values.len() + b.kernel.checkpoint_entries();
-        self.spine.iter().map(node).sum::<usize>() + self.root.as_ref().map(node).unwrap_or(0)
+        self.spine
+            .iter()
+            .chain(&self.root)
+            .map(Block::footprint)
+            .sum()
     }
 
     /// Appends `values` after the current sequence: combs them in
@@ -207,7 +180,8 @@ impl AppendableLisKernel {
             cluster.charge_superstep("service-comb", costs::GROUP_MAP, 3 * chunk.len() as u64);
             stats.blocks_combed += 1;
             stats.recombed_items += 3 * chunk.len();
-            self.spine.push(comb_base(&keys));
+            // The pipeline's base step, with keys in place of global ranks.
+            self.spine.push(Block::comb(&keys, lis_kernel_permutation));
 
             // Carry: merge the top two segments while the top has grown to
             // more than half of the one below, so sizes keep at least
@@ -229,7 +203,7 @@ impl AppendableLisKernel {
                 );
                 stats.spine_merges += 1;
                 stats.recombed_items += 3 * union;
-                self.spine.push(merge_blocks(&lo, &hi));
+                self.spine.push(Block::merge(&lo, &hi));
             }
         }
         cluster.set_phase_scope(None::<String>);
@@ -270,10 +244,7 @@ impl AppendableLisKernel {
             return;
         }
         if self.spine.is_empty() {
-            self.root = Some(Block {
-                values: Vec::new(),
-                kernel: lis_kernel_permutation(&[]),
-            });
+            self.root = Some(Block::empty());
             return;
         }
         cluster.set_phase_scope(Some("service-root"));
@@ -289,7 +260,7 @@ impl AppendableLisKernel {
                 3 * union as u64,
             );
             merges += 1;
-            acc = merge_blocks(&acc, node);
+            acc = Block::merge(&acc, node);
         }
         cluster.set_phase_scope(None::<String>);
         cluster.set_phase(None::<String>);

@@ -11,7 +11,13 @@
 //!    ([`seaweed_lis::lis::lis_kernel_permutation_streamed`]) and emits the
 //!    kernel *entries*, so the ledger observes the kernel's real `3B`-item
 //!    footprint rather than an opaque handle.
-//! 3. **Merge levels**: adjacent blocks are merged pairwise. Per level, every pair is
+//! 3. **Merge levels**: adjacent nodes are merged pairwise, building one merge
+//!    tree whose nodes are all alike (a sorted value set and a kernel over its
+//!    compact alphabet). Node `i` of a level merges nodes `2i` and `2i + 1` of
+//!    the level below, or passes node `2i` through when it is the last (the
+//!    private `children` rule, which the fault repair,
+//!    [`crate::witness::WitnessTrace::record`] and the witness descent read
+//!    too). Per level, every pair is
 //!    relabelled to the union of its value sets (inflation — `O(1)` rounds of index
 //!    arithmetic) and the two kernels are composed with one *batched* MPC unit-Monge
 //!    multiplication (`monge_mpc::mul_batch`), run under a `lis-merge-L<k>` ledger
@@ -22,13 +28,16 @@
 //!    but the results. The level count is `⌈log₂(n / B)⌉`, hence `O(log n)`
 //!    rounds in total.
 //!
+//! The pipeline keeps the tree's levels only while a later step reads them:
+//! the witness descent, or the repair of a node lost to a machine kill.
+//!
 //! The whole pipeline honors the strict `s = Õ(n^{1−δ})` budget: it runs on
 //! [`mpc_runtime::MpcConfig::new`] (strict) clusters with zero recorded
 //! violations. The final kernel answers every semi-local (window) LIS query; the
 //! global LIS length is read off the full window.
 
 use crate::recovery;
-use crate::witness::{self, Provenance, TraceNode, WitnessTrace};
+use crate::witness::{self, WitnessTrace};
 use monge::PermutationMatrix;
 use monge_mpc::MulParams;
 use mpc_runtime::{costs, Cluster, MpcConfig};
@@ -52,110 +61,173 @@ pub struct MpcLisOutcome {
     pub witness: Option<Vec<usize>>,
 }
 
-/// One block of the divide and conquer: its kernel is over the compact alphabet of
-/// the block's own values; `values` maps that alphabet back to global ranks.
-#[derive(Clone, Debug)]
+/// One node of the merge tree: a base block, or the merge of a run of
+/// adjacent base blocks. Its kernel is over the compact alphabet of the
+/// node's own values; `values` maps that alphabet back to global ranks.
+#[derive(Clone, Debug, PartialEq)]
 pub(crate) struct Block {
-    /// Sorted global ranks of the values occurring in this block.
+    /// Sorted global ranks of the values occurring in this node.
     pub(crate) values: Vec<usize>,
-    /// Kernel of (identity over `values`, block contents).
+    /// Kernel of (identity over `values`, node contents).
     pub(crate) kernel: SeaweedKernel,
 }
 
-/// Entry tags for the base-phase kernel emission: a block's sorted value set…
-const KIND_VALUE: u8 = 0;
-/// …and its kernel's entry → exit rows.
-const KIND_EXIT: u8 = 1;
-
-/// Combs one base block locally (in budget-bounded streamed sub-blocks) and
-/// emits its checkpoint as `(block, kind, index, value)` entries — the shared
-/// kernel of the base phase and of `recovery-base` re-combing.
-pub(crate) fn comb_block_entries(
-    block_id: u32,
-    mut items: Vec<(u32, u32)>,
-    chunk: usize,
-) -> Vec<(u32, u8, u32, u32)> {
-    items.sort_unstable_by_key(|&(pos, _)| pos);
-    let block_values: Vec<u32> = items.iter().map(|&(_, r)| r).collect();
-    let mut values: Vec<u32> = block_values.clone();
-    values.sort_unstable();
-    let relabelled: Vec<u32> = block_values
-        .iter()
-        .map(|&r| values.partition_point(|&v| v < r) as u32)
-        .collect();
-    let kernel = lis_kernel_permutation_streamed(&relabelled, chunk);
-    let mut out = Vec::with_capacity(3 * values.len());
-    for (i, &v) in values.iter().enumerate() {
-        out.push((block_id, KIND_VALUE, i as u32, v));
-    }
-    for e in 0..kernel.permutation().size() {
-        out.push((block_id, KIND_EXIT, e as u32, kernel.exit_of(e) as u32));
-    }
-    out
-}
-
-/// Rebuilds [`Block`]s from collected base-phase entries, keyed by block id
-/// (ids need not be contiguous — recovery re-combs a sparse subset).
-pub(crate) fn blocks_from_entries(mut flat: Vec<(u32, u8, u32, u32)>) -> Vec<(u32, Block)> {
-    flat.sort_unstable();
-    let mut blocks = Vec::new();
-    let mut i = 0;
-    while i < flat.len() {
-        let block_id = flat[i].0;
-        let mut values = Vec::new();
-        let mut exits = Vec::new();
-        while i < flat.len() && flat[i].0 == block_id {
-            let (_, kind, _, val) = flat[i];
-            match kind {
-                KIND_VALUE => values.push(val as usize),
-                _ => exits.push(val),
-            }
-            i += 1;
+impl Block {
+    /// The node of the empty sequence.
+    pub(crate) fn empty() -> Self {
+        Self {
+            values: Vec::new(),
+            kernel: SeaweedKernel::from_parts(0, 0, PermutationMatrix::from_rows(Vec::new())),
         }
-        let m = values.len();
-        debug_assert_eq!(exits.len(), 2 * m);
-        blocks.push((
-            block_id,
-            Block {
-                values,
-                kernel: SeaweedKernel::from_parts(m, m, PermutationMatrix::from_rows(exits)),
-            },
-        ));
     }
-    blocks
+
+    /// Combs one base block: `keys` (distinct, in position order) are
+    /// relabelled to the compact alphabet of their sorted set, and
+    /// `kernel_of` builds the kernel of the resulting permutation.
+    pub(crate) fn comb(keys: &[usize], kernel_of: impl FnOnce(&[u32]) -> SeaweedKernel) -> Self {
+        let mut values = keys.to_vec();
+        values.sort_unstable();
+        let relabelled: Vec<u32> = keys
+            .iter()
+            .map(|&k| values.partition_point(|&v| v < k) as u32)
+            .collect();
+        Self {
+            kernel: kernel_of(&relabelled),
+            values,
+        }
+    }
+
+    /// Merges two adjacent nodes with one local `⊡`.
+    pub(crate) fn merge(lo: &Block, hi: &Block) -> Self {
+        let (prep, (a, b)) = MergePrep::new(lo, hi);
+        prep.finish(monge::mul(&a, &b))
+    }
+
+    /// Resident items: the value set plus the kernel's permutation entries.
+    /// A checkpoint replicates this many items and a restore moves them.
+    pub(crate) fn footprint(&self) -> usize {
+        self.values.len() + self.kernel.checkpoint_entries()
+    }
 }
 
-/// The relabel-and-pad step of one pairwise merge, shared by the merge loop
-/// and by `recovery-L<k>` re-derivation: both kernels inflated to the union
-/// alphabet, plus the padded `⊡` operands.
-pub(crate) struct MergePrep {
-    /// Left child's kernel over the union alphabet.
-    pub(crate) lo_inflated: SeaweedKernel,
-    /// Right child's kernel over the union alphabet.
-    pub(crate) hi_inflated: SeaweedKernel,
-    /// Union of the children's sorted value sets.
-    pub(crate) union: Vec<usize>,
-    /// Padded operands for [`monge_mpc::mul_batch`].
-    pub(crate) operands: (PermutationMatrix, PermutationMatrix),
+/// The merge tree's pairing rule: node `i` of a level merges nodes `2i` and
+/// `2i + 1` of the level below, which holds `below` nodes, or passes node
+/// `2i` through when `2i + 1` is past its end. A base node's block id is its
+/// index.
+pub(crate) fn children(i: usize, below: usize) -> (usize, Option<usize>) {
+    (2 * i, (2 * i + 1 < below).then_some(2 * i + 1))
 }
 
-/// Prepares one pair's merge (the §4.2 "relabel A_lo and A_hi" step).
-pub(crate) fn prepare_merge(
-    lo_values: &[usize],
-    lo_kernel: &SeaweedKernel,
-    hi_values: &[usize],
-    hi_kernel: &SeaweedKernel,
-) -> MergePrep {
-    let union: Vec<usize> = merge_sorted(lo_values, hi_values);
-    let lo_inflated = lo_kernel.inflate_rows(&positions_in(&union, lo_values), union.len());
-    let hi_inflated = hi_kernel.inflate_rows(&positions_in(&union, hi_values), union.len());
-    let operands = compose_operands(&lo_inflated, &hi_inflated);
-    MergePrep {
-        lo_inflated,
-        hi_inflated,
-        union,
-        operands,
+/// Builds nodes `nodes` of the level above `below`, in the order given: the
+/// children of every merge node are relabelled to their union alphabet and
+/// composed with one product each from `mul`, called once on the whole
+/// batch of padded `⊡` operands; a pass-through node is copied.
+pub(crate) fn build_nodes(
+    below: &[Block],
+    nodes: impl IntoIterator<Item = usize>,
+    mul: impl FnOnce(&[(PermutationMatrix, PermutationMatrix)]) -> Vec<PermutationMatrix>,
+) -> Vec<Block> {
+    let mut operands = Vec::new();
+    let plans: Vec<(usize, Option<MergePrep>)> = nodes
+        .into_iter()
+        .map(|i| {
+            let (lo, hi) = children(i, below.len());
+            let prep = hi.map(|hi| {
+                let (prep, pair) = MergePrep::new(&below[lo], &below[hi]);
+                operands.push(pair);
+                prep
+            });
+            (lo, prep)
+        })
+        .collect();
+    let mut products = mul(&operands).into_iter();
+    plans
+        .into_iter()
+        .map(|(lo, prep)| match prep {
+            Some(prep) => prep.finish(products.next().expect("one product per merge")),
+            None => below[lo].clone(),
+        })
+        .collect()
+}
+
+/// The relabel step of one pairwise merge (§4.2, "relabel A_lo and A_hi"):
+/// both kernels inflated to the union alphabet.
+struct MergePrep {
+    lo_inflated: SeaweedKernel,
+    hi_inflated: SeaweedKernel,
+    union: Vec<usize>,
+}
+
+impl MergePrep {
+    /// Relabels `lo` and `hi` and returns the padded operands whose `⊡`
+    /// product [`MergePrep::finish`] turns into the merged node.
+    fn new(lo: &Block, hi: &Block) -> (Self, (PermutationMatrix, PermutationMatrix)) {
+        let union = merge_sorted(&lo.values, &hi.values);
+        let inflate = |b: &Block| {
+            b.kernel
+                .inflate_rows(&positions_in(&union, &b.values), union.len())
+        };
+        let (lo_inflated, hi_inflated) = (inflate(lo), inflate(hi));
+        let operands = compose_operands(&lo_inflated, &hi_inflated);
+        let prep = Self {
+            lo_inflated,
+            hi_inflated,
+            union,
+        };
+        (prep, operands)
     }
+
+    /// The merged node, from the product of the operands.
+    fn finish(self, product: PermutationMatrix) -> Block {
+        Block {
+            kernel: compose_from_product(&self.lo_inflated, &self.hi_inflated, product),
+            values: self.union,
+        }
+    }
+}
+
+/// Combs the base blocks holding `elems` (`(position, rank)` pairs) with one
+/// `group_map`, each block locally in budget-bounded streamed sub-blocks.
+/// Every block of `B` elements emits its checkpoint as `3B` entries
+/// `(block, j, word)`: its sorted values for `j < B`, then its kernel's
+/// entry → exit rows. So the ledger observes the real footprint; the blocks
+/// are rebuilt from those entries, keyed by block id. The base phase and
+/// `recovery-base` re-combing both run this.
+pub(crate) fn comb_blocks(
+    cluster: &mut Cluster,
+    elems: Vec<(u32, u32)>,
+    block_size: usize,
+    chunk: usize,
+) -> Vec<(u32, Block)> {
+    let bs = block_size as u32;
+    let positions = cluster.distribute(elems);
+    let entries = cluster.group_map_view(
+        positions,
+        move |&(pos, _)| pos / bs,
+        move |&block_id, items| {
+            let mut items: Vec<(u32, u32)> = items.iter().copied().collect();
+            items.sort_unstable_by_key(|&(pos, _)| pos);
+            let keys: Vec<usize> = items.iter().map(|&(_, r)| r as usize).collect();
+            let block = Block::comb(&keys, |perm| lis_kernel_permutation_streamed(perm, chunk));
+            let exits = (0..2 * keys.len()).map(|e| block.kernel.exit_of(e));
+            let words = block.values.iter().copied().chain(exits);
+            words
+                .enumerate()
+                .map(|(j, word)| (block_id, j as u32, word as u32))
+                .collect::<Vec<_>>()
+        },
+    );
+    let mut flat = cluster.collect(entries);
+    flat.sort_unstable();
+    flat.chunk_by(|a, b| a.0 == b.0)
+        .map(|entries| {
+            let m = entries.len() / 3;
+            let values = entries[..m].iter().map(|e| e.2 as usize).collect();
+            let exits = entries[m..].iter().map(|e| e.2).collect();
+            let kernel = SeaweedKernel::from_parts(m, m, PermutationMatrix::from_rows(exits));
+            (entries[0].0, Block { values, kernel })
+        })
+        .collect()
 }
 
 /// Derives the base block size from the per-machine budget (the one place the
@@ -240,10 +312,11 @@ pub fn pipeline_block_size(n: usize, config: &MpcConfig, params: &MulParams) -> 
     base_block_size(n, config, local_threshold)
 }
 
-/// The shared Theorem 1.3 pipeline; with `record` set, every level's nodes are
-/// snapshotted into a [`WitnessTrace`] for the top-down traceback (in the model
-/// the snapshots are the per-level kernel checkpoints left resident on the
-/// machines that combed/merged them).
+/// The shared Theorem 1.3 pipeline. The merge tree's levels are kept while
+/// the run may read them again: with `record` set they become the
+/// [`WitnessTrace`] for the top-down traceback, and under a kill schedule
+/// they are the checkpoints a repair re-derives lost nodes from (in the model,
+/// the copies left resident on the machines that combed or merged them).
 pub(crate) fn pipeline<T: Ord>(
     cluster: &mut Cluster,
     seq: &[T],
@@ -263,7 +336,7 @@ pub(crate) fn pipeline<T: Ord>(
         return (
             MpcLisOutcome {
                 length: 0,
-                kernel: SeaweedKernel::comb(&[], &[]),
+                kernel: Block::empty().kernel,
                 levels: 0,
                 witness: None,
             },
@@ -279,7 +352,7 @@ pub(crate) fn pipeline<T: Ord>(
     // charges without faults, to measure the checkpoint overhead in isolation.
     let fault_tolerant = cluster.config().faults.has_kills();
     let replicate = fault_tolerant || cluster.config().checkpoints;
-    let checkpoint = record || replicate;
+    let keep_levels = record || fault_tolerant;
 
     // Step 1: ranking. One sort of (value, position) pairs (Lemma 2.5) plus an
     // inverse permutation (Lemma 2.3).
@@ -288,30 +361,16 @@ pub(crate) fn pipeline<T: Ord>(
     let ranks = rank_sequence(seq);
 
     // Step 2: base blocks, sized off the budget and combed locally in streamed
-    // sub-blocks (one group_map). Each block emits its kernel as entries —
-    // (block, kind, index, value) — so the ledger sees the true 3B-item
-    // footprint per block and strict clusters enforce it.
+    // sub-blocks (one group_map).
     cluster.set_phase(Some("lis-base"));
     let block_size = pipeline_block_size(n, cluster.config(), params);
     let chunk = comb_chunk(cluster.config().space);
-    let positions = cluster.distribute(
-        ranks
-            .iter()
-            .enumerate()
-            .map(|(i, &r)| (i as u32, r))
-            .collect::<Vec<_>>(),
-    );
-    let entries = {
-        let bs = block_size as u32;
-        cluster.group_map_view(
-            positions,
-            move |&(pos, _)| pos / bs,
-            move |&block_id, items| {
-                comb_block_entries(block_id, items.iter().copied().collect(), chunk)
-            },
-        )
-    };
-    let mut blocks: Vec<Block> = blocks_from_entries(cluster.collect(entries))
+    let elems = ranks
+        .iter()
+        .enumerate()
+        .map(|(i, &r)| (i as u32, r))
+        .collect();
+    let mut blocks: Vec<Block> = comb_blocks(cluster, elems, block_size, chunk)
         .into_iter()
         .map(|(_, b)| b)
         .collect();
@@ -329,66 +388,25 @@ pub(crate) fn pipeline<T: Ord>(
         }
         cluster.set_phase(Some("lis-base"));
     }
-
-    // Witness traceback checkpoints: level 0 = the base blocks as combed.
-    let mut trace_levels: Vec<Vec<TraceNode>> = Vec::new();
-    if checkpoint {
-        trace_levels.push(
-            blocks
-                .iter()
-                .enumerate()
-                .map(|(i, b)| TraceNode {
-                    values: b.values.clone(),
-                    kernel: b.kernel.clone(),
-                    prov: Provenance::Base { block: i as u32 },
-                })
-                .collect(),
-        );
-    }
     if replicate {
         recovery::checkpoint_blocks(cluster, &blocks);
     }
 
     // Step 3: pairwise merge levels, each under its own ledger scope so the
     // inner ⊡ phases are attributed per level (`lis-merge-L2/combine-route`).
+    let mut tree = vec![blocks];
     let mut levels = 0;
-    while blocks.len() > 1 {
+    while let Some(below) = tree.last().filter(|level| level.len() > 1) {
         levels += 1;
         cluster.set_phase_scope(Some(format!("lis-merge-L{levels}")));
         // Relabelling both halves of every pair to the union alphabet is an O(1)
         // round sort (the §4.2 "relabel A_lo and A_hi" step).
         cluster.set_phase(Some("relabel"));
         cluster.charge_rounds("lis-relabel", costs::SORT);
-
-        // Prepare the padded ⊡ operands of every pair; odd block passes through.
-        let mut pairs = Vec::new();
-        let mut merged_meta = Vec::new();
-        let mut leftover = None;
-        let mut iter = blocks.into_iter();
-        while let Some(lo) = iter.next() {
-            match iter.next() {
-                Some(hi) => {
-                    let prep = prepare_merge(&lo.values, &lo.kernel, &hi.values, &hi.kernel);
-                    pairs.push(prep.operands);
-                    merged_meta.push((prep.lo_inflated, prep.hi_inflated, prep.union));
-                }
-                None => leftover = Some(lo),
-            }
-        }
-
         // One batched MPC multiplication merges every pair in the same rounds.
-        let products = monge_mpc::mul_batch(cluster, &pairs, params);
-        let mut next: Vec<Block> = products
-            .into_iter()
-            .zip(merged_meta)
-            .map(|(prod, (lo_inf, hi_inf, union))| Block {
-                values: union,
-                kernel: compose_from_product(&lo_inf, &hi_inf, prod),
-            })
-            .collect();
-        if let Some(b) = leftover {
-            next.push(b);
-        }
+        let mut next = build_nodes(below, 0..below.len().div_ceil(2), |operands| {
+            monge_mpc::mul_batch(cluster, operands, params)
+        });
         // Kills fired during this level's barriers destroyed nodes under
         // construction; re-derive them from the level-(L−1) checkpoints.
         if fault_tolerant {
@@ -397,47 +415,21 @@ pub(crate) fn pipeline<T: Ord>(
                 if killed.is_empty() {
                     break;
                 }
-                recovery::repair_level(
-                    cluster,
-                    &mut next,
-                    &trace_levels[levels - 1],
-                    levels,
-                    &killed,
-                    params,
-                );
+                recovery::repair_level(cluster, &mut next, below, levels, &killed, params);
             }
             cluster.set_phase_scope(Some(format!("lis-merge-L{levels}")));
-        }
-        if checkpoint {
-            // Provenance mirrors the construction order: pair p merged children
-            // (2p, 2p+1) of the previous level; an odd leftover passed through.
-            let prev_len = trace_levels.last().expect("level 0 recorded").len();
-            trace_levels.push(
-                next.iter()
-                    .enumerate()
-                    .map(|(i, b)| TraceNode {
-                        values: b.values.clone(),
-                        kernel: b.kernel.clone(),
-                        prov: if 2 * i + 1 < prev_len {
-                            Provenance::Merge {
-                                lo: 2 * i,
-                                hi: 2 * i + 1,
-                            }
-                        } else {
-                            Provenance::Pass { child: 2 * i }
-                        },
-                    })
-                    .collect(),
-            );
         }
         if replicate {
             recovery::checkpoint_blocks(cluster, &next);
         }
-        blocks = next;
+        if !keep_levels {
+            tree.clear();
+        }
+        tree.push(next);
     }
     cluster.set_phase_scope(None::<String>);
 
-    let root = blocks.pop().expect("at least one block");
+    let root = &tree.last().expect("the base level")[0];
     // A kill landing after the final merge can take the root itself (node 0
     // lives on machine 0); its checkpoint replica restores it in one shuffle.
     if fault_tolerant {
@@ -445,26 +437,29 @@ pub(crate) fn pipeline<T: Ord>(
         if killed.contains(&0) {
             cluster.set_phase_scope(Some("recovery-root"));
             cluster.set_phase(Some("restore"));
-            cluster.charge_superstep(
-                "restore",
-                costs::RESTORE,
-                (root.values.len() + root.kernel.checkpoint_entries()) as u64,
-            );
+            cluster.charge_superstep("restore", costs::RESTORE, root.footprint() as u64);
             cluster.set_phase_scope(None::<String>);
         }
     }
     debug_assert_eq!(root.kernel.y_len(), n);
     let length = root.kernel.lcs_window(0, n);
     cluster.set_phase(None::<String>);
-    let trace = record.then_some(WitnessTrace {
-        ranks,
-        block_size,
-        levels: trace_levels,
-    });
+    let (kernel, trace) = if record {
+        let kernel = root.kernel.clone();
+        let trace = WitnessTrace {
+            ranks,
+            block_size,
+            levels: tree,
+        };
+        (kernel, Some(trace))
+    } else {
+        let root = tree.pop().expect("the root level").swap_remove(0);
+        (root.kernel, None)
+    };
     (
         MpcLisOutcome {
             length,
-            kernel: root.kernel,
+            kernel,
             levels,
             witness: None,
         },
@@ -767,6 +762,47 @@ mod tests {
                 faulty.rounds()
             );
         }
+    }
+
+    #[test]
+    fn kill_of_a_pass_through_node_recovers_bit_identically() {
+        use mpc_runtime::FaultPlan;
+        let mut rng = StdRng::seed_from_u64(25);
+        let (n, delta) = (700, 0.75);
+        let mut seq: Vec<u32> = (0..n as u32).collect();
+        seq.shuffle(&mut rng);
+        let params = MulParams::default();
+        let mut probe = strict_cluster(n, delta);
+        let baseline = lis_witness_mpc(&mut probe, &seq, &params);
+        let machines = probe.config().machines;
+        // The pipeline's tree shape: find a level whose children are odd in
+        // number, so its last node is a pass-through, and small enough that
+        // the pass-through node is alone on its machine.
+        let trace = WitnessTrace::record(&seq, pipeline_block_size(n, probe.config(), &params));
+        let level = (1..trace.levels.len())
+            .find(|&l| trace.levels[l - 1].len() % 2 == 1 && trace.levels[l].len() <= machines)
+            .expect("the tree has a level with a lone pass-through node");
+        let machine = (trace.levels[level].len() - 1) % machines;
+        let (lo, hi) = probe
+            .ledger()
+            .superstep_span_of(&format!("lis-merge-L{level}/"))
+            .expect("level ran");
+        let plan = FaultPlan::kill(machine, (lo + hi) / 2);
+        let mut faulty = Cluster::new(MpcConfig::new(n, delta).with_faults(plan));
+        let outcome = lis_witness_mpc(&mut faulty, &seq, &params);
+        assert_eq!(outcome.length, baseline.length);
+        assert_eq!(outcome.kernel, baseline.kernel);
+        assert_eq!(outcome.witness, baseline.witness);
+        let ledger = faulty.ledger();
+        assert_eq!(ledger.kills(), 1);
+        assert_eq!(ledger.space_violations, 0);
+        assert!(
+            ledger
+                .rounds_by_phase
+                .keys()
+                .any(|k| k.starts_with(&format!("recovery-L{level}/"))),
+            "the kill at level {level} must run its repair"
+        );
     }
 
     #[test]

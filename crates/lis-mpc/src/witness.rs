@@ -1,14 +1,17 @@
 //! Distributed LIS witness recovery: the top-down traceback over the recorded
 //! merge tree of Theorem 1.3.
 //!
-//! The bottom-up pass of [`crate::lis::lis_witness_mpc`] checkpoints every
-//! level of the `lis-merge-L<k>` tree (each node's sorted value set and seaweed
-//! kernel — in the model these stay resident on the machines that combed or
-//! merged them). Recovery then descends the same tree in `O(log n)` rounds:
+//! The bottom-up pass of [`crate::lis::lis_witness_mpc`] keeps every level of
+//! its merge tree: each node is a sorted value set and a seaweed kernel (in
+//! the model these stay resident on the machines that combed or merged
+//! them), and node `i` of a level merges nodes `2i` and `2i + 1` of the level
+//! below, or passes node `2i` through when it is the last. Recovery descends
+//! the same tree in `O(log n)` rounds:
 //!
 //! 1. **Split** (per level, `O(1)` rounds): each active node holds a query
-//!    "realize `t` witness elements using global ranks in `[vlo, vhi)`". At a
-//!    merge node the query is split into per-child sub-queries with one
+//!    "realize `t` witness elements using global ranks in `[vlo, vhi)`". A
+//!    pass-through node hands its query to its one child. At a merge node
+//!    the query is split into per-child sub-queries with one
 //!    Hirschberg-style scan over the children's checkpointed kernels
 //!    ([`seaweed_lis::lis::split_window_lis`], built on the
 //!    [`seaweed_lis::kernel::SeaweedKernel::x_prefix_lcs`] /
@@ -21,7 +24,8 @@
 //!    at most `n` items per level, which the simulation routes through a real
 //!    prefix-sum superstep so the ledger observes the footprint — and the
 //!    sub-queries leave with one shuffle.
-//! 2. **Reconstruct** (base level): the surviving block-addressed queries are
+//! 2. **Reconstruct** (base level, where a node's index is its block id): the
+//!    surviving block-addressed queries are
 //!    joined against the resident input elements with one
 //!    [`mpc_runtime::Cluster::cogroup_map`]; each base block recovers its slice
 //!    locally by patience sorting with parent pointers
@@ -55,14 +59,15 @@
 //! because the `⊡` composition is exact, so a service can rebuild the trace of
 //! a cached sequence without re-running the cluster pipeline.
 
+use crate::lis::{build_nodes, children, Block};
 use crate::recovery;
 use mpc_runtime::{costs, Cluster};
-use seaweed_lis::kernel::{compose_horizontal, SeaweedKernel};
+use seaweed_lis::kernel::SeaweedKernel;
 use seaweed_lis::lis::{
     lis_kernel_permutation, lis_witness_in_rank_range, rank_sequence, split_window_lis,
 };
 
-/// Per-level checkpoints recorded by the bottom-up pass of
+/// The merge tree recorded by the bottom-up pass of
 /// [`crate::lis::lis_witness_mpc`] (or sequentially by
 /// [`WitnessTrace::record`]): everything the top-down traceback needs to
 /// realize value-window witness queries without touching the pipeline again.
@@ -73,84 +78,31 @@ pub struct WitnessTrace {
     /// Base block size (positions `[b·B, (b+1)·B)` form block `b`).
     pub(crate) block_size: usize,
     /// `levels[0]` = base blocks; `levels[k]` = nodes after `k` merge levels.
-    pub(crate) levels: Vec<Vec<TraceNode>>,
-}
-
-/// One checkpointed node of the merge tree.
-#[derive(Clone, Debug, PartialEq)]
-pub(crate) struct TraceNode {
-    /// Sorted global ranks present in the node's position range.
-    pub(crate) values: Vec<usize>,
-    /// Kernel over the compact alphabet of `values`.
-    pub(crate) kernel: SeaweedKernel,
-    /// Where the node came from (one level down).
-    pub(crate) prov: Provenance,
-}
-
-/// Provenance of a checkpointed node.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum Provenance {
-    /// A base block combed locally in step 2 of the pipeline.
-    Base {
-        /// Block id (= position `/ block_size`).
-        block: u32,
-    },
-    /// Merged from children at indices `(lo, hi)` of the previous level.
-    Merge {
-        /// Left (earlier positions) child index.
-        lo: usize,
-        /// Right (later positions) child index.
-        hi: usize,
-    },
-    /// The odd leftover block, passed through unchanged.
-    Pass {
-        /// Child index in the previous level.
-        child: usize,
-    },
+    pub(crate) levels: Vec<Vec<Block>>,
 }
 
 impl WitnessTrace {
     /// Records the merge tree of `seq` sequentially, without a cluster: comb
-    /// each `block_size`-element base block, then merge adjacent nodes
-    /// pairwise level by level (odd leftovers pass through) exactly as the
-    /// MPC pipeline does. Because the `⊡` composition is exact and
-    /// associative, the resulting trace is **bit-identical** to the one
-    /// `lis_witness_mpc` records at the same block size (see
-    /// [`crate::lis::pipeline_block_size`] for the size the pipeline picks).
+    /// each `block_size`-element base block, then build every level above it
+    /// by the pipeline's pairing rule, with local `⊡` products. Because the
+    /// `⊡` composition is exact and associative, the resulting trace is
+    /// **bit-identical** to the one `lis_witness_mpc` records at the same
+    /// block size (see [`crate::lis::pipeline_block_size`] for the size the
+    /// pipeline picks).
     pub fn record<T: Ord>(seq: &[T], block_size: usize) -> Self {
         let ranks = rank_sequence(seq);
         let block_size = block_size.max(1);
-        let mut levels: Vec<Vec<TraceNode>> = Vec::new();
+        let mut levels: Vec<Vec<Block>> = Vec::new();
         if !ranks.is_empty() {
-            levels.push(
-                ranks
-                    .chunks(block_size)
-                    .enumerate()
-                    .map(|(b, chunk)| base_node(b as u32, chunk))
-                    .collect(),
-            );
-            while levels.last().expect("level pushed").len() > 1 {
-                let prev = levels.last().expect("level pushed");
-                let mut next: Vec<TraceNode> = Vec::with_capacity(prev.len().div_ceil(2));
-                let mut i = 0;
-                while i + 1 < prev.len() {
-                    let (lo, hi) = (&prev[i], &prev[i + 1]);
-                    let prep =
-                        crate::lis::prepare_merge(&lo.values, &lo.kernel, &hi.values, &hi.kernel);
-                    next.push(TraceNode {
-                        kernel: compose_horizontal(&prep.lo_inflated, &prep.hi_inflated),
-                        values: prep.union,
-                        prov: Provenance::Merge { lo: i, hi: i + 1 },
-                    });
-                    i += 2;
-                }
-                if i < prev.len() {
-                    next.push(TraceNode {
-                        values: prev[i].values.clone(),
-                        kernel: prev[i].kernel.clone(),
-                        prov: Provenance::Pass { child: i },
-                    });
-                }
+            let base = ranks.chunks(block_size).map(|chunk| {
+                let keys: Vec<usize> = chunk.iter().map(|&r| r as usize).collect();
+                Block::comb(&keys, lis_kernel_permutation)
+            });
+            levels.push(base.collect());
+            while let Some(below) = levels.last().filter(|level| level.len() > 1) {
+                let next = build_nodes(below, 0..below.len().div_ceil(2), |operands| {
+                    operands.iter().map(|(a, b)| monge::mul(a, b)).collect()
+                });
                 levels.push(next);
             }
         }
@@ -221,27 +173,7 @@ impl WitnessTrace {
     /// footprint a cache's byte budget should charge for keeping the trace
     /// hot.
     pub fn checkpoint_footprint(&self) -> usize {
-        self.levels
-            .iter()
-            .flatten()
-            .map(|node| node.values.len() + node.kernel.checkpoint_entries())
-            .sum()
-    }
-}
-
-/// Combs one base block of global ranks into a checkpointed node, exactly as
-/// the pipeline's `comb_block_entries` does (compact alphabet + local comb).
-fn base_node(block: u32, chunk: &[u32]) -> TraceNode {
-    let mut values: Vec<usize> = chunk.iter().map(|&r| r as usize).collect();
-    values.sort_unstable();
-    let relabelled: Vec<u32> = chunk
-        .iter()
-        .map(|&r| values.partition_point(|&v| v < r as usize) as u32)
-        .collect();
-    TraceNode {
-        kernel: lis_kernel_permutation(&relabelled),
-        values,
-        prov: Provenance::Base { block },
+        self.levels.iter().flatten().map(Block::footprint).sum()
     }
 }
 
@@ -299,7 +231,7 @@ pub fn recover_batch(
         cluster.set_phase_scope(Some(format!("{scope}-L{level}")));
         cluster.set_phase(Some("split"));
         let nodes = &trace.levels[level];
-        let children = &trace.levels[level - 1];
+        let below = &trace.levels[level - 1];
 
         // The split scan touches one checkpointed kernel entry per union value
         // inside each active merge window; route that slice through a real
@@ -316,16 +248,12 @@ pub fn recover_batch(
         // node's values are its sorted, duplicate-free rank union.
         let mut intervals: Vec<(u32, u32, u32)> = queries
             .iter()
+            .filter(|&&(_, idx, ..)| children(idx, below.len()).1.is_some())
             .filter_map(|&(_, idx, vlo, vhi, _)| {
                 let node = &nodes[idx];
-                match node.prov {
-                    Provenance::Merge { .. } => {
-                        let a = node.values.partition_point(|&v| v < vlo);
-                        let b = node.values.partition_point(|&v| v < vhi);
-                        (a < b).then_some((idx as u32, a as u32, b as u32))
-                    }
-                    _ => None,
-                }
+                let a = node.values.partition_point(|&v| v < vlo);
+                let b = node.values.partition_point(|&v| v < vhi);
+                (a < b).then_some((idx as u32, a as u32, b as u32))
             })
             .collect();
         intervals.sort_unstable();
@@ -357,7 +285,7 @@ pub fn recover_batch(
         if !killed.is_empty() {
             recovery::restore_for_witness(
                 cluster,
-                children,
+                below,
                 &killed,
                 &format!("recovery-witness-L{level}"),
             );
@@ -366,11 +294,11 @@ pub fn recover_batch(
 
         let mut next: Vec<Query> = Vec::with_capacity(2 * queries.len());
         for (qid, idx, vlo, vhi, t) in queries.drain(..) {
-            match nodes[idx].prov {
-                Provenance::Pass { child } => next.push((qid, child, vlo, vhi, t)),
-                Provenance::Merge { lo, hi } => {
-                    let l = &children[lo];
-                    let h = &children[hi];
+            match children(idx, below.len()) {
+                (child, None) => next.push((qid, child, vlo, vhi, t)),
+                (lo, Some(hi)) => {
+                    let l = &below[lo];
+                    let h = &below[hi];
                     let (w, t_lo, t_hi) = split_window_lis(
                         (&l.values, &l.kernel),
                         (&h.values, &h.kernel),
@@ -385,7 +313,6 @@ pub fn recover_batch(
                         next.push((qid, hi, w, vhi, t_hi));
                     }
                 }
-                Provenance::Base { .. } => unreachable!("base node above level 0"),
             }
         }
         queries = next;
@@ -395,7 +322,6 @@ pub fn recover_batch(
     // elements and reconstruct each slice where its block lives.
     cluster.set_phase_scope(Some(format!("{scope}-base")));
     cluster.set_phase(Some("reconstruct"));
-    let base = &trace.levels[0];
     let block_size = trace.block_size as u32;
     let elements = cluster.distribute(
         trace
@@ -407,11 +333,8 @@ pub fn recover_batch(
     );
     let base_queries: Vec<(u32, u32, u32, u32, u32)> = queries
         .into_iter()
-        .map(|(qid, idx, vlo, vhi, t)| {
-            let Provenance::Base { block } = base[idx].prov else {
-                unreachable!("level-0 node without base provenance")
-            };
-            (block, qid as u32, vlo as u32, vhi as u32, t as u32)
+        .map(|(qid, block, vlo, vhi, t)| {
+            (block as u32, qid as u32, vlo as u32, vhi as u32, t as u32)
         })
         .collect();
     let qdv = cluster.distribute(base_queries);

@@ -312,6 +312,8 @@ pub fn mul_rows_reference(pa: &[u32], pb: &[u32]) -> Vec<u32> {
             let (b_lo, cols_lo) = compact_columns(&pb[..half], n);
             let (b_hi, cols_hi) = compact_columns(&pb[half..], n);
 
+            // conformance: allow(oracle-call) — the reference's own recursion:
+            // the oracle stays self-contained, sharing nothing with the fast path.
             let c_lo = mul_rows_reference(&a_lo, &b_lo);
             let c_hi = mul_rows_reference(&a_hi, &b_hi);
 

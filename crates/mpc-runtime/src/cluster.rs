@@ -441,10 +441,10 @@ impl Cluster {
         U: Send,
         F: Fn(&T) -> U + Sync,
     {
-        let parts = compute::per_part(&dv.parts, |_, part| part.iter().map(&f).collect());
-        let out = DistVec::from_parts(parts);
-        self.account(Superstep::local("map"), &out);
-        out
+        self.charge_map(&dv.shape());
+        DistVec::from_parts(compute::per_part(&dv.parts, |_, part| {
+            part.iter().map(&f).collect()
+        }))
     }
 
     /// Charges a [`Cluster::map`] over a vector of shape `input` without
@@ -456,20 +456,6 @@ impl Cluster {
     pub fn charge_map(&mut self, input: &Shape) {
         self.apply_step(Superstep::local("map"));
         self.observe_shape(input, "map");
-    }
-
-    /// Applies `f` to every machine's local slice, producing a new local slice.
-    /// Charges no rounds (purely local).
-    pub fn map_parts<T, U, F>(&mut self, dv: &DistVec<T>, f: F) -> DistVec<U>
-    where
-        T: Sync,
-        U: Send,
-        F: Fn(usize, &[T]) -> Vec<U> + Sync,
-    {
-        let parts = compute::per_part(&dv.parts, |i, part| f(i, part));
-        let out = DistVec::from_parts(parts);
-        self.account(Superstep::local("map_parts"), &out);
-        out
     }
 
     // ---------------------------------------------------------------------------
@@ -529,11 +515,11 @@ impl Cluster {
         FV: Fn(&T) -> (K, u64) + Sync,
         FQ: Fn(&Q) -> (K, u64) + Sync,
     {
-        let communication = values.len() as u64 + 2 * queries.len() as u64;
+        self.charge_rank_search(values.len(), &queries.shape());
 
         // Globally sort the value keys once; answer each query by binary search in
-        // its group's slice. (The simulated cost model charges the sort +
-        // prefix-sum rounds in the accounting phase.)
+        // its group's slice. (The receipt charged above covers the sort +
+        // prefix-sum rounds of the modelled step.)
         let mut keyed: Vec<(K, u64)> = concat(compute::per_part(&values.parts, |_, part| {
             part.iter().map(&vkey).collect()
         }));
@@ -544,20 +530,14 @@ impl Cluster {
             let hi = keyed[lo..].partition_point(|(g, v)| *g == group && *v < threshold);
             hi as u64
         };
-        let parts = compute::per_part_owned(queries.parts, |part| {
+        DistVec::from_parts(compute::per_part_owned(queries.parts, |part| {
             part.into_iter()
                 .map(|q| {
                     let c = answer(&q);
                     (q, c)
                 })
                 .collect()
-        });
-        let out = DistVec::from_parts(parts);
-        self.account(
-            Superstep::new("rank_search", costs::RANK_SEARCH, communication),
-            &out,
-        );
-        out
+        }))
     }
 
     /// Charges a [`Cluster::rank_search`] of queries of shape `queries`
@@ -729,10 +709,8 @@ impl Cluster {
         FK: Fn(&T) -> K + Sync,
         F: Fn(&K, Group<'_, T>) -> I + Sync,
     {
-        let total = dv.len() as u64;
-        self.apply_step(Superstep::new("group_map", costs::GROUP_MAP, total));
         let (keys, side) = group::gather(dv.parts, key);
-        self.run_packed(side.offsets(), "group_map", |g| f(&keys[g], side.group(g)))
+        self.run_grouped(side.offsets(), |g| f(&keys[g], side.group(g)))
     }
 
     /// A [`Cluster::group_map_view`] whose groups the caller already knows:
@@ -750,10 +728,20 @@ impl Cluster {
         I: IntoIterator<Item = U>,
         F: Fn(usize) -> I + Sync,
     {
-        let offsets = group::offsets(sizes);
-        let total = offsets[sizes.len()] as u64;
+        self.run_grouped(&group::offsets(sizes), f)
+    }
+
+    /// The `group_map` receipt over groups with item prefix `offsets`, then
+    /// the packed run (see [`Cluster::run_packed`]).
+    fn run_grouped<U, I, F>(&mut self, offsets: &[usize], run: F) -> DistVec<U>
+    where
+        U: Send,
+        I: IntoIterator<Item = U>,
+        F: Fn(usize) -> I + Sync,
+    {
+        let total = offsets[offsets.len() - 1] as u64;
         self.apply_step(Superstep::new("group_map", costs::GROUP_MAP, total));
-        self.run_packed(&offsets, "group_map", f)
+        self.run_packed(offsets, "group_map", run)
     }
 
     /// The tail every packing grouping primitive shares once its groups are
@@ -918,15 +906,14 @@ impl Cluster {
     /// Concatenates two distributed vectors machine-wise (no data movement, no
     /// rounds): machine `i` simply owns both its parts.
     pub fn concat<T: Send>(&mut self, a: DistVec<T>, b: DistVec<T>) -> DistVec<T> {
+        self.charge_concat(&a.shape(), &b.shape());
         let mut parts: Vec<Vec<T>> = a.parts;
         let m = parts.len().max(b.parts.len()).max(self.config.machines);
         parts.resize_with(m, Vec::new);
         for (i, mut p) in b.parts.into_iter().enumerate() {
             parts[i].append(&mut p);
         }
-        let out = DistVec::from_parts(parts);
-        self.account(Superstep::local("concat"), &out);
-        out
+        DistVec::from_parts(parts)
     }
 
     /// Charges a [`Cluster::concat`] of vectors of shapes `a` and `b` without
@@ -972,13 +959,8 @@ impl Cluster {
         let emitted: Vec<U> = concat(compute::per_part(&dv.parts, |_, part| {
             part.iter().flat_map(&f).collect()
         }));
-        let communication = emitted.len() as u64;
-        let out = DistVec::from_parts(compute::balance(emitted, self.config.machines));
-        self.account(
-            Superstep::new("multicast", costs::MULTICAST, communication),
-            &out,
-        );
-        out
+        self.charge_multicast(emitted.len());
+        DistVec::from_parts(compute::balance(emitted, self.config.machines))
     }
 
     /// Charges a balanced multicast of `volume` copies without materializing
@@ -1022,23 +1004,6 @@ impl Cluster {
             self.config.machines as u64,
         ));
         value
-    }
-
-    /// Computes the inverse of a permutation given as `(index, value)` pairs
-    /// (Lemma 2.3): each pair `(i, p_i)` is routed to the machine responsible for
-    /// `p_i` and stored as `(p_i, i)`.
-    pub fn inverse_permutation(&mut self, dv: DistVec<(u32, u32)>) -> DistVec<(u32, u32)> {
-        let total = dv.len() as u64;
-        let mut items: Vec<(u32, u32)> = concat(compute::per_part_owned(dv.parts, |part| {
-            part.into_iter().map(|(i, p)| (p, i)).collect()
-        }));
-        items.par_sort_unstable();
-        let out = DistVec::from_parts(compute::balance(items, self.config.machines));
-        self.account(
-            Superstep::new("inverse_permutation", costs::INVERSE_PERMUTATION, total),
-            &out,
-        );
-        out
     }
 }
 
@@ -2094,25 +2059,6 @@ mod tests {
         assert_eq!(ledger.rounds_by_phase["outer-L1/inner"], costs::SORT);
         assert_eq!(ledger.rounds_by_phase["outer-L1"], 2);
         assert_eq!(ledger.rounds_by_phase["inner"], 1);
-    }
-
-    #[test]
-    fn inverse_permutation_matches_direct_inverse() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let n = 300u32;
-        let mut perm: Vec<u32> = (0..n).collect();
-        perm.shuffle(&mut rng);
-        let mut cl = cluster(n as usize, 0.4);
-        let pairs: Vec<(u32, u32)> = perm
-            .iter()
-            .enumerate()
-            .map(|(i, &p)| (i as u32, p))
-            .collect();
-        let dv = cl.distribute(pairs);
-        let inv = cl.inverse_permutation(dv).into_inner();
-        for (p, i) in inv {
-            assert_eq!(perm[i as usize], p);
-        }
     }
 
     #[test]

@@ -43,7 +43,6 @@
 use crate::lis::Block;
 use mpc_runtime::{costs, Cluster};
 use seaweed_lis::kernel::SeaweedKernel;
-use seaweed_lis::lis::lis_kernel_permutation;
 
 /// What one [`AppendableLisKernel::append`] call actually did — the
 /// observable half of the spine-only cost claim (the ledger's
@@ -181,7 +180,7 @@ impl AppendableLisKernel {
             stats.blocks_combed += 1;
             stats.recombed_items += 3 * chunk.len();
             // The pipeline's base step, with keys in place of global ranks.
-            self.spine.push(Block::comb(&keys, lis_kernel_permutation));
+            self.spine.push(Block::comb(&keys));
 
             // Carry: merge the top two segments while the top has grown to
             // more than half of the one below, so sizes keep at least
@@ -229,14 +228,13 @@ impl AppendableLisKernel {
     /// Maps a half-open **value** range `[lo, hi)` to the half-open global
     /// *rank* window occupied by elements with those values — the window
     /// vocabulary of [`crate::witness::recover_batch`] (ties are contiguous
-    /// in rank space, so the mapping is exact).
-    pub fn value_rank_window(&mut self, cluster: &mut Cluster, lo: u32, hi: u32) -> (usize, usize) {
+    /// in rank space, so the mapping is exact). `hi` may be `2^32`, so the
+    /// range can include `u32::MAX`.
+    pub fn value_rank_window(&mut self, cluster: &mut Cluster, lo: u32, hi: u64) -> (usize, usize) {
         self.fold(cluster);
         let keys = &self.root.as_ref().expect("fold caches a root").values;
-        (
-            keys.partition_point(|&k| k < (lo as usize) << 32),
-            keys.partition_point(|&k| k < (hi as usize) << 32),
-        )
+        let below = |end: u64| keys.partition_point(|&k| ((k >> 32) as u64) < end);
+        (below(u64::from(lo)), below(hi))
     }
 
     fn fold(&mut self, cluster: &mut Cluster) {
@@ -387,7 +385,7 @@ mod tests {
         for _ in 0..20 {
             let lo = rng.gen_range(0..45);
             let hi = rng.gen_range(lo..=45);
-            let got = kernel.value_rank_window(&mut cluster, lo, hi);
+            let got = kernel.value_rank_window(&mut cluster, lo, u64::from(hi));
             let want = (
                 sorted.partition_point(|&v| v < lo),
                 sorted.partition_point(|&v| v < hi),

@@ -17,8 +17,8 @@
 //! zero recorded violations at every `δ`. Base blocks are sized off the
 //! per-machine budget in one place ([`lis::base_block_size`]: the largest `B`
 //! with `3·B·⌈⌈n/B⌉/m⌉ ≤ s`, because a block materializes its value set plus a
-//! `2B`-entry kernel), block kernels are combed in budget-bounded streamed
-//! sub-blocks and emitted entry-wise so the ledger sees their real footprint,
+//! `2B`-entry kernel), block kernels are built locally in an `O(B)`-word
+//! working set and emitted entry-wise so the ledger sees their real footprint,
 //! and every merge level runs its `⊡` under a `lis-merge-L<k>` ledger scope so
 //! rounds, communication and loads are attributed per level.
 //!

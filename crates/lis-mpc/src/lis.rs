@@ -6,11 +6,10 @@
 //!    the original sequence correspond exactly to increasing subsequences of the rank
 //!    permutation (ties broken by descending position).
 //! 2. **Base blocks**: the sequence is cut into blocks sized off the space budget
-//!    (see [`base_block_size`]); each machine combs the seaweed kernel of its
-//!    blocks locally in budget-bounded streamed sub-blocks
-//!    ([`seaweed_lis::lis::lis_kernel_permutation_streamed`]) and emits the
-//!    kernel *entries*, so the ledger observes the kernel's real `3B`-item
-//!    footprint rather than an opaque handle.
+//!    (see [`base_block_size`]); each machine builds the seaweed kernel of its
+//!    blocks locally ([`seaweed_lis::lis::lis_kernel_permutation`], an `O(B)`-word
+//!    working set) and emits the kernel *entries*, so the ledger observes the
+//!    kernel's real `3B`-item footprint rather than an opaque handle.
 //! 3. **Merge levels**: adjacent nodes are merged pairwise, building one merge
 //!    tree whose nodes are all alike (a sorted value set and a kernel over its
 //!    compact alphabet). Node `i` of a level merges nodes `2i` and `2i + 1` of
@@ -42,7 +41,7 @@ use monge::PermutationMatrix;
 use monge_mpc::MulParams;
 use mpc_runtime::{costs, Cluster, MpcConfig};
 use seaweed_lis::kernel::{compose_from_product, compose_operands, SeaweedKernel};
-use seaweed_lis::lis::{lis_kernel_permutation_streamed, rank_sequence};
+use seaweed_lis::lis::{lis_kernel_permutation, rank_sequence};
 
 /// Result of the MPC LIS computation.
 #[derive(Clone, Debug)]
@@ -83,8 +82,8 @@ impl Block {
 
     /// Combs one base block: `keys` (distinct, in position order) are
     /// relabelled to the compact alphabet of their sorted set, and
-    /// `kernel_of` builds the kernel of the resulting permutation.
-    pub(crate) fn comb(keys: &[usize], kernel_of: impl FnOnce(&[u32]) -> SeaweedKernel) -> Self {
+    /// [`lis_kernel_permutation`] builds the kernel of that permutation.
+    pub(crate) fn comb(keys: &[usize]) -> Self {
         let mut values = keys.to_vec();
         values.sort_unstable();
         let relabelled: Vec<u32> = keys
@@ -92,7 +91,7 @@ impl Block {
             .map(|&k| values.partition_point(|&v| v < k) as u32)
             .collect();
         Self {
-            kernel: kernel_of(&relabelled),
+            kernel: lis_kernel_permutation(&relabelled),
             values,
         }
     }
@@ -187,7 +186,7 @@ impl MergePrep {
 }
 
 /// Combs the base blocks holding `elems` (`(position, rank)` pairs) with one
-/// `group_map`, each block locally in budget-bounded streamed sub-blocks.
+/// `group_map`, each block locally.
 /// Every block of `B` elements emits its checkpoint as `3B` entries
 /// `(block, j, word)`: its sorted values for `j < B`, then its kernel's
 /// entry → exit rows. So the ledger observes the real footprint; the blocks
@@ -197,7 +196,6 @@ pub(crate) fn comb_blocks(
     cluster: &mut Cluster,
     elems: Vec<(u32, u32)>,
     block_size: usize,
-    chunk: usize,
 ) -> Vec<(u32, Block)> {
     let bs = block_size as u32;
     let positions = cluster.distribute(elems);
@@ -208,7 +206,7 @@ pub(crate) fn comb_blocks(
             let mut items: Vec<(u32, u32)> = items.iter().copied().collect();
             items.sort_unstable_by_key(|&(pos, _)| pos);
             let keys: Vec<usize> = items.iter().map(|&(_, r)| r as usize).collect();
-            let block = Block::comb(&keys, |perm| lis_kernel_permutation_streamed(perm, chunk));
+            let block = Block::comb(&keys);
             let exits = (0..2 * keys.len()).map(|e| block.kernel.exit_of(e));
             let words = block.values.iter().copied().chain(exits);
             words
@@ -258,15 +256,6 @@ pub fn base_block_size(n: usize, config: &MpcConfig, local_threshold: usize) -> 
         b = (b / 2).max(4);
     }
     b
-}
-
-/// Chunk size for streamed base-block combing: the largest sub-block whose
-/// modeled `(2c)²`-bit crossing history fits the machine's word budget
-/// (`c²/16 ≤ s`), floored at the direct-comb base. (The actual comb is the
-/// history-free bit-parallel fast path; this budget keeps the space model
-/// honest for the reference construction.)
-fn comb_chunk(space: usize) -> usize {
-    (4.0 * (space as f64).sqrt()).floor().max(32.0) as usize
 }
 
 /// Computes the full semi-local LIS kernel of `seq` on the cluster.
@@ -360,17 +349,16 @@ pub(crate) fn pipeline<T: Ord>(
     cluster.charge_rounds("lis-rank", costs::SORT + costs::INVERSE_PERMUTATION);
     let ranks = rank_sequence(seq);
 
-    // Step 2: base blocks, sized off the budget and combed locally in streamed
-    // sub-blocks (one group_map).
+    // Step 2: base blocks, sized off the budget and combed locally (one
+    // group_map).
     cluster.set_phase(Some("lis-base"));
     let block_size = pipeline_block_size(n, cluster.config(), params);
-    let chunk = comb_chunk(cluster.config().space);
     let elems = ranks
         .iter()
         .enumerate()
         .map(|(i, &r)| (i as u32, r))
         .collect();
-    let mut blocks: Vec<Block> = comb_blocks(cluster, elems, block_size, chunk)
+    let mut blocks: Vec<Block> = comb_blocks(cluster, elems, block_size)
         .into_iter()
         .map(|(_, b)| b)
         .collect();
@@ -384,7 +372,7 @@ pub(crate) fn pipeline<T: Ord>(
             if killed.is_empty() {
                 break;
             }
-            recovery::repair_base(cluster, &mut blocks, &ranks, block_size, chunk, &killed);
+            recovery::repair_base(cluster, &mut blocks, &ranks, block_size, &killed);
         }
         cluster.set_phase(Some("lis-base"));
     }

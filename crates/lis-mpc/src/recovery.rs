@@ -70,7 +70,6 @@ pub(crate) fn repair_base(
     blocks: &mut [Block],
     ranks: &[u32],
     block_size: usize,
-    chunk: usize,
     killed: &[usize],
 ) {
     let machines = cluster.config().machines;
@@ -91,7 +90,7 @@ pub(crate) fn repair_base(
             (lo..hi).map(|p| (p as u32, ranks[p]))
         })
         .collect();
-    for (block_id, block) in comb_blocks(cluster, elems, block_size, chunk) {
+    for (block_id, block) in comb_blocks(cluster, elems, block_size) {
         blocks[block_id as usize] = block;
     }
     cluster.set_phase_scope(None::<String>);

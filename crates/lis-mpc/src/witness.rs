@@ -63,9 +63,7 @@ use crate::lis::{build_nodes, children, Block};
 use crate::recovery;
 use mpc_runtime::{costs, Cluster};
 use seaweed_lis::kernel::SeaweedKernel;
-use seaweed_lis::lis::{
-    lis_kernel_permutation, lis_witness_in_rank_range, rank_sequence, split_window_lis,
-};
+use seaweed_lis::lis::{lis_witness_in_rank_range, rank_sequence, split_window_lis};
 
 /// The merge tree recorded by the bottom-up pass of
 /// [`crate::lis::lis_witness_mpc`] (or sequentially by
@@ -96,7 +94,7 @@ impl WitnessTrace {
         if !ranks.is_empty() {
             let base = ranks.chunks(block_size).map(|chunk| {
                 let keys: Vec<usize> = chunk.iter().map(|&r| r as usize).collect();
-                Block::comb(&keys, lis_kernel_permutation)
+                Block::comb(&keys)
             });
             levels.push(base.collect());
             while let Some(below) = levels.last().filter(|level| level.len() > 1) {
@@ -467,8 +465,19 @@ mod tests {
     #[test]
     fn batched_windows_realize_their_window_lis() {
         let mut rng = StdRng::seed_from_u64(33);
-        for &n in &[1usize, 60, 257, 500] {
-            let seq = random_seq(&mut rng, n, 50);
+        // (length, alphabet): the empty sequence, then distinct-ish values,
+        // then duplicate-heavy ones whose equal values span several blocks.
+        let inputs = [
+            (0usize, 50u32),
+            (1, 50),
+            (60, 50),
+            (257, 50),
+            (500, 50),
+            (220, 12),
+            (150, 3),
+        ];
+        for &(n, alphabet) in &inputs {
+            let seq = random_seq(&mut rng, n, alphabet);
             let trace = WitnessTrace::record(&seq, 24);
             let mut windows = vec![(0, n)];
             for _ in 0..6 {

@@ -149,7 +149,7 @@ impl CacheEntry {
 
     /// Maps a half-open value range to the rank-window vocabulary of
     /// [`lis_mpc::recover_batch`].
-    pub fn value_rank_window(&mut self, lo: u32, hi: u32) -> (usize, usize) {
+    pub fn value_rank_window(&mut self, lo: u32, hi: u64) -> (usize, usize) {
         self.kernel.value_rank_window(&mut self.cluster, lo, hi)
     }
 

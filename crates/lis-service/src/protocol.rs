@@ -10,7 +10,7 @@
 //! |-----------|------------------------------------------|--------|
 //! | `ingest`  | `seq: [u32]`                             | kernel id (content hash), LIS length; dedupes to a cache hit for a known sequence |
 //! | `window`  | `id`, `l`, `r` *or* `windows: [[l,r]…]`  | `LIS(A[l..r))` per window, off the hot kernel |
-//! | `witness` | `id`, optional `lo`/`hi` *or* `ranges: [[lo,hi]…]` (value ranges) | positions (and values) of one LIS using only values in `[lo, hi)`; multi-range requests ride **one** traceback descent |
+//! | `witness` | `id`, optional `lo`/`hi` *or* `ranges: [[lo,hi]…]` (value ranges, `lo ≤ u32::MAX`, `hi ≤ 2^32`; defaults `0` and `2^32`) | positions (and values) of one LIS using only values in `[lo, hi)`; multi-range requests ride **one** traceback descent |
 //! | `append`  | `id`, `block: [u32]`                     | new kernel id + spine stats + ledger proof that only the spine was recombed |
 //! | `stats`   | —                                        | cache and ledger counters |
 //! | `shutdown`| —                                        | stops the server after responding |
@@ -37,8 +37,10 @@ pub enum Request {
     Witness {
         /// Kernel id returned by `ingest`/`append`.
         id: String,
-        /// Half-open value ranges; each gets its own witness, all in one descent.
-        ranges: Vec<(u32, u32)>,
+        /// Half-open value ranges; each gets its own witness, all in one
+        /// descent. The end may be [`VALUE_END`], so a range can include
+        /// `u32::MAX`.
+        ranges: Vec<(u32, u64)>,
     },
     /// Extend a hot kernel's sequence by a block.
     Append {
@@ -75,6 +77,20 @@ fn parse_index(value: &Value, field: &str) -> Result<usize, String> {
         .as_int()
         .ok_or_else(|| format!("`{field}` must be an integer"))?;
     usize::try_from(i).map_err(|_| format!("`{field}` must be non-negative"))
+}
+
+/// One past the largest value a sequence can hold: the exclusive end of a
+/// witness value range that includes `u32::MAX`.
+pub const VALUE_END: u64 = 1 << 32;
+
+/// Checks the bounds of a witness value range `[lo, hi)`.
+fn value_range(lo: usize, hi: usize) -> Result<(u32, u64), String> {
+    let lo = u32::try_from(lo).map_err(|_| format!("witness range start {lo} exceeds u32::MAX"))?;
+    let hi = u64::try_from(hi)
+        .ok()
+        .filter(|&hi| hi <= VALUE_END)
+        .ok_or_else(|| format!("witness range end {hi} exceeds 2^32"))?;
+    Ok((lo, hi))
 }
 
 /// Reads an array of `[a, b]` integer pairs.
@@ -133,12 +149,7 @@ impl Request {
                 let ranges = match request.get("ranges") {
                     Some(list) => parse_pairs(list, "ranges")?
                         .into_iter()
-                        .map(|(a, b)| {
-                            Ok((
-                                u32::try_from(a).map_err(|_| "`ranges` value out of u32 range")?,
-                                u32::try_from(b).map_err(|_| "`ranges` value out of u32 range")?,
-                            ))
-                        })
+                        .map(|(lo, hi)| value_range(lo, hi))
                         .collect::<Result<Vec<_>, String>>()?,
                     None => match (request.get("lo"), request.get("hi")) {
                         (None, None) => Vec::new(),
@@ -147,11 +158,8 @@ impl Request {
                             let hi = hi
                                 .map(|v| parse_index(v, "hi"))
                                 .transpose()?
-                                .unwrap_or(u32::MAX as usize);
-                            vec![(
-                                u32::try_from(lo).map_err(|_| "`lo` out of u32 range")?,
-                                u32::try_from(hi).map_err(|_| "`hi` out of u32 range")?,
-                            )]
+                                .unwrap_or(VALUE_END as usize);
+                            vec![value_range(lo, hi)?]
                         }
                     },
                 };
@@ -227,6 +235,13 @@ mod tests {
             }
         );
         assert_eq!(
+            Request::parse(r#"{"op":"witness","id":"ab","lo":3}"#).unwrap(),
+            Request::Witness {
+                id: "ab".into(),
+                ranges: vec![(3, VALUE_END)]
+            }
+        );
+        assert_eq!(
             Request::parse(r#"{"op":"append","id":"ab","block":[9]}"#).unwrap(),
             Request::Append {
                 id: "ab".into(),
@@ -247,6 +262,14 @@ mod tests {
             (r#"{"op":"fly"}"#, "unknown op"),
             (r#"{"op":"ingest"}"#, "missing `seq`"),
             (r#"{"op":"ingest","seq":[-1]}"#, "out of u32 range"),
+            (
+                r#"{"op":"witness","id":"ab","hi":4294967297}"#,
+                "exceeds 2^32",
+            ),
+            (
+                r#"{"op":"witness","id":"ab","ranges":[[4294967296,4294967296]]}"#,
+                "exceeds u32::MAX",
+            ),
             (r#"{"op":"ingest","seq":"no"}"#, "must be an array"),
             (r#"{"op":"window","id":"x","l":1}"#, "missing `r`"),
             (r#"{"op":"window","l":0,"r":1}"#, "missing `id`"),

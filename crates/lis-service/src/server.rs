@@ -9,7 +9,7 @@
 use crate::json::Value;
 use crate::protocol::{error_response, Request};
 use crate::service::{Service, ServiceConfig};
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -87,6 +87,12 @@ impl Server {
     }
 }
 
+/// Longest request line the server reads, in bytes without the newline. The
+/// largest line the repository sends, a 2^16-value ingest, is under 720 KiB,
+/// so 16 MiB leaves more than 20× headroom while bounding what one client can
+/// make the server buffer.
+pub const MAX_LINE_BYTES: usize = 16 << 20;
+
 /// Flips the running flag and unblocks the accept loop with a self-connect.
 fn request_stop(running: &AtomicBool, addr: SocketAddr) {
     if running.swap(false, Ordering::SeqCst) {
@@ -101,14 +107,32 @@ fn serve_connection(stream: TcpStream, service: &Service, running: &AtomicBool, 
     let Ok(read_half) = stream.try_clone() else {
         return;
     };
-    let reader = BufReader::new(read_half);
+    let mut reader = BufReader::new(read_half);
     let mut writer = stream;
-    for line in reader.lines() {
-        let Ok(line) = line else { break };
+    let mut buf = Vec::new();
+    loop {
+        buf.clear();
+        // At most one byte past the cap: enough to tell an over-long line.
+        let limit = MAX_LINE_BYTES as u64 + 1;
+        match (&mut reader).take(limit).read_until(b'\n', &mut buf) {
+            Ok(0) | Err(_) => break,
+            Ok(_) => {}
+        }
+        if buf.len() > MAX_LINE_BYTES && buf.last() != Some(&b'\n') {
+            // The rest of the line is never read: refuse and hang up.
+            let refusal = error_response(&format!(
+                "request line exceeds {MAX_LINE_BYTES} bytes; closing the connection"
+            ));
+            let _ = writer.write_all(format!("{refusal}\n").as_bytes());
+            break;
+        }
+        let Ok(line) = std::str::from_utf8(&buf) else {
+            break;
+        };
         if line.trim().is_empty() {
             continue;
         }
-        let (response, stop) = match Request::parse(&line) {
+        let (response, stop) = match Request::parse(line.trim_end()) {
             Ok(request) => {
                 let stop = request == Request::Shutdown;
                 (service.handle(&request), stop)
@@ -259,6 +283,39 @@ mod tests {
         assert_eq!(response.get("entries").and_then(Value::as_int), Some(2));
         let counters = response.get("cache").unwrap();
         assert_eq!(counters.get("hits").and_then(Value::as_int), Some(1));
+
+        server.shutdown();
+        server.join();
+    }
+
+    #[test]
+    fn over_long_line_is_refused_and_the_server_keeps_serving() {
+        let server = Server::start(test_config()).unwrap();
+        // One byte past the cap, with no newline: the server must answer
+        // without waiting for the line to end, then close the connection.
+        let mut hostile = Client::connect(server.addr()).unwrap();
+        hostile
+            .writer
+            .write_all(&vec![b' '; MAX_LINE_BYTES + 1])
+            .unwrap();
+        let mut response = String::new();
+        hostile.reader.read_line(&mut response).unwrap();
+        let response = Value::parse(response.trim_end()).unwrap();
+        assert_eq!(response.get("ok").and_then(Value::as_bool), Some(false));
+        let error = response.get("error").and_then(Value::as_str).unwrap();
+        assert!(error.contains("exceeds"), "{error}");
+        let mut rest = String::new();
+        assert_eq!(hostile.reader.read_line(&mut rest).unwrap(), 0, "closed");
+
+        // A line of exactly the cap is still read, and a fresh connection is
+        // served as usual.
+        let mut fresh = Client::connect(server.addr()).unwrap();
+        let mut padded = String::from(r#"{"op":"stats"}"#);
+        padded.extend(std::iter::repeat_n(' ', MAX_LINE_BYTES - padded.len()));
+        let response = fresh.request(&padded).unwrap();
+        assert_eq!(response.get("ok").and_then(Value::as_bool), Some(true));
+        let response = fresh.request(r#"{"op":"ingest","seq":[3,1,2]}"#).unwrap();
+        assert_eq!(response.get("lis").and_then(Value::as_int), Some(2));
 
         server.shutdown();
         server.join();

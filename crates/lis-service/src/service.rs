@@ -10,7 +10,7 @@
 use crate::batch::Coalescer;
 use crate::cache::{CacheCounters, KernelCache};
 use crate::json::Value;
-use crate::protocol::{error_response, Request};
+use crate::protocol::{error_response, Request, VALUE_END};
 use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
@@ -149,18 +149,18 @@ impl Service {
         ])
     }
 
-    fn witness(&self, id: &str, ranges: &[(u32, u32)]) -> Value {
+    fn witness(&self, id: &str, ranges: &[(u32, u64)]) -> Value {
         let hash = match KernelCache::parse_id(id) {
             Ok(hash) => hash,
             Err(e) => return error_response(&e),
         };
         // An empty list means one full-sequence witness.
-        let ranges: Vec<(u32, u32)> = if ranges.is_empty() {
-            vec![(0, u32::MAX)]
+        let ranges: Vec<(u32, u64)> = if ranges.is_empty() {
+            vec![(0, VALUE_END)]
         } else {
             ranges.to_vec()
         };
-        if let Some(&(lo, hi)) = ranges.iter().find(|&&(lo, hi)| lo > hi) {
+        if let Some(&(lo, hi)) = ranges.iter().find(|&&(lo, hi)| u64::from(lo) > hi) {
             return error_response(&format!("witness range [{lo}, {hi}) is inverted"));
         }
 
@@ -181,9 +181,9 @@ impl Service {
             let coalesced = self
                 .coalescer
                 .submit(hash, (lo as usize, hi as usize), |gathered| {
-                    let value_ranges: Vec<(u32, u32)> = gathered
+                    let value_ranges: Vec<(u32, u64)> = gathered
                         .iter()
-                        .map(|&(lo, hi)| (lo as u32, hi as u32))
+                        .map(|&(lo, hi)| (lo as u32, hi as u64))
                         .collect();
                     self.descend(hash, &value_ranges)
                 });
@@ -228,7 +228,7 @@ impl Service {
     /// every witness in a single superstep schedule. Called either inline
     /// (multi-range request) or as the coalescer's leader closure — in both
     /// cases with no locks held on entry.
-    fn descend(&self, hash: u64, ranges: &[(u32, u32)]) -> Result<Vec<Vec<usize>>, String> {
+    fn descend(&self, hash: u64, ranges: &[(u32, u64)]) -> Result<Vec<Vec<usize>>, String> {
         let mut cache = self.lock_cache()?;
         let Some(entry) = cache.get(hash) else {
             return Err(format!("unknown kernel id `{hash:016x}`"));
@@ -521,6 +521,38 @@ mod tests {
             r#"{{"op":"witness","id":"{id}","ranges":[[9,3]]}}"#
         ));
         assert_eq!(response.get("ok").and_then(Value::as_bool), Some(false));
+    }
+
+    #[test]
+    fn default_witness_includes_the_largest_value() {
+        // The default range's exclusive end is 2^32, not u32::MAX, so
+        // elements equal to u32::MAX stay eligible.
+        let max = u32::MAX;
+        for seq in [vec![1, max], vec![max, 3, max, 0, 7, max, max - 1, max]] {
+            let service = service();
+            let response = service.handle_line(&format!(
+                r#"{{"op":"ingest","seq":[{}]}}"#,
+                seq.iter().map(u32::to_string).collect::<Vec<_>>().join(",")
+            ));
+            let id = response.get("id").and_then(Value::as_str).unwrap();
+            let lis = response.get("lis").and_then(Value::as_int).unwrap();
+            for request in [
+                format!(r#"{{"op":"witness","id":"{id}"}}"#),
+                format!(r#"{{"op":"witness","id":"{id}","lo":0}}"#),
+                format!(r#"{{"op":"witness","id":"{id}","ranges":[[0,4294967296]]}}"#),
+            ] {
+                let response = service.handle_line(&request);
+                let witnesses = response.get("witnesses").and_then(Value::as_arr).unwrap();
+                let values = witnesses[0].get("values").and_then(Value::as_arr).unwrap();
+                assert_eq!(values.len() as i64, lis, "{request} on {seq:?}");
+                assert_eq!(values.last().and_then(Value::as_int), Some(max as i64));
+            }
+            // One past 2^32 is refused, not clamped.
+            let response = service.handle_line(&format!(
+                r#"{{"op":"witness","id":"{id}","hi":4294967297}}"#
+            ));
+            assert_eq!(response.get("ok").and_then(Value::as_bool), Some(false));
+        }
     }
 
     #[test]

@@ -70,7 +70,8 @@ impl SeaweedKernel {
     /// `(m+n)(m+n−1)/2` bits for the crossing history. This is the ground-truth
     /// construction and the differential oracle for the fast path
     /// ([`SeaweedKernel::comb_bitparallel`]); the divide-and-conquer
-    /// constructions in [`crate::lis`] produce identical kernels using `⊡`.
+    /// construction [`crate::lis::lis_kernel_permutation`] produces identical
+    /// kernels using `⊡`.
     pub fn comb(x: &[u32], y: &[u32]) -> Self {
         let (m, n) = (x.len(), y.len());
         let total = m + n;
@@ -210,28 +211,6 @@ impl SeaweedKernel {
         }
     }
 
-    /// Budget-bounded streaming comb: combs `y` in column chunks of at most
-    /// `max_cols` columns and composes the chunk kernels left to right with the
-    /// concatenation law `P_{X, Y₁Y₂} = (P₁ ⊕ I) ⊡ (I ⊕ P₂)`.
-    ///
-    /// The reference comb materializes a crossing bitset of `(m + n)²/2` bits;
-    /// the streamed variant's modeled footprint is only `(m + max_cols)²/2`
-    /// bits per chunk, so a machine with a word budget `s` can comb arbitrarily
-    /// long `y` against a short `x` without ever holding the full quadratic
-    /// history. Each chunk is combed with the bit-parallel fast path
-    /// ([`SeaweedKernel::comb_bitparallel`]); the result is **identical** to
-    /// [`SeaweedKernel::comb`] (the composition law is exact).
-    pub fn comb_streamed(x: &[u32], y: &[u32], max_cols: usize) -> Self {
-        let chunk = max_cols.max(1);
-        if y.len() <= chunk {
-            return Self::comb_bitparallel(x, y);
-        }
-        y.chunks(chunk)
-            .map(|block| Self::comb_bitparallel(x, block))
-            .reduce(|acc, next| compose_horizontal(&acc, &next))
-            .expect("y has at least one chunk")
-    }
-
     /// Parallel block combing: splits `Y` into one block per thread, combs the
     /// blocks concurrently, and merges the block kernels left to right with
     /// the concatenation law `P_{X, Y₁Y₂} = (P₁ ⊕ I) ⊡ (I ⊕ P₂)`.
@@ -239,23 +218,21 @@ impl SeaweedKernel {
     /// The result is **identical** to [`SeaweedKernel::comb`] (the composition
     /// law is exact, not approximate — see the `composition_matches_direct_combing`
     /// test), so this is a drop-in for large inputs. With one thread, or below
-    /// the block threshold, it falls back to streamed combing.
+    /// the block threshold, it combs `y` whole with
+    /// [`SeaweedKernel::comb_bitparallel`].
     pub fn comb_par(x: &[u32], y: &[u32]) -> Self {
         // Below this many columns per block the O(mn) combing is cheaper than
         // the O((m+n) log(m+n)) merge multiplications parallel blocking saves.
         const MIN_BLOCK: usize = 256;
-        // Each block is combed in streamed chunks of at most this many
-        // columns, capping the per-chunk footprint however long `y` is.
-        const MAX_COMB_COLS: usize = 4096;
         let threads = rayon::current_num_threads();
         if threads <= 1 || y.len() < 2 * MIN_BLOCK {
-            return Self::comb_streamed(x, y, MAX_COMB_COLS);
+            return Self::comb_bitparallel(x, y);
         }
         let block = y.len().div_ceil(threads).max(MIN_BLOCK);
         let blocks: Vec<&[u32]> = y.chunks(block).collect();
         let kernels: Vec<SeaweedKernel> = blocks
             .into_par_iter()
-            .map(|b| Self::comb_streamed(x, b, MAX_COMB_COLS))
+            .map(|b| Self::comb_bitparallel(x, b))
             .collect();
         kernels
             .into_iter()
@@ -677,28 +654,6 @@ mod tests {
             let y: Vec<u32> = y1.iter().chain(y2.iter()).copied().collect();
             let direct = SeaweedKernel::comb(&x, &y);
             assert_eq!(composed, direct, "x={x:?} y1={y1:?} y2={y2:?}");
-        }
-    }
-
-    #[test]
-    fn comb_streamed_equals_direct_combing() {
-        // Across chunk sizes (smaller than, equal to, larger than |y|) the
-        // streamed composition must reproduce the direct comb exactly.
-        let mut rng = StdRng::seed_from_u64(11);
-        for _ in 0..10 {
-            let m = rng.gen_range(1..10);
-            let n = rng.gen_range(1..40);
-            let alphabet = rng.gen_range(2..6);
-            let x = random_string(m, alphabet, &mut rng);
-            let y = random_string(n, alphabet, &mut rng);
-            let direct = SeaweedKernel::comb(&x, &y);
-            for chunk in [1usize, 3, 7, n, n + 5] {
-                assert_eq!(
-                    SeaweedKernel::comb_streamed(&x, &y, chunk),
-                    direct,
-                    "chunk={chunk} x={x:?} y={y:?}"
-                );
-            }
         }
     }
 

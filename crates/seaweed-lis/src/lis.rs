@@ -7,8 +7,11 @@
 //! (`A = A_lo ∘ A_hi`): each half is relabelled to its own compact alphabet, solved
 //! recursively, inflated back to the full alphabet ([`SeaweedKernel::inflate_rows`])
 //! and the two halves are merged with one implicit unit-Monge multiplication
-//! ([`compose_horizontal`]). Total work `O(n log² n)`; the MPC version (`lis-mpc`)
-//! executes the same recursion level-by-level in `O(log n)` rounds.
+//! ([`compose_horizontal`]). A part of at most 2048 elements is combed
+//! directly ([`SeaweedKernel::comb_bitparallel`]). Total work `O(n log² n)`
+//! above the cutoff; the MPC version (`lis-mpc`) executes the same recursion
+//! level-by-level in `O(log n)` rounds, building each base block's kernel with
+//! [`lis_kernel_permutation`], the one LIS kernel builder.
 
 use crate::kernel::{compose_horizontal, SeaweedKernel, SemiLocalQueries};
 
@@ -107,8 +110,13 @@ pub fn lis_witness_in_rank_range(items: &[(u32, u32)], vlo: u32, vhi: u32) -> Ve
     out
 }
 
-/// Size below which the kernel is computed by direct combing rather than recursion.
-const COMB_BASE: usize = 32;
+/// Size up to which [`lis_kernel_permutation`] combs the kernel directly
+/// instead of recursing. The bit-parallel comb costs about `n²/64` word steps
+/// plus its opaque cells, against the `⊡` merges' `O(n log n)` per level with a
+/// much larger constant. A sweep of cutoffs 256–2048 over blocks of 158–4096
+/// elements and five input families (random, noisy trend, duplicate-heavy,
+/// sorted, reversed; one thread) was fastest at 2048 on every row.
+const COMB_BASE: usize = 2048;
 
 /// Size above which the two recursive halves are forked onto the thread pool.
 /// Below this, spawning a scoped thread costs more than the subproblem.
@@ -119,7 +127,8 @@ const COMB_BASE: usize = 32;
 const PAR_SPLIT: usize = 1 << 12;
 
 /// Builds the LIS kernel of a permutation of `0..n` (values must be exactly
-/// `0..n` in some order).
+/// `0..n` in some order): a direct comb up to 2048 elements, the
+/// divide-and-conquer recursion above it. Working set `O(n)` words.
 pub fn lis_kernel_permutation(perm: &[u32]) -> SeaweedKernel {
     let n = perm.len();
     debug_assert!(
@@ -154,41 +163,6 @@ pub fn lis_kernel_permutation(perm: &[u32]) -> SeaweedKernel {
         (build_lo(), build_hi())
     };
     compose_horizontal(&k_lo, &k_hi)
-}
-
-/// Budget-bounded streaming LIS kernel: builds the kernel of a permutation of
-/// `0..n` by combing consecutive sub-blocks of at most `chunk` elements and
-/// composing them left to right.
-///
-/// Each sub-block is first relabelled to its own compact alphabet, so one comb
-/// touches a `chunk × chunk` grid with `2·chunk` seaweeds — a modeled crossing
-/// history of `(2·chunk)²` bits — instead of the `(2n)²` bits a direct comb of
-/// the whole permutation would charge. (The blocks are combed with the
-/// history-free [`SeaweedKernel::comb_bitparallel`] fast path, so the actual
-/// footprint is linear; the chunked shape is what the MPC space accounting
-/// models.) The sub-kernel is inflated
-/// back to the full alphabet ([`SeaweedKernel::inflate_rows`]) and folded into
-/// the accumulator with one `⊡` per sub-block, mirroring the §4.2 block
-/// decomposition on a single machine. Working set: `O(n + chunk²/w)` words.
-///
-/// The result is identical to [`lis_kernel_permutation`]; this is the
-/// construction the MPC base blocks use so a machine's peak footprint stays
-/// within its space budget.
-pub fn lis_kernel_permutation_streamed(perm: &[u32], chunk: usize) -> SeaweedKernel {
-    let n = perm.len();
-    let chunk = chunk.max(1);
-    if n <= chunk {
-        let x: Vec<u32> = (0..n as u32).collect();
-        return SeaweedKernel::comb_bitparallel(&x, perm);
-    }
-    perm.chunks(chunk)
-        .map(|sub| {
-            let (relabelled, values) = relabel(sub);
-            let x: Vec<u32> = (0..sub.len() as u32).collect();
-            SeaweedKernel::comb_bitparallel(&x, &relabelled).inflate_rows(&values, n)
-        })
-        .reduce(|acc, next| compose_horizontal(&acc, &next))
-        .expect("perm has at least one chunk")
 }
 
 /// Relabels a sequence of distinct values to ranks `0..len`, returning the rank
@@ -237,182 +211,6 @@ pub fn lis_length<T: Ord>(seq: &[T]) -> usize {
         return 0;
     }
     lis_kernel(seq).lcs_window(0, seq.len())
-}
-
-/// The LIS kernel with its merge tree *recorded* for witness traceback: every
-/// divide-and-conquer merge keeps its two children (value sets + kernels), which
-/// is exactly enough seaweed crossing structure to split a value-window LIS
-/// query into per-child sub-queries ([`split_window_lis`]) and push it down to
-/// the leaves, where the actual subsequence is reconstructed from the stored
-/// contents ([`lis_witness_in_rank_range`]).
-///
-/// This is the sequential counterpart of the distributed traceback in
-/// `lis_mpc::witness`: same tree shape, same split arithmetic, one machine.
-pub struct TracedLisKernel {
-    n: usize,
-    root: Option<TraceNode>,
-}
-
-struct TraceNode {
-    /// Sorted global ranks present in this node's position range.
-    values: Vec<usize>,
-    /// Kernel of (identity over `values`, node contents), compact alphabet.
-    kernel: SeaweedKernel,
-    kind: TraceKind,
-}
-
-enum TraceKind {
-    /// Contents stored as `(position, global rank)` in position order.
-    Leaf { items: Vec<(u32, u32)> },
-    /// The two children in position order.
-    Merge {
-        lo: Box<TraceNode>,
-        hi: Box<TraceNode>,
-    },
-}
-
-impl TracedLisKernel {
-    /// Builds the traced kernel: `O(n log² n)`, like [`lis_kernel`], plus the
-    /// recorded tree (`O(n log n)` extra space).
-    pub fn new<T: Ord>(seq: &[T]) -> Self {
-        let n = seq.len();
-        let ranks = rank_sequence(seq);
-        let items: Vec<(u32, u32)> = ranks
-            .iter()
-            .enumerate()
-            .map(|(i, &r)| (i as u32, r))
-            .collect();
-        Self {
-            n,
-            root: (n > 0).then(|| build_trace(items)),
-        }
-    }
-
-    /// Length of the underlying sequence.
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// Whether the underlying sequence is empty.
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
-    /// The semi-local kernel of the whole sequence (identical to
-    /// [`lis_kernel`]).
-    pub fn kernel(&self) -> Option<&SeaweedKernel> {
-        self.root.as_ref().map(|r| &r.kernel)
-    }
-
-    /// Length of the longest strictly increasing subsequence.
-    pub fn lis_length(&self) -> usize {
-        self.root
-            .as_ref()
-            .map_or(0, |r| r.kernel.lcs_window(0, self.n))
-    }
-
-    /// Positions (indices into the input sequence) of one longest strictly
-    /// increasing subsequence, recovered by traceback through the recorded
-    /// merge tree: split at every merge, reconstruct at the leaves.
-    pub fn witness(&self) -> Vec<usize> {
-        let Some(root) = &self.root else {
-            return Vec::new();
-        };
-        let t = self.lis_length();
-        if t == 0 {
-            return Vec::new();
-        }
-        let mut out = Vec::with_capacity(t);
-        trace_query(root, 0, self.n, t, &mut out);
-        debug_assert_eq!(out.len(), t);
-        debug_assert!(out.windows(2).all(|w| w[0].1 < w[1].1));
-        out.into_iter().map(|(pos, _)| pos as usize).collect()
-    }
-}
-
-fn build_trace(items: Vec<(u32, u32)>) -> TraceNode {
-    let mut values: Vec<usize> = items.iter().map(|&(_, r)| r as usize).collect();
-    values.sort_unstable();
-    if items.len() <= COMB_BASE {
-        let compact: Vec<u32> = items
-            .iter()
-            .map(|&(_, r)| values.partition_point(|&v| v < r as usize) as u32)
-            .collect();
-        let x: Vec<u32> = (0..compact.len() as u32).collect();
-        let kernel = SeaweedKernel::comb_bitparallel(&x, &compact);
-        return TraceNode {
-            values,
-            kernel,
-            kind: TraceKind::Leaf { items },
-        };
-    }
-    let half = items.len() / 2;
-    let hi_items = items[half..].to_vec();
-    let mut lo_items = items;
-    lo_items.truncate(half);
-    let lo = build_trace(lo_items);
-    let hi = build_trace(hi_items);
-    let compact_of = |subset: &[usize]| -> Vec<usize> {
-        subset
-            .iter()
-            .map(|&v| values.partition_point(|&u| u < v))
-            .collect()
-    };
-    let lo_inflated = lo
-        .kernel
-        .inflate_rows(&compact_of(&lo.values), values.len());
-    let hi_inflated = hi
-        .kernel
-        .inflate_rows(&compact_of(&hi.values), values.len());
-    let kernel = compose_horizontal(&lo_inflated, &hi_inflated);
-    TraceNode {
-        values,
-        kernel,
-        kind: TraceKind::Merge {
-            lo: Box::new(lo),
-            hi: Box::new(hi),
-        },
-    }
-}
-
-/// Pushes the query "a length-`t` increasing subsequence using global ranks in
-/// `[vlo, vhi)`" down the recorded tree, appending the chosen `(position,
-/// rank)` pairs in position order.
-fn trace_query(node: &TraceNode, vlo: usize, vhi: usize, t: usize, out: &mut Vec<(u32, u32)>) {
-    match &node.kind {
-        TraceKind::Leaf { items } => {
-            let chosen = lis_witness_in_rank_range(items, vlo as u32, vhi as u32);
-            assert_eq!(
-                chosen.len(),
-                t,
-                "leaf reconstruction must realize the split length"
-            );
-            out.extend(chosen);
-        }
-        TraceKind::Merge { lo, hi } => {
-            let (w, t_lo, t_hi) = split_window_lis(
-                (&lo.values, &lo.kernel),
-                (&hi.values, &hi.kernel),
-                vlo,
-                vhi,
-                t,
-            );
-            if t_lo > 0 {
-                trace_query(lo, vlo, w, t_lo, out);
-            }
-            if t_hi > 0 {
-                trace_query(hi, w, vhi, t_hi, out);
-            }
-        }
-    }
-}
-
-/// Positions of one longest strictly increasing subsequence of `seq`, via the
-/// traced seaweed kernel (the algorithmic path the MPC witness recovery
-/// parallelizes). For a plain sequential answer prefer
-/// [`crate::baselines::lis_values`].
-pub fn lis_witness<T: Ord>(seq: &[T]) -> Vec<usize> {
-    TracedLisKernel::new(seq).witness()
 }
 
 /// Why a window-LIS query was rejected (see [`SemiLocalLis::try_lis_window`]).
@@ -549,32 +347,18 @@ mod tests {
     #[test]
     fn dandc_kernel_equals_combed_kernel() {
         // The divide-and-conquer construction (inflate + ⊡) must reproduce the
-        // ground-truth combing exactly, not just answer the same queries.
+        // ground-truth combing exactly, not just answer the same queries —
+        // below the cutoff (one direct comb) and above it (one level of
+        // recursion, then two, with uneven halves).
         let mut rng = StdRng::seed_from_u64(1);
-        for n in [1usize, 2, 3, 7, 33, 48, 64, 100, 150] {
+        let sizes = [1usize, 2, 3, 7, 33, 48, 64, 100, 150];
+        let past_cutoff = [COMB_BASE + 1, 2 * COMB_BASE + 3, 3 * COMB_BASE - 5];
+        for n in sizes.into_iter().chain(past_cutoff) {
             let perm = random_permutation(n, &mut rng);
             let x: Vec<u32> = (0..n as u32).collect();
             let direct = SeaweedKernel::comb(&x, &perm);
             let dandc = lis_kernel_permutation(&perm);
             assert_eq!(dandc, direct, "n={n}");
-        }
-    }
-
-    #[test]
-    fn streamed_kernel_equals_divide_and_conquer() {
-        // The budget-bounded streamed construction (relabelled sub-blocks,
-        // left-fold composition) must reproduce the d&c kernel exactly.
-        let mut rng = StdRng::seed_from_u64(8);
-        for n in [1usize, 2, 5, 33, 64, 100, 150] {
-            let perm = random_permutation(n, &mut rng);
-            let expected = lis_kernel_permutation(&perm);
-            for chunk in [1usize, 4, 13, 32, n.max(1), n + 7] {
-                assert_eq!(
-                    lis_kernel_permutation_streamed(&perm, chunk),
-                    expected,
-                    "n={n} chunk={chunk}"
-                );
-            }
         }
     }
 
@@ -594,6 +378,14 @@ mod tests {
             let n = rng.gen_range(0..120);
             let seq: Vec<u32> = (0..n).map(|_| rng.gen_range(0..20)).collect();
             assert_eq!(lis_length(&seq), lis_length_patience(&seq), "{seq:?}");
+        }
+        // Past the cutoff the kernel comes from the recursion, and equal
+        // values straddle its halves.
+        for alphabet in [3u32, 40, 1000] {
+            let n = 2 * COMB_BASE + 17;
+            let seq: Vec<u32> = (0..n).map(|_| rng.gen_range(0..alphabet)).collect();
+            let (kernel, patience) = (lis_length(&seq), lis_length_patience(&seq));
+            assert_eq!(kernel, patience, "alphabet={alphabet}");
         }
     }
 
@@ -646,41 +438,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn traced_witness_is_valid_and_maximal() {
-        // The traceback through the recorded merge tree must return positions of
-        // an actual longest strictly increasing subsequence — on permutations
-        // and on duplicate-heavy sequences alike.
-        let mut rng = StdRng::seed_from_u64(31);
-        for _ in 0..25 {
-            let n = rng.gen_range(0..220);
-            let seq: Vec<u32> = if rng.gen_bool(0.5) {
-                random_permutation(n, &mut rng)
-            } else {
-                (0..n).map(|_| rng.gen_range(0..12)).collect()
-            };
-            let positions = lis_witness(&seq);
-            assert_eq!(positions.len(), lis_length_patience(&seq), "{seq:?}");
-            assert!(positions.windows(2).all(|w| w[0] < w[1]), "{positions:?}");
-            assert!(
-                positions.windows(2).all(|w| seq[w[0]] < seq[w[1]]),
-                "witness not strictly increasing: {seq:?} {positions:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn traced_kernel_matches_untraced() {
-        let mut rng = StdRng::seed_from_u64(32);
-        for n in [1usize, 7, 33, 100, 150] {
-            let perm = random_permutation(n, &mut rng);
-            let traced = TracedLisKernel::new(&perm);
-            assert_eq!(traced.kernel().unwrap(), &lis_kernel(&perm), "n={n}");
-            assert_eq!(traced.lis_length(), lis_length_patience(&perm));
-        }
-        assert!(TracedLisKernel::new::<u32>(&[]).witness().is_empty());
     }
 
     #[test]

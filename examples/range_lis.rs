@@ -7,8 +7,12 @@
 //!
 //! Run with: `cargo run --release --example range_lis`
 
+use monge_mpc_suite::lis_mpc::lis::pipeline_block_size;
+use monge_mpc_suite::lis_mpc::{recover_batch, WitnessTrace};
+use monge_mpc_suite::monge_mpc::MulParams;
+use monge_mpc_suite::mpc_runtime::{Cluster, MpcConfig};
 use monge_mpc_suite::seaweed_lis::baselines::lis_length_patience;
-use monge_mpc_suite::seaweed_lis::lis::{SemiLocalLis, TracedLisKernel};
+use monge_mpc_suite::seaweed_lis::lis::SemiLocalLis;
 use rand::prelude::*;
 use std::time::Instant;
 
@@ -84,11 +88,17 @@ fn main() {
         );
     }
 
-    // Not just the length: recover one actual longest increasing run through
-    // the traced kernel (the traceback path the MPC witness parallelizes).
+    // Not just the length: record the merge tree the MPC pipeline builds at
+    // this size, then recover one actual longest increasing run by the
+    // top-down traceback on a simulated cluster.
     let start = Instant::now();
-    let traced = TracedLisKernel::new(&series);
-    let witness = traced.witness();
+    let config = MpcConfig::lenient(n, 0.5);
+    let block_size = pipeline_block_size(n, &config, &MulParams::default());
+    let trace = WitnessTrace::record(&series, block_size);
+    let mut cluster = Cluster::new(config);
+    let witness = recover_batch(&mut cluster, &trace, &[(0, n)], "range-lis")
+        .pop()
+        .expect("one window in, one witness out");
     println!(
         "\nrecovered an actual LIS witness ({} samples) in {:?}:",
         witness.len(),

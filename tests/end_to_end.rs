@@ -77,9 +77,9 @@ fn mpc_lis_agrees_with_every_sequential_path() {
 
 #[test]
 fn witness_recovery_agrees_with_every_sequential_path() {
-    // End to end: the MPC witness, the sequential traced-kernel witness and the
-    // patience baseline must all be maximal and genuinely increasing, and the
-    // MPC traceback must stay within 2× of the length-only rounds.
+    // End to end: the MPC witness must be maximal (the patience baseline's
+    // length) and genuinely increasing, and the MPC traceback must stay within
+    // 2× of the length-only rounds.
     let mut rng = StdRng::seed_from_u64(107);
     for &n in &[60usize, 300, 800] {
         let seq: Vec<u32> = (0..n).map(|_| rng.gen_range(0..2_000)).collect();
@@ -98,10 +98,6 @@ fn witness_recovery_agrees_with_every_sequential_path() {
             cluster.rounds() <= 2 * plain.rounds(),
             "traceback round blow-up"
         );
-
-        let sequential = seaweed_lis::lis::lis_witness(&seq);
-        assert_eq!(sequential.len(), patience);
-        assert!(sequential.windows(2).all(|w| seq[w[0]] < seq[w[1]]));
     }
 
     // LCS witness: a genuine common subsequence of both strings.

@@ -317,20 +317,6 @@ proptest! {
         prop_assert_eq!(cluster.ledger().space_violations, 0);
     }
 
-    /// The distributed witness agrees in length with the sequential traced
-    /// kernel's witness (both must be maximal; the subsequences themselves may
-    /// differ, since witnesses are not unique).
-    #[test]
-    fn mpc_lis_witness_matches_traced_sequential(seq in sequence(120, 20),
-                                                 delta_tenths in 4usize..8) {
-        let n = seq.len().max(4);
-        let delta = delta_tenths as f64 / 10.0;
-        let mut cluster = Cluster::new(MpcConfig::new(n, delta));
-        let outcome = lis_mpc::lis_witness_mpc(&mut cluster, &seq, &MulParams::default());
-        let sequential = seaweed_lis::lis::lis_witness(&seq);
-        prop_assert_eq!(outcome.witness.expect("witness requested").len(), sequential.len());
-    }
-
     /// LCS witness validity (Corollary 1.3.1 structured output): the recovered
     /// pairs form a genuine common subsequence of both inputs with exactly the
     /// DP length, on strict clusters sized for the pair regime.

@@ -18,16 +18,21 @@
 //!    precompute, every descent level and the corner-`F` step all query with
 //!    [`mpc_runtime::Cluster::rank_search_multi_in`]. A parent's colored union
 //!    has exactly one point per row, so every tree node is a contiguous row
-//!    block: the build writes the points' values in row order and sorts each
-//!    block in place, with no global sort. Each query is still charged as a
-//!    full rank search over its value side, and the per-level copies that
-//!    feed it as a multicast, so the ledger is the same as re-sorting the
-//!    points per search.
+//!    block: the build writes the points' values in row order as the leaf
+//!    level and builds each level above from the one below, merging every
+//!    node's sorted child blocks, with no global sort. Each query is still charged as a full rank
+//!    search over its value side, and the per-level copies that feed it as a
+//!    multicast, so the ledger is the same as re-sorting the points per
+//!    search.
 //! 2. **Classification** — a subgrid crossed by a demarcation line is *active*;
 //!    points in non-active subgrids survive iff their color equals the locally
 //!    constant `opt` (Lemma 3.10). Each active subgrid is annotated with its
 //!    *pierced interval* `[opt(r0,c0), opt(r1,c1)]` — the colors of the
-//!    demarcation lines crossing it.
+//!    demarcation lines crossing it. The model joins every column band's
+//!    points with its two grid lines in one rebalancing `group_map`; the
+//!    simulator charges that join but computes it by dense index: a
+//!    counting-sort scatter files the points under their band ids, and each
+//!    band reads its two lines by index.
 //! 3. **Routing** — with the default [`Routing::Pierced`] strategy (Lemma 3.12)
 //!    every active subgrid receives only the union points in its row/column range
 //!    whose color lies in its pierced interval, plus the corner `F` vector
@@ -40,16 +45,18 @@
 //!    join; the simulator charges exactly those, but computes them by dense
 //!    index: one table per `(parent, band)` of its active subgrids in ordinal
 //!    order, two binary searches per point (the windows are nondecreasing
-//!    along a band), and the copies emitted in `(parent, band, ordinal,
-//!    arrival)` order, the order the charged join would leave them in.
+//!    along a band), and every subgrid's copies filed in one array.
 //! 4. **Local phase** — each active subgrid is resolved on one machine with
 //!    [`monge::multiway::process_subgrid`], emitting the interesting points of
-//!    Lemma 3.9 and the surviving union points.
+//!    Lemma 3.9 and the surviving union points. The model joins every
+//!    subgrid's descriptor with its row and column copies in one `group_map`
+//!    on `(parent, gi, gj)`; the simulator charges that join and reads each
+//!    group's descriptor and copy slices by index.
 
 use crate::mul::Nonzero;
 use crate::params::Routing;
 use monge::multiway::{opt_breakpoints_from_cmp, process_subgrid, ColoredPoint, SubgridInstance};
-use mpc_runtime::{Cluster, DistVec, Group, RankIndex};
+use mpc_runtime::{Cluster, DistVec, RankIndex, Shape};
 use rayon::prelude::*;
 use std::collections::BTreeMap;
 use std::ops::Range;
@@ -98,6 +105,12 @@ struct ActiveSubgrid {
     base_f: Vec<u64>,
 }
 
+impl ActiveSubgrid {
+    fn target(&self) -> Target {
+        (self.parent, self.gi, self.gj)
+    }
+}
+
 /// Verdict of the classification phase for a single union point.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Verdict {
@@ -107,18 +120,6 @@ enum Verdict {
     Drop,
     /// The point lies in an active subgrid; the local phase decides.
     Active,
-}
-
-/// Payload routed to the final per-subgrid groups.
-#[derive(Clone, Debug, PartialEq)]
-enum Payload {
-    /// The subgrid descriptor: first window color and the window `F` vector.
-    Desc {
-        wlo: u16,
-        base_f: Vec<u64>,
-    },
-    RowPt(ColoredPoint),
-    ColPt(ColoredPoint),
 }
 
 /// Per-line output of the grid phase: the demarcation rows `b_q(c)` for one vertical
@@ -143,6 +144,7 @@ pub fn distributed_combine(
 ) -> DistVec<Nonzero> {
     let specs: BTreeMap<u64, ParentSpec> = parents.iter().map(|p| (p.inst, *p)).collect();
     let specs = cluster.broadcast(specs);
+    let bands = Bands::new(&specs);
 
     // Phase 1: per-line demarcation rows. The colored tree's value side is
     // built once for the whole combine: the grid descent and the corner-F
@@ -153,49 +155,99 @@ pub fn distributed_combine(
 
     // Phase 2: classify points, enumerate active subgrids with their windows.
     cluster.set_phase(Some("combine"));
-    let (active, classified) = classify(cluster, &colored, lines, &specs, routing);
-    let active = attach_base_f_tree(cluster, active, &specs, &tree);
+    let classified = classify(cluster, &colored, &lines, &specs, &bands, routing);
+    let active = attach_base_f_tree(cluster, classified.active, &specs, &tree);
 
     // Points of non-active subgrids that survive (Lemma 3.10, constant case).
-    let kept: DistVec<Nonzero> = {
-        let kept_points = cluster.filter(classified.clone(), |(_, v)| *v == Verdict::Keep);
-        cluster.map(&kept_points, |(p, _)| Nonzero {
+    let (points, verdicts) = (&classified.points, &classified.verdicts);
+    let kept_points = cluster.filter(classified.placed.clone(), |&i| {
+        verdicts[i as usize] == Verdict::Keep
+    });
+    let kept: DistVec<Nonzero> = cluster.map(&kept_points, |&i| {
+        let p = points[i as usize];
+        Nonzero {
             inst: p.inst,
             row: p.row,
             col: p.col,
-        })
-    };
-
-    // Phase 3: routing.
-    cluster.set_phase(Some("combine-route"));
-    let points_only = cluster.map(&classified, |(p, _)| *p);
-    let row_routed = route_band(cluster, &points_only, &active, &specs, true);
-    let col_routed = route_band(cluster, &points_only, &active, &specs, false);
-    let descs: DistVec<(Target, Payload)> = cluster.map(&active, |d| {
-        (
-            (d.parent, d.gi, d.gj),
-            Payload::Desc {
-                wlo: d.wlo,
-                base_f: d.base_f.clone(),
-            },
-        )
+        }
     });
-    let all_items = {
-        let rc = cluster.concat(row_routed, col_routed);
-        cluster.concat(rc, descs)
-    };
+
+    // Phase 3: routing. The points leave their verdicts behind.
+    cluster.set_phase(Some("combine-route"));
+    let points_shape = classified.placed.shape();
+    cluster.charge_map(&points_shape);
+    let rows = route_band(cluster, points, &points_shape, &active, &bands, true);
+    let cols = route_band(cluster, points, &points_shape, &active, &bands, false);
 
     // Phase 4: local subgrid resolution (communication-wise this is the routed
     // volume arriving at its target machines, so it stays under "combine-route").
-    let specs_local = specs.clone();
-    let subgrid_out: DistVec<Nonzero> = cluster.group_map_view(
-        all_items,
-        |(target, _)| *target,
-        move |&(parent, gi, gj), items| resolve_subgrid(parent, gi, gj, items, &specs_local),
-    );
+    let subgrid_out = resolve_subgrids(cluster, &active, &rows, &cols, &specs);
 
     cluster.set_phase(None::<String>);
     cluster.concat(kept, subgrid_out)
+}
+
+/// Dense ids for the bands of a combine. A band is one grid row or one grid
+/// column of a parent (`G` rows or columns), and both are numbered alike:
+/// parent `p`'s band `b` is `first + b`, parents in ascending id, so band
+/// ids ascend with `(parent, band)`.
+struct Bands {
+    /// Per parent id: its grid spacing `G` and its first band id.
+    first: BTreeMap<u64, (u32, usize)>,
+    /// Per band id: its parent and its index among the parent's bands.
+    band: Vec<(u64, u32)>,
+}
+
+impl Bands {
+    fn new(specs: &BTreeMap<u64, ParentSpec>) -> Self {
+        let mut first = BTreeMap::new();
+        let mut band = Vec::new();
+        for (&parent, spec) in specs {
+            first.insert(parent, (spec.g as u32, band.len()));
+            band.extend((0..spec.n.div_ceil(spec.g) as u32).map(|b| (parent, b)));
+        }
+        Self { first, band }
+    }
+
+    /// Number of bands.
+    fn len(&self) -> usize {
+        self.band.len()
+    }
+
+    /// The id of `parent`'s band `band`.
+    fn of(&self, parent: u64, band: u32) -> usize {
+        self.first[&parent].1 + band as usize
+    }
+
+    /// The id of the band of `parent` holding row or column `coord`.
+    fn id(&self, parent: u64, coord: u32) -> usize {
+        let (g, first) = self.first[&parent];
+        first + (coord / g) as usize
+    }
+
+    /// The parent of band `id` and the band's index among its bands.
+    fn band(&self, id: usize) -> (u64, u32) {
+        self.band[id]
+    }
+}
+
+/// The active subgrids of one band table, every one with the copies routed
+/// to it, filed by counting sort.
+struct Routed {
+    /// The subgrids `(parent, gi, gj)`, in table order.
+    targets: Vec<Target>,
+    /// Subgrid `t`'s copies are `copies[offsets[t]..offsets[t + 1]]`.
+    offsets: Vec<usize>,
+    copies: Vec<ColoredPoint>,
+    /// The shape of the copies as the charged join leaves them.
+    shape: Shape,
+}
+
+impl Routed {
+    /// The copies routed to table entry `t`.
+    fn of(&self, t: usize) -> &[ColoredPoint] {
+        &self.copies[self.offsets[t]..self.offsets[t + 1]]
+    }
 }
 
 /// Routes every point to the active subgrids whose row band (`by_rows = true`) or
@@ -223,44 +275,39 @@ pub fn distributed_combine(
 /// in-window points, so the whole exchange stays within the space budget.
 ///
 /// The simulator charges exactly those steps (their local maps and
-/// concatenation included) but computes them by dense index: one table per
+/// concatenation included, over `points_shape`, the shape of the points'
+/// distributed vector) but computes them by dense index: one table per
 /// `(parent, band)` of its active subgrids sorted by ordinal answers each
-/// point's range with two binary searches, and the copies are emitted in
-/// `(parent, band, ordinal, arrival)` order without being multicast or
-/// gathered.
+/// point's range with two binary searches, and a counting-sort scatter files
+/// the copies under their subgrids in table order, each subgrid's in the
+/// order of `points`, without being multicast or gathered.
 fn route_band(
     cluster: &mut Cluster,
-    points: &DistVec<Colored>,
+    points: &[Colored],
+    points_shape: &Shape,
     active: &DistVec<ActiveSubgrid>,
-    specs: &BTreeMap<u64, ParentSpec>,
+    bands: &Bands,
     by_rows: bool,
-) -> DistVec<(Target, Payload)> {
+) -> Routed {
     let band = move |gi: u32, gj: u32| if by_rows { gi } else { gj };
     let cross = move |gi: u32, gj: u32| if by_rows { gj } else { gi };
 
     // The band tables: every active subgrid as (parent, band, cross, wlo,
-    // whi), sorted, so each band's subgrids are a run in ordinal order.
+    // whi), sorted, so each band's subgrids are a run in ordinal order; band
+    // `id` owns the table run `runs[id]..runs[id + 1]`.
     let mut table: Vec<(u64, u32, u32, u16, u16)> = active
         .iter()
         .map(|d| (d.parent, band(d.gi, d.gj), cross(d.gi, d.gj), d.wlo, d.whi))
         .collect();
     table.par_sort_unstable();
-    // Dense band ids: parent `p`'s band `b` is `first_band[p] + b`; band `id`
-    // owns the table run `runs[id]..runs[id + 1]`.
-    let mut first_band: BTreeMap<u64, (u32, usize)> = BTreeMap::new();
-    let mut bands = 0usize;
-    for (&parent, spec) in specs {
-        first_band.insert(parent, (spec.g as u32, bands));
-        bands += spec.n.div_ceil(spec.g);
-    }
-    let mut runs = vec![0usize; bands + 1];
+    let mut runs = vec![0usize; bands.len() + 1];
     for &(parent, b, ..) in &table {
-        runs[first_band[&parent].1 + b as usize + 1] += 1;
+        runs[bands.of(parent, b) + 1] += 1;
     }
-    for id in 0..bands {
+    for id in 0..bands.len() {
         runs[id + 1] += runs[id];
     }
-    for id in 0..bands {
+    for id in 0..bands.len() {
         let run = &table[runs[id]..runs[id + 1]];
         debug_assert!(
             run.windows(2).all(|w| w[0].3 <= w[1].3 && w[0].4 <= w[1].4),
@@ -276,8 +323,7 @@ fn route_band(
     let ranges: Vec<Range<usize>> = points
         .iter()
         .map(|p| {
-            let (g, first) = first_band[&p.inst];
-            let id = first + (if by_rows { p.row } else { p.col } / g) as usize;
+            let id = bands.id(p.inst, if by_rows { p.row } else { p.col });
             let run = &table[runs[id]..runs[id + 1]];
             let lo = run.partition_point(|s| s.4 < p.color);
             let hi = run.partition_point(|s| s.3 <= p.color);
@@ -317,29 +363,73 @@ fn route_band(
     }
 
     let active_shape = active.shape();
-    let points_shape = points.shape();
     cluster.charge_map(&active_shape);
     cluster.charge_rank_search(active.len(), &active_shape);
-    cluster.charge_rank_search(active.len(), &points_shape);
-    cluster.charge_rank_search(active.len(), &points_shape);
+    cluster.charge_rank_search(active.len(), points_shape);
+    cluster.charge_rank_search(active.len(), points_shape);
     let copies_shape = cluster.charge_multicast(volume);
     cluster.charge_map(&active_shape);
     cluster.charge_concat(&active_shape, &copies_shape);
-    cluster.group_map_rebalanced_sized(&sizes, |t| {
-        let (parent, b, c, ..) = table[t];
-        let (gi, gj) = if by_rows { (b, c) } else { (c, b) };
-        copies[offsets[t]..offsets[t + 1]].iter().map(move |&cp| {
-            let payload = if by_rows {
-                Payload::RowPt(cp)
-            } else {
-                Payload::ColPt(cp)
-            };
-            ((parent, gi, gj), payload)
+    let shape = cluster.charge_group_map_rebalanced(&sizes, volume);
+    let targets = table
+        .iter()
+        .map(|&(parent, b, c, ..)| {
+            let (gi, gj) = if by_rows { (b, c) } else { (c, b) };
+            (parent, gi, gj)
         })
+        .collect();
+    Routed {
+        targets,
+        offsets,
+        copies,
+        shape,
+    }
+}
+
+/// The local phase: joins every active subgrid's descriptor with its `rows`
+/// and `cols` copies and resolves it (see [`resolve_subgrid`]).
+///
+/// Charged as the model runs it — a map addressing the descriptors, the
+/// concatenation of both copy sets and the descriptors, and one `group_map`
+/// on `(parent, gi, gj)` — but computed by dense index. The groups in key
+/// order are the descriptors sorted by target, which is the row table's
+/// order; the column table, ordered by `(parent, gj, gi)`, is permuted into
+/// it. Every group reads its descriptor and its two copy slices directly,
+/// and its outputs land where the charged group map packs it.
+fn resolve_subgrids(
+    cluster: &mut Cluster,
+    active: &DistVec<ActiveSubgrid>,
+    rows: &Routed,
+    cols: &Routed,
+    specs: &BTreeMap<u64, ParentSpec>,
+) -> DistVec<Nonzero> {
+    let active_shape = active.shape();
+    cluster.charge_map(&active_shape);
+    let routed = cluster.charge_concat(&rows.shape, &cols.shape);
+    cluster.charge_concat(&routed, &active_shape);
+
+    let mut descs: Vec<&ActiveSubgrid> = active.iter().collect();
+    descs.sort_unstable_by_key(|d| d.target());
+    debug_assert!(
+        descs
+            .iter()
+            .map(|d| d.target())
+            .eq(rows.targets.iter().copied()),
+        "the row table lists the active subgrids in target order"
+    );
+    let mut col_of: Vec<usize> = (0..cols.targets.len()).collect();
+    col_of.sort_unstable_by_key(|&t| cols.targets[t]);
+    let sizes: Vec<usize> = (0..descs.len())
+        .map(|k| 1 + rows.of(k).len() + cols.of(col_of[k]).len())
+        .collect();
+    cluster.group_map_sized(&sizes, |k| {
+        let d = descs[k];
+        resolve_subgrid(d, rows.of(k), cols.of(col_of[k]), &specs[&d.parent])
     })
 }
 
-/// Builds a [`SubgridInstance`] from the routed items and resolves it locally.
+/// Builds the [`SubgridInstance`] of active subgrid `d` from its routed row
+/// and column copies and resolves it locally.
 ///
 /// The instance lives entirely in *window coordinates*: colors are shifted by the
 /// window start `wlo` and the `F` vector covers only the window. Inside the
@@ -347,38 +437,17 @@ fn route_band(
 /// contribute a window-uniform shift, so the argmin comparisons — and hence the
 /// emitted nonzeros — are identical to the full-color computation.
 fn resolve_subgrid(
-    parent: u64,
-    gi: u32,
-    gj: u32,
-    items: Group<'_, (Target, Payload)>,
-    specs: &BTreeMap<u64, ParentSpec>,
+    d: &ActiveSubgrid,
+    rows: &[ColoredPoint],
+    cols: &[ColoredPoint],
+    spec: &ParentSpec,
 ) -> Vec<Nonzero> {
-    let spec = specs[&parent];
     let g = spec.g as u32;
     let n = spec.n as u32;
-    let (r0, c0) = (gi * g, gj * g);
+    let (r0, c0) = (d.gi * g, d.gj * g);
     let (r1, c1) = ((r0 + g).min(n), (c0 + g).min(n));
-
-    let mut wlo = 0u16;
-    let mut base_f: &[u64] = &[];
-    let mut row_pts = Vec::new();
-    let mut col_pts = Vec::new();
-    for (_, payload) in items.iter() {
-        match payload {
-            Payload::Desc { wlo: w, base_f: f } => {
-                wlo = *w;
-                base_f = f;
-            }
-            Payload::RowPt(p) => row_pts.push(*p),
-            Payload::ColPt(p) => col_pts.push(*p),
-        }
-    }
-    assert!(
-        !base_f.is_empty(),
-        "active subgrid ({parent},{gi},{gj}) was routed without its descriptor"
-    );
-    let window = base_f.len() as u16;
-    let shift = |p: ColoredPoint| -> ColoredPoint {
+    let (wlo, window) = (d.wlo, d.base_f.len() as u16);
+    let shift = |p: &ColoredPoint| -> ColoredPoint {
         debug_assert!(p.color >= wlo && p.color - wlo < window);
         ColoredPoint {
             row: p.row,
@@ -386,8 +455,8 @@ fn resolve_subgrid(
             color: p.color - wlo,
         }
     };
-    let mut row_pts: Vec<ColoredPoint> = row_pts.into_iter().map(shift).collect();
-    let mut col_pts: Vec<ColoredPoint> = col_pts.into_iter().map(shift).collect();
+    let mut row_pts: Vec<ColoredPoint> = rows.iter().map(shift).collect();
+    let mut col_pts: Vec<ColoredPoint> = cols.iter().map(shift).collect();
     row_pts.sort_unstable_by_key(|p| p.row);
     col_pts.sort_unstable_by_key(|p| p.col);
     let inst = SubgridInstance {
@@ -395,8 +464,8 @@ fn resolve_subgrid(
         r1,
         c0,
         c1,
-        h: base_f.len() as u16,
-        base_f: base_f.to_vec(),
+        h: window,
+        base_f: d.base_f.clone(),
         row_pts,
         col_pts,
     };
@@ -404,7 +473,7 @@ fn resolve_subgrid(
         .nonzeros
         .into_iter()
         .map(|(row, col)| Nonzero {
-            inst: parent,
+            inst: d.parent,
             row,
             col,
         })
@@ -481,10 +550,11 @@ fn node_count(n: usize, size: u64) -> u64 {
 ///
 /// A parent's colored union is a permutation — exactly one point per row — so
 /// every node is a contiguous block of the parent's values written in row
-/// order. The build writes each point's value at its row once, then, per
-/// `(parent, level)` and in parallel, copies the row-ordered values and sorts
-/// every `level_size` block in place; the runs land in group order, so the
-/// index is assembled without any global sort.
+/// order. The build writes each point's value at its row once: that is the
+/// leaf level, one row per node. It then builds every level above bottom-up,
+/// each node by merging the sorted blocks of its `H` children (see
+/// [`build_levels`]), parents in parallel; the runs land in group order, so
+/// the index is assembled without any sort.
 ///
 /// Built once per combine and shared by the grid precompute (level 0), every
 /// descent level `t` (level `min(t, height)`) and the corner-`F` step. The
@@ -495,10 +565,25 @@ struct LeveledIndex {
     index: RankIndex<u64>,
 }
 
+/// A rank index's runs: group codes, each group's start in the values
+/// (plus the end), and the values.
+type Runs = (Vec<u64>, Vec<usize>, Vec<u64>);
+
 impl LeveledIndex {
     fn build(colored: &DistVec<Colored>, specs: &BTreeMap<u64, ParentSpec>) -> Self {
         let geom = Self::geometry(specs);
+        let (groups, starts, values) = Self::runs(colored, &geom, build_levels);
+        let index = RankIndex::from_sorted_runs(groups, starts, values);
+        Self { geom, index }
+    }
 
+    /// Every tree node's run, parent by parent and level by level. `fill`
+    /// writes one parent's levels — `height + 1` runs of `n` values, level 0
+    /// first, each sorted within every node — from its row-ordered values.
+    fn runs<F>(colored: &DistVec<Colored>, geom: &BTreeMap<u64, TreeGeom>, fill: F) -> Runs
+    where
+        F: Fn(&mut [u64], &[u64], &TreeGeom) + Sync,
+    {
         // Every parent's values in row order, parents back to back: each
         // parent's first slot and geometry, by parent id.
         let mut total = 0usize;
@@ -528,19 +613,19 @@ impl LeveledIndex {
              (a row has none)"
         );
 
-        // One run per (parent, level): its rows, each node's block sorted.
+        // One run per (parent, level), every node a block of it.
         let entries = geom.values().map(|g| g.n * g.sizes.len()).sum();
         let mut values = vec![0u64; entries];
         let mut groups = Vec::new();
         let mut starts = Vec::new();
-        let mut blocks: Vec<(&mut [u64], &[u64], usize)> = Vec::new();
+        let mut trees: Vec<(&mut [u64], &[u64], &TreeGeom)> = Vec::new();
         let mut rest = values.as_mut_slice();
         let mut offset = 0usize;
         for &(first, g) in parents.values() {
+            let (levels, tail) = std::mem::take(&mut rest).split_at_mut(g.n * g.sizes.len());
+            rest = tail;
+            trees.push((levels, &rows[first..first + g.n], g));
             for (&size, &base) in g.sizes.iter().zip(&g.bases) {
-                let (run, tail) = std::mem::take(&mut rest).split_at_mut(g.n);
-                rest = tail;
-                blocks.push((run, &rows[first..first + g.n], size as usize));
                 for node in 0..node_count(g.n, size) {
                     groups.push(base + node);
                     starts.push(offset + node as usize * size as usize);
@@ -549,16 +634,10 @@ impl LeveledIndex {
             }
         }
         starts.push(offset);
-        blocks.into_par_iter().for_each(|(run, src, size)| {
-            run.copy_from_slice(src);
-            if size > 1 {
-                for block in run.chunks_mut(size) {
-                    block.sort_unstable();
-                }
-            }
-        });
-        let index = RankIndex::from_sorted_runs(groups, starts, values);
-        Self { geom, index }
+        trees
+            .into_par_iter()
+            .for_each(|(levels, rows, g)| fill(levels, rows, g));
+        (groups, starts, values)
     }
 
     /// Per-parent tree geometry, group codes numbered parent by parent (in
@@ -588,6 +667,32 @@ impl LeveledIndex {
     /// The group code of tree node `node` at `level` of `parent`.
     fn group(&self, parent: u64, level: u32, node: u64) -> u64 {
         self.geom[&parent].bases[level as usize] + node
+    }
+}
+
+/// Smallest stretch of a level sorted as one pool task.
+const LEVEL_PIECE: usize = 1 << 13;
+
+/// Writes one parent's tree levels bottom-up: the leaf level is `rows`
+/// itself, and every level above is a copy of the level below with every
+/// node's block sorted. The copy leaves each block as its `H` children's
+/// sorted runs, which the standard library's stable sort detects and
+/// merges. Blocks sort independently, so a long level is cut into pieces of
+/// whole blocks that sort in parallel.
+fn build_levels(levels: &mut [u64], rows: &[u64], g: &TreeGeom) {
+    let (n, height) = (g.n, g.sizes.len() - 1);
+    levels[height * n..].copy_from_slice(rows);
+    for t in (0..height).rev() {
+        let (upper, lower) = levels.split_at_mut((t + 1) * n);
+        let level = &mut upper[t * n..];
+        level.copy_from_slice(&lower[..n]);
+        let block = g.sizes[t] as usize;
+        let pieces: Vec<&mut [u64]> = level
+            .chunks_mut(block * LEVEL_PIECE.div_ceil(block))
+            .collect();
+        pieces
+            .into_par_iter()
+            .for_each(|piece| piece.chunks_mut(block).for_each(<[u64]>::sort));
     }
 }
 
@@ -911,149 +1016,214 @@ fn b_vector(breakpoints: &[(u32, u16)], h: usize, n: u32) -> Vec<u32> {
     b
 }
 
+/// The classification's outputs.
+struct Classified {
+    /// The active subgrids, each with its pierced interval.
+    active: DistVec<ActiveSubgrid>,
+    /// Every union point, band by band (arrival order within a band).
+    points: Vec<Colored>,
+    /// Every point's verdict, aligned with `points`.
+    verdicts: Vec<Verdict>,
+    /// The classified points as indices into `points`, on the machines where
+    /// the classification leaves them.
+    placed: DistVec<u32>,
+}
+
 /// Classifies points and enumerates active subgrids from the per-line information,
 /// annotating every active subgrid with its pierced color interval.
+///
+/// The model replicates every grid line into the two column bands it borders,
+/// keys every point by its band, and joins each band's points with its two
+/// lines in one rebalancing `group_map` (a band can enumerate many active
+/// subgrids, so its outputs leave rebalanced). The simulator charges those
+/// steps and the two filter-and-map passes that split the outputs, but
+/// computes the join by dense band id (see [`Bands`]): a counting-sort scatter
+/// files the points under their bands in arrival order, every band reads its
+/// borders by index and is classified by [`classify_band`], and the join's
+/// outputs are indices into the flat results, so splitting them moves no
+/// descriptor or point.
 fn classify(
     cluster: &mut Cluster,
     colored: &DistVec<Colored>,
-    lines: DistVec<LineInfo>,
+    lines: &DistVec<LineInfo>,
     specs: &BTreeMap<u64, ParentSpec>,
+    bands: &Bands,
     routing: Routing,
-) -> (DistVec<ActiveSubgrid>, DistVec<(Colored, Verdict)>) {
-    #[derive(Clone, Debug)]
-    enum BandItem {
-        Line(LineInfo),
-        Point(Colored),
-    }
-    #[derive(Clone, Debug)]
-    enum BandOut {
-        Active(ActiveSubgrid),
-        Classified(Colored, Verdict),
+) -> Classified {
+    // One output of the join, as an index into the flat results.
+    #[derive(Clone, Copy)]
+    enum Out {
+        Active(u32),
+        Point(u32),
     }
 
-    // A grid line at column c borders the band to its right (if c < n) and the band
-    // to its left (if c > 0); replicate it into both groups.
-    let specs_lines = specs.clone();
-    let line_items = cluster.flat_map(&lines, move |line| {
-        let spec = specs_lines[&line.parent];
-        let g = spec.g as u32;
-        let n = spec.n as u32;
+    // A grid line at column c borders the band to its right (if c < n) and
+    // the band to its left (if c > 0): it is that band's left or right line.
+    let borders_of = |line: &LineInfo| -> Vec<(usize, usize)> {
+        let n = specs[&line.parent].n as u32;
         let mut out = Vec::with_capacity(2);
         if line.c < n {
-            out.push(((line.parent, line.c / g), BandItem::Line(line.clone())));
+            out.push((bands.id(line.parent, line.c), 0));
         }
         if line.c > 0 {
-            out.push((
-                (line.parent, (line.c - 1) / g),
-                BandItem::Line(line.clone()),
-            ));
+            out.push((bands.id(line.parent, line.c - 1), 1));
         }
         out
+    };
+    let mut borders: Vec<[Option<&LineInfo>; 2]> = vec![[None; 2]; bands.len()];
+    for line in lines.iter() {
+        for (id, side) in borders_of(line) {
+            borders[id][side] = Some(line);
+        }
+    }
+    let band_ids: Vec<usize> = colored.iter().map(|p| bands.id(p.inst, p.col)).collect();
+    let mut starts = vec![0usize; bands.len() + 1];
+    for &id in &band_ids {
+        starts[id + 1] += 1;
+    }
+    for id in 0..bands.len() {
+        starts[id + 1] += starts[id];
+    }
+    let mut next = starts[..bands.len()].to_vec();
+    let mut points = vec![
+        Colored {
+            inst: 0,
+            row: 0,
+            col: 0,
+            color: 0
+        };
+        colored.len()
+    ];
+    for (p, &id) in colored.iter().zip(&band_ids) {
+        points[next[id]] = *p;
+        next[id] += 1;
+    }
+
+    let per_band: Vec<(Vec<ActiveSubgrid>, Vec<Verdict>)> = (0..bands.len())
+        .into_par_iter()
+        .map(|id| {
+            let (parent, band) = bands.band(id);
+            let [left, right] = borders[id].map(|line| line.expect("grid line missing for band"));
+            let band_points = &points[starts[id]..starts[id + 1]];
+            classify_band(&specs[&parent], band, left, right, band_points, routing)
+        })
+        .collect();
+    let mut actives = Vec::new();
+    let mut active_starts = vec![0usize];
+    let mut verdicts = Vec::with_capacity(points.len());
+    for (band_actives, band_verdicts) in per_band {
+        actives.extend(band_actives);
+        active_starts.push(actives.len());
+        verdicts.extend(band_verdicts);
+    }
+
+    // The charged join: the line copies, the keyed points, their
+    // concatenation and one group per band — its two lines and its points —
+    // emitting the band's active subgrids, then its points.
+    let line_copies = cluster.flat_map(lines, borders_of);
+    let colored_shape = colored.shape();
+    cluster.charge_map(&colored_shape);
+    cluster.charge_concat(&line_copies.shape(), &colored_shape);
+    let sizes: Vec<usize> = starts.windows(2).map(|w| 2 + w[1] - w[0]).collect();
+    let outs: DistVec<Out> = cluster.group_map_rebalanced_sized(&sizes, |id| {
+        let active = (active_starts[id]..active_starts[id + 1]).map(|i| Out::Active(i as u32));
+        active.chain((starts[id]..starts[id + 1]).map(|i| Out::Point(i as u32)))
     });
-    let specs_pts = specs.clone();
-    let point_items = cluster.map(colored, move |p| {
-        let g = specs_pts[&p.inst].g as u32;
-        ((p.inst, p.col / g), BandItem::Point(*p))
-    });
-    let all = cluster.concat(line_items, point_items);
-
-    // Emission step: a band's verdicts and active-subgrid descriptors are
-    // inputs of later supersteps, not residents of the band machine; and one
-    // band can enumerate many active subgrids, so the outputs leave rebalanced.
-    let specs_groups = specs.clone();
-    let outputs: DistVec<BandOut> = cluster.group_map_rebalanced(
-        all,
-        |(key, _)| *key,
-        move |&(parent, band), items| {
-            let spec = specs_groups[&parent];
-            let g = spec.g as u32;
-            let n = spec.n as u32;
-            let h = spec.h;
-            let c_left = band * g;
-            let c_right = (c_left + g).min(n);
-            let mut left: Option<&LineInfo> = None;
-            let mut right: Option<&LineInfo> = None;
-            let mut points = Vec::new();
-            for (_, item) in items.iter() {
-                match item {
-                    BandItem::Line(l) if l.c == c_left => left = Some(l),
-                    BandItem::Line(l) if l.c == c_right => right = Some(l),
-                    BandItem::Line(_) => {}
-                    BandItem::Point(p) => points.push(*p),
-                }
-            }
-            let left = left.expect("left grid line missing for band");
-            let right = right.expect("right grid line missing for band");
-
-            // opt at a corner lying on a known grid line: #{q : b_q ≤ row}.
-            let opt_on = |line: &LineInfo, row: u32| -> u16 {
-                line.b.iter().filter(|&&bq| bq <= row).count() as u16
-            };
-
-            // Demarcation line q crosses subgrid (gi, band) iff
-            // R_gi < b_q(c_left) and R_{gi+1} ≥ b_q(c_right).
-            let band_rows = (n as usize).div_ceil(g as usize) as u32;
-            let mut active_rows = std::collections::BTreeSet::new();
-            for q in 0..h {
-                let b_left = left.b[q];
-                let b_right = right.b[q];
-                for gi in 0..band_rows {
-                    let r_lo = gi * g;
-                    let r_hi = (r_lo + g).min(n);
-                    if r_lo < b_left && r_hi >= b_right {
-                        active_rows.insert(gi);
-                    }
-                }
-            }
-
-            let mut out = Vec::new();
-            for &gi in &active_rows {
-                // The pierced interval: opt at the subgrid's corners. Exactly the
-                // lines wlo..whi cross this subgrid.
-                let (wlo, whi) = match routing {
-                    Routing::Pierced => {
-                        let r_lo = gi * g;
-                        let r_hi = (r_lo + g).min(n);
-                        (opt_on(left, r_lo), opt_on(right, r_hi))
-                    }
-                    Routing::Bands => (0, (h - 1) as u16),
-                };
-                debug_assert!(wlo < whi || routing == Routing::Bands);
-                out.push(BandOut::Active(ActiveSubgrid {
-                    parent,
-                    gi,
-                    gj: band,
-                    wlo,
-                    whi,
-                    base_f: Vec::new(), // filled by the attach step
-                }));
-            }
-            for p in points {
-                let gi = p.row / g;
-                let verdict = if active_rows.contains(&gi) {
-                    Verdict::Active
-                } else if opt_on(left, gi * g) == p.color {
-                    Verdict::Keep
-                } else {
-                    Verdict::Drop
-                };
-                out.push(BandOut::Classified(p, verdict));
-            }
-            out
-        },
-    );
-
-    let active = cluster.filter(outputs.clone(), |o| matches!(o, BandOut::Active(_)));
+    let active = cluster.filter(outs.clone(), |o| matches!(o, Out::Active(_)));
     let active = cluster.map(&active, |o| match o {
-        BandOut::Active(a) => a.clone(),
-        BandOut::Classified(..) => unreachable!(),
+        Out::Active(i) => actives[*i as usize].clone(),
+        Out::Point(_) => unreachable!(),
     });
-    let classified = cluster.filter(outputs, |o| matches!(o, BandOut::Classified(..)));
-    let classified = cluster.map(&classified, |o| match o {
-        BandOut::Classified(p, v) => (*p, *v),
-        BandOut::Active(_) => unreachable!(),
+    let placed = cluster.filter(outs, |o| matches!(o, Out::Point(_)));
+    let placed = cluster.map(&placed, |o| match o {
+        Out::Point(i) => *i,
+        Out::Active(_) => unreachable!(),
     });
-    (active, classified)
+    Classified {
+        active,
+        points,
+        verdicts,
+        placed,
+    }
+}
+
+/// Classifies the `points` of column band `band` of `spec` from the band's
+/// `left` and `right` grid lines: returns the band's active subgrids in
+/// ascending grid row, and every point's verdict in the points' order.
+///
+/// Demarcation line `q` crosses subgrid `(gi, band)` iff `R_gi < b_q(c_left)`
+/// and `R_{gi+1} ≥ b_q(c_right)`, which holds for one contiguous range of
+/// `gi`; the active rows are the union of those `h` ranges, found in
+/// `O(h log h + active)` and looked up per point in a bitmap.
+fn classify_band(
+    spec: &ParentSpec,
+    band: u32,
+    left: &LineInfo,
+    right: &LineInfo,
+    points: &[Colored],
+    routing: Routing,
+) -> (Vec<ActiveSubgrid>, Vec<Verdict>) {
+    let (g, n, h) = (spec.g as u32, spec.n as u32, spec.h);
+    let band_rows = spec.n.div_ceil(spec.g) as u32;
+    // opt at a corner lying on a known grid line: #{q : b_q ≤ row}.
+    let opt_on = |line: &LineInfo, row: u32| -> u16 {
+        line.b.iter().filter(|&&bq| bq <= row).count() as u16
+    };
+
+    // Line q's range: `gi·G < b_q(c_left)` bounds it above, and
+    // `min(gi·G + G, n) ≥ b_q(c_right)` below (never, when line q misses
+    // the right grid line).
+    let mut ranges: Vec<(u32, u32)> = (0..h)
+        .filter(|&q| right.b[q] <= n)
+        .map(|q| {
+            let lo = right.b[q].div_ceil(g).saturating_sub(1);
+            (lo, left.b[q].div_ceil(g).min(band_rows))
+        })
+        .filter(|&(lo, hi)| lo < hi)
+        .collect();
+    ranges.sort_unstable();
+    let mut is_active = vec![0u64; band_rows.div_ceil(64) as usize];
+    let mut active = Vec::new();
+    let mut from = 0;
+    for (lo, hi) in ranges {
+        for gi in lo.max(from)..hi {
+            is_active[gi as usize / 64] |= 1 << (gi % 64);
+            // The pierced interval: opt at the subgrid's corners. Exactly the
+            // lines wlo..whi cross this subgrid.
+            let (wlo, whi) = match routing {
+                Routing::Pierced => {
+                    let r_lo = gi * g;
+                    (opt_on(left, r_lo), opt_on(right, (r_lo + g).min(n)))
+                }
+                Routing::Bands => (0, (h - 1) as u16),
+            };
+            debug_assert!(wlo < whi || routing == Routing::Bands);
+            active.push(ActiveSubgrid {
+                parent: spec.inst,
+                gi,
+                gj: band,
+                wlo,
+                whi,
+                base_f: Vec::new(), // filled by the attach step
+            });
+        }
+        from = from.max(hi);
+    }
+
+    let verdicts = points
+        .iter()
+        .map(|p| {
+            let gi = p.row / g;
+            if (is_active[gi as usize / 64] >> (gi % 64)) & 1 == 1 {
+                Verdict::Active
+            } else if opt_on(left, gi * g) == p.color {
+                Verdict::Keep
+            } else {
+                Verdict::Drop
+            }
+        })
+        .collect();
+    (active, verdicts)
 }
 
 // =====================================================================================
@@ -1200,11 +1370,227 @@ fn attach_base_f_tree(
     )
 }
 
-/// The materialized routing the indexed one is tested against: every rank
-/// search, multicast and join runs as the primitive it is charged as.
+/// The materialized combine the indexed one is tested against: the
+/// classification, the routing and the subgrid join run as the primitives
+/// they are charged as, every join gathering its groups by key.
 #[cfg(test)]
 mod oracle {
     use super::*;
+    use mpc_runtime::Group;
+
+    /// Payload routed to the final per-subgrid groups.
+    #[derive(Clone, Debug)]
+    pub(super) enum Payload {
+        /// The subgrid descriptor.
+        Desc(ActiveSubgrid),
+        RowPt(ColoredPoint),
+        ColPt(ColoredPoint),
+    }
+
+    /// [`super::distributed_combine`], with the gathering classification,
+    /// routing and subgrid join.
+    pub(super) fn distributed_combine(
+        cluster: &mut Cluster,
+        colored: DistVec<Colored>,
+        parents: &[ParentSpec],
+        routing: Routing,
+    ) -> DistVec<Nonzero> {
+        let specs: BTreeMap<u64, ParentSpec> = parents.iter().map(|p| (p.inst, *p)).collect();
+        let specs = cluster.broadcast(specs);
+
+        cluster.set_phase(Some("combine-grid"));
+        let tree = LeveledIndex::build(&colored, &specs);
+        let lines = grid_phase_tree(cluster, &colored, &specs, &tree);
+
+        cluster.set_phase(Some("combine"));
+        let (active, classified) = classify(cluster, &colored, lines, &specs, routing);
+        let active = attach_base_f_tree(cluster, active, &specs, &tree);
+        let kept: DistVec<Nonzero> = {
+            let kept_points = cluster.filter(classified.clone(), |(_, v)| *v == Verdict::Keep);
+            cluster.map(&kept_points, |(p, _)| Nonzero {
+                inst: p.inst,
+                row: p.row,
+                col: p.col,
+            })
+        };
+
+        cluster.set_phase(Some("combine-route"));
+        let points_only = cluster.map(&classified, |(p, _)| *p);
+        let row_routed = route_band(cluster, &points_only, &active, &specs, true);
+        let col_routed = route_band(cluster, &points_only, &active, &specs, false);
+        let descs = cluster.map(&active, |d| (d.target(), Payload::Desc(d.clone())));
+        let all_items = {
+            let rc = cluster.concat(row_routed, col_routed);
+            cluster.concat(rc, descs)
+        };
+        let subgrid_out = cluster.group_map_view(
+            all_items,
+            |(target, _)| *target,
+            |_, items| resolve_gathered(items, &specs),
+        );
+
+        cluster.set_phase(None::<String>);
+        cluster.concat(kept, subgrid_out)
+    }
+
+    /// [`super::resolve_subgrid`] on one gathered group: its descriptor and
+    /// its row and column copies, in any order.
+    fn resolve_gathered(
+        items: Group<'_, (Target, Payload)>,
+        specs: &BTreeMap<u64, ParentSpec>,
+    ) -> Vec<Nonzero> {
+        let mut desc = None;
+        let mut rows = Vec::new();
+        let mut cols = Vec::new();
+        for (_, payload) in items.iter() {
+            match payload {
+                Payload::Desc(d) => desc = Some(d),
+                Payload::RowPt(p) => rows.push(*p),
+                Payload::ColPt(p) => cols.push(*p),
+            }
+        }
+        let d = desc.expect("an active subgrid was routed without its descriptor");
+        resolve_subgrid(d, &rows, &cols, &specs[&d.parent])
+    }
+
+    /// [`super::classify`], with the lines and points gathered by
+    /// `(parent, band)` and the outputs split by two filter-and-map passes.
+    pub(super) fn classify(
+        cluster: &mut Cluster,
+        colored: &DistVec<Colored>,
+        lines: DistVec<LineInfo>,
+        specs: &BTreeMap<u64, ParentSpec>,
+        routing: Routing,
+    ) -> (DistVec<ActiveSubgrid>, DistVec<(Colored, Verdict)>) {
+        #[derive(Clone, Debug)]
+        enum BandItem {
+            Line(LineInfo),
+            Point(Colored),
+        }
+        #[derive(Clone, Debug)]
+        enum BandOut {
+            Active(ActiveSubgrid),
+            Classified(Colored, Verdict),
+        }
+
+        // A grid line at column c borders the band to its right (if c < n) and the band
+        // to its left (if c > 0); replicate it into both groups.
+        let specs_lines = specs.clone();
+        let line_items = cluster.flat_map(&lines, move |line| {
+            let spec = specs_lines[&line.parent];
+            let g = spec.g as u32;
+            let n = spec.n as u32;
+            let mut out = Vec::with_capacity(2);
+            if line.c < n {
+                out.push(((line.parent, line.c / g), BandItem::Line(line.clone())));
+            }
+            if line.c > 0 {
+                out.push((
+                    (line.parent, (line.c - 1) / g),
+                    BandItem::Line(line.clone()),
+                ));
+            }
+            out
+        });
+        let specs_pts = specs.clone();
+        let point_items = cluster.map(colored, move |p| {
+            let g = specs_pts[&p.inst].g as u32;
+            ((p.inst, p.col / g), BandItem::Point(*p))
+        });
+        let all = cluster.concat(line_items, point_items);
+
+        let specs_groups = specs.clone();
+        let outputs: DistVec<BandOut> = cluster.group_map_rebalanced(
+            all,
+            |(key, _)| *key,
+            move |&(parent, band), items| {
+                let spec = specs_groups[&parent];
+                let g = spec.g as u32;
+                let n = spec.n as u32;
+                let h = spec.h;
+                let c_left = band * g;
+                let c_right = (c_left + g).min(n);
+                let mut left: Option<&LineInfo> = None;
+                let mut right: Option<&LineInfo> = None;
+                let mut points = Vec::new();
+                for (_, item) in items.iter() {
+                    match item {
+                        BandItem::Line(l) if l.c == c_left => left = Some(l),
+                        BandItem::Line(l) if l.c == c_right => right = Some(l),
+                        BandItem::Line(_) => {}
+                        BandItem::Point(p) => points.push(*p),
+                    }
+                }
+                let left = left.expect("left grid line missing for band");
+                let right = right.expect("right grid line missing for band");
+
+                // opt at a corner lying on a known grid line: #{q : b_q ≤ row}.
+                let opt_on = |line: &LineInfo, row: u32| -> u16 {
+                    line.b.iter().filter(|&&bq| bq <= row).count() as u16
+                };
+
+                // Demarcation line q crosses subgrid (gi, band) iff
+                // R_gi < b_q(c_left) and R_{gi+1} ≥ b_q(c_right).
+                let band_rows = (n as usize).div_ceil(g as usize) as u32;
+                let mut active_rows = std::collections::BTreeSet::new();
+                for q in 0..h {
+                    let b_left = left.b[q];
+                    let b_right = right.b[q];
+                    for gi in 0..band_rows {
+                        let r_lo = gi * g;
+                        let r_hi = (r_lo + g).min(n);
+                        if r_lo < b_left && r_hi >= b_right {
+                            active_rows.insert(gi);
+                        }
+                    }
+                }
+
+                let mut out = Vec::new();
+                for &gi in &active_rows {
+                    let (wlo, whi) = match routing {
+                        Routing::Pierced => {
+                            let r_lo = gi * g;
+                            let r_hi = (r_lo + g).min(n);
+                            (opt_on(left, r_lo), opt_on(right, r_hi))
+                        }
+                        Routing::Bands => (0, (h - 1) as u16),
+                    };
+                    out.push(BandOut::Active(ActiveSubgrid {
+                        parent,
+                        gi,
+                        gj: band,
+                        wlo,
+                        whi,
+                        base_f: Vec::new(),
+                    }));
+                }
+                for p in points {
+                    let gi = p.row / g;
+                    let verdict = if active_rows.contains(&gi) {
+                        Verdict::Active
+                    } else if opt_on(left, gi * g) == p.color {
+                        Verdict::Keep
+                    } else {
+                        Verdict::Drop
+                    };
+                    out.push(BandOut::Classified(p, verdict));
+                }
+                out
+            },
+        );
+
+        let active = cluster.filter(outputs.clone(), |o| matches!(o, BandOut::Active(_)));
+        let active = cluster.map(&active, |o| match o {
+            BandOut::Active(a) => a.clone(),
+            BandOut::Classified(..) => unreachable!(),
+        });
+        let classified = cluster.filter(outputs, |o| matches!(o, BandOut::Classified(..)));
+        let classified = cluster.map(&classified, |o| match o {
+            BandOut::Classified(p, v) => (*p, *v),
+            BandOut::Active(_) => unreachable!(),
+        });
+        (active, classified)
+    }
 
     /// [`super::route_band`], with three rank searches, a multicast and a
     /// gathering join.
@@ -1337,6 +1723,18 @@ mod tests {
         }
     }
 
+    /// The from-scratch fill the bottom-up one is tested against: every
+    /// level a copy of the row-ordered values, each node's block sorted in
+    /// place.
+    fn sort_blocks(levels: &mut [u64], rows: &[u64], g: &TreeGeom) {
+        for (level, &size) in levels.chunks_mut(g.n).zip(&g.sizes) {
+            level.copy_from_slice(rows);
+            for block in level.chunks_mut(size as usize) {
+                block.sort_unstable();
+            }
+        }
+    }
+
     /// A random colored union per parent: a permutation of `n` rows onto `n`
     /// columns, each point colored by one of `h` subproblems.
     fn random_unions(rng: &mut StdRng, parents: &[(u64, usize, usize)]) -> Vec<Colored> {
@@ -1403,36 +1801,37 @@ mod tests {
             .install(run)
     }
 
-    type Route = fn(
-        &mut Cluster,
-        &DistVec<Colored>,
-        &DistVec<ActiveSubgrid>,
-        &BTreeMap<u64, ParentSpec>,
-        bool,
-    ) -> DistVec<(Target, Payload)>;
+    /// The batches the differential tests run, as `(inst, n, h)`: one or
+    /// several parents, n not a multiple of h.
+    const BATCHES: [&[(u64, usize, usize)]; 4] = [
+        &[(0, 65, 2)],
+        &[(2, 61, 3), (5, 40, 3)],
+        &[(1, 90, 4), (4, 37, 4)],
+        &[(3, 77, 5), (8, 23, 5), (9, 101, 5)],
+    ];
 
-    #[test]
-    fn indexed_routing_matches_the_materialized_oracle() {
-        // (inst, n, h): one or several parents, n not a multiple of h.
-        let batches: [&[(u64, usize, usize)]; 4] = [
-            &[(0, 65, 2)],
-            &[(2, 61, 3), (5, 40, 3)],
-            &[(1, 90, 4), (4, 37, 4)],
-            &[(3, 77, 5), (8, 23, 5), (9, 101, 5)],
-        ];
-        let config = MpcConfig::lenient(1000, 0.5).with_machines(5);
+    /// Runs `check(rng, parents, specs, routing, case)` on every batch at 1
+    /// and 4 threads, with a small G and the paper's G = ⌈n^{1−δ}⌉ at
+    /// δ = 0.5, under both routings, and sums what the checks return. Each
+    /// thread count draws from its own stream, seeded `seed + threads`, so
+    /// every case gets fresh inputs.
+    fn for_each_case(
+        seed: u64,
+        check: impl Fn(&mut StdRng, &[(u64, usize, usize)], &[ParentSpec], Routing, &str) -> usize
+            + Sync,
+    ) -> usize {
+        let mut total = 0;
         for threads in [1, 4] {
-            on_threads(threads, || {
-                let mut rng = StdRng::seed_from_u64(41 + threads as u64);
-                let mut routed = 0;
-                for parents in batches {
-                    // A small G, and the paper's G = ⌈n^{1−δ}⌉ at δ = 0.5.
+            total += on_threads(threads, || {
+                let mut rng = StdRng::seed_from_u64(seed + threads as u64);
+                let mut total = 0;
+                for parents in BATCHES {
                     for paper_g in [false, true] {
                         for routing in [Routing::Pierced, Routing::Bands] {
                             let case = format!(
                                 "{parents:?} paper_g={paper_g} {routing:?} threads={threads}"
                             );
-                            let specs: BTreeMap<u64, ParentSpec> = parents
+                            let specs: Vec<ParentSpec> = parents
                                 .iter()
                                 .map(|&(inst, n, h)| {
                                     let g = if paper_g {
@@ -1440,39 +1839,109 @@ mod tests {
                                     } else {
                                         5
                                     };
-                                    (inst, ParentSpec { inst, n, h, g })
+                                    ParentSpec { inst, n, h, g }
                                 })
                                 .collect();
-                            let mut cluster = Cluster::new(config.clone());
-                            let colored = cluster.distribute(real_unions(&mut rng, parents));
-                            let tree = LeveledIndex::build(&colored, &specs);
-                            let lines = grid_phase_tree(&mut cluster, &colored, &specs, &tree);
-                            let (active, classified) =
-                                classify(&mut cluster, &colored, lines, &specs, routing);
-                            let active = attach_base_f_tree(&mut cluster, active, &specs, &tree);
-                            let points = cluster.map(&classified, |(p, _)| *p);
-                            for by_rows in [true, false] {
-                                let run = |route: Route| {
-                                    let mut cluster = Cluster::new(config.clone());
-                                    cluster.set_phase(Some("combine-route"));
-                                    let out =
-                                        route(&mut cluster, &points, &active, &specs, by_rows);
-                                    let out: Vec<Vec<_>> =
-                                        (0..out.machines()).map(|i| out.part(i).to_vec()).collect();
-                                    (out, cluster.ledger().clone())
-                                };
-                                let (got, ledger) = run(route_band);
-                                let (want, want_ledger) = run(oracle::route_band);
-                                assert_eq!(got, want, "routed copies, by_rows={by_rows} {case}");
-                                assert_eq!(ledger, want_ledger, "ledger, by_rows={by_rows} {case}");
-                                routed += got.iter().map(Vec::len).sum::<usize>();
-                            }
+                            total += check(&mut rng, parents, &specs, routing, &case);
                         }
                     }
                 }
-                assert!(routed > 0, "no case routed a point");
+                total
             });
         }
+        total
+    }
+
+    fn config() -> MpcConfig {
+        MpcConfig::lenient(1000, 0.5).with_machines(5)
+    }
+
+    #[test]
+    fn indexed_routing_matches_the_materialized_oracle() {
+        let routed = for_each_case(41, |rng, parents, specs, routing, case| {
+            let specs: BTreeMap<u64, ParentSpec> = specs.iter().map(|s| (s.inst, *s)).collect();
+            let bands = Bands::new(&specs);
+            let mut cluster = Cluster::new(config());
+            let colored = cluster.distribute(real_unions(rng, parents));
+            let tree = LeveledIndex::build(&colored, &specs);
+            let lines = grid_phase_tree(&mut cluster, &colored, &specs, &tree);
+            let (active, classified) =
+                oracle::classify(&mut cluster, &colored, lines, &specs, routing);
+            let active = attach_base_f_tree(&mut cluster, active, &specs, &tree);
+            let points = cluster.map(&classified, |(p, _)| *p);
+            let in_order: Vec<Colored> = points.iter().copied().collect();
+            let mut routed = 0;
+            for by_rows in [true, false] {
+                let mut cluster = Cluster::new(config());
+                cluster.set_phase(Some("combine-route"));
+                let got = route_band(
+                    &mut cluster,
+                    &in_order,
+                    &points.shape(),
+                    &active,
+                    &bands,
+                    by_rows,
+                );
+                let (ledger, shape) = (cluster.ledger().clone(), got.shape.clone());
+                let got: Vec<(Target, ColoredPoint)> = (0..got.targets.len())
+                    .flat_map(|t| {
+                        got.of(t)
+                            .iter()
+                            .map(|&cp| (got.targets[t], cp))
+                            .collect::<Vec<_>>()
+                    })
+                    .collect();
+
+                let mut cluster = Cluster::new(config());
+                cluster.set_phase(Some("combine-route"));
+                let want = oracle::route_band(&mut cluster, &points, &active, &specs, by_rows);
+                assert_eq!(
+                    shape,
+                    want.shape(),
+                    "copies' shape, by_rows={by_rows} {case}"
+                );
+                let want: Vec<(Target, ColoredPoint)> = want
+                    .into_inner()
+                    .into_iter()
+                    .map(|(target, payload)| match payload {
+                        oracle::Payload::RowPt(cp) | oracle::Payload::ColPt(cp) => (target, cp),
+                        oracle::Payload::Desc(_) => unreachable!(),
+                    })
+                    .collect();
+                assert_eq!(got, want, "routed copies, by_rows={by_rows} {case}");
+                assert_eq!(
+                    ledger,
+                    *cluster.ledger(),
+                    "ledger, by_rows={by_rows} {case}"
+                );
+                routed += got.len();
+            }
+            routed
+        });
+        assert!(routed > 0, "no case routed a point");
+    }
+
+    #[test]
+    fn indexed_combine_matches_the_materialized_oracle() {
+        let produced = for_each_case(43, |rng, parents, specs, routing, case| {
+            let points = real_unions(rng, parents);
+            type Combine =
+                fn(&mut Cluster, DistVec<Colored>, &[ParentSpec], Routing) -> DistVec<Nonzero>;
+            let run = |combine: Combine| {
+                let mut cluster = Cluster::new(config());
+                let colored = cluster.distribute(points.clone());
+                let out = combine(&mut cluster, colored, specs, routing);
+                let out: Vec<Vec<Nonzero>> =
+                    (0..out.machines()).map(|i| out.part(i).to_vec()).collect();
+                (out, cluster.ledger().clone())
+            };
+            let (got, ledger) = run(distributed_combine);
+            let (want, want_ledger) = run(oracle::distributed_combine);
+            assert_eq!(got, want, "outputs per machine, {case}");
+            assert_eq!(ledger, want_ledger, "ledger, {case}");
+            got.iter().map(Vec::len).sum()
+        });
+        assert!(produced > 0, "no case produced a nonzero");
     }
 
     #[test]
@@ -1483,6 +1952,8 @@ mod tests {
             vec![(5, 1, 3), (6, 2, 2)],
             vec![(0, 37, 2), (3, 64, 4), (4, 100, 7), (900, 26, 3)],
             vec![(2, 81, 3), (7, 82, 3), (8, 5, 9)],
+            // Long enough that the lower levels sort in parallel pieces.
+            vec![(1, 20_000, 2), (3, 9_000, 3)],
         ];
         for parents in batches {
             let specs = specs_of(&parents);
@@ -1492,6 +1963,19 @@ mod tests {
             let tree = LeveledIndex::build(&colored, &specs);
             let oracle = LeveledIndex::build_from_entries(&cluster, &colored, &specs);
             assert_eq!(tree.index.len(), oracle.index.len(), "{parents:?}");
+
+            // The bottom-up runs are the from-scratch ones, entry for entry.
+            let geom = LeveledIndex::geometry(&specs);
+            let sorted = LeveledIndex::runs(&colored, &geom, sort_blocks);
+            for threads in [1, 4] {
+                let built = on_threads(threads, || {
+                    LeveledIndex::runs(&colored, &geom, build_levels)
+                });
+                assert!(
+                    built == sorted,
+                    "{parents:?}, {threads} threads: runs differ"
+                );
+            }
 
             // Every node of every level, plus one code past the last group.
             let mut queries: Vec<(u64, Vec<u64>)> = Vec::new();

@@ -836,6 +836,19 @@ impl Cluster {
         self.run_rebalanced(total, &offsets, f)
     }
 
+    /// Charges a [`Cluster::group_map_rebalanced_sized`] over groups of
+    /// `sizes` items whose outputs number `emitted`, without running it:
+    /// the same receipt, strict-space check and rebalanced load profile.
+    /// Returns the outputs' shape.
+    ///
+    /// For a join whose outputs the caller computes by other means, e.g.
+    /// copies already filed by target in a dense table.
+    pub fn charge_group_map_rebalanced(&mut self, sizes: &[usize], emitted: usize) -> Shape {
+        let offsets = group::offsets(sizes);
+        self.pack_checked(&offsets, "group_map_rebalanced");
+        self.charge_rebalanced_output(offsets[sizes.len()] as u64, emitted)
+    }
+
     /// The tail of the rebalancing grouping primitives: packs the groups
     /// (the strict-space check), runs them and spreads their outputs,
     /// concatenated in key order, over the machines in equal blocks.
@@ -847,12 +860,20 @@ impl Cluster {
     {
         self.pack_checked(offsets, "group_map_rebalanced");
         let emitted = group::flatten(group::run_groups(offsets, run));
-        let communication = total + emitted.len() as u64;
-        let out = DistVec::from_parts(compute::balance(emitted, self.config.machines));
-        self.account(
-            Superstep::new("group_map_rebalanced", costs::GROUP_MAP, communication),
-            &out,
-        );
+        self.charge_rebalanced_output(total, emitted.len());
+        DistVec::from_parts(compute::balance(emitted, self.config.machines))
+    }
+
+    /// The receipt of a rebalancing group map over `total` items emitting
+    /// `emitted` outputs, and the outputs' balanced load profile.
+    fn charge_rebalanced_output(&mut self, total: u64, emitted: usize) -> Shape {
+        self.apply_step(Superstep::new(
+            "group_map_rebalanced",
+            costs::GROUP_MAP,
+            total + emitted as u64,
+        ));
+        let out = Shape::balanced(emitted, self.config.machines);
+        self.observe_shape(&out, "group_map_rebalanced");
         out
     }
 
@@ -1906,10 +1927,13 @@ mod tests {
                             let rebalanced = cl.group_map_rebalanced(dv.clone(), key, |k, g| {
                                 emit(k, g.iter().cloned().collect())
                             });
+                            let again = cl.group_map_rebalanced(dv.clone(), key, |k, g| {
+                                emit(k, g.iter().cloned().collect())
+                            });
                             let built = (
                                 cl.ledger().clone(),
                                 [view.parts, rebalanced.parts],
-                                [joined.shape(), copies_shape, all.shape()],
+                                [joined.shape(), copies_shape, all.shape(), again.shape()],
                             );
 
                             let mut cl = Cluster::new(config.clone());
@@ -1923,10 +1947,11 @@ mod tests {
                             let run = |g: usize| emit(&keys[g], groups[g].clone());
                             let view = cl.group_map_sized(&sizes, run);
                             let rebalanced = cl.group_map_rebalanced_sized(&sizes, run);
+                            let again = cl.charge_group_map_rebalanced(&sizes, rebalanced.len());
                             let charged = (
                                 cl.ledger().clone(),
                                 [view.parts, rebalanced.parts],
-                                [joined, copies, all],
+                                [joined, copies, all, again],
                             );
                             (built, charged)
                         });
@@ -1949,7 +1974,7 @@ mod tests {
         // Keyed by parity: 11 even items, 10 odd ones.
         const SIZES: [usize; 2] = [11, 10];
         type Run = fn(&mut Cluster);
-        let cases: [(&str, Run, Run); 5] = [
+        let cases: [(&str, Run, Run); 6] = [
             (
                 "map",
                 |cl| {
@@ -1996,6 +2021,15 @@ mod tests {
                 },
                 |cl| {
                     cl.group_map_rebalanced_sized(&SIZES, ran);
+                },
+            ),
+            (
+                "group_map_rebalanced",
+                |cl| {
+                    cl.group_map_rebalanced(DistVec::from_parts(parts()), |v| v % 2, |_, _| ran(0));
+                },
+                |cl| {
+                    cl.charge_group_map_rebalanced(&SIZES, 0);
                 },
             ),
         ];

@@ -693,17 +693,17 @@ mod tests {
         // (the boundary indices 0, total−2, total−1 included).
         for total in [2usize, 3, 5, 11, 12, 64, 65] {
             let mut set = CrossingSet::new(total);
-            let mut inserted: Vec<(u32, u32)> = Vec::new();
             let pairs: Vec<(u32, u32)> = (0..total as u32)
                 .flat_map(|lo| (lo + 1..total as u32).map(move |hi| (lo, hi)))
                 .collect();
-            for &(lo, hi) in &pairs {
+            // Whether pair number `i` has been inserted yet.
+            let mut inserted = vec![false; pairs.len()];
+            for (i, &(lo, hi)) in pairs.iter().enumerate() {
                 assert!(!set.contains(lo, hi), "total={total} pre ({lo},{hi})");
                 assert!(!set.contains(hi, lo));
                 set.insert(hi, lo); // insert in reversed order on purpose
-                inserted.push((lo, hi));
-                for &(a, b) in &pairs {
-                    let expect = inserted.contains(&(a, b));
+                inserted[i] = true;
+                for (&(a, b), &expect) in pairs.iter().zip(&inserted) {
                     assert_eq!(set.contains(a, b), expect, "total={total} ({a},{b})");
                     assert_eq!(set.contains(b, a), expect);
                 }

@@ -91,7 +91,7 @@ pub struct ParentSpec {
 type Target = (u64, u32, u32);
 
 /// An active subgrid descriptor produced by the classification phase.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 struct ActiveSubgrid {
     parent: u64,
     gi: u32,
@@ -613,30 +613,50 @@ impl LeveledIndex {
              (a row has none)"
         );
 
-        // One run per (parent, level), every node a block of it.
+        // One run per (parent, level), every node a block of it. Each parent
+        // writes its own slices of the values, group codes and starts.
+        let nodes = |g: &TreeGeom| -> usize {
+            g.sizes
+                .iter()
+                .map(|&size| node_count(g.n, size) as usize)
+                .sum()
+        };
         let entries = geom.values().map(|g| g.n * g.sizes.len()).sum();
         let mut values = vec![0u64; entries];
-        let mut groups = Vec::new();
-        let mut starts = Vec::new();
-        let mut trees: Vec<(&mut [u64], &[u64], &TreeGeom)> = Vec::new();
-        let mut rest = values.as_mut_slice();
+        let total_nodes = geom.values().map(nodes).sum();
+        let mut groups = vec![0u64; total_nodes];
+        let mut starts = vec![entries; total_nodes + 1];
+        let mut trees = Vec::with_capacity(parents.len());
+        let (mut rest, mut codes, mut firsts) = (
+            values.as_mut_slice(),
+            groups.as_mut_slice(),
+            &mut starts[..total_nodes],
+        );
         let mut offset = 0usize;
         for &(first, g) in parents.values() {
             let (levels, tail) = std::mem::take(&mut rest).split_at_mut(g.n * g.sizes.len());
             rest = tail;
-            trees.push((levels, &rows[first..first + g.n], g));
-            for (&size, &base) in g.sizes.iter().zip(&g.bases) {
-                for node in 0..node_count(g.n, size) {
-                    groups.push(base + node);
-                    starts.push(offset + node as usize * size as usize);
-                }
-                offset += g.n;
-            }
+            let count = nodes(g);
+            let (code, tail) = std::mem::take(&mut codes).split_at_mut(count);
+            codes = tail;
+            let (at, tail) = std::mem::take(&mut firsts).split_at_mut(count);
+            firsts = tail;
+            trees.push((levels, code, at, offset, &rows[first..first + g.n], g));
+            offset += g.n * g.sizes.len();
         }
-        starts.push(offset);
         trees
             .into_par_iter()
-            .for_each(|(levels, rows, g)| fill(levels, rows, g));
+            .for_each(|(levels, code, at, offset, rows, g)| {
+                let mut k = 0;
+                for (t, (&size, &base)) in g.sizes.iter().zip(&g.bases).enumerate() {
+                    for node in 0..node_count(g.n, size) {
+                        code[k] = base + node;
+                        at[k] = offset + t * g.n + node as usize * size as usize;
+                        k += 1;
+                    }
+                }
+                fill(levels, rows, g)
+            });
         (groups, starts, values)
     }
 
@@ -1253,12 +1273,48 @@ struct CornerPack {
 /// counts. The row prefix `[0, r0)` splits into `O(h · height)` aligned tree
 /// nodes, each answered by one package from the shared [`LeveledIndex`],
 /// charged as a search over the multicast per-level copies.
+///
+/// The model joins every subgrid's answered packages in one `group_map` on
+/// `(parent, gi, gj)`; the simulator charges that join but reads each group
+/// by index, as one run of the answers.
 fn attach_base_f_tree(
     cluster: &mut Cluster,
     active: DistVec<ActiveSubgrid>,
     specs: &BTreeMap<u64, ParentSpec>,
     tree: &LeveledIndex,
 ) -> DistVec<ActiveSubgrid> {
+    let answered = corner_packages(cluster, &active, specs, tree);
+    // Every subgrid's packages are one run of the answers, led by its
+    // level-0 package; the groups in key order are those runs sorted by
+    // target.
+    let answered: Vec<&(CornerPack, Vec<u64>)> = answered.iter().collect();
+    let target = |i: usize| {
+        let pk = &answered[i].0;
+        (pk.parent, pk.gi, pk.gj)
+    };
+    let starts: Vec<usize> = (0..answered.len())
+        .filter(|&i| answered[i].0.level == 0)
+        .chain([answered.len()])
+        .collect();
+    let mut runs: Vec<Range<usize>> = starts.windows(2).map(|w| w[0]..w[1]).collect();
+    runs.sort_unstable_by_key(|run| target(run.start));
+    let sizes: Vec<usize> = runs.iter().map(Range::len).collect();
+    cluster.group_map_sized(&sizes, |k| {
+        let run = runs[k].clone();
+        debug_assert!(run.clone().all(|i| target(i) == target(run.start)));
+        Some(corner_f(answered[run].iter().copied()))
+    })
+}
+
+/// Every active subgrid's corner packages, answered: the level-0 package
+/// and one per node of its row prefix's decomposition, in the order of
+/// `active`, each subgrid's packages back to back.
+fn corner_packages(
+    cluster: &mut Cluster,
+    active: &DistVec<ActiveSubgrid>,
+    specs: &BTreeMap<u64, ParentSpec>,
+    tree: &LeveledIndex,
+) -> DistVec<(CornerPack, Vec<u64>)> {
     // Every point participates once per tree level (level 0 is the whole row
     // range, answering the global counts): Õ(1) copies — the tree's space cost.
     // The per-level copies feed the batched rank search as its value side, so
@@ -1268,7 +1324,7 @@ fn attach_base_f_tree(
     cluster.charge_multicast(tree.index.len());
 
     let specs_p = specs.clone();
-    let packages: DistVec<CornerPack> = cluster.flat_map(&active, move |d| {
+    let packages: DistVec<CornerPack> = cluster.flat_map(active, move |d| {
         let spec = specs_p[&d.parent];
         let r0 = (d.gi * spec.g as u32) as u64;
         let mut out = vec![CornerPack {
@@ -1295,84 +1351,82 @@ fn attach_base_f_tree(
     });
 
     let specs_q = specs.clone();
-    let answered =
-        cluster.rank_search_multi_in(&tree.index, tree.index.len() as u64, packages, move |pk| {
-            let spec = specs_q[&pk.parent];
-            let w = spec.n as u64 + 1;
-            let c0 = (pk.gj * spec.g as u32) as u64;
-            // Layout per window color y: [y·W, y·W + c0], plus the closing
-            // boundary (whi+1)·W for the color totals.
-            let mut thresholds = Vec::with_capacity(2 * (pk.whi - pk.wlo) as usize + 3);
-            for y in pk.wlo as u64..=pk.whi as u64 {
-                thresholds.push(y * w);
-                thresholds.push(y * w + c0);
-            }
-            thresholds.push((pk.whi as u64 + 1) * w);
-            (tree.group(pk.parent, pk.level, pk.node), thresholds)
-        });
+    cluster.rank_search_multi_in(&tree.index, tree.index.len() as u64, packages, move |pk| {
+        let spec = specs_q[&pk.parent];
+        let w = spec.n as u64 + 1;
+        let c0 = (pk.gj * spec.g as u32) as u64;
+        // Layout per window color y: [y·W, y·W + c0], plus the closing
+        // boundary (whi+1)·W for the color totals.
+        let mut thresholds = Vec::with_capacity(2 * (pk.whi - pk.wlo) as usize + 3);
+        for y in pk.wlo as u64..=pk.whi as u64 {
+            thresholds.push(y * w);
+            thresholds.push(y * w + c0);
+        }
+        thresholds.push((pk.whi as u64 + 1) * w);
+        (tree.group(pk.parent, pk.level, pk.node), thresholds)
+    })
+}
 
-    cluster.group_map_view(
-        answered,
-        |(pk, _)| (pk.parent, pk.gi, pk.gj),
-        |&(parent, gi, gj), packs| {
-            let (wlo, whi) = {
-                let pk = &packs.get(0).0;
-                (pk.wlo, pk.whi)
-            };
-            let k = (whi - wlo) as usize;
-            // Per window index i (color y = wlo + i): global color-prefix totals
-            // and U_y(c0), plus row-prefix counts summed over the decomposition.
-            let mut glob: Option<&[u64]> = None;
-            let mut row_lt = vec![0i64; k + 2]; // Σ decomposition: #{color < y, row < r0} at boundaries
-            let mut b_cnt = vec![0i64; k + 1]; // #{color = y, row < r0, col < c0}
-            for (pk, counts) in packs.iter() {
-                if pk.level == 0 {
-                    glob = Some(counts);
-                } else {
-                    for i in 0..=k {
-                        row_lt[i] += counts[2 * i] as i64;
-                        b_cnt[i] += counts[2 * i + 1] as i64 - counts[2 * i] as i64;
-                    }
-                    row_lt[k + 1] += counts[2 * k + 2] as i64;
-                }
+/// Active subgrid `(parent, gi, gj)` with its corner `F` vector, from its
+/// answered packages: the level-0 package first, then the row prefix's
+/// decomposition.
+fn corner_f<'a>(packs: impl IntoIterator<Item = &'a (CornerPack, Vec<u64>)>) -> ActiveSubgrid {
+    let mut packs = packs.into_iter().peekable();
+    let first = &packs.peek().expect("level-0 package present").0;
+    let (parent, gi, gj, wlo, whi) = (first.parent, first.gi, first.gj, first.wlo, first.whi);
+    let k = (whi - wlo) as usize;
+    // Per window index i (color y = wlo + i): global color-prefix totals
+    // and U_y(c0), plus row-prefix counts summed over the decomposition.
+    let mut glob: Option<&[u64]> = None;
+    let mut row_lt = vec![0i64; k + 2]; // Σ decomposition: #{color < y, row < r0} at boundaries
+    let mut b_cnt = vec![0i64; k + 1]; // #{color = y, row < r0, col < c0}
+    for (pk, counts) in packs {
+        if pk.level == 0 {
+            glob = Some(counts);
+        } else {
+            for i in 0..=k {
+                row_lt[i] += counts[2 * i] as i64;
+                b_cnt[i] += counts[2 * i + 1] as i64 - counts[2 * i] as i64;
             }
-            let glob = glob.expect("level-0 package present");
-            let n_y = |i: usize| -> i64 {
-                let hi = if i == k {
-                    glob[2 * k + 2]
-                } else {
-                    glob[2 * (i + 1)]
-                };
-                hi as i64 - glob[2 * i] as i64
-            };
-            let u_y = |i: usize| -> i64 { glob[2 * i + 1] as i64 - glob[2 * i] as i64 };
-            // #{color = y, row < r0} from the decomposition's color-prefix counts.
-            let r_y = |i: usize| -> i64 { row_lt[i + 1] - row_lt[i] };
+            row_lt[k + 1] += counts[2 * k + 2] as i64;
+        }
+    }
+    let glob = glob.expect("level-0 package present");
+    let n_y = |i: usize| -> i64 {
+        let hi = if i == k {
+            glob[2 * k + 2]
+        } else {
+            glob[2 * (i + 1)]
+        };
+        hi as i64 - glob[2 * i] as i64
+    };
+    let u_y = |i: usize| -> i64 { glob[2 * i + 1] as i64 - glob[2 * i] as i64 };
+    // #{color = y, row < r0} from the decomposition's color-prefix counts.
+    let r_y = |i: usize| -> i64 { row_lt[i + 1] - row_lt[i] };
 
-            // Window-relative F at the corner:
-            // F_{y+1} − F_y = n_y − U_y(c0) − #{y, row<r0} − B_{y+1} + B_y.
-            // Only differences matter downstream (the local phase is pure argmin
-            // comparison), so anchor the vector at its minimum to keep it in u64.
-            let mut f = vec![0i64; k + 1];
-            for i in 0..k {
-                f[i + 1] = f[i] + n_y(i) - u_y(i) - r_y(i) - b_cnt[i + 1] + b_cnt[i];
-            }
-            let anchor = f.iter().copied().min().unwrap_or(0);
-            Some(ActiveSubgrid {
-                parent,
-                gi,
-                gj,
-                wlo,
-                whi,
-                base_f: f.into_iter().map(|v| (v - anchor) as u64).collect(),
-            })
-        },
-    )
+    // Window-relative F at the corner:
+    // F_{y+1} − F_y = n_y − U_y(c0) − #{y, row<r0} − B_{y+1} + B_y.
+    // Only differences matter downstream (the local phase is pure argmin
+    // comparison), so anchor the vector at its minimum to keep it in u64.
+    let mut f = vec![0i64; k + 1];
+    for i in 0..k {
+        f[i + 1] = f[i] + n_y(i) - u_y(i) - r_y(i) - b_cnt[i + 1] + b_cnt[i];
+    }
+    let anchor = f.iter().copied().min().unwrap_or(0);
+    ActiveSubgrid {
+        parent,
+        gi,
+        gj,
+        wlo,
+        whi,
+        base_f: f.into_iter().map(|v| (v - anchor) as u64).collect(),
+    }
 }
 
 /// The materialized combine the indexed one is tested against: the
-/// classification, the routing and the subgrid join run as the primitives
-/// they are charged as, every join gathering its groups by key.
+/// classification, the corner-`F` join, the routing and the subgrid join run
+/// as the primitives they are charged as, every join gathering its groups by
+/// key.
 #[cfg(test)]
 mod oracle {
     use super::*;
@@ -1388,7 +1442,7 @@ mod oracle {
     }
 
     /// [`super::distributed_combine`], with the gathering classification,
-    /// routing and subgrid join.
+    /// corner-`F` join, routing and subgrid join.
     pub(super) fn distributed_combine(
         cluster: &mut Cluster,
         colored: DistVec<Colored>,
@@ -1431,6 +1485,22 @@ mod oracle {
 
         cluster.set_phase(None::<String>);
         cluster.concat(kept, subgrid_out)
+    }
+
+    /// [`super::attach_base_f_tree`], with every subgrid's answered
+    /// packages gathered by `(parent, gi, gj)`.
+    pub(super) fn attach_base_f_tree(
+        cluster: &mut Cluster,
+        active: DistVec<ActiveSubgrid>,
+        specs: &BTreeMap<u64, ParentSpec>,
+        tree: &LeveledIndex,
+    ) -> DistVec<ActiveSubgrid> {
+        let answered = corner_packages(cluster, &active, specs, tree);
+        cluster.group_map_view(
+            answered,
+            |(pk, _)| (pk.parent, pk.gi, pk.gj),
+            |_, packs| Some(corner_f(packs.iter())),
+        )
     }
 
     /// [`super::resolve_subgrid`] on one gathered group: its descriptor and
@@ -1942,6 +2012,38 @@ mod tests {
             got.iter().map(Vec::len).sum()
         });
         assert!(produced > 0, "no case produced a nonzero");
+    }
+
+    #[test]
+    fn indexed_corner_join_matches_the_gathered_oracle() {
+        let attached = for_each_case(47, |rng, parents, specs, routing, case| {
+            let specs: BTreeMap<u64, ParentSpec> = specs.iter().map(|s| (s.inst, *s)).collect();
+            let bands = Bands::new(&specs);
+            let mut cluster = Cluster::new(config());
+            let colored = cluster.distribute(real_unions(rng, parents));
+            let tree = LeveledIndex::build(&colored, &specs);
+            let lines = grid_phase_tree(&mut cluster, &colored, &specs, &tree);
+            let active = classify(&mut cluster, &colored, &lines, &specs, &bands, routing).active;
+            type Attach = fn(
+                &mut Cluster,
+                DistVec<ActiveSubgrid>,
+                &BTreeMap<u64, ParentSpec>,
+                &LeveledIndex,
+            ) -> DistVec<ActiveSubgrid>;
+            let run = |attach: Attach| {
+                let mut cluster = Cluster::new(config());
+                let out = attach(&mut cluster, active.clone(), &specs, &tree);
+                let out: Vec<Vec<ActiveSubgrid>> =
+                    (0..out.machines()).map(|i| out.part(i).to_vec()).collect();
+                (out, cluster.ledger().clone())
+            };
+            let (got, ledger) = run(attach_base_f_tree);
+            let (want, want_ledger) = run(oracle::attach_base_f_tree);
+            assert_eq!(got, want, "subgrids per machine, {case}");
+            assert_eq!(ledger, want_ledger, "ledger, {case}");
+            active.len()
+        });
+        assert!(attached > 0, "no case had an active subgrid");
     }
 
     #[test]

@@ -38,13 +38,30 @@ mod compute {
         parts
     }
 
-    /// Applies `f` to every machine's borrowed slice concurrently.
+    /// Below this many items in all, a per-machine pass runs on the calling
+    /// thread: waking the pool costs more than such a pass.
+    pub(super) const INLINE_ITEMS: usize = 4096;
+
+    /// Whether a pass over `parts` is small enough to run inline.
+    fn inline<T>(parts: &[Vec<T>]) -> bool {
+        parts.iter().map(Vec::len).sum::<usize>() < INLINE_ITEMS
+    }
+
+    /// Applies `f` to every machine's borrowed slice, concurrently unless the
+    /// pass is tiny.
     pub(super) fn per_part<T, U, F>(parts: &[Vec<T>], f: F) -> Vec<Vec<U>>
     where
         T: Sync,
         U: Send,
         F: Fn(usize, &[T]) -> Vec<U> + Send + Sync,
     {
+        if inline(parts) {
+            return parts
+                .iter()
+                .enumerate()
+                .map(|(i, part)| f(i, part))
+                .collect();
+        }
         parts
             .par_iter()
             .enumerate()
@@ -52,13 +69,17 @@ mod compute {
             .collect()
     }
 
-    /// Applies `f` to every machine's owned part concurrently.
+    /// Applies `f` to every machine's owned part, concurrently unless the
+    /// pass is tiny.
     pub(super) fn per_part_owned<T, U, F>(parts: Vec<Vec<T>>, f: F) -> Vec<Vec<U>>
     where
         T: Send,
         U: Send,
         F: Fn(Vec<T>) -> Vec<U> + Send + Sync,
     {
+        if inline(&parts) {
+            return parts.into_iter().map(f).collect();
+        }
         parts.into_par_iter().map(f).collect()
     }
 
@@ -111,9 +132,20 @@ mod compute {
     /// the currently lightest machine, lowest index among equals (the
     /// classical LPT heuristic); mirrors §3.3's "sort them in the order of
     /// decreasing sizes and use greedy packing". The size order is a stable
-    /// counting sort (sizes are bounded by the item total), and a min-heap
-    /// over `(load, machine)` finds the target in `O(log machines)`. Returns
-    /// the machine of every group and the per-machine loads.
+    /// counting sort (sizes are bounded by the item total). Returns the
+    /// machine of every group and the per-machine loads.
+    ///
+    /// The targets are found one run of equal sizes at a time. In a run of
+    /// groups of size `s`, machine `t` with load `q_t·s + p_t` (`p_t < s`)
+    /// is picked in rounds `r ≥ q_t`, and the picks come in `(r, p_t, t)`
+    /// order. From round `max q_t` on, every round picks all machines in
+    /// one fixed order — ascending `(load, t)` — so the rest of the run is
+    /// cyclic. A min-heap over `(load, machine)` takes only the picks before
+    /// that point, `Σ_t (max q − q_t)` of them, or the whole run when less
+    /// than one full round would be left for the cycle. A zero-size run goes
+    /// wholesale to the lightest machine. So a run of equal-size groups on
+    /// equal loads (the lift's joins) is plain round robin, and no input
+    /// costs more than one heap step per group.
     pub(super) fn pack_groups(sizes: &[usize], machines: usize) -> (Vec<usize>, Vec<usize>) {
         use std::cmp::Reverse;
         use std::collections::BinaryHeap;
@@ -138,11 +170,54 @@ mod compute {
         let mut loads = vec![0usize; machines];
         let mut lightest: BinaryHeap<Reverse<(usize, usize)>> =
             (0..machines).map(|i| Reverse((0, i))).collect();
-        for &g in &order {
-            let Reverse((load, target)) = lightest.pop().expect("at least one machine");
-            machine_of_group[g] = target;
-            loads[target] = load + sizes[g];
-            lightest.push(Reverse((loads[target], target)));
+        let mut cycle: Vec<usize> = Vec::with_capacity(machines);
+        for run in order.chunk_by(|&a, &b| sizes[a] == sizes[b]) {
+            let size = sizes[run[0]];
+            if size == 0 {
+                let &Reverse((_, target)) = lightest.peek().expect("at least one machine");
+                for &g in run {
+                    machine_of_group[g] = target;
+                }
+                continue;
+            }
+            let head = if run.len() < machines {
+                run.len()
+            } else {
+                let top = loads.iter().max().expect("at least one machine") / size;
+                let before: usize = loads.iter().map(|&load| top - load / size).sum();
+                if run.len() - run.len().min(before) >= machines {
+                    before
+                } else {
+                    run.len()
+                }
+            };
+            let (head, rest) = run.split_at(head);
+            for &g in head {
+                let Reverse((load, target)) = lightest.pop().expect("at least one machine");
+                machine_of_group[g] = target;
+                loads[target] = load + size;
+                lightest.push(Reverse((loads[target], target)));
+            }
+            if rest.is_empty() {
+                continue;
+            }
+            // Every machine is now in round `top`: the cycle is the loads'
+            // order.
+            cycle.clear();
+            cycle.extend(0..machines);
+            cycle.sort_unstable_by_key(|&t| (loads[t], t));
+            for (&g, &target) in rest.iter().zip(cycle.iter().cycle()) {
+                machine_of_group[g] = target;
+            }
+            let (rounds, extra) = (rest.len() / machines, rest.len() % machines);
+            for (j, &target) in cycle.iter().enumerate() {
+                loads[target] += size * (rounds + usize::from(j < extra));
+            }
+            lightest = loads
+                .iter()
+                .enumerate()
+                .map(|(t, &load)| Reverse((load, t)))
+                .collect();
         }
         (machine_of_group, loads)
     }
@@ -661,8 +736,12 @@ impl Cluster {
     /// runs, so strict clusters refuse oversized groups up front. `offsets`
     /// is the item prefix over the groups (group `g` holds
     /// `offsets[g + 1] - offsets[g]` items). Returns the machine of every
-    /// group.
-    fn pack_checked(&mut self, offsets: &[usize], primitive: &'static str) -> Vec<usize> {
+    /// group and the packed per-machine loads.
+    fn pack_checked(
+        &mut self,
+        offsets: &[usize],
+        primitive: &'static str,
+    ) -> (Vec<usize>, Vec<usize>) {
         let sizes: Vec<usize> = offsets.windows(2).map(|w| w[1] - w[0]).collect();
         let (machine_of_group, loads) = compute::pack_groups(&sizes, self.config.machines);
         let violated = self.ledger.observe_loads(
@@ -677,7 +756,7 @@ impl Cluster {
                 self.config.space
             );
         }
-        machine_of_group
+        (machine_of_group, loads)
     }
 
     /// Groups items by key, places every group on a single machine (greedy
@@ -747,7 +826,8 @@ impl Cluster {
     /// The tail every packing grouping primitive shares once its groups are
     /// known: packs them (see [`Cluster::pack_checked`]), runs `run(g)` for
     /// every group and leaves each group's outputs on its machine, group
-    /// after group in key order.
+    /// after group in key order. The machines' parts are written on the
+    /// pool, each machine's straight from its groups.
     fn run_packed<U, I, F>(
         &mut self,
         offsets: &[usize],
@@ -759,10 +839,8 @@ impl Cluster {
         I: IntoIterator<Item = U>,
         F: Fn(usize) -> I + Sync,
     {
-        let machine_of_group = self.pack_checked(offsets, primitive);
-        let emitted = group::run_groups(offsets, run);
-        let parts = group::scatter(emitted, &machine_of_group, self.config.machines);
-        let out = DistVec::from_parts(parts);
+        let (machine_of_group, loads) = self.pack_checked(offsets, primitive);
+        let out = DistVec::from_parts(group::run_on_machines(&machine_of_group, &loads, run));
         self.observe(&out, primitive);
         out
     }
@@ -859,7 +937,7 @@ impl Cluster {
         F: Fn(usize) -> I + Sync,
     {
         self.pack_checked(offsets, "group_map_rebalanced");
-        let emitted = group::flatten(group::run_groups(offsets, run));
+        let emitted = group::run_groups(offsets, run);
         self.charge_rebalanced_output(total, emitted.len());
         DistVec::from_parts(compute::balance(emitted, self.config.machines))
     }
@@ -1201,6 +1279,24 @@ mod tests {
                 .map(|_| [0, 1, 7, 7, 7, 64][rng.gen_range(0..6usize)])
                 .collect(),
             (0..700).map(|g| 5 + g % 3).collect(),
+            // One huge group, then a long run of size 1: the load spread is
+            // far larger than the run's size, so most picks precede the
+            // cycle.
+            [vec![7168], vec![1; 5000]].concat(),
+            // More machines than groups.
+            vec![3, 3, 9, 1, 0],
+            // Zero-size groups between nonzero ones, in group order.
+            (0..900).map(|g| [4, 0, 9, 0, 0, 2][g % 6]).collect(),
+            // After the size-12 run every load is a multiple of 4, so the
+            // size-4 run starts with all loads congruent mod its size.
+            [vec![12; 30], vec![4; 400], vec![2; 99]].concat(),
+            // Long runs over uneven loads.
+            (0..6000)
+                .map(|_| [3, 5, 5, 11][rng.gen_range(0..4usize)])
+                .collect(),
+            (0..3000)
+                .map(|g| if g < 20 { rng.gen_range(50..400) } else { 7 })
+                .collect(),
         ];
         for sizes in &cases {
             for machines in [1, 2, 7, 128] {
@@ -1319,7 +1415,7 @@ mod tests {
             ));
             let groups = compute::oracle::gather_groups(dv.parts, key);
             let offsets = offsets(&groups);
-            let machine_of_group = cl.pack_checked(&offsets, "group_map");
+            let (machine_of_group, _) = cl.pack_checked(&offsets, "group_map");
             let mut parts: Vec<Vec<U>> = (0..cl.config.machines).map(|_| Vec::new()).collect();
             for ((k, items), machine) in groups.into_iter().zip(machine_of_group) {
                 parts[machine].extend(f(&k, items));
@@ -1383,7 +1479,7 @@ mod tests {
                 Tagged::Right(y) => key_b(y),
             });
             let offsets = offsets(&groups);
-            let machine_of_group = cl.pack_checked(&offsets, "cogroup_map");
+            let (machine_of_group, _) = cl.pack_checked(&offsets, "cogroup_map");
             let mut parts: Vec<Vec<U>> = (0..cl.config.machines).map(|_| Vec::new()).collect();
             for ((k, items), machine) in groups.into_iter().zip(machine_of_group) {
                 let (mut lefts, mut rights) = (Vec::new(), Vec::new());
@@ -1432,8 +1528,9 @@ mod tests {
             .install(run)
     }
 
-    /// Every grouping primitive against its owned oracle run on `parts`:
-    /// identical per-machine outputs and ledgers, at 1 and 4 threads.
+    /// Every grouping primitive against its owned oracle run on `parts`, and
+    /// the local passes against sequential ones: identical per-machine
+    /// outputs and ledgers, at 1, 2 and 4 threads.
     fn assert_grouping_matches_owned<K>(parts: Vec<Vec<(K, String)>>, case: &str)
     where
         K: Ord + std::hash::Hash + Clone + Send + Sync + std::fmt::Debug,
@@ -1483,7 +1580,37 @@ mod tests {
             )
             .parts,
         ];
-        for threads in [1, 4] {
+        // The local passes, run part by part on the calling thread.
+        let expected_local: Vec<[Vec<String>; 2]> = parts
+            .iter()
+            .map(|part| {
+                let mapped = part.iter().map(|(_, s)| format!("{s}!"));
+                let kept = part.iter().filter(|(_, s)| s.len() % 2 == 0);
+                [mapped.collect(), kept.map(|(_, s)| s.clone()).collect()]
+            })
+            .collect();
+        for threads in [1, 2, 4] {
+            let got_local: Vec<[Vec<String>; 2]> = on_threads(threads, || {
+                let mut cl = Cluster::new(config.clone());
+                let dv = DistVec::from_parts(parts.clone());
+                let mapped = cl.map(&dv, |(_, s)| format!("{s}!"));
+                let kept = cl.filter(dv, |(_, s)| s.len() % 2 == 0);
+                let kept = kept
+                    .parts
+                    .into_iter()
+                    .map(|p| p.into_iter().map(|(_, s)| s));
+                mapped
+                    .parts
+                    .into_iter()
+                    .zip(kept)
+                    .map(|(m, k)| [m, k.collect()])
+                    .collect()
+            });
+            assert_eq!(
+                got_local, expected_local,
+                "{case}, {threads} threads: local"
+            );
+
             let (got, ledger) = on_threads(threads, || {
                 let mut cl = Cluster::new(config.clone());
                 let view = cl.group_map_view(DistVec::from_parts(parts.clone()), key, |k, g| {
@@ -1551,6 +1678,24 @@ mod tests {
         }
         assert_grouping_matches_owned::<u64>(vec![Vec::new(); 3], "empty input");
         assert_grouping_matches_owned::<u64>(vec![Vec::new()], "empty single machine");
+        // A few huge groups beside many tiny ones: packing puts the huge
+        // ones on the lowest machines.
+        for machines in [3, 8] {
+            let parts = keyed_parts(&mut rng, machines, 3000, |r| {
+                if r.gen_range(0..10) < 9 {
+                    r.gen_range(0..3u32)
+                } else {
+                    r.gen_range(3..400u32)
+                }
+            });
+            assert_grouping_matches_owned(parts, &format!("huge beside tiny, {machines} machines"));
+        }
+        // Just below and at the size where local passes leave the calling
+        // thread.
+        for items in [compute::INLINE_ITEMS - 1, compute::INLINE_ITEMS] {
+            let parts = keyed_parts(&mut rng, 5, items, |r| r.gen_range(0..900u32));
+            assert_grouping_matches_owned(parts, &format!("{items} items"));
+        }
     }
 
     #[test]

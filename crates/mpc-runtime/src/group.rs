@@ -8,9 +8,11 @@
 //! order (machine by machine, then position on the machine), and describes
 //! every group as a range of one `u32` index array (a CSR). The keys get
 //! dense ids from a hash map, only the distinct keys are sorted, and one
-//! counting-sort scatter files every item's index under its group. The groups
-//! then run in contiguous chunks on the pool; each chunk emits into one `Vec`
-//! plus a per-group output count. Neither step allocates per group.
+//! counting-sort scatter files every item's index under its group. Packed
+//! groups then run machine by machine on the pool, each machine writing its
+//! groups' outputs straight into its own part (`run_on_machines`);
+//! rebalanced ones run in contiguous chunks whose outputs are concatenated
+//! (`run_groups`). Neither path allocates per group.
 //!
 //! Everything here is a function of its inputs alone, and every output comes
 //! back in group (key) order at every thread count.
@@ -279,27 +281,15 @@ where
     (keys, Side::new(a, &a_of, &rank), Side::new(b, &b_of, &rank))
 }
 
-/// What one chunk of groups emitted: the outputs, group after group, and how
-/// many each group produced.
-pub(crate) struct Emitted<U> {
-    out: Vec<U>,
-    counts: Vec<usize>,
-}
-
-/// Chunks per pool thread: a few, so uneven groups even out across threads.
+/// Chunks per pool thread: a few, so uneven work evens out across threads.
 const CHUNKS_PER_THREAD: usize = 4;
 
-/// Runs `run(g)` for every group `g` in contiguous chunks over the pool, the
-/// chunks cut at even shares of the items; `offsets` is the item prefix over
-/// the groups (see [`Side::offsets`]). Returns the chunks in group order.
-pub(crate) fn run_groups<U, I, F>(offsets: &[usize], run: F) -> Vec<Emitted<U>>
-where
-    U: Send,
-    I: IntoIterator<Item = U>,
-    F: Fn(usize) -> I + Sync,
-{
-    let groups = offsets.len() - 1;
-    let total = offsets[groups];
+/// Cuts the units of item prefix `prefix` (unit `u` holds
+/// `prefix[u + 1] - prefix[u]` items) into contiguous ranges at even shares
+/// of the items: a few per pool thread, one on a single thread.
+fn even_pieces(prefix: &[usize]) -> Vec<Range<usize>> {
+    let units = prefix.len() - 1;
+    let total = prefix[units];
     let threads = rayon::current_num_threads();
     let pieces = if threads <= 1 {
         1
@@ -308,57 +298,85 @@ where
     };
     let mut starts: Vec<usize> = (0..pieces)
         .map(|j| {
-            offsets
+            prefix
                 .partition_point(|&w| w < total * j / pieces)
-                .min(groups)
+                .min(units)
         })
         .collect();
-    starts.push(groups);
+    starts.push(units);
     starts.dedup();
-    let chunks: Vec<Range<usize>> = starts.windows(2).map(|w| w[0]..w[1]).collect();
-    chunks
+    starts.windows(2).map(|w| w[0]..w[1]).collect()
+}
+
+/// Runs `run(g)` for every group `g` in contiguous chunks over the pool, the
+/// chunks cut at even shares of the items; `offsets` is the item prefix over
+/// the groups (see [`Side::offsets`]). Returns every group's outputs,
+/// concatenated in group order.
+pub(crate) fn run_groups<U, I, F>(offsets: &[usize], run: F) -> Vec<U>
+where
+    U: Send,
+    I: IntoIterator<Item = U>,
+    F: Fn(usize) -> I + Sync,
+{
+    let chunks: Vec<Vec<U>> = even_pieces(offsets)
+        .par_iter()
+        .map(|range| range.clone().flat_map(&run).collect())
+        .collect();
+    concat(chunks)
+}
+
+/// Runs every group on the machine `machine_of_group` names and returns the
+/// machines' parts: machine `i` holds the outputs of its groups, group after
+/// group in ascending order. `loads` holds every machine's item count.
+///
+/// The machines build their parts in parallel, heaviest first, cut into
+/// pieces at even shares of the items. Packing puts the largest groups on
+/// the lowest machines, so a pass in machine order would hand a few big
+/// groups to one thread; heaviest first, each such machine is a piece of
+/// its own, claimed before the light ones.
+pub(crate) fn run_on_machines<U, I, F>(
+    machine_of_group: &[usize],
+    loads: &[usize],
+    run: F,
+) -> Vec<Vec<U>>
+where
+    U: Send,
+    I: IntoIterator<Item = U>,
+    F: Fn(usize) -> I + Sync,
+{
+    let machines = loads.len();
+    // Every machine's groups, ascending: a counting sort by machine.
+    let mut first = vec![0usize; machines + 1];
+    for &m in machine_of_group {
+        first[m + 1] += 1;
+    }
+    for m in 0..machines {
+        first[m + 1] += first[m];
+    }
+    let mut next = first[..machines].to_vec();
+    let mut groups = vec![0usize; machine_of_group.len()];
+    for (g, &m) in machine_of_group.iter().enumerate() {
+        groups[next[m]] = g;
+        next[m] += 1;
+    }
+    let mut heaviest: Vec<usize> = (0..machines).collect();
+    heaviest.sort_by_key(|&m| std::cmp::Reverse(loads[m]));
+    let prefix = offsets(&heaviest.iter().map(|&m| loads[m]).collect::<Vec<_>>());
+    let built: Vec<Vec<(usize, Vec<U>)>> = even_pieces(&prefix)
         .par_iter()
         .map(|range| {
-            let mut out = Vec::new();
-            let mut counts = Vec::with_capacity(range.len());
-            for g in range.clone() {
-                let before = out.len();
-                out.extend(run(g));
-                counts.push(out.len() - before);
-            }
-            Emitted { out, counts }
+            heaviest[range.clone()]
+                .iter()
+                .map(|&m| {
+                    let part = groups[first[m]..first[m + 1]].iter().flat_map(|&g| run(g));
+                    (m, part.collect())
+                })
+                .collect()
         })
-        .collect()
-}
-
-/// Moves the outputs of every group onto the machine `machine_of_group`
-/// names, in group order, sizing every machine's part up front.
-pub(crate) fn scatter<U>(
-    emitted: Vec<Emitted<U>>,
-    machine_of_group: &[usize],
-    machines: usize,
-) -> Vec<Vec<U>> {
-    let mut sizes = vec![0usize; machines];
-    let mut g = 0;
-    for chunk in &emitted {
-        for &count in &chunk.counts {
-            sizes[machine_of_group[g]] += count;
-            g += 1;
-        }
-    }
-    let mut parts: Vec<Vec<U>> = sizes.into_iter().map(Vec::with_capacity).collect();
-    let mut g = 0;
-    for chunk in emitted {
-        let mut out = chunk.out.into_iter();
-        for count in chunk.counts {
-            parts[machine_of_group[g]].extend(out.by_ref().take(count));
-            g += 1;
-        }
+        .collect();
+    let mut parts: Vec<Vec<U>> = (0..machines).map(|_| Vec::new()).collect();
+    for (m, part) in built.into_iter().flatten() {
+        parts[m] = part;
     }
     parts
-}
-
-/// Every group's outputs, concatenated in group order.
-pub(crate) fn flatten<U>(emitted: Vec<Emitted<U>>) -> Vec<U> {
-    concat(emitted.into_iter().map(|chunk| chunk.out).collect())
 }

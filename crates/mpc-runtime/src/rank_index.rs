@@ -146,6 +146,17 @@ impl<K: RankKey> RankIndex<K> {
         self.values.is_empty()
     }
 
+    /// Where `group`'s run sits among the groups. Dense codes (`0..groups`,
+    /// as the ⊡ combine's tree numbers its nodes) sit at their own index;
+    /// any other key is found by binary search.
+    fn find(&self, group: K) -> Option<usize> {
+        let key = group.pack();
+        match usize::try_from(key) {
+            Ok(i) if self.groups.get(i) == Some(&key) => Some(i),
+            _ => self.groups.binary_search(&key).ok(),
+        }
+    }
+
     /// For every threshold `t` (ascending), the number of values of `group`
     /// strictly smaller than `t`: one forward galloping walk over the group's
     /// sorted values. An absent group answers all zeros.
@@ -154,7 +165,7 @@ impl<K: RankKey> RankIndex<K> {
             thresholds.windows(2).all(|w| w[0] <= w[1]),
             "rank-search thresholds must ascend"
         );
-        let Ok(i) = self.groups.binary_search(&group.pack()) else {
+        let Some(i) = self.find(group) else {
             return vec![0; thresholds.len()];
         };
         let values = &self.values[self.starts[i]..self.starts[i + 1]];
@@ -386,6 +397,41 @@ mod tests {
     #[should_panic(expected = "one start per group")]
     fn runs_need_one_start_per_group() {
         let _ = RankIndex::<u32>::from_sorted_runs(vec![0, 1], vec![0, 2], vec![4, 9]);
+    }
+
+    #[test]
+    fn dense_and_sparse_keys_find_their_runs() {
+        // Dense codes 0..5 sit at their own index; a gap at 5 makes every
+        // later key sparse, and keys that land on another group's index
+        // must still find their own run.
+        let entries: Vec<(u64, u64)> = [0u64, 1, 2, 3, 4, 6, 9, 40]
+            .iter()
+            .flat_map(|&g| (0..g + 2).map(move |v| (g, 3 * v + g % 3)))
+            .collect();
+        let index = RankIndex::<u64>::from_entries(entries.clone());
+        let t: Vec<u64> = (0..40).collect();
+        for g in 0..45 {
+            assert_eq!(
+                index.count_below(g, &t),
+                brute(&entries, g, &t),
+                "group {g}"
+            );
+        }
+        for g in [5u64, 7, 8, 10, 39, 41, u64::MAX] {
+            assert_eq!(index.count_below(g, &t), vec![0; t.len()], "absent {g}");
+        }
+        // Sparse keys only: every lookup takes the binary search.
+        let sparse: Vec<(u64, u64)> = [7u64, 100, 1 << 40]
+            .iter()
+            .flat_map(|&g| [(g, 1), (g, 5), (g, 9)])
+            .collect();
+        let index = RankIndex::<u64>::from_entries(sparse.clone());
+        for g in [0u64, 1, 2, 7, 100, 1 << 40, (1 << 40) + 1] {
+            assert_eq!(
+                index.count_below(g, &[0, 2, 6, 10]),
+                brute(&sparse, g, &[0, 2, 6, 10])
+            );
+        }
     }
 
     #[test]

@@ -14,15 +14,19 @@
 //!    machine stays within its space budget and the `O(1)` round bound
 //!    follows from the tree height `⌈log_H n⌉ ≤ 10/(1−δ)`.
 //!    The tree's value side — every union point at every level — is built
-//!    once per combine into one [`mpc_runtime::RankIndex`], which the grid
-//!    precompute, every descent level and the corner-`F` step all query with
-//!    [`mpc_runtime::Cluster::rank_search_multi_in`]. A parent's colored union
-//!    has exactly one point per row, so every tree node is a contiguous row
-//!    block: the build writes the points' values in row order as the leaf
-//!    level and builds each level above from the one below, merging every
-//!    node's sorted child blocks, with no global sort. Each query is still charged as a full rank
-//!    search over its value side, and the per-level copies that feed it as a
-//!    multicast, so the ledger is the same as re-sorting the points per
+//!    once per combine into one [`mpc_runtime::RankIndex`]. A parent's
+//!    colored union has exactly one point per row, so every tree node is a
+//!    contiguous row block: the build writes the points' values in row order
+//!    as the leaf level and builds each level above from the one below,
+//!    merging every node's sorted child blocks, with no global sort. The grid
+//!    precompute and the corner-`F` step query the index with
+//!    [`mpc_runtime::Cluster::rank_search_multi_in`]. The descent is charged
+//!    level by level as the model runs it — the packages, their rank search,
+//!    the join on `(parent, c, q, r)` and the split of resolved from pending
+//!    searches — but computed by index: every search walks the index from
+//!    the root to its leaf on the pool. Each query is still charged as a full
+//!    rank search over its value side, and the per-level copies that feed it
+//!    as a multicast, so the ledger is the same as re-sorting the points per
 //!    search.
 //! 2. **Classification** — a subgrid crossed by a demarcation line is *active*;
 //!    points in non-active subgrids survive iff their color equals the locally
@@ -124,7 +128,7 @@ enum Verdict {
 
 /// Per-line output of the grid phase: the demarcation rows `b_q(c)` for one vertical
 /// grid line at column `c`.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 struct LineInfo {
     parent: u64,
     /// Grid-line column (a multiple of `G`, or `n`).
@@ -720,69 +724,58 @@ fn build_levels(levels: &mut [u64], rows: &[u64], g: &TreeGeom) {
 // Grid-line phase
 // =====================================================================================
 
-/// One pending crossover search `cmp(c, q, r)` descending the tree.
-#[derive(Clone, Copy, Debug)]
-struct CrossSearch {
+/// One grid line of the descent: its parent, its column, the parent's
+/// fan-out and tree, and the machine the precompute left the line's pairs on.
+struct Line<'a> {
     parent: u64,
-    /// Grid-line column.
     c: u32,
+    h: usize,
+    geom: &'a TreeGeom,
+    machine: usize,
+}
+
+/// A crossover search `cmp(c, q, r)` left pending by the precompute: pair
+/// `pair` of the flat pair array, on line `line`, with `δ_{q,r}(0, c)`.
+struct Search {
+    pair: usize,
+    line: usize,
     q: u16,
     r: u16,
-    /// Start of the current tree node (invariant: `δ_{q,r}(lo, c) ≤ 0`).
-    lo: u64,
-    /// `δ_{q,r}(lo, c)`.
-    delta_lo: i64,
-}
-
-/// A fully determined crossover value.
-#[derive(Clone, Copy, Debug)]
-struct ResolvedCmp {
-    parent: u64,
-    c: u32,
-    q: u16,
-    r: u16,
-    /// `cmp(c, q, r)`: first row with `δ_{q,r} > 0`, or `n + 1`.
-    val: u32,
-}
-
-/// Work items flowing through the descent.
-#[derive(Clone, Copy, Debug)]
-enum GridWork {
-    Search(CrossSearch),
-    Resolved(ResolvedCmp),
-}
-
-/// One batched rank-search package of the descent: segment `seg` of `search`'s
-/// current node at the current level.
-#[derive(Clone, Copy, Debug)]
-struct SegPack {
-    search: CrossSearch,
-    seg: u16,
-}
-
-/// A per-line query of the precompute round.
-#[derive(Clone, Copy, Debug)]
-struct LineQuery {
-    parent: u64,
-    c: u32,
+    delta_0: i64,
 }
 
 /// The paper's §3.2 grid-line phase: computes every `cmp(c, q, r)` by descending
 /// the colored H-ary tree level by level, entirely within the per-machine space
 /// budget.
 ///
-/// Each level answers, for every pending search, one batched rank-search package
-/// per child segment over the composite key `v = color·(n+1) + col`: the δ
-/// increment contributed by a row segment `[a, b)` is exactly
-/// `#{v ∈ [q·(n+1)+c, r·(n+1)+c)}` restricted to that segment (a color-`q` point
-/// left of the line leaves `T_q`, a color-`r` point left of it leaves `T_r`, and
-/// any strictly-between color leaves the `S` sum — each contributing `+1`; all
-/// other points cancel). Prefix-summing the segments narrows the search by a
-/// factor of `h` per level, so `⌈log_h n⌉` levels — `O(1)` with the paper's
-/// fan-out — pin the crossover exactly.
+/// The model first answers, per line, one rank-search package over the tree
+/// root (the precompute round): the color totals and the prefix counts
+/// `U_x(c)` give `δ(0, c)` and `δ(n, c)` for every pair, which settles a pair
+/// whose demarcation line misses the grid line and leaves the others as
+/// searches. Each descent level then sends, for every pending search, one
+/// batched rank-search package per child segment of its current node over the
+/// composite key `v = color·(n+1) + col`: the δ increment contributed by a row
+/// segment `[a, b)` is exactly `#{v ∈ [q·(n+1)+c, r·(n+1)+c)}` restricted to
+/// that segment (a color-`q` point left of the line leaves `T_q`, a color-`r`
+/// point left of it leaves `T_r`, and any strictly-between color leaves the `S`
+/// sum — each contributing `+1`; all other points cancel). A `group_map` on
+/// `(parent, c, q, r)` prefix-sums each search's segments and descends into the
+/// first one whose right boundary turns δ positive; a filter-and-map pair
+/// splits the resolved crossovers from the pending searches. Prefix-summing
+/// narrows the search by a factor of `h` per level, so `⌈log_h n⌉` levels —
+/// `O(1)` with the paper's fan-out — pin the crossover exactly. A final
+/// `group_map` on `(parent, c)` turns each line's `h(h−1)/2` crossovers into
+/// its demarcation rows.
 ///
-/// Every search reads the shared [`LeveledIndex`]: the precompute its level 0,
-/// descent level `t` its level `min(t, height)`. Each charges `colored.len()`
+/// The simulator runs the precompute and the final assembly as those
+/// primitives and charges every descent level's steps by shape, but computes
+/// the descent by index: the searches sit in one flat array in
+/// `(line, q, r)` order — the key order of every level's join — and each walks
+/// the shared [`LeveledIndex`] from the root to its leaf on the pool, noting
+/// its segment count per level. Each level's groups are the searches still
+/// pending there (a parent's searches all resolve at its leaf level), sized
+/// by those counts, and the placement the charged join gives them decides
+/// where the next level's packages start. Every query charges `colored.len()`
 /// values, what a rank search over the points keyed for that one level costs.
 fn grid_phase_tree(
     cluster: &mut Cluster,
@@ -790,216 +783,224 @@ fn grid_phase_tree(
     specs: &BTreeMap<u64, ParentSpec>,
     tree: &LeveledIndex,
 ) -> DistVec<LineInfo> {
-    let mut parent_ids: Vec<u64> = specs.keys().copied().collect();
-    parent_ids.sort_unstable();
-
+    let charged = colored.len() as u64;
     // Precompute round: per line, the color totals and the prefix counts
-    // `U_x(c)` that determine δ(0, c) and δ(n, c) for every pair.
-    let mut line_queries: Vec<LineQuery> = Vec::new();
-    for &pid in &parent_ids {
-        for c in line_columns(&specs[&pid]) {
-            line_queries.push(LineQuery { parent: pid, c });
+    // `U_x(c)` over the root. The line descriptors are O(n/G) metadata; like
+    // the input, they start out distributed (no rounds charged).
+    let line_keys: Vec<(u64, u32)> = specs
+        .iter()
+        .flat_map(|(&pid, spec)| line_columns(spec).into_iter().map(move |c| (pid, c)))
+        .collect();
+    let queries = cluster.distribute(line_keys);
+    let answered = cluster.rank_search_multi_in(&tree.index, charged, queries, |&(parent, c)| {
+        let spec = &specs[&parent];
+        let w = spec.n as u64 + 1;
+        let mut thresholds = Vec::with_capacity(2 * spec.h + 1);
+        for x in 0..spec.h as u64 {
+            thresholds.push(x * w);
+            thresholds.push(x * w + c as u64);
+        }
+        thresholds.push(spec.h as u64 * w);
+        (tree.group(parent, 0, 0), thresholds)
+    });
+
+    // Every line's pairs `q < r`, back to back in `(line, q, r)` order: the
+    // crossovers the precompute settles, and the searches it leaves.
+    let mut lines = Vec::new();
+    let mut first = vec![0usize];
+    let mut cmp = Vec::new();
+    let mut searches = Vec::new();
+    for machine in 0..answered.machines() {
+        for ((parent, c), counts) in answered.part(machine) {
+            let spec = &specs[parent];
+            let line = lines.len();
+            lines.push(Line {
+                parent: *parent,
+                c: *c,
+                h: spec.h,
+                geom: &tree.geom[parent],
+                machine,
+            });
+            let (h, n) = (spec.h, spec.n as u32);
+            // counts layout: [0·W, 0·W+c, 1·W, 1·W+c, …, (h−1)·W, (h−1)·W+c, h·W].
+            let p_at = |x: usize| counts[2 * x] as i64; // Σ_{y<x} n_y
+            let u_at = |x: usize| (counts[2 * x + 1] - counts[2 * x]) as i64; // U_x(c)
+            let mut pu = vec![0i64; h + 1]; // prefix sums of U
+            for x in 0..h {
+                pu[x + 1] = pu[x] + u_at(x);
+            }
+            for q in 0..h {
+                for r in q + 1..h {
+                    // δ(n, c) = Σ_{x ∈ (q, r]} U_x(c);  δ(0, c) adds U_q − U_r − Σ_{[q,r)} n_x.
+                    let delta_n = pu[r + 1] - pu[q + 1];
+                    let delta_0 = u_at(q) - u_at(r) - (p_at(r) - p_at(q)) + delta_n;
+                    if delta_n <= 0 {
+                        cmp.push(n + 1);
+                    } else if delta_0 > 0 {
+                        cmp.push(0);
+                    } else {
+                        searches.push(Search {
+                            pair: cmp.len(),
+                            line,
+                            q: q as u16,
+                            r: r as u16,
+                            delta_0,
+                        });
+                        cmp.push(0); // set by the descent
+                    }
+                }
+            }
+            first.push(cmp.len());
         }
     }
-    // The line descriptors are O(n/G) metadata; like the input, they start out
-    // distributed (no rounds charged).
-    let queries = cluster.distribute(line_queries);
-    let specs_q = specs.clone();
-    // Level 0 is the root: all of a parent's points.
-    let answered =
-        cluster.rank_search_multi_in(&tree.index, colored.len() as u64, queries, move |q| {
-            let spec = specs_q[&q.parent];
-            let w = spec.n as u64 + 1;
-            let mut thresholds = Vec::with_capacity(2 * spec.h + 1);
-            for x in 0..spec.h as u64 {
-                thresholds.push(x * w);
-                thresholds.push(x * w + q.c as u64);
-            }
-            thresholds.push(spec.h as u64 * w);
-            (tree.group(q.parent, 0, 0), thresholds)
-        });
-    let specs_init = specs.clone();
-    let work: DistVec<GridWork> = cluster.flat_map(&answered, move |(lq, counts)| {
-        let spec = specs_init[&lq.parent];
-        let (h, n) = (spec.h, spec.n as u32);
-        // counts layout: [0·W, 0·W+c, 1·W, 1·W+c, …, (h−1)·W, (h−1)·W+c, h·W].
-        let p_at = |x: usize| counts[2 * x] as i64; // Σ_{y<x} n_y
-        let u_at = |x: usize| (counts[2 * x + 1] - counts[2 * x]) as i64; // U_x(c)
-        let mut pu = vec![0i64; h + 1]; // prefix sums of U
-        for x in 0..h {
-            pu[x + 1] = pu[x] + u_at(x);
-        }
-        let mut out = Vec::with_capacity(h * (h - 1) / 2);
-        for q in 0..h {
-            for r in q + 1..h {
-                // δ(n, c) = Σ_{x ∈ (q, r]} U_x(c);  δ(0, c) adds U_q − U_r − Σ_{[q,r)} n_x.
-                let delta_n = pu[r + 1] - pu[q + 1];
-                let delta_0 = u_at(q) - u_at(r) - (p_at(r) - p_at(q)) + delta_n;
-                let item = if delta_n <= 0 {
-                    GridWork::Resolved(ResolvedCmp {
-                        parent: lq.parent,
-                        c: lq.c,
-                        q: q as u16,
-                        r: r as u16,
-                        val: n + 1,
-                    })
-                } else if delta_0 > 0 {
-                    GridWork::Resolved(ResolvedCmp {
-                        parent: lq.parent,
-                        c: lq.c,
-                        q: q as u16,
-                        r: r as u16,
-                        val: 0,
-                    })
-                } else {
-                    GridWork::Search(CrossSearch {
-                        parent: lq.parent,
-                        c: lq.c,
-                        q: q as u16,
-                        r: r as u16,
-                        lo: 0,
-                        delta_lo: delta_0,
-                    })
-                };
-                out.push(item);
-            }
-        }
-        out
-    });
-    let (mut resolved, mut searches) = split_work(cluster, work);
 
-    // Descent: one batched package exchange plus one regroup per tree level.
-    // The loop always runs the full height so that the superstep schedule is a
-    // function of the parent specs alone.
+    // The descent, computed: every search walks to its leaf, noting its
+    // segment count per level (`stride` slots each).
     let max_height = specs
         .values()
         .map(|s| tree_height(s.n, s.h))
         .max()
         .unwrap_or(0);
-    for t in 1..=max_height {
-        // Per-parent geometry of this level, hoisted out of the per-package
-        // closures: (tree level min(t, height), its node size).
-        let geom: BTreeMap<u64, (u32, u64)> = specs
-            .iter()
-            .map(|(&pid, spec)| {
-                let level = t.min(tree_height(spec.n, spec.h));
-                (pid, (level, level_size(spec.n, spec.h, level)))
-            })
-            .collect();
-
-        let specs_p = specs.clone();
-        let geom_p = geom.clone();
-        let packages: DistVec<SegPack> = cluster.flat_map(&searches, move |s| {
-            let spec = specs_p[&s.parent];
-            let (_, size) = geom_p[&s.parent];
-            // Segments entirely inside the padded tail [n, h^height) hold no
-            // points and cannot contain the crossover; skip their packages.
-            (0..spec.h as u16)
-                .filter(|&seg| s.lo + seg as u64 * size < spec.n as u64)
-                .map(|seg| SegPack { search: *s, seg })
-                .collect()
-        });
-        let geom_k = geom.clone();
-        let answered =
-            cluster.rank_search_multi_in(&tree.index, colored.len() as u64, packages, move |pk| {
-                let s = pk.search;
-                let (level, size) = geom_k[&s.parent];
-                let w = tree.geom[&s.parent].w;
-                let node = s.lo / size + pk.seg as u64;
-                (
-                    tree.group(s.parent, level, node),
-                    vec![s.q as u64 * w + s.c as u64, s.r as u64 * w + s.c as u64],
-                )
-            });
-        let geom_g = geom.clone();
-        let stepped: DistVec<GridWork> = cluster.group_map_view(
-            answered,
-            |(pk, _)| {
-                let s = pk.search;
-                (s.parent, s.c, s.q, s.r)
-            },
-            move |_, group| {
-                let mut packs: Vec<&(SegPack, Vec<u64>)> = group.iter().collect();
-                packs.sort_unstable_by_key(|(pk, _)| pk.seg);
-                let s = packs[0].0.search;
-                let (_, size) = geom_g[&s.parent];
-                // δ at successive segment boundaries; descend into the first
-                // segment whose right boundary turns positive.
-                let mut delta = s.delta_lo;
-                let mut chosen = None;
-                for (pk, counts) in packs {
-                    let contrib = counts[1] as i64 - counts[0] as i64;
-                    if delta + contrib > 0 {
-                        chosen = Some((pk.seg as u64, delta));
-                        break;
-                    }
-                    delta += contrib;
-                }
-                let (seg, delta_at) =
-                    chosen.expect("δ must turn positive within the node (invariant)");
-                let lo = s.lo + seg * size;
-                Some(if size == 1 {
-                    GridWork::Resolved(ResolvedCmp {
-                        parent: s.parent,
-                        c: s.c,
-                        q: s.q,
-                        r: s.r,
-                        val: (lo + 1) as u32,
-                    })
-                } else {
-                    GridWork::Search(CrossSearch {
-                        lo,
-                        delta_lo: delta_at,
-                        ..s
-                    })
-                })
-            },
-        );
-        let (newly, pending) = split_work(cluster, stepped);
-        resolved = cluster.concat(resolved, newly);
-        searches = pending;
+    let stride = max_height.max(1) as usize;
+    let mut segs = vec![0u16; searches.len() * stride];
+    let found: Vec<u32> = segs
+        .chunks_mut(stride)
+        .zip(&searches)
+        .collect::<Vec<_>>()
+        .into_par_iter()
+        .map(|(segs, s)| descend(&tree.index, &lines[s.line], s, segs))
+        .collect();
+    for (s, val) in searches.iter().zip(found) {
+        cmp[s.pair] = val;
     }
-    debug_assert!(searches.is_empty(), "all searches resolve at the leaves");
 
-    // Assemble per-line demarcation rows from the crossover values.
-    let specs_l = specs.clone();
-    cluster.group_map_view(
-        resolved,
-        |rc| (rc.parent, rc.c),
-        move |&(parent, c), items| {
-            let spec = specs_l[&parent];
-            let (h, n) = (spec.h, spec.n as u32);
-            let mut cmp = vec![vec![0u32; h]; h];
-            debug_assert_eq!(items.len(), h * (h - 1) / 2);
-            for rc in items.iter() {
-                cmp[rc.q as usize][rc.r as usize] = rc.val;
+    // The descent, charged: the precompute's packages expand into every
+    // line's pairs on the line's machine, then each level runs its steps
+    // over the searches pending there. A search resolves at its parent's
+    // leaf level and stays on the machine its last group ran on.
+    let machines = cluster.config().machines;
+    // The level a search resolves at: its parent's leaf level (level 1 for
+    // a one-row parent, whose root is its leaf).
+    let last = |s: &Search| (lines[s.line].geom.sizes.len() - 1).max(1) as u32;
+    let mut machine: Vec<usize> = searches.iter().map(|s| lines[s.line].machine).collect();
+    let mut work = vec![0usize; machines];
+    for (line, pairs) in lines.iter().zip(first.windows(2)) {
+        work[line.machine] += pairs[1] - pairs[0];
+    }
+    let mut pending = vec![0usize; machines];
+    for &m in &machine {
+        pending[m] += 1;
+    }
+    let known: Vec<usize> = work.iter().zip(&pending).map(|(w, p)| w - p).collect();
+    cluster.charge_flat_map(&Shape::from_loads(work));
+    let mut resolved = Shape::from_loads(known);
+    charge_split(cluster, &resolved, &Shape::from_loads(pending));
+    // The searches pending at level `t`, in key order.
+    let mut live: Vec<usize> = (0..searches.len()).collect();
+    for t in 1..=max_height {
+        let seg_count = |i: usize| segs[i * stride + t as usize - 1] as usize;
+        let mut packages = vec![0usize; machines];
+        for &i in &live {
+            packages[machine[i]] += seg_count(i);
+        }
+        let total: usize = packages.iter().sum();
+        cluster.charge_flat_map(&Shape::from_loads(packages));
+        cluster.charge_rank_search_multi(charged, total, 2 * total as u64);
+        let sizes: Vec<usize> = live.iter().map(|&i| seg_count(i)).collect();
+        let placement = cluster.charge_group_map_sized(&sizes, |_| 1);
+        let (mut newly, mut pending) = (vec![0usize; machines], vec![0usize; machines]);
+        for (k, &i) in live.iter().enumerate() {
+            machine[i] = placement.machine(k);
+            if last(&searches[i]) == t {
+                newly[machine[i]] += 1;
+            } else {
+                pending[machine[i]] += 1;
             }
-            let breakpoints = opt_breakpoints_from_cmp(&cmp, h, n);
-            Some(LineInfo {
-                parent,
-                c,
-                b: b_vector(&breakpoints, h, n),
-            })
-        },
-    )
+        }
+        let newly = Shape::from_loads(newly);
+        charge_split(cluster, &newly, &Shape::from_loads(pending));
+        resolved = cluster.charge_concat(&resolved, &newly);
+        live.retain(|&i| last(&searches[i]) > t);
+    }
+    debug_assert_eq!(
+        resolved.len(),
+        cmp.len(),
+        "all searches resolve at the leaves"
+    );
+
+    // Assemble per-line demarcation rows from the crossover values: one
+    // group of `h(h−1)/2` crossovers per line, in `(parent, c)` order.
+    let sizes: Vec<usize> = first.windows(2).map(|w| w[1] - w[0]).collect();
+    cluster.group_map_sized(&sizes, |l| {
+        let line = &lines[l];
+        let (h, n) = (line.h, line.geom.n as u32);
+        let mut pairs = cmp[first[l]..first[l + 1]].iter();
+        let mut matrix = vec![vec![0u32; h]; h];
+        for q in 0..h {
+            for r in q + 1..h {
+                matrix[q][r] = *pairs.next().expect("h(h−1)/2 crossovers per line");
+            }
+        }
+        let breakpoints = opt_breakpoints_from_cmp(&matrix, h, n);
+        Some(LineInfo {
+            parent: line.parent,
+            c: line.c,
+            b: b_vector(&breakpoints, h, n),
+        })
+    })
 }
 
-/// Splits descent work into its resolved crossovers and its pending searches.
-fn split_work(
-    cluster: &mut Cluster,
-    work: DistVec<GridWork>,
-) -> (DistVec<ResolvedCmp>, DistVec<CrossSearch>) {
-    let resolved = cluster.filter(work.clone(), |w| matches!(w, GridWork::Resolved(_)));
-    let resolved = cluster.map(&resolved, |w| match w {
-        GridWork::Resolved(rc) => *rc,
-        GridWork::Search(_) => unreachable!(),
-    });
-    let searches = cluster.filter(work, |w| matches!(w, GridWork::Search(_)));
-    let searches = cluster.map(&searches, |w| match w {
-        GridWork::Search(s) => *s,
-        GridWork::Resolved(_) => unreachable!(),
-    });
-    (resolved, searches)
+/// Walks search `s` of `line` down the colored tree from the root and
+/// returns `cmp(c, q, r)`, the first row with `δ_{q,r} > 0`: the row after
+/// the leaf the walk ends at. At every level it prefix-sums the δ increments of the
+/// current node's child segments, descends into the first segment whose
+/// right boundary turns δ positive, and notes in `segs[t − 1]` how many
+/// segments level `t` queried: those meeting `[0, n)`, since a segment
+/// entirely inside the padded tail `[n, h^height)` holds no points and
+/// cannot contain the crossover.
+fn descend(index: &RankIndex<u64>, line: &Line<'_>, s: &Search, segs: &mut [u16]) -> u32 {
+    let g = line.geom;
+    let (n, height) = (g.n as u64, g.sizes.len() - 1);
+    let (from, to) = (
+        s.q as u64 * g.w + line.c as u64,
+        s.r as u64 * g.w + line.c as u64,
+    );
+    // Invariant: `δ(lo, c) = delta ≤ 0`, `lo` the current node's start.
+    let (mut lo, mut delta) = (0u64, s.delta_0);
+    for t in 1..=height.max(1) {
+        let level = t.min(height);
+        let size = g.sizes[level];
+        let count = (0..line.h as u64)
+            .take_while(|&seg| lo + seg * size < n)
+            .count();
+        segs[t - 1] = count as u16;
+        let node = g.bases[level] + lo / size;
+        let mut seg = 0;
+        loop {
+            assert!(
+                seg < count,
+                "δ must turn positive within the node (invariant)"
+            );
+            let run = index.run(node + seg as u64);
+            let contrib = run.partition_point(|&v| v < to) - run.partition_point(|&v| v < from);
+            if delta + contrib as i64 > 0 {
+                break;
+            }
+            delta += contrib as i64;
+            seg += 1;
+        }
+        lo += seg as u64 * size;
+    }
+    (lo + 1) as u32
+}
+
+/// Charges the filter-and-map passes that split a descent step's outputs
+/// into the `resolved` crossovers and the `pending` searches.
+fn charge_split(cluster: &mut Cluster, resolved: &Shape, pending: &Shape) {
+    cluster.charge_filter(resolved);
+    cluster.charge_map(resolved);
+    cluster.charge_filter(pending);
+    cluster.charge_map(pending);
 }
 
 /// The grid-line columns of a parent: every multiple of `G`, plus `n`.
@@ -1423,10 +1424,10 @@ fn corner_f<'a>(packs: impl IntoIterator<Item = &'a (CornerPack, Vec<u64>)>) -> 
     }
 }
 
-/// The materialized combine the indexed one is tested against: the
-/// classification, the corner-`F` join, the routing and the subgrid join run
-/// as the primitives they are charged as, every join gathering its groups by
-/// key.
+/// The materialized combine the indexed one is tested against: the grid
+/// descent, the classification, the corner-`F` join, the routing and the
+/// subgrid join run as the primitives they are charged as, every join
+/// gathering its groups by key.
 #[cfg(test)]
 mod oracle {
     use super::*;
@@ -1441,8 +1442,8 @@ mod oracle {
         ColPt(ColoredPoint),
     }
 
-    /// [`super::distributed_combine`], with the gathering classification,
-    /// corner-`F` join, routing and subgrid join.
+    /// [`super::distributed_combine`], with the gathering grid descent,
+    /// classification, corner-`F` join, routing and subgrid join.
     pub(super) fn distributed_combine(
         cluster: &mut Cluster,
         colored: DistVec<Colored>,
@@ -1485,6 +1486,279 @@ mod oracle {
 
         cluster.set_phase(None::<String>);
         cluster.concat(kept, subgrid_out)
+    }
+
+    /// One pending crossover search `cmp(c, q, r)` descending the tree.
+    #[derive(Clone, Copy, Debug)]
+    struct CrossSearch {
+        parent: u64,
+        /// Grid-line column.
+        c: u32,
+        q: u16,
+        r: u16,
+        /// Start of the current tree node (invariant: `δ_{q,r}(lo, c) ≤ 0`).
+        lo: u64,
+        /// `δ_{q,r}(lo, c)`.
+        delta_lo: i64,
+    }
+
+    /// A fully determined crossover value.
+    #[derive(Clone, Copy, Debug)]
+    struct ResolvedCmp {
+        parent: u64,
+        c: u32,
+        q: u16,
+        r: u16,
+        /// `cmp(c, q, r)`: first row with `δ_{q,r} > 0`, or `n + 1`.
+        val: u32,
+    }
+
+    /// Work items flowing through the descent.
+    #[derive(Clone, Copy, Debug)]
+    enum GridWork {
+        Search(CrossSearch),
+        Resolved(ResolvedCmp),
+    }
+
+    /// One batched rank-search package of the descent: segment `seg` of `search`'s
+    /// current node at the current level.
+    #[derive(Clone, Copy, Debug)]
+    struct SegPack {
+        search: CrossSearch,
+        seg: u16,
+    }
+
+    /// A per-line query of the precompute round.
+    #[derive(Clone, Copy, Debug)]
+    struct LineQuery {
+        parent: u64,
+        c: u32,
+    }
+
+    /// [`super::grid_phase_tree`], run level by level as the primitives it is
+    /// charged as: every level's packages materialized, answered from the
+    /// shared [`LeveledIndex`] and gathered by `(parent, c, q, r)`, and the
+    /// crossovers gathered by `(parent, c)`.
+    pub(super) fn grid_phase_tree(
+        cluster: &mut Cluster,
+        colored: &DistVec<Colored>,
+        specs: &BTreeMap<u64, ParentSpec>,
+        tree: &LeveledIndex,
+    ) -> DistVec<LineInfo> {
+        let mut parent_ids: Vec<u64> = specs.keys().copied().collect();
+        parent_ids.sort_unstable();
+
+        // Precompute round: per line, the color totals and the prefix counts
+        // `U_x(c)` that determine δ(0, c) and δ(n, c) for every pair.
+        let mut line_queries: Vec<LineQuery> = Vec::new();
+        for &pid in &parent_ids {
+            for c in line_columns(&specs[&pid]) {
+                line_queries.push(LineQuery { parent: pid, c });
+            }
+        }
+        // The line descriptors are O(n/G) metadata; like the input, they start out
+        // distributed (no rounds charged).
+        let queries = cluster.distribute(line_queries);
+        let specs_q = specs.clone();
+        // Level 0 is the root: all of a parent's points.
+        let answered =
+            cluster.rank_search_multi_in(&tree.index, colored.len() as u64, queries, move |q| {
+                let spec = specs_q[&q.parent];
+                let w = spec.n as u64 + 1;
+                let mut thresholds = Vec::with_capacity(2 * spec.h + 1);
+                for x in 0..spec.h as u64 {
+                    thresholds.push(x * w);
+                    thresholds.push(x * w + q.c as u64);
+                }
+                thresholds.push(spec.h as u64 * w);
+                (tree.group(q.parent, 0, 0), thresholds)
+            });
+        let specs_init = specs.clone();
+        let work: DistVec<GridWork> = cluster.flat_map(&answered, move |(lq, counts)| {
+            let spec = specs_init[&lq.parent];
+            let (h, n) = (spec.h, spec.n as u32);
+            // counts layout: [0·W, 0·W+c, 1·W, 1·W+c, …, (h−1)·W, (h−1)·W+c, h·W].
+            let p_at = |x: usize| counts[2 * x] as i64; // Σ_{y<x} n_y
+            let u_at = |x: usize| (counts[2 * x + 1] - counts[2 * x]) as i64; // U_x(c)
+            let mut pu = vec![0i64; h + 1]; // prefix sums of U
+            for x in 0..h {
+                pu[x + 1] = pu[x] + u_at(x);
+            }
+            let mut out = Vec::with_capacity(h * (h - 1) / 2);
+            for q in 0..h {
+                for r in q + 1..h {
+                    // δ(n, c) = Σ_{x ∈ (q, r]} U_x(c);  δ(0, c) adds U_q − U_r − Σ_{[q,r)} n_x.
+                    let delta_n = pu[r + 1] - pu[q + 1];
+                    let delta_0 = u_at(q) - u_at(r) - (p_at(r) - p_at(q)) + delta_n;
+                    let item = if delta_n <= 0 {
+                        GridWork::Resolved(ResolvedCmp {
+                            parent: lq.parent,
+                            c: lq.c,
+                            q: q as u16,
+                            r: r as u16,
+                            val: n + 1,
+                        })
+                    } else if delta_0 > 0 {
+                        GridWork::Resolved(ResolvedCmp {
+                            parent: lq.parent,
+                            c: lq.c,
+                            q: q as u16,
+                            r: r as u16,
+                            val: 0,
+                        })
+                    } else {
+                        GridWork::Search(CrossSearch {
+                            parent: lq.parent,
+                            c: lq.c,
+                            q: q as u16,
+                            r: r as u16,
+                            lo: 0,
+                            delta_lo: delta_0,
+                        })
+                    };
+                    out.push(item);
+                }
+            }
+            out
+        });
+        let (mut resolved, mut searches) = split_work(cluster, work);
+
+        // Descent: one batched package exchange plus one regroup per tree level.
+        // The loop always runs the full height so that the superstep schedule is a
+        // function of the parent specs alone.
+        let max_height = specs
+            .values()
+            .map(|s| tree_height(s.n, s.h))
+            .max()
+            .unwrap_or(0);
+        for t in 1..=max_height {
+            // Per-parent geometry of this level, hoisted out of the per-package
+            // closures: (tree level min(t, height), its node size).
+            let geom: BTreeMap<u64, (u32, u64)> = specs
+                .iter()
+                .map(|(&pid, spec)| {
+                    let level = t.min(tree_height(spec.n, spec.h));
+                    (pid, (level, level_size(spec.n, spec.h, level)))
+                })
+                .collect();
+
+            let specs_p = specs.clone();
+            let geom_p = geom.clone();
+            let packages: DistVec<SegPack> = cluster.flat_map(&searches, move |s| {
+                let spec = specs_p[&s.parent];
+                let (_, size) = geom_p[&s.parent];
+                // Segments entirely inside the padded tail [n, h^height) hold no
+                // points and cannot contain the crossover; skip their packages.
+                (0..spec.h as u16)
+                    .filter(|&seg| s.lo + seg as u64 * size < spec.n as u64)
+                    .map(|seg| SegPack { search: *s, seg })
+                    .collect()
+            });
+            let geom_k = geom.clone();
+            let answered = cluster.rank_search_multi_in(
+                &tree.index,
+                colored.len() as u64,
+                packages,
+                move |pk| {
+                    let s = pk.search;
+                    let (level, size) = geom_k[&s.parent];
+                    let w = tree.geom[&s.parent].w;
+                    let node = s.lo / size + pk.seg as u64;
+                    (
+                        tree.group(s.parent, level, node),
+                        vec![s.q as u64 * w + s.c as u64, s.r as u64 * w + s.c as u64],
+                    )
+                },
+            );
+            let geom_g = geom.clone();
+            let stepped: DistVec<GridWork> = cluster.group_map_view(
+                answered,
+                |(pk, _)| {
+                    let s = pk.search;
+                    (s.parent, s.c, s.q, s.r)
+                },
+                move |_, group| {
+                    let mut packs: Vec<&(SegPack, Vec<u64>)> = group.iter().collect();
+                    packs.sort_unstable_by_key(|(pk, _)| pk.seg);
+                    let s = packs[0].0.search;
+                    let (_, size) = geom_g[&s.parent];
+                    // δ at successive segment boundaries; descend into the first
+                    // segment whose right boundary turns positive.
+                    let mut delta = s.delta_lo;
+                    let mut chosen = None;
+                    for (pk, counts) in packs {
+                        let contrib = counts[1] as i64 - counts[0] as i64;
+                        if delta + contrib > 0 {
+                            chosen = Some((pk.seg as u64, delta));
+                            break;
+                        }
+                        delta += contrib;
+                    }
+                    let (seg, delta_at) =
+                        chosen.expect("δ must turn positive within the node (invariant)");
+                    let lo = s.lo + seg * size;
+                    Some(if size == 1 {
+                        GridWork::Resolved(ResolvedCmp {
+                            parent: s.parent,
+                            c: s.c,
+                            q: s.q,
+                            r: s.r,
+                            val: (lo + 1) as u32,
+                        })
+                    } else {
+                        GridWork::Search(CrossSearch {
+                            lo,
+                            delta_lo: delta_at,
+                            ..s
+                        })
+                    })
+                },
+            );
+            let (newly, pending) = split_work(cluster, stepped);
+            resolved = cluster.concat(resolved, newly);
+            searches = pending;
+        }
+        debug_assert!(searches.is_empty(), "all searches resolve at the leaves");
+
+        // Assemble per-line demarcation rows from the crossover values.
+        let specs_l = specs.clone();
+        cluster.group_map_view(
+            resolved,
+            |rc| (rc.parent, rc.c),
+            move |&(parent, c), items| {
+                let spec = specs_l[&parent];
+                let (h, n) = (spec.h, spec.n as u32);
+                let mut cmp = vec![vec![0u32; h]; h];
+                debug_assert_eq!(items.len(), h * (h - 1) / 2);
+                for rc in items.iter() {
+                    cmp[rc.q as usize][rc.r as usize] = rc.val;
+                }
+                let breakpoints = opt_breakpoints_from_cmp(&cmp, h, n);
+                Some(LineInfo {
+                    parent,
+                    c,
+                    b: b_vector(&breakpoints, h, n),
+                })
+            },
+        )
+    }
+
+    /// Splits descent work into its resolved crossovers and its pending searches.
+    fn split_work(
+        cluster: &mut Cluster,
+        work: DistVec<GridWork>,
+    ) -> (DistVec<ResolvedCmp>, DistVec<CrossSearch>) {
+        let resolved = cluster.filter(work.clone(), |w| matches!(w, GridWork::Resolved(_)));
+        let resolved = cluster.map(&resolved, |w| match w {
+            GridWork::Resolved(rc) => *rc,
+            GridWork::Search(_) => unreachable!(),
+        });
+        let searches = cluster.filter(work, |w| matches!(w, GridWork::Search(_)));
+        let searches = cluster.map(&searches, |w| match w {
+            GridWork::Search(s) => *s,
+            GridWork::Resolved(_) => unreachable!(),
+        });
+        (resolved, searches)
     }
 
     /// [`super::attach_base_f_tree`], with every subgrid's answered
@@ -2044,6 +2318,65 @@ mod tests {
             active.len()
         });
         assert!(attached > 0, "no case had an active subgrid");
+    }
+
+    /// Runs the indexed grid phase and its level-by-level oracle on `points`
+    /// and requires the same lines on every machine and the same ledger.
+    /// Returns the lines produced.
+    fn check_grid_phase(points: &[Colored], specs: &[ParentSpec], case: &str) -> usize {
+        type Grid = fn(
+            &mut Cluster,
+            &DistVec<Colored>,
+            &BTreeMap<u64, ParentSpec>,
+            &LeveledIndex,
+        ) -> DistVec<LineInfo>;
+        let specs: BTreeMap<u64, ParentSpec> = specs.iter().map(|s| (s.inst, *s)).collect();
+        let run = |grid: Grid| {
+            let mut cluster = Cluster::new(config());
+            let colored = cluster.distribute(points.to_vec());
+            let tree = LeveledIndex::build(&colored, &specs);
+            cluster.set_phase(Some("combine-grid"));
+            let lines = grid(&mut cluster, &colored, &specs, &tree);
+            let lines: Vec<Vec<LineInfo>> = (0..lines.machines())
+                .map(|i| lines.part(i).to_vec())
+                .collect();
+            (lines, cluster.ledger().clone())
+        };
+        let (got, ledger) = run(grid_phase_tree);
+        let (want, want_ledger) = run(oracle::grid_phase_tree);
+        assert_eq!(got, want, "lines per machine, {case}");
+        assert_eq!(ledger, want_ledger, "ledger, {case}");
+        got.iter().map(Vec::len).sum()
+    }
+
+    /// The indexed descent against the level-by-level one, on the shared
+    /// batches (h = 2…5, parents of different tree heights side by side, n
+    /// never a power of h, so padded-tail segments are skipped) and on h = 8
+    /// parents of heights 1, 2 and 3 in one batch. Line `c = 0` settles every
+    /// pair at the precompute (`δ(n, 0) = 0`), so each case mixes settled
+    /// pairs with searches.
+    #[test]
+    fn indexed_grid_phase_matches_the_materialized_oracle() {
+        let mut lines = for_each_case(53, |rng, parents, specs, _, case| {
+            check_grid_phase(&real_unions(rng, parents), specs, case)
+        });
+        let parents: &[(u64, usize, usize)] = &[(0, 8, 8), (4, 20, 8), (9, 300, 8)];
+        for threads in [1, 4] {
+            lines += on_threads(threads, || {
+                let mut rng = StdRng::seed_from_u64(59 + threads as u64);
+                let mut lines = 0;
+                for g in [3, 17] {
+                    let specs: Vec<ParentSpec> = parents
+                        .iter()
+                        .map(|&(inst, n, h)| ParentSpec { inst, n, h, g })
+                        .collect();
+                    let case = format!("{parents:?} g={g} threads={threads}");
+                    lines += check_grid_phase(&real_unions(&mut rng, parents), &specs, &case);
+                }
+                lines
+            });
+        }
+        assert!(lines > 0, "no case produced a line");
     }
 
     #[test]

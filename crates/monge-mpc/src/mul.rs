@@ -7,7 +7,7 @@
 //!
 //! Per level the driver performs, in `O(1)` primitive rounds:
 //!
-//! * **local solve** — instances that fit into a machine's space are gathered with
+//! * **local solve** — instances that fit into a machine's space are joined with
 //!   one `group_map` and multiplied with the sequential steady-ant kernel
 //!   ([`monge::steady_ant::mul_rows`], which draws its scratch from a per-worker
 //!   [`monge::steady_ant::Workspace`] arena, so the whole level's batch — the
@@ -18,21 +18,25 @@
 //! * on the way back up, **lift** (two joins restore parent coordinates)
 //!   and **combine** (the distributed §3.2/§3.3 merge in `crate::combine`).
 //!
-//! The split's rank searches and the lift's joins are charged exactly as the
-//! primitives the model runs (`rank_search`, and a `group_map` per join with
-//! the local maps and concatenations that feed it), but computed by dense
-//! index: a parent's points are a permutation, so its ranked coordinates are
+//! The local solve's join, the split's rank searches and the lift's joins
+//! are charged exactly as the primitives the model runs (a `group_map` on
+//! the instance, `rank_search`, and a `group_map` per lift join, with the
+//! filters, local maps and concatenations that feed them), but computed by
+//! dense index: a small instance's group is its `2·n` points, filed by row;
+//! a parent's points are a permutation, so its ranked coordinates are
 //! exactly `0..n`, and one ascending scan with a counter per child yields
 //! every rank; the children's coordinates are the dense ranges `0..n_child`,
-//! so each join is an array lookup whose outputs land on the machines the
-//! charged group map packs them onto, in key order. Nothing is sorted, hashed
-//! or gathered.
+//! so each lift join is an array lookup. The lift's first join is only
+//! charged — its outputs feed nothing but the second — and every computed
+//! output lands on the machine the charged group map packs its key onto, in
+//! key order. Nothing is sorted, hashed or gathered.
 
 use crate::combine::{distributed_combine, Colored, ParentSpec};
 use crate::params::MulParams;
 use monge::steady_ant;
 use monge::PermutationMatrix;
-use mpc_runtime::{Cluster, DistVec};
+use mpc_runtime::{Cluster, DistVec, Shape};
+use rayon::prelude::*;
 use std::ops::Range;
 
 /// A nonzero of an operand or result matrix, tagged with its (batched) instance id.
@@ -186,35 +190,8 @@ pub fn mul_batch(
 
         if small_flags.contains(&true) {
             cluster.set_phase(Some("local-solve"));
-            let sizes = cluster.broadcast(n_of[base as usize..frontier.end as usize].to_vec());
-            let in_small = cluster.broadcast(small_flags.clone());
-            let a_small = cluster.filter(a.clone(), |p| in_small[at(p.inst)]);
-            let b_small = cluster.filter(b.clone(), |p| in_small[at(p.inst)]);
-            let a_tagged = cluster.map(&a_small, |p| (false, *p));
-            let b_tagged = cluster.map(&b_small, |p| (true, *p));
-            let tagged = cluster.concat(a_tagged, b_tagged);
-            let solved = cluster.group_map_view(
-                tagged,
-                |(_, p)| p.inst,
-                |&inst, items| {
-                    let n = sizes[at(inst)];
-                    let mut pa = vec![0u32; n];
-                    let mut pb = vec![0u32; n];
-                    for &(is_b, p) in items.iter() {
-                        if is_b {
-                            pb[p.row as usize] = p.col;
-                        } else {
-                            pa[p.row as usize] = p.col;
-                        }
-                    }
-                    let pc = steady_ant::mul_rows(&pa, &pb);
-                    pc.into_iter().enumerate().map(move |(r, c)| Nonzero {
-                        inst,
-                        row: r as u32,
-                        col: c,
-                    })
-                },
-            );
+            let sizes = &n_of[base as usize..frontier.end as usize];
+            let solved = local_solve(cluster, [&a, &b], base, sizes, &small_flags);
             results = cluster.concat(results, solved);
         }
 
@@ -299,6 +276,74 @@ pub fn mul_batch(
     out.into_iter().map(PermutationMatrix::from_rows).collect()
 }
 
+/// One level's local solve: multiplies every small frontier instance (the
+/// instances `base + i` with `small[i]`, of size `sizes[i]`) on one machine
+/// with the sequential steady ant.
+///
+/// Charged as the model runs it — the broadcast sizes and flags, a filter
+/// and a tagging map per operand keeping the small instances' points, their
+/// concatenation and one `group_map` on the instance — but computed by dense
+/// index: instance `i`'s group holds its `2·sizes[i]` points, so the groups
+/// are sized up front in ascending id, and every operand point is filed in
+/// a per-instance row table, from which the group reads its two operands.
+fn local_solve(
+    cluster: &mut Cluster,
+    [a, b]: [&DistVec<Nonzero>; 2],
+    base: u64,
+    sizes: &[usize],
+    small: &[bool],
+) -> DistVec<Nonzero> {
+    let sizes = cluster.broadcast(sizes.to_vec());
+    let small = cluster.broadcast(small.to_vec());
+    // The instances solved here, ascending: instance `ids[k]`'s rows own the
+    // table slots `start[k]..start[k + 1]`. An instance without points
+    // forms no group.
+    let ids: Vec<usize> = (0..small.len())
+        .filter(|&i| small[i] && sizes[i] > 0)
+        .collect();
+    let start = starts(ids.iter().map(|&i| sizes[i]));
+    let mut group_of = vec![usize::MAX; small.len()];
+    for (k, &i) in ids.iter().enumerate() {
+        group_of[i] = k;
+    }
+    // Each operand's small-instance points: counted per machine (the kept
+    // shape of its filter) and filed by row, both operands side by side.
+    let file = |points: &DistVec<Nonzero>| {
+        let mut table = vec![0u32; start[ids.len()]];
+        let kept: Vec<usize> = (0..points.machines())
+            .map(|m| {
+                let mut kept = 0;
+                for p in points.part(m) {
+                    let i = (p.inst - base) as usize;
+                    if small[i] {
+                        table[start[group_of[i]] + p.row as usize] = p.col;
+                        kept += 1;
+                    }
+                }
+                kept
+            })
+            .collect();
+        (table, Shape::from_loads(kept))
+    };
+    let ((a_rows, a_kept), (b_rows, b_kept)) = rayon::join(|| file(a), || file(b));
+    cluster.charge_filter(&a_kept);
+    cluster.charge_filter(&b_kept);
+    cluster.charge_map(&a_kept);
+    cluster.charge_map(&b_kept);
+    cluster.charge_concat(&a_kept, &b_kept);
+    let points: Vec<usize> = ids.iter().map(|&i| 2 * sizes[i]).collect();
+    cluster.group_map_sized(&points, |k| {
+        let rows = start[k]..start[k + 1];
+        let inst = base + ids[k] as u64;
+        let pc = steady_ant::mul_rows(&a_rows[rows.clone()], &b_rows[rows]);
+        pc.into_iter().enumerate().map(move |(r, c)| Nonzero {
+            inst,
+            row: r as u32,
+            col: c,
+        })
+    })
+}
+
 /// One operand's split: relabels every point of a large instance into its
 /// child slice, rank-compacting the ranked coordinate, and returns the child
 /// points and the children's coordinate maps (both in the points'
@@ -367,11 +412,17 @@ fn relabel(
 /// coordinate maps to restore parent rows, then parent columns, and colors
 /// every nonzero with its child's parent and slice.
 ///
-/// Charged as the model runs it — per join, local maps tagging both sides,
-/// their concatenation and one `group_map` on `(child, child coordinate)` —
-/// but every join key is a dense index (child `c`'s coordinates are
-/// `0..sizes[c]`), so each join is an array lookup. Every output lands on
-/// the machine the charged group map packs its key onto, in key order.
+/// Charged as the model runs it — the filter keeping the child products,
+/// then per join local maps tagging both sides, their concatenation and one
+/// `group_map` on `(child, child coordinate)` — but every join key is a
+/// dense index (child `c`'s coordinates are `0..sizes[c]`), so each join is
+/// an array lookup. The products are counted and filed where they lie, not
+/// filtered into a copy. Join 1 is only charged: its outputs feed nothing
+/// but join 2's column table, which composes the product with the row map
+/// directly, and its shape, which the placement of its charged group map
+/// gives. Join 2's keys get their lifted rows child by child on the pool,
+/// and every output is built straight into the part of the machine its
+/// group map packs its key onto.
 ///
 /// # Panics
 ///
@@ -384,7 +435,6 @@ fn lift(
 ) -> DistVec<Colored> {
     cluster.set_phase(Some("lift"));
     let children = cluster.broadcast(record.children.clone());
-    let child_products = cluster.filter(results.clone(), |p| children.contains(&p.inst));
 
     // Child `c`'s coordinates own the slots `start[c]..start[c + 1]`.
     let start = starts(record.sizes.iter().copied());
@@ -397,11 +447,10 @@ fn lift(
         );
         start[c] + coord as usize
     };
-    let child_of = |g: usize| children.start + (start.partition_point(|&s| s <= g) - 1) as u64;
-    // One table per join side, filled from its records: `what` names the
-    // record, `axis` the coordinate.
-    let table = |items: &mut dyn Iterator<Item = (u64, u32, u32)>, what: &str, axis: &str| {
-        let mut table = vec![u32::MAX; total];
+    // Files records `(child, coordinate, value)` in `table` by slot and
+    // returns how many: `what` names the record, `axis` the coordinate.
+    let file = |table: &mut [u32], items: &mut dyn Iterator<Item = (u64, u32, u32)>, what, axis| {
+        let mut filed = 0;
         for (child, coord, value) in items {
             let entry = &mut table[slot(child, coord)];
             assert_eq!(
@@ -410,66 +459,98 @@ fn lift(
                 "lift: child {child} {axis} {coord} has two {what}s"
             );
             *entry = value;
+            filed += 1;
         }
+        filed
+    };
+    let table = |maps: &DistVec<CoordMap>, what, axis| {
+        let mut table = vec![u32::MAX; total];
+        file(&mut table, &mut maps.iter().copied(), what, axis);
         table
     };
+    // The child products, filed by row where they lie and counted per
+    // machine: the shape the filter selecting them would keep.
+    let products = || {
+        let mut child_col = vec![u32::MAX; total];
+        let kept: Vec<usize> = (0..results.machines())
+            .map(|m| {
+                let mut products = results
+                    .part(m)
+                    .iter()
+                    .filter(|p| children.contains(&p.inst))
+                    .map(|p| (p.inst, p.row, p.col));
+                file(&mut child_col, &mut products, "product", "row")
+            })
+            .collect();
+        (child_col, Shape::from_loads(kept))
+    };
+    let ((child_col, product_shape), (parent_row, parent_col)) = rayon::join(products, || {
+        rayon::join(
+            || table(&record.row_maps, "row map record", "row"),
+            || table(&record.col_maps, "column map record", "column"),
+        )
+    });
+    cluster.charge_filter(&product_shape);
     let pairs = vec![2usize; total];
 
     // Join 1: restore parent rows.
-    let child_col = table(
-        &mut child_products.iter().map(|p| (p.inst, p.row, p.col)),
-        "product",
-        "row",
-    );
-    let parent_row = table(
-        &mut record.row_maps.iter().copied(),
-        "row map record",
-        "row",
-    );
-    let product_shape = child_products.shape();
     cluster.charge_map(&product_shape);
     cluster.charge_map(&record.row_maps.shape());
     cluster.charge_concat(&product_shape, &record.row_maps.shape());
-    let lifted_rows: DistVec<(u64, u32, u32)> = cluster.group_map_sized(&pairs, |g| {
-        let child = child_of(g);
-        let (row, col) = (parent_row[g], child_col[g]);
-        assert!(
-            row != u32::MAX && col != u32::MAX,
-            "lift: child {child} row {} lacks its product or its row map record",
-            g - start[(child - children.start) as usize]
-        );
-        Some((child, row, col))
-    });
+    let join1 = cluster.charge_group_map_sized(&pairs, |_| 1);
 
     // Join 2: restore parent columns and attach parent/color.
-    let parent_row = table(
-        &mut lifted_rows.iter().map(|&(c, pr, cc)| (c, cc, pr)),
-        "lifted row",
-        "column",
-    );
-    let parent_col = table(
-        &mut record.col_maps.iter().copied(),
-        "column map record",
-        "column",
-    );
-    let lifted_shape = lifted_rows.shape();
-    cluster.charge_map(&lifted_shape);
+    cluster.charge_map(join1.shape());
     cluster.charge_map(&record.col_maps.shape());
-    cluster.charge_concat(&lifted_shape, &record.col_maps.shape());
+    cluster.charge_concat(join1.shape(), &record.col_maps.shape());
     let parent_color = cluster.broadcast(record.parent_color.clone());
+    // Per slot `(child, child column)`: its lifted parent row and its
+    // child, child by child on the pool.
+    let mut lifted = vec![u32::MAX; total];
+    let mut child_of = vec![0u32; total];
+    let (mut rows, mut owners) = (lifted.as_mut_slice(), child_of.as_mut_slice());
+    let mut per_child = Vec::with_capacity(record.sizes.len());
+    for (c, &size) in record.sizes.iter().enumerate() {
+        let (mine, tail) = std::mem::take(&mut rows).split_at_mut(size);
+        rows = tail;
+        let (owner, tail) = std::mem::take(&mut owners).split_at_mut(size);
+        owners = tail;
+        per_child.push((c, mine, owner));
+    }
+    per_child.into_par_iter().for_each(|(c, lifted, owner)| {
+        let child = children.start + c as u64;
+        let slots = start[c]..start[c + 1];
+        owner.fill(c as u32);
+        for (cr, (&row, &cc)) in parent_row[slots.clone()]
+            .iter()
+            .zip(&child_col[slots.clone()])
+            .enumerate()
+        {
+            assert!(
+                row != u32::MAX && cc != u32::MAX,
+                "lift: child {child} row {cr} lacks its product or its row map record"
+            );
+            let entry = &mut lifted[cc as usize];
+            assert_eq!(
+                *entry,
+                u32::MAX,
+                "lift: child {child} column {cc} has two lifted rows"
+            );
+            *entry = row;
+        }
+        for (cc, (&row, &col)) in lifted.iter().zip(&parent_col[slots]).enumerate() {
+            assert!(
+                row != u32::MAX && col != u32::MAX,
+                "lift: child {child} column {cc} lacks its lifted row or its column map record"
+            );
+        }
+    });
     cluster.group_map_sized(&pairs, |g| {
-        let child = child_of(g);
-        let (row, col) = (parent_row[g], parent_col[g]);
-        assert!(
-            row != u32::MAX && col != u32::MAX,
-            "lift: child {child} column {} lacks its lifted row or its column map record",
-            g - start[(child - children.start) as usize]
-        );
-        let (parent, color) = parent_color[(child - children.start) as usize];
+        let (inst, color) = parent_color[child_of[g] as usize];
         Some(Colored {
-            inst: parent,
-            row,
-            col,
+            inst,
+            row: lifted[g],
+            col: parent_col[g],
             color,
         })
     })
@@ -496,12 +577,53 @@ fn slice_of(bounds: &[u32], x: u32) -> u16 {
     q
 }
 
-/// The materialized split and lift the indexed steps are tested against:
-/// every rank search, tagging map, concatenation and join runs as the
-/// primitive it is charged as.
+/// The materialized local solve, split and lift the indexed steps are
+/// tested against: every filter, rank search, tagging map, concatenation
+/// and join runs as the primitive it is charged as.
 #[cfg(test)]
 mod oracle {
     use super::*;
+
+    /// [`super::local_solve`], with the small instances' points filtered,
+    /// tagged and gathered by instance.
+    pub(super) fn local_solve(
+        cluster: &mut Cluster,
+        [a, b]: [&DistVec<Nonzero>; 2],
+        base: u64,
+        sizes: &[usize],
+        small: &[bool],
+    ) -> DistVec<Nonzero> {
+        let at = move |inst: u64| (inst - base) as usize;
+        let sizes = cluster.broadcast(sizes.to_vec());
+        let in_small = cluster.broadcast(small.to_vec());
+        let a_small = cluster.filter(a.clone(), |p| in_small[at(p.inst)]);
+        let b_small = cluster.filter(b.clone(), |p| in_small[at(p.inst)]);
+        let a_tagged = cluster.map(&a_small, |p| (false, *p));
+        let b_tagged = cluster.map(&b_small, |p| (true, *p));
+        let tagged = cluster.concat(a_tagged, b_tagged);
+        cluster.group_map_view(
+            tagged,
+            |(_, p)| p.inst,
+            |&inst, items| {
+                let n = sizes[at(inst)];
+                let mut pa = vec![0u32; n];
+                let mut pb = vec![0u32; n];
+                for &(is_b, p) in items.iter() {
+                    if is_b {
+                        pb[p.row as usize] = p.col;
+                    } else {
+                        pa[p.row as usize] = p.col;
+                    }
+                }
+                let pc = steady_ant::mul_rows(&pa, &pb);
+                pc.into_iter().enumerate().map(move |(r, c)| Nonzero {
+                    inst,
+                    row: r as u32,
+                    col: c,
+                })
+            },
+        )
+    }
 
     /// Record produced by the split phase before rank-relabelling.
     #[derive(Clone, Copy, Debug)]
@@ -863,6 +985,64 @@ mod tests {
                 }
             });
         }
+    }
+
+    #[test]
+    fn indexed_local_solve_matches_the_gathered_oracle() {
+        // (instance sizes, which are small): one instance, small ones around
+        // large ones, an empty small instance, a frontier with one small.
+        let cases: [(&[usize], &[bool]); 4] = [
+            (&[12], &[true]),
+            (&[5, 30, 9, 1], &[true, false, true, true]),
+            (&[7, 0, 16, 3], &[true, true, false, true]),
+            (&[40, 40], &[false, true]),
+        ];
+        type Solve =
+            fn(&mut Cluster, [&DistVec<Nonzero>; 2], u64, &[usize], &[bool]) -> DistVec<Nonzero>;
+        let base = 3;
+        let mut solved = 0;
+        for threads in [1, 4] {
+            solved += on_threads(threads, || {
+                let mut rng = StdRng::seed_from_u64(17 + threads as u64);
+                let mut solved = 0;
+                for (ns, small) in cases {
+                    let (mut a, mut b) = (Vec::new(), Vec::new());
+                    for (i, &n) in ns.iter().enumerate() {
+                        let inst = base + i as u64;
+                        let point = |(row, col): (usize, usize)| Nonzero {
+                            inst,
+                            row: row as u32,
+                            col: col as u32,
+                        };
+                        a.extend(random_permutation(n, &mut rng).nonzeros().map(point));
+                        b.extend(random_permutation(n, &mut rng).nonzeros().map(point));
+                    }
+                    a.shuffle(&mut rng);
+                    b.shuffle(&mut rng);
+                    for machines in [1, 6] {
+                        let case = format!(
+                            "ns={ns:?} small={small:?} machines={machines} threads={threads}"
+                        );
+                        let config = MpcConfig::lenient(400, 0.5).with_machines(machines);
+                        let run = |solve: Solve| {
+                            let mut cluster = Cluster::new(config.clone());
+                            let a = cluster.distribute(a.clone());
+                            let b = cluster.distribute(b.clone());
+                            cluster.set_phase(Some("local-solve"));
+                            let out = solve(&mut cluster, [&a, &b], base, ns, small);
+                            (parts(&out), cluster.ledger().clone())
+                        };
+                        let (got, ledger) = run(local_solve);
+                        let (want, want_ledger) = run(oracle::local_solve);
+                        assert_eq!(got, want, "products per machine, {case}");
+                        assert_eq!(ledger, want_ledger, "ledger, {case}");
+                        solved += got.iter().map(Vec::len).sum::<usize>();
+                    }
+                }
+                solved
+            });
+        }
+        assert!(solved > 0, "no case solved an instance");
     }
 
     /// The lift of a level whose first child lost its row `row` product

@@ -4,7 +4,7 @@ use crate::config::MpcConfig;
 use crate::costs;
 use crate::distvec::{concat, DistVec, Shape};
 use crate::faults::{FaultKind, FaultRecord};
-use crate::group::{self, Group};
+use crate::group::{self, Group, Placement};
 use crate::ledger::{Ledger, Superstep};
 use crate::rank_index::{RankIndex, RankKey};
 use rayon::prelude::*;
@@ -132,8 +132,10 @@ mod compute {
     /// the currently lightest machine, lowest index among equals (the
     /// classical LPT heuristic); mirrors §3.3's "sort them in the order of
     /// decreasing sizes and use greedy packing". The size order is a stable
-    /// counting sort (sizes are bounded by the item total). Returns the
-    /// machine of every group and the per-machine loads.
+    /// counting sort (sizes are bounded by the item total), or the group
+    /// order itself when the sizes already never increase (the lift's joins,
+    /// every group of size 2). Returns the machine of every group and the
+    /// per-machine loads.
     ///
     /// The targets are found one run of equal sizes at a time. In a run of
     /// groups of size `s`, machine `t` with load `q_t·s + p_t` (`p_t < s`)
@@ -144,11 +146,12 @@ mod compute {
     /// that point, `Σ_t (max q − q_t)` of them, or the whole run when less
     /// than one full round would be left for the cycle. A zero-size run goes
     /// wholesale to the lightest machine. So a run of equal-size groups on
-    /// equal loads (the lift's joins) is plain round robin, and no input
-    /// costs more than one heap step per group.
+    /// equal loads is plain round robin, and no input costs more than one
+    /// heap step per group.
     pub(super) fn pack_groups(sizes: &[usize], machines: usize) -> (Vec<usize>, Vec<usize>) {
-        use std::cmp::Reverse;
-        use std::collections::BinaryHeap;
+        if sizes.windows(2).all(|w| w[0] >= w[1]) {
+            return pack_in_order(sizes, machines, |i| i);
+        }
         let max = sizes.iter().copied().max().unwrap_or(0);
         // `next[s]`: the next slot of a size-`s` group; larger sizes go first.
         let mut next = vec![0usize; max + 1];
@@ -166,17 +169,34 @@ mod compute {
             order[next[size]] = g;
             next[size] += 1;
         }
+        pack_in_order(sizes, machines, |i| order[i])
+    }
+
+    /// [`pack_groups`] over the groups in LPT order: the `i`-th group
+    /// placed is `at(i)`.
+    fn pack_in_order(
+        sizes: &[usize],
+        machines: usize,
+        at: impl Fn(usize) -> usize,
+    ) -> (Vec<usize>, Vec<usize>) {
+        use std::cmp::Reverse;
+        use std::collections::BinaryHeap;
         let mut machine_of_group = vec![0usize; sizes.len()];
         let mut loads = vec![0usize; machines];
         let mut lightest: BinaryHeap<Reverse<(usize, usize)>> =
             (0..machines).map(|i| Reverse((0, i))).collect();
         let mut cycle: Vec<usize> = Vec::with_capacity(machines);
-        for run in order.chunk_by(|&a, &b| sizes[a] == sizes[b]) {
-            let size = sizes[run[0]];
+        let mut end = 0;
+        while end < sizes.len() {
+            let (start, size) = (end, sizes[at(end)]);
+            while end < sizes.len() && sizes[at(end)] == size {
+                end += 1;
+            }
+            let run = start..end;
             if size == 0 {
                 let &Reverse((_, target)) = lightest.peek().expect("at least one machine");
-                for &g in run {
-                    machine_of_group[g] = target;
+                for i in run {
+                    machine_of_group[at(i)] = target;
                 }
                 continue;
             }
@@ -191,10 +211,10 @@ mod compute {
                     run.len()
                 }
             };
-            let (head, rest) = run.split_at(head);
-            for &g in head {
+            let rest = start + head..end;
+            for i in start..rest.start {
                 let Reverse((load, target)) = lightest.pop().expect("at least one machine");
-                machine_of_group[g] = target;
+                machine_of_group[at(i)] = target;
                 loads[target] = load + size;
                 lightest.push(Reverse((loads[target], target)));
             }
@@ -206,10 +226,10 @@ mod compute {
             cycle.clear();
             cycle.extend(0..machines);
             cycle.sort_unstable_by_key(|&t| (loads[t], t));
-            for (&g, &target) in rest.iter().zip(cycle.iter().cycle()) {
-                machine_of_group[g] = target;
-            }
             let (rounds, extra) = (rest.len() / machines, rest.len() % machines);
+            for (i, &target) in rest.zip(cycle.iter().cycle()) {
+                machine_of_group[at(i)] = target;
+            }
             for (j, &target) in cycle.iter().enumerate() {
                 loads[target] += size * (rounds + usize::from(j < extra));
             }
@@ -707,7 +727,6 @@ impl Cluster {
         K: RankKey,
         FQ: Fn(&Q) -> (K, Vec<u64>) + Sync,
     {
-        let n_queries = queries.len() as u64;
         let answered: Vec<(Q, Vec<u64>)> = concat(compute::per_part_owned(queries.parts, |part| {
             part.into_iter()
                 .map(|q| {
@@ -717,33 +736,51 @@ impl Cluster {
                 })
                 .collect()
         }));
+        let thresholds_total: u64 = answered.iter().map(|(_, c)| c.len() as u64).sum();
+        self.charge_rank_search_multi(charged_values, answered.len(), thresholds_total);
+        DistVec::from_parts(compute::balance(answered, self.config.machines))
+    }
+
+    /// Charges a [`Cluster::rank_search_multi_in`] of `packages` packages
+    /// holding `thresholds` thresholds in all, over `charged_values` values,
+    /// without running it: the same receipt, and the answers' load profile —
+    /// rebalanced, whatever the packages' placement. A strict cluster panics
+    /// identically. Returns the answers' shape.
+    ///
+    /// For a caller that answers the packages itself, e.g. by walking a
+    /// shared [`RankIndex`] once per search across several levels.
+    pub fn charge_rank_search_multi(
+        &mut self,
+        charged_values: u64,
+        packages: usize,
+        thresholds: u64,
+    ) -> Shape {
         // Communication: every value key moves once; every package moves to its
         // group and back with one word per threshold answer.
-        let thresholds_total: u64 = answered.iter().map(|(_, c)| c.len() as u64).sum();
-        let communication = charged_values + 2 * n_queries + thresholds_total;
+        let communication = charged_values + 2 * packages as u64 + thresholds;
+        self.apply_step(Superstep::new(
+            "rank_search_multi",
+            costs::RANK_SEARCH_MULTI,
+            communication,
+        ));
         // Lemma 2.6 routes packages to their groups and back; the answers come
         // home rebalanced.
-        let out = DistVec::from_parts(compute::balance(answered, self.config.machines));
-        self.account(
-            Superstep::new("rank_search_multi", costs::RANK_SEARCH_MULTI, communication),
-            &out,
-        );
+        let out = Shape::balanced(packages, self.config.machines);
+        self.observe_shape(&out, "rank_search_multi");
         out
     }
 
     /// Shared packing phase of the grouping primitives: picks the LPT machine
     /// of every group and accounts the packed load profile *before* any group
-    /// runs, so strict clusters refuse oversized groups up front. `offsets`
-    /// is the item prefix over the groups (group `g` holds
-    /// `offsets[g + 1] - offsets[g]` items). Returns the machine of every
-    /// group and the packed per-machine loads.
+    /// runs, so strict clusters refuse oversized groups up front. Group `g`
+    /// holds `sizes[g]` items. Returns the machine of every group and the
+    /// packed per-machine loads.
     fn pack_checked(
         &mut self,
-        offsets: &[usize],
+        sizes: &[usize],
         primitive: &'static str,
     ) -> (Vec<usize>, Vec<usize>) {
-        let sizes: Vec<usize> = offsets.windows(2).map(|w| w[1] - w[0]).collect();
-        let (machine_of_group, loads) = compute::pack_groups(&sizes, self.config.machines);
+        let (machine_of_group, loads) = compute::pack_groups(sizes, self.config.machines);
         let violated = self.ledger.observe_loads(
             loads.iter().copied(),
             self.config.space,
@@ -789,7 +826,9 @@ impl Cluster {
         F: Fn(&K, Group<'_, T>) -> I + Sync,
     {
         let (keys, side) = group::gather(dv.parts, key);
-        self.run_grouped(side.offsets(), |g| f(&keys[g], side.group(g)))
+        self.run_grouped(&group::sizes(side.offsets()), |g| {
+            f(&keys[g], side.group(g))
+        })
     }
 
     /// A [`Cluster::group_map_view`] whose groups the caller already knows:
@@ -807,30 +846,60 @@ impl Cluster {
         I: IntoIterator<Item = U>,
         F: Fn(usize) -> I + Sync,
     {
-        self.run_grouped(&group::offsets(sizes), f)
+        self.run_grouped(sizes, f)
     }
 
-    /// The `group_map` receipt over groups with item prefix `offsets`, then
-    /// the packed run (see [`Cluster::run_packed`]).
-    fn run_grouped<U, I, F>(&mut self, offsets: &[usize], run: F) -> DistVec<U>
+    /// Charges a [`Cluster::group_map_sized`] whose group `g` emits
+    /// `emitted(g)` outputs, without running it: the same receipt, packing
+    /// and strict-space check, and the load profile of the outputs on the
+    /// machines their groups are packed onto. Returns that placement.
+    ///
+    /// For a join whose outputs the caller computes by other means, or whose
+    /// outputs only feed another charged step, but whose placement decides
+    /// later shapes (the grid descent's searches stay where their group ran).
+    pub fn charge_group_map_sized(
+        &mut self,
+        sizes: &[usize],
+        emitted: impl Fn(usize) -> usize,
+    ) -> Placement {
+        let (machine_of_group, _) = self.pack_group_map(sizes);
+        let mut loads = vec![0usize; self.config.machines];
+        for (g, &m) in machine_of_group.iter().enumerate() {
+            loads[m] += emitted(g);
+        }
+        let shape = Shape::from_loads(loads);
+        self.observe_shape(&shape, "group_map");
+        Placement::new(machine_of_group, shape)
+    }
+
+    /// The `group_map` receipt over groups of `sizes` items, then the
+    /// packing (see [`Cluster::pack_checked`]).
+    fn pack_group_map(&mut self, sizes: &[usize]) -> (Vec<usize>, Vec<usize>) {
+        let total = sizes.iter().sum::<usize>() as u64;
+        self.apply_step(Superstep::new("group_map", costs::GROUP_MAP, total));
+        self.pack_checked(sizes, "group_map")
+    }
+
+    /// The `group_map` receipt and packing over groups of `sizes` items,
+    /// then the packed run (see [`Cluster::place_groups`]).
+    fn run_grouped<U, I, F>(&mut self, sizes: &[usize], run: F) -> DistVec<U>
     where
         U: Send,
         I: IntoIterator<Item = U>,
         F: Fn(usize) -> I + Sync,
     {
-        let total = offsets[offsets.len() - 1] as u64;
-        self.apply_step(Superstep::new("group_map", costs::GROUP_MAP, total));
-        self.run_packed(offsets, "group_map", run)
+        let packed = self.pack_group_map(sizes);
+        self.place_groups(packed, "group_map", run)
     }
 
     /// The tail every packing grouping primitive shares once its groups are
-    /// known: packs them (see [`Cluster::pack_checked`]), runs `run(g)` for
-    /// every group and leaves each group's outputs on its machine, group
-    /// after group in key order. The machines' parts are written on the
-    /// pool, each machine's straight from its groups.
-    fn run_packed<U, I, F>(
+    /// packed (see [`Cluster::pack_checked`]): runs `run(g)` for every group
+    /// and leaves each group's outputs on its machine, group after group in
+    /// key order. The machines' parts are written on the pool, each
+    /// machine's straight from its groups.
+    fn place_groups<U, I, F>(
         &mut self,
-        offsets: &[usize],
+        (machine_of_group, loads): (Vec<usize>, Vec<usize>),
         primitive: &'static str,
         run: F,
     ) -> DistVec<U>
@@ -839,7 +908,6 @@ impl Cluster {
         I: IntoIterator<Item = U>,
         F: Fn(usize) -> I + Sync,
     {
-        let (machine_of_group, loads) = self.pack_checked(offsets, primitive);
         let out = DistVec::from_parts(group::run_on_machines(&machine_of_group, &loads, run));
         self.observe(&out, primitive);
         out
@@ -893,9 +961,9 @@ impl Cluster {
         FK: Fn(&T) -> K + Sync,
         F: Fn(&K, Group<'_, T>) -> I + Sync,
     {
-        let total = dv.len() as u64;
         let (keys, side) = group::gather(dv.parts, key);
-        self.run_rebalanced(total, side.offsets(), |g| f(&keys[g], side.group(g)))
+        let sizes = group::sizes(side.offsets());
+        self.run_rebalanced(&sizes, side.offsets(), |g| f(&keys[g], side.group(g)))
     }
 
     /// A [`Cluster::group_map_rebalanced`] whose groups the caller already
@@ -909,9 +977,7 @@ impl Cluster {
         I: IntoIterator<Item = U>,
         F: Fn(usize) -> I + Sync,
     {
-        let offsets = group::offsets(sizes);
-        let total = offsets[sizes.len()] as u64;
-        self.run_rebalanced(total, &offsets, f)
+        self.run_rebalanced(sizes, &group::offsets(sizes), f)
     }
 
     /// Charges a [`Cluster::group_map_rebalanced_sized`] over groups of
@@ -922,22 +988,23 @@ impl Cluster {
     /// For a join whose outputs the caller computes by other means, e.g.
     /// copies already filed by target in a dense table.
     pub fn charge_group_map_rebalanced(&mut self, sizes: &[usize], emitted: usize) -> Shape {
-        let offsets = group::offsets(sizes);
-        self.pack_checked(&offsets, "group_map_rebalanced");
-        self.charge_rebalanced_output(offsets[sizes.len()] as u64, emitted)
+        self.pack_checked(sizes, "group_map_rebalanced");
+        self.charge_rebalanced_output(sizes.iter().sum::<usize>() as u64, emitted)
     }
 
-    /// The tail of the rebalancing grouping primitives: packs the groups
-    /// (the strict-space check), runs them and spreads their outputs,
+    /// The tail of the rebalancing grouping primitives over groups of
+    /// `sizes` items (item prefix `offsets`): packs the groups (the
+    /// strict-space check), runs them and spreads their outputs,
     /// concatenated in key order, over the machines in equal blocks.
-    fn run_rebalanced<U, I, F>(&mut self, total: u64, offsets: &[usize], run: F) -> DistVec<U>
+    fn run_rebalanced<U, I, F>(&mut self, sizes: &[usize], offsets: &[usize], run: F) -> DistVec<U>
     where
         U: Send,
         I: IntoIterator<Item = U>,
         F: Fn(usize) -> I + Sync,
     {
-        self.pack_checked(offsets, "group_map_rebalanced");
+        self.pack_checked(sizes, "group_map_rebalanced");
         let emitted = group::run_groups(offsets, run);
+        let total = offsets[sizes.len()] as u64;
         self.charge_rebalanced_output(total, emitted.len());
         DistVec::from_parts(compute::balance(emitted, self.config.machines))
     }
@@ -991,13 +1058,13 @@ impl Cluster {
         let total = (a.len() + b.len()) as u64;
         self.apply_step(Superstep::new("cogroup_map", costs::GROUP_MAP, total));
         let (keys, left, right) = group::cogather(a.parts, b.parts, key_a, key_b);
-        let offsets: Vec<usize> = left
-            .offsets()
+        let sizes: Vec<usize> = group::sizes(left.offsets())
             .iter()
-            .zip(right.offsets())
+            .zip(group::sizes(right.offsets()))
             .map(|(l, r)| l + r)
             .collect();
-        self.run_packed(&offsets, "cogroup_map", |g| {
+        let packed = self.pack_checked(&sizes, "cogroup_map");
+        self.place_groups(packed, "cogroup_map", |g| {
             f(&keys[g], left.group(g), right.group(g))
         })
     }
@@ -1034,8 +1101,18 @@ impl Cluster {
             part.into_iter().filter(|t| keep(t)).collect()
         });
         let out = DistVec::from_parts(parts);
-        self.account(Superstep::local("filter"), &out);
+        self.charge_filter(&out.shape());
         out
+    }
+
+    /// Charges a [`Cluster::filter`] that keeps `kept` items per machine,
+    /// without running it. A strict cluster panics identically.
+    ///
+    /// For a caller that knows which items survive, e.g. by counting them
+    /// per machine, and reads them from where they already are.
+    pub fn charge_filter(&mut self, kept: &Shape) {
+        self.apply_step(Superstep::local("filter"));
+        self.observe_shape(kept, "filter");
     }
 
     /// Balanced multicast: applies `f` to every item, flattening the results,
@@ -1086,8 +1163,18 @@ impl Cluster {
     {
         let parts = compute::per_part(&dv.parts, |_, part| part.iter().flat_map(&f).collect());
         let out = DistVec::from_parts(parts);
-        self.account(Superstep::local("flat_map"), &out);
+        self.charge_flat_map(&out.shape());
         out
+    }
+
+    /// Charges a [`Cluster::flat_map`] that leaves `emitted` items per
+    /// machine, without running it. A strict cluster panics identically.
+    ///
+    /// For a caller that knows how many items every machine's inputs expand
+    /// to but never needs the items themselves.
+    pub fn charge_flat_map(&mut self, emitted: &Shape) {
+        self.apply_step(Superstep::local("flat_map"));
+        self.observe_shape(emitted, "flat_map");
     }
 
     /// Creates an empty distributed vector.
@@ -1297,6 +1384,13 @@ mod tests {
             (0..3000)
                 .map(|g| if g < 20 { rng.gen_range(50..400) } else { 7 })
                 .collect(),
+            // Already in LPT order, ties and zeros included: packed in
+            // group order, with no sort.
+            {
+                let mut sizes: Vec<usize> = (0..1500).map(|_| rng.gen_range(0..40)).collect();
+                sizes.sort_unstable_by(|a, b| b.cmp(a));
+                sizes
+            },
         ];
         for sizes in &cases {
             for machines in [1, 2, 7, 128] {
@@ -1392,14 +1486,9 @@ mod tests {
     mod owned {
         use super::*;
 
-        /// The item prefix over the groups.
-        fn offsets<K, T>(groups: &[(K, Vec<T>)]) -> Vec<usize> {
-            std::iter::once(0)
-                .chain(groups.iter().scan(0, |end, (_, items)| {
-                    *end += items.len();
-                    Some(*end)
-                }))
-                .collect()
+        /// Every group's item count.
+        fn sizes<K, T>(groups: &[(K, Vec<T>)]) -> Vec<usize> {
+            groups.iter().map(|(_, items)| items.len()).collect()
         }
 
         pub(super) fn group_map<T, K: Ord, U>(
@@ -1414,8 +1503,7 @@ mod tests {
                 dv.len() as u64,
             ));
             let groups = compute::oracle::gather_groups(dv.parts, key);
-            let offsets = offsets(&groups);
-            let (machine_of_group, _) = cl.pack_checked(&offsets, "group_map");
+            let (machine_of_group, _) = cl.pack_checked(&sizes(&groups), "group_map");
             let mut parts: Vec<Vec<U>> = (0..cl.config.machines).map(|_| Vec::new()).collect();
             for ((k, items), machine) in groups.into_iter().zip(machine_of_group) {
                 parts[machine].extend(f(&k, items));
@@ -1433,8 +1521,7 @@ mod tests {
         ) -> DistVec<U> {
             let total = dv.len() as u64;
             let groups = compute::oracle::gather_groups(dv.parts, key);
-            let offsets = offsets(&groups);
-            cl.pack_checked(&offsets, "group_map_rebalanced");
+            cl.pack_checked(&sizes(&groups), "group_map_rebalanced");
             let emitted: Vec<U> = groups
                 .into_iter()
                 .flat_map(|(k, items)| f(&k, items))
@@ -1478,8 +1565,7 @@ mod tests {
                 Tagged::Left(x) => key_a(x),
                 Tagged::Right(y) => key_b(y),
             });
-            let offsets = offsets(&groups);
-            let (machine_of_group, _) = cl.pack_checked(&offsets, "cogroup_map");
+            let (machine_of_group, _) = cl.pack_checked(&sizes(&groups), "cogroup_map");
             let mut parts: Vec<Vec<U>> = (0..cl.config.machines).map(|_| Vec::new()).collect();
             for ((k, items), machine) in groups.into_iter().zip(machine_of_group) {
                 let (mut lefts, mut rights) = (Vec::new(), Vec::new());
@@ -2054,6 +2140,24 @@ mod tests {
                 let (keys, groups) = groups_of(&parts);
                 let sizes: Vec<usize> = groups.iter().map(Vec::len).collect();
 
+                // Group `g` of the sized twins emits `g % 3` outputs.
+                let emitted = |g: usize| g % 3;
+                let even = |&(k, _): &(u32, String)| k % 2 == 0;
+                let count = |part: &Vec<(u32, String)>, f: &dyn Fn(&(u32, String)) -> usize| {
+                    part.iter().map(f).sum::<usize>()
+                };
+                let kept_shape = Shape::from_loads(
+                    parts
+                        .iter()
+                        .map(|p| count(p, &|t| usize::from(even(t))))
+                        .collect(),
+                );
+                let spread_shape = Shape::from_loads(
+                    parts
+                        .iter()
+                        .map(|p| count(p, &|(k, _)| *k as usize % 3))
+                        .collect(),
+                );
                 for threads in [1, 4] {
                     let ((built, grouped, shapes), (charged, sized, charged_shapes)) =
                         on_threads(threads, || {
@@ -2075,10 +2179,30 @@ mod tests {
                             let again = cl.group_map_rebalanced(dv.clone(), key, |k, g| {
                                 emit(k, g.iter().cloned().collect())
                             });
+                            let kept = cl.filter(dv.clone(), even);
+                            let spread =
+                                cl.flat_map(&dv, |&(k, _)| vec![String::new(); k as usize % 3]);
+                            let answered =
+                                cl.rank_search_multi(&dv, rank_key, other.clone(), |q| {
+                                    (q.0, vec![1, q.1.len() as u64])
+                                });
+                            let placed = cl.group_map_sized(&sizes, |g| {
+                                std::iter::repeat_n(g.to_string(), emitted(g))
+                            });
+                            let placed_shape = placed.shape();
                             let built = (
                                 cl.ledger().clone(),
-                                [view.parts, rebalanced.parts],
-                                [joined.shape(), copies_shape, all.shape(), again.shape()],
+                                [view.parts, rebalanced.parts, placed.parts],
+                                [
+                                    joined.shape(),
+                                    copies_shape,
+                                    all.shape(),
+                                    again.shape(),
+                                    kept.shape(),
+                                    spread.shape(),
+                                    answered.shape(),
+                                    placed_shape,
+                                ],
                             );
 
                             let mut cl = Cluster::new(config.clone());
@@ -2093,10 +2217,33 @@ mod tests {
                             let view = cl.group_map_sized(&sizes, run);
                             let rebalanced = cl.group_map_rebalanced_sized(&sizes, run);
                             let again = cl.charge_group_map_rebalanced(&sizes, rebalanced.len());
+                            cl.charge_filter(&kept_shape);
+                            cl.charge_flat_map(&spread_shape);
+                            let answered = cl.charge_rank_search_multi(
+                                dv.len() as u64,
+                                other.len(),
+                                2 * other.len() as u64,
+                            );
+                            let placement = cl.charge_group_map_sized(&sizes, emitted);
+                            // The placement read back as the machines' parts.
+                            let mut placed = vec![Vec::new(); machines];
+                            for g in 0..sizes.len() {
+                                let outputs = std::iter::repeat_n(g.to_string(), emitted(g));
+                                placed[placement.machine(g)].extend(outputs);
+                            }
                             let charged = (
                                 cl.ledger().clone(),
-                                [view.parts, rebalanced.parts],
-                                [joined, copies, all, again],
+                                [view.parts, rebalanced.parts, placed],
+                                [
+                                    joined,
+                                    copies,
+                                    all,
+                                    again,
+                                    kept_shape.clone(),
+                                    spread_shape.clone(),
+                                    answered,
+                                    placement.shape().clone(),
+                                ],
                             );
                             (built, charged)
                         });
@@ -2119,7 +2266,7 @@ mod tests {
         // Keyed by parity: 11 even items, 10 odd ones.
         const SIZES: [usize; 2] = [11, 10];
         type Run = fn(&mut Cluster);
-        let cases: [(&str, Run, Run); 6] = [
+        let cases: [(&str, Run, Run); 10] = [
             (
                 "map",
                 |cl| {
@@ -2175,6 +2322,41 @@ mod tests {
                 },
                 |cl| {
                     cl.charge_group_map_rebalanced(&SIZES, 0);
+                },
+            ),
+            (
+                "group_map",
+                |cl| {
+                    cl.group_map_view(DistVec::from_parts(parts()), |v| v % 2, |_, _| ran(0));
+                },
+                |cl| {
+                    cl.charge_group_map_sized(&SIZES, |_| 1);
+                },
+            ),
+            (
+                "filter",
+                |cl| {
+                    cl.filter(DistVec::from_parts(parts()), |_| true);
+                },
+                |cl| cl.charge_filter(&DistVec::from_parts(parts()).shape()),
+            ),
+            (
+                "flat_map",
+                |cl| {
+                    cl.flat_map(&DistVec::from_parts(parts()), |&v| vec![v]);
+                },
+                |cl| cl.charge_flat_map(&DistVec::from_parts(parts()).shape()),
+            ),
+            (
+                // 40 packages come home rebalanced, 14 on a machine.
+                "rank_search_multi",
+                |cl| {
+                    let dv = DistVec::from_parts(parts());
+                    let queries = DistVec::from_parts(vec![(0..40).collect(), Vec::new()]);
+                    cl.rank_search_multi(&dv, |&v| (0u32, v as u64), queries, |&q| (0, vec![q]));
+                },
+                |cl| {
+                    cl.charge_rank_search_multi(21, 40, 40);
                 },
             ),
         ];

@@ -83,6 +83,11 @@ pub struct Shape {
 }
 
 impl Shape {
+    /// The shape whose machine `i` holds `loads[i]` items.
+    pub fn from_loads(loads: Vec<usize>) -> Self {
+        Self { loads }
+    }
+
     /// The block distribution `volume` items take when spread over
     /// `machines` machines in equal blocks (see `Cluster::distribute`).
     pub(crate) fn balanced(volume: usize, machines: usize) -> Self {

@@ -17,7 +17,7 @@
 //! Everything here is a function of its inputs alone, and every output comes
 //! back in group (key) order at every thread count.
 
-use crate::distvec::concat;
+use crate::distvec::{concat, Shape};
 use rayon::prelude::*;
 use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
@@ -57,6 +57,36 @@ impl<'a, T> Group<'a, T> {
     pub fn iter(&self) -> impl DoubleEndedIterator<Item = &'a T> + ExactSizeIterator + 'a {
         let items = self.items;
         self.idx.iter().map(move |&i| &items[i as usize])
+    }
+}
+
+/// Where a packed group map puts its groups: every group's machine, and the
+/// load profile its outputs leave (see
+/// [`Cluster::charge_group_map_sized`](crate::Cluster::charge_group_map_sized)).
+/// Machine `i` holds the outputs of the groups placed on it, group after
+/// group in ascending order, as every packed grouping primitive leaves them.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Placement {
+    machine_of_group: Vec<usize>,
+    shape: Shape,
+}
+
+impl Placement {
+    pub(crate) fn new(machine_of_group: Vec<usize>, shape: Shape) -> Self {
+        Self {
+            machine_of_group,
+            shape,
+        }
+    }
+
+    /// The machine group `g` runs on.
+    pub fn machine(&self, g: usize) -> usize {
+        self.machine_of_group[g]
+    }
+
+    /// The shape of the groups' outputs.
+    pub fn shape(&self) -> &Shape {
+        &self.shape
     }
 }
 
@@ -240,6 +270,11 @@ pub(crate) fn offsets(sizes: &[usize]) -> Vec<usize> {
     offsets
 }
 
+/// Every group's item count, from the item prefix `offsets` over the groups.
+pub(crate) fn sizes(offsets: &[usize]) -> Vec<usize> {
+    offsets.windows(2).map(|w| w[1] - w[0]).collect()
+}
+
 /// Gathers `parts` by `key`: the distinct keys in ascending order and the
 /// groups, group `g` holding the items of key `keys[g]`.
 ///
@@ -368,8 +403,12 @@ where
             heaviest[range.clone()]
                 .iter()
                 .map(|&m| {
-                    let part = groups[first[m]..first[m + 1]].iter().flat_map(|&g| run(g));
-                    (m, part.collect())
+                    // At least one output per group is the common case (a
+                    // 1:1 join): reserve that much up front.
+                    let mine = &groups[first[m]..first[m + 1]];
+                    let mut part = Vec::with_capacity(mine.len());
+                    part.extend(mine.iter().flat_map(|&g| run(g)));
+                    (m, part)
                 })
                 .collect()
         })

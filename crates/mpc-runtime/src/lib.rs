@@ -57,6 +57,6 @@ pub use cluster::Cluster;
 pub use config::MpcConfig;
 pub use distvec::{DistVec, Shape};
 pub use faults::{FaultEvent, FaultKind, FaultPlan, FaultRecord};
-pub use group::Group;
+pub use group::{Group, Placement};
 pub use ledger::{Ledger, Superstep};
 pub use rank_index::{RankIndex, RankKey};

@@ -157,6 +157,16 @@ impl<K: RankKey> RankIndex<K> {
         }
     }
 
+    /// The values of `group`, ascending (none for an absent group).
+    ///
+    /// For a caller that answers its own packages against the index — each
+    /// answer is a `partition_point` over this run — and charges them with
+    /// [`crate::Cluster::charge_rank_search_multi`].
+    pub fn run(&self, group: K) -> &[u64] {
+        self.find(group)
+            .map_or(&[], |i| &self.values[self.starts[i]..self.starts[i + 1]])
+    }
+
     /// For every threshold `t` (ascending), the number of values of `group`
     /// strictly smaller than `t`: one forward galloping walk over the group's
     /// sorted values. An absent group answers all zeros.
@@ -165,10 +175,7 @@ impl<K: RankKey> RankIndex<K> {
             thresholds.windows(2).all(|w| w[0] <= w[1]),
             "rank-search thresholds must ascend"
         );
-        let Some(i) = self.find(group) else {
-            return vec![0; thresholds.len()];
-        };
-        let values = &self.values[self.starts[i]..self.starts[i + 1]];
+        let values = self.run(group);
         let mut pos = 0usize;
         thresholds
             .iter()

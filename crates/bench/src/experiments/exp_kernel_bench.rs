@@ -15,6 +15,12 @@
 //!   [`monge::steady_ant::Workspace`], dense base case) and the data-parallel
 //!   [`monge::steady_ant::mul_batch`] vs the allocate-per-level
 //!   [`monge::steady_ant::mul_rows_reference`].
+//! * **subgrid** — the ⊡ combine's local kernel
+//!   [`monge::multiway::process_subgrid`] (one walk, per-worker workspace,
+//!   reading the union's row and column tables) vs
+//!   [`monge::multiway::process_subgrid_reference`], over every active subgrid
+//!   of a real `h`-way colored union (`h ∈ {2, 8}`, the paper's grid
+//!   `G = ⌈√n⌉`, each subgrid windowed to its pierced interval).
 //! * **baselines** — the sequential algorithms the fast kernels replace:
 //!   the `O(n³)` [`monge::mul_dense`] (up to [`DENSE_CAP`]) against the
 //!   steady ant and the H-way combine ([`monge::multiway::mul_multiway`],
@@ -27,7 +33,9 @@
 
 use crate::{bench_ns, noisy_trend, random_permutation, random_sequence, size_sweep};
 use crate::{ExpOpts, Report, Table};
-use monge::multiway::mul_multiway;
+use monge::multiway::{lift_subresult, mul_multiway, overlay, split_into_subproblems};
+use monge::multiway::{process_subgrid, process_subgrid_reference, ColoredPoint};
+use monge::multiway::{MultiwayOracle, SubgridInstance, SubgridTables};
 use monge::steady_ant::{mul_batch, mul_rows, mul_rows_reference};
 use monge::{mul_dense, mul_steady_ant, PermutationMatrix};
 use seaweed_lis::baselines::lis_length_patience;
@@ -151,6 +159,45 @@ pub(crate) fn run(opts: &ExpOpts) -> Report {
         ]);
     }
 
+    // ---------------------------------------------------------------- subgrid
+    let mut subgrid = Table::new(vec![
+        "n",
+        "h",
+        "subgrids",
+        "ref ns",
+        "fast ns",
+        "speedup",
+        "identical",
+    ]);
+    for &n in &sizes {
+        for h in [2, 8] {
+            let union = ActiveSubgrids::new(n, h, 0x5B + n as u64);
+            let subs = union.tables();
+            let insts: Vec<SubgridInstance> = subs.iter().map(SubgridTables::instance).collect();
+            let fast = || subs.iter().map(process_subgrid).collect::<Vec<_>>();
+            let reference = || {
+                insts
+                    .iter()
+                    .map(process_subgrid_reference)
+                    .collect::<Vec<_>>()
+            };
+            let (mut ref_ns, mut fast_ns) = (u64::MAX, u64::MAX);
+            for _ in 0..runs_for(n) {
+                ref_ns = ref_ns.min(bench_ns(1, total_ms / 10, reference));
+                fast_ns = fast_ns.min(bench_ns(1, total_ms / 10, fast));
+            }
+            subgrid.row(vec![
+                n.to_string(),
+                h.to_string(),
+                subs.len().to_string(),
+                ref_ns.to_string(),
+                fast_ns.to_string(),
+                format!("{:.2}", ref_ns as f64 / fast_ns as f64),
+                if fast() == reference() { "yes" } else { "no" }.to_string(),
+            ]);
+        }
+    }
+
     // -------------------------------------------------------------- baselines
     let mut baselines = Table::new(vec![
         "n",
@@ -201,6 +248,12 @@ pub(crate) fn run(opts: &ExpOpts) -> Report {
         mul,
     )
     .table(
+        "subgrid",
+        "⊡ local kernel — one-walk table reader vs reference resolver, every active \
+         subgrid of an h-way union at G = ⌈√n⌉",
+        subgrid,
+    )
+    .table(
         "baselines",
         "sequential baselines — dense vs steady ant vs 8-way ⊡; patience vs seaweed LIS kernel",
         baselines,
@@ -210,8 +263,79 @@ pub(crate) fn run(opts: &ExpOpts) -> Report {
          kernels are bit-identical, only faster. The comb reference column stops at\n\
          n = {REF_COMB_CAP} (its crossing bitset is quadratic; the fast path is linear-space\n\
          and continues), and the mul speedup column is the arena workspace against the\n\
-         allocate-per-level recursion on the same operands. In the baselines table the cubic\n\
+         allocate-per-level recursion on the same operands. The subgrid times are for all\n\
+         the union's active subgrids, the reference's inputs built before timing. In the\n\
+         baselines table the cubic\n\
          dense product stops at n = {DENSE_CAP}; each row asserts every product and LIS length\n\
          equal across the variants before timing them."
     ))
+}
+
+/// The active subgrids of a real `h`-way colored union: two random
+/// permutations of size `n` split into `h` subproblems, each multiplied and
+/// lifted back in its color, on the paper's grid `G = ⌈√n⌉` at δ = 0.5. Every
+/// active subgrid is windowed to its pierced interval.
+struct ActiveSubgrids {
+    by_row: Vec<ColoredPoint>,
+    by_col: Vec<ColoredPoint>,
+    /// Per active subgrid: `[r0, r1, c0, c1]`, its window start and the
+    /// window's corner `F`.
+    subgrids: Vec<([u32; 4], u16, Vec<u64>)>,
+}
+
+impl ActiveSubgrids {
+    fn new(n: usize, h: usize, seed: u64) -> Self {
+        let (a, b) = (random_permutation(n, seed), random_permutation(n, seed + 1));
+        let lifted = split_into_subproblems(a.rows(), b.rows(), h)
+            .iter()
+            .enumerate()
+            .map(|(q, sub)| lift_subresult(sub, &mul_rows(&sub.a, &sub.b), q as u16))
+            .collect();
+        let by_row = overlay(lifted);
+        let mut by_col = by_row.clone();
+        by_col.sort_unstable_by_key(|p| p.col);
+        let oracle = MultiwayOracle::new(&by_row, h);
+        let g = (n as f64).sqrt().ceil() as u32;
+        let cuts: Vec<u32> = (0..n as u32)
+            .step_by(g as usize)
+            .chain([n as u32])
+            .collect();
+        let opt: Vec<Vec<u16>> = cuts
+            .iter()
+            .map(|&r| cuts.iter().map(|&c| oracle.opt(r, c)).collect())
+            .collect();
+        let mut subgrids = Vec::new();
+        for i in 0..cuts.len() - 1 {
+            for j in 0..cuts.len() - 1 {
+                let (wlo, whi) = (opt[i][j], opt[i + 1][j + 1]);
+                if wlo != whi {
+                    let f = oracle.f_vec(cuts[i], cuts[j]);
+                    let rect = [cuts[i], cuts[i + 1], cuts[j], cuts[j + 1]];
+                    subgrids.push((rect, wlo, f[wlo as usize..=whi as usize].to_vec()));
+                }
+            }
+        }
+        Self {
+            by_row,
+            by_col,
+            subgrids,
+        }
+    }
+
+    /// Every active subgrid as the kernel reads it.
+    fn tables(&self) -> Vec<SubgridTables<'_>> {
+        self.subgrids
+            .iter()
+            .map(|([r0, r1, c0, c1], wlo, base_f)| SubgridTables {
+                r0: *r0,
+                r1: *r1,
+                c0: *c0,
+                c1: *c1,
+                wlo: *wlo,
+                base_f,
+                rows: &self.by_row[*r0 as usize..*r1 as usize],
+                cols: &self.by_col[*c0 as usize..*c1 as usize],
+            })
+            .collect()
+    }
 }

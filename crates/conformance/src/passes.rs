@@ -47,8 +47,9 @@ pub const LINTS: [(&str, &str); 8] = [
     (
         "oracle-call",
         "kernel, runtime and service code never calls the reference constructions \
-         `SeaweedKernel::comb` and `steady_ant::mul_rows_reference` outside tests: they are \
-         differential oracles, not production paths",
+         `SeaweedKernel::comb`, `steady_ant::mul_rows_reference` and \
+         `multiway::process_subgrid_reference` outside tests: they are differential oracles, \
+         not production paths",
     ),
 ];
 
@@ -584,6 +585,9 @@ fn oracle_call(file: &SourceFile, code: &[(usize, &Tok)], out: &mut Vec<Diagnost
             "mul_rows_reference" if i == 0 || code[i - 1].1.text != "fn" => {
                 "steady_ant::mul_rows_reference"
             }
+            "process_subgrid_reference" if i == 0 || code[i - 1].1.text != "fn" => {
+                "multiway::process_subgrid_reference"
+            }
             _ => continue,
         };
         report(
@@ -593,7 +597,8 @@ fn oracle_call(file: &SourceFile, code: &[(usize, &Tok)], out: &mut Vec<Diagnost
             t.line,
             format!(
                 "call to the reference construction `{what}` outside test code — production \
-                 paths use the fast kernels (`comb_bitparallel`, `steady_ant::mul`); reach the \
+                 paths use the fast kernels (`comb_bitparallel`, `steady_ant::mul`, \
+                 `multiway::process_subgrid`); reach the \
                  oracle from tests and benches, or allowlist the reference's own recursion"
             ),
         );

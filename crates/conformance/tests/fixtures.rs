@@ -20,7 +20,7 @@ fn check_fixture(kind: &str, name: &str) -> Vec<conformance::model::Diagnostic> 
 }
 
 /// Each `(fixture, lint)` pair: the bad file fires that lint, and nothing else.
-const SEEDS: [(&str, &str); 8] = [
+const SEEDS: [(&str, &str); 9] = [
     ("safety_comment", "safety-comment"),
     ("hash_iteration", "hash-iteration"),
     ("time_source", "time-source"),
@@ -29,6 +29,7 @@ const SEEDS: [(&str, &str); 8] = [
     ("service_panic", "service-panic"),
     ("raw_spawn", "raw-spawn"),
     ("oracle_call", "oracle-call"),
+    ("oracle_call_subgrid", "oracle-call"),
 ];
 
 #[test]

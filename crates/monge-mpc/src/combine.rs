@@ -46,20 +46,24 @@
 //!    [`Routing::Bands`] baseline ships the whole row/column ranges (factor-`H`
 //!    more routed volume, measured by the ledger's `comm_by_phase`).
 //!    The model routes with rank searches, a multicast and a rebalancing
-//!    join; the simulator charges exactly those, but computes them by dense
-//!    index: one table per `(parent, band)` of its active subgrids in ordinal
-//!    order, two binary searches per point (the windows are nondecreasing
-//!    along a band), and every subgrid's copies filed in one array.
+//!    join; the simulator charges exactly those, but counts the copies
+//!    instead of making them. A parent's colored union has exactly one point
+//!    per row and one per column, so the combine files every parent's points
+//!    once in a row table and a column table (indexed by the parent's offset
+//!    plus the coordinate). The points routed to a subgrid are exactly the
+//!    in-window entries of its band's slice of one table, and each subgrid's
+//!    copy count, which sizes the charged join, is counted there on the pool.
 //! 4. **Local phase** — each active subgrid is resolved on one machine with
 //!    [`monge::multiway::process_subgrid`], emitting the interesting points of
 //!    Lemma 3.9 and the surviving union points. The model joins every
 //!    subgrid's descriptor with its row and column copies in one `group_map`
-//!    on `(parent, gi, gj)`; the simulator charges that join and reads each
-//!    group's descriptor and copy slices by index.
+//!    on `(parent, gi, gj)`; the simulator charges that join, and each group
+//!    reads its descriptor by index and its points straight from its slices
+//!    of the two tables, which the kernel filters to the window itself.
 
 use crate::mul::Nonzero;
 use crate::params::Routing;
-use monge::multiway::{opt_breakpoints_from_cmp, process_subgrid, ColoredPoint, SubgridInstance};
+use monge::multiway::{opt_breakpoints_from_cmp, process_subgrid, ColoredPoint, SubgridTables};
 use mpc_runtime::{Cluster, DistVec, RankIndex, Shape};
 use rayon::prelude::*;
 use std::collections::BTreeMap;
@@ -180,12 +184,13 @@ pub fn distributed_combine(
     cluster.set_phase(Some("combine-route"));
     let points_shape = classified.placed.shape();
     cluster.charge_map(&points_shape);
-    let rows = route_band(cluster, points, &points_shape, &active, &bands, true);
-    let cols = route_band(cluster, points, &points_shape, &active, &bands, false);
+    let tables = Tables::new(points, &specs);
+    let rows = route_band(cluster, &tables, &points_shape, &active, &specs, true);
+    let cols = route_band(cluster, &tables, &points_shape, &active, &specs, false);
 
     // Phase 4: local subgrid resolution (communication-wise this is the routed
     // volume arriving at its target machines, so it stays under "combine-route").
-    let subgrid_out = resolve_subgrids(cluster, &active, &rows, &cols, &specs);
+    let subgrid_out = resolve_subgrids(cluster, &active, [&rows, &cols], &tables, &specs);
 
     cluster.set_phase(None::<String>);
     cluster.concat(kept, subgrid_out)
@@ -218,11 +223,6 @@ impl Bands {
         self.band.len()
     }
 
-    /// The id of `parent`'s band `band`.
-    fn of(&self, parent: u64, band: u32) -> usize {
-        self.first[&parent].1 + band as usize
-    }
-
     /// The id of the band of `parent` holding row or column `coord`.
     fn id(&self, parent: u64, coord: u32) -> usize {
         let (g, first) = self.first[&parent];
@@ -235,23 +235,73 @@ impl Bands {
     }
 }
 
-/// The active subgrids of one band table, every one with the copies routed
-/// to it, filed by counting sort.
+/// Every parent's union points filed by row and by column. A parent's colored
+/// union has exactly one point per row and one per column, so parent `p`'s
+/// point in row `r` is `rows[first[p] + r]` and its point in column `c` is
+/// `cols[first[p] + c]`, parents laid out in ascending id.
+struct Tables {
+    first: BTreeMap<u64, usize>,
+    rows: Vec<ColoredPoint>,
+    cols: Vec<ColoredPoint>,
+}
+
+impl Tables {
+    fn new(points: &[Colored], specs: &BTreeMap<u64, ParentSpec>) -> Self {
+        let mut first = BTreeMap::new();
+        let mut total = 0;
+        for (&parent, spec) in specs {
+            first.insert(parent, total);
+            total += spec.n;
+        }
+        debug_assert_eq!(points.len(), total, "one union point per parent row");
+        // A slot no point fills keeps a color outside every window.
+        let empty = ColoredPoint {
+            row: 0,
+            col: 0,
+            color: u16::MAX,
+        };
+        let (mut rows, mut cols) = (vec![empty; total], vec![empty; total]);
+        // The points come grouped by parent: look each parent up once.
+        let mut at = (u64::MAX, 0);
+        for p in points {
+            if p.inst != at.0 {
+                at = (p.inst, first[&p.inst]);
+            }
+            let point = ColoredPoint {
+                row: p.row,
+                col: p.col,
+                color: p.color,
+            };
+            rows[at.1 + p.row as usize] = point;
+            cols[at.1 + p.col as usize] = point;
+        }
+        Self { first, rows, cols }
+    }
+
+    /// `parent`'s row table (`by_rows`) or column table over `range`.
+    fn of(&self, parent: u64, by_rows: bool, range: Range<u32>) -> &[ColoredPoint] {
+        let table = if by_rows { &self.rows } else { &self.cols };
+        let first = self.first[&parent];
+        &table[first + range.start as usize..first + range.end as usize]
+    }
+}
+
+/// The rows or columns `[G·band, G·band + G)` of band `band` of `spec`,
+/// clipped to the parent's `n`.
+fn band_range(spec: &ParentSpec, band: u32) -> Range<u32> {
+    let (g, n) = (spec.g as u32, spec.n as u32);
+    band * g..(band * g + g).min(n)
+}
+
+/// The active subgrids of one band table, every one with the number of
+/// copies routed to it.
 struct Routed {
     /// The subgrids `(parent, gi, gj)`, in table order.
     targets: Vec<Target>,
-    /// Subgrid `t`'s copies are `copies[offsets[t]..offsets[t + 1]]`.
-    offsets: Vec<usize>,
-    copies: Vec<ColoredPoint>,
+    /// How many copies are routed to each subgrid, in table order.
+    copies: Vec<usize>,
     /// The shape of the copies as the charged join leaves them.
     shape: Shape,
-}
-
-impl Routed {
-    /// The copies routed to table entry `t`.
-    fn of(&self, t: usize) -> &[ColoredPoint] {
-        &self.copies[self.offsets[t]..self.offsets[t + 1]]
-    }
 }
 
 /// Routes every point to the active subgrids whose row band (`by_rows = true`) or
@@ -280,91 +330,48 @@ impl Routed {
 ///
 /// The simulator charges exactly those steps (their local maps and
 /// concatenation included, over `points_shape`, the shape of the points'
-/// distributed vector) but computes them by dense index: one table per
-/// `(parent, band)` of its active subgrids sorted by ordinal answers each
-/// point's range with two binary searches, and a counting-sort scatter files
-/// the copies under their subgrids in table order, each subgrid's in the
-/// order of `points`, without being multicast or gathered.
+/// distributed vector) but copies nothing. The points a subgrid receives are
+/// exactly the in-window entries of its band's slice of the parent's table,
+/// so each subgrid's copy count is counted there, on the pool, and the local
+/// phase reads the same slices.
 fn route_band(
     cluster: &mut Cluster,
-    points: &[Colored],
+    tables: &Tables,
     points_shape: &Shape,
     active: &DistVec<ActiveSubgrid>,
-    bands: &Bands,
+    specs: &BTreeMap<u64, ParentSpec>,
     by_rows: bool,
 ) -> Routed {
     let band = move |gi: u32, gj: u32| if by_rows { gi } else { gj };
     let cross = move |gi: u32, gj: u32| if by_rows { gj } else { gi };
 
-    // The band tables: every active subgrid as (parent, band, cross, wlo,
-    // whi), sorted, so each band's subgrids are a run in ordinal order; band
-    // `id` owns the table run `runs[id]..runs[id + 1]`.
+    // The band table: every active subgrid as (parent, band, cross, wlo,
+    // whi), sorted, so each band's subgrids are a run in ordinal order.
     let mut table: Vec<(u64, u32, u32, u16, u16)> = active
         .iter()
         .map(|d| (d.parent, band(d.gi, d.gj), cross(d.gi, d.gj), d.wlo, d.whi))
         .collect();
     table.par_sort_unstable();
-    let mut runs = vec![0usize; bands.len() + 1];
-    for &(parent, b, ..) in &table {
-        runs[bands.of(parent, b) + 1] += 1;
-    }
-    for id in 0..bands.len() {
-        runs[id + 1] += runs[id];
-    }
-    for id in 0..bands.len() {
-        let run = &table[runs[id]..runs[id + 1]];
+    for w in table.windows(2) {
         debug_assert!(
-            run.windows(2).all(|w| w[0].3 <= w[1].3 && w[0].4 <= w[1].4),
+            (w[0].0, w[0].1) != (w[1].0, w[1].1) || (w[0].3 <= w[1].3 && w[0].4 <= w[1].4),
             "pierced windows of parent {} decrease along band {}",
-            run[0].0,
-            run[0].1
+            w[0].0,
+            w[0].1
         );
     }
-
-    // Each point's target run `lo..hi` of the table, in arrival order: the
-    // subgrids with `whi < color` come first in the band, then those whose
-    // window holds the color, then those with `wlo > color`.
-    let ranges: Vec<Range<usize>> = points
-        .iter()
-        .map(|p| {
-            let id = bands.id(p.inst, if by_rows { p.row } else { p.col });
-            let run = &table[runs[id]..runs[id + 1]];
-            let lo = run.partition_point(|s| s.4 < p.color);
-            let hi = run.partition_point(|s| s.3 <= p.color);
-            runs[id] + lo..runs[id] + hi
+    let copies: Vec<usize> = table
+        .par_iter()
+        .map(|&(parent, b, _, wlo, whi)| {
+            let points = tables.of(parent, by_rows, band_range(&specs[&parent], b));
+            points
+                .iter()
+                .filter(|p| (wlo..=whi).contains(&p.color))
+                .count()
         })
         .collect();
-    // Every subgrid's copies in arrival order: a counting-sort scatter.
-    let mut offsets = vec![0usize; table.len() + 1];
-    for range in &ranges {
-        for t in range.clone() {
-            offsets[t + 1] += 1;
-        }
-    }
-    let sizes: Vec<usize> = offsets[1..].iter().map(|copies| 1 + copies).collect();
-    for t in 0..table.len() {
-        offsets[t + 1] += offsets[t];
-    }
-    let volume = offsets[table.len()];
-    let mut next = offsets[..table.len()].to_vec();
-    let mut copies = vec![
-        ColoredPoint {
-            row: 0,
-            col: 0,
-            color: 0
-        };
-        volume
-    ];
-    for (p, range) in points.iter().zip(ranges) {
-        for slot in &mut next[range] {
-            copies[*slot] = ColoredPoint {
-                row: p.row,
-                col: p.col,
-                color: p.color,
-            };
-            *slot += 1;
-        }
-    }
+    let sizes: Vec<usize> = copies.iter().map(|copies| 1 + copies).collect();
+    let volume = copies.iter().sum();
 
     let active_shape = active.shape();
     cluster.charge_map(&active_shape);
@@ -384,7 +391,6 @@ fn route_band(
         .collect();
     Routed {
         targets,
-        offsets,
         copies,
         shape,
     }
@@ -398,13 +404,14 @@ fn route_band(
 /// on `(parent, gi, gj)` — but computed by dense index. The groups in key
 /// order are the descriptors sorted by target, which is the row table's
 /// order; the column table, ordered by `(parent, gj, gi)`, is permuted into
-/// it. Every group reads its descriptor and its two copy slices directly,
-/// and its outputs land where the charged group map packs it.
+/// it. Every group reads its descriptor and its slices of the parent's
+/// tables directly, and its outputs land where the charged group map packs
+/// it.
 fn resolve_subgrids(
     cluster: &mut Cluster,
     active: &DistVec<ActiveSubgrid>,
-    rows: &Routed,
-    cols: &Routed,
+    [rows, cols]: [&Routed; 2],
+    tables: &Tables,
     specs: &BTreeMap<u64, ParentSpec>,
 ) -> DistVec<Nonzero> {
     let active_shape = active.shape();
@@ -424,64 +431,48 @@ fn resolve_subgrids(
     let mut col_of: Vec<usize> = (0..cols.targets.len()).collect();
     col_of.sort_unstable_by_key(|&t| cols.targets[t]);
     let sizes: Vec<usize> = (0..descs.len())
-        .map(|k| 1 + rows.of(k).len() + cols.of(col_of[k]).len())
+        .map(|k| 1 + rows.copies[k] + cols.copies[col_of[k]])
         .collect();
     cluster.group_map_sized(&sizes, |k| {
         let d = descs[k];
-        resolve_subgrid(d, rows.of(k), cols.of(col_of[k]), &specs[&d.parent])
+        resolve_subgrid(d, tables, &specs[&d.parent])
     })
 }
 
-/// Builds the [`SubgridInstance`] of active subgrid `d` from its routed row
-/// and column copies and resolves it locally.
+/// Resolves active subgrid `d` locally from its slices of the parent's
+/// tables: the points in its row and column bands, of which the kernel reads
+/// those whose color lies in the pierced window.
 ///
-/// The instance lives entirely in *window coordinates*: colors are shifted by the
-/// window start `wlo` and the `F` vector covers only the window. Inside the
-/// subgrid every `opt` value lies within the window and all out-of-window colors
-/// contribute a window-uniform shift, so the argmin comparisons — and hence the
-/// emitted nonzeros — are identical to the full-color computation.
+/// The kernel works in *window coordinates*: the `F` vector covers only the
+/// window. Inside the subgrid every `opt` value lies within the window and all
+/// out-of-window colors contribute a window-uniform shift, so the argmin
+/// comparisons — and hence the emitted nonzeros — are identical to the
+/// full-color computation.
 fn resolve_subgrid(
     d: &ActiveSubgrid,
-    rows: &[ColoredPoint],
-    cols: &[ColoredPoint],
+    tables: &Tables,
     spec: &ParentSpec,
-) -> Vec<Nonzero> {
-    let g = spec.g as u32;
-    let n = spec.n as u32;
-    let (r0, c0) = (d.gi * g, d.gj * g);
-    let (r1, c1) = ((r0 + g).min(n), (c0 + g).min(n));
-    let (wlo, window) = (d.wlo, d.base_f.len() as u16);
-    let shift = |p: &ColoredPoint| -> ColoredPoint {
-        debug_assert!(p.color >= wlo && p.color - wlo < window);
-        ColoredPoint {
-            row: p.row,
-            col: p.col,
-            color: p.color - wlo,
-        }
+) -> impl Iterator<Item = Nonzero> {
+    let (rows, cols) = (band_range(spec, d.gi), band_range(spec, d.gj));
+    let sub = SubgridTables {
+        r0: rows.start,
+        r1: rows.end,
+        c0: cols.start,
+        c1: cols.end,
+        wlo: d.wlo,
+        base_f: &d.base_f,
+        rows: tables.of(d.parent, true, rows),
+        cols: tables.of(d.parent, false, cols),
     };
-    let mut row_pts: Vec<ColoredPoint> = rows.iter().map(shift).collect();
-    let mut col_pts: Vec<ColoredPoint> = cols.iter().map(shift).collect();
-    row_pts.sort_unstable_by_key(|p| p.row);
-    col_pts.sort_unstable_by_key(|p| p.col);
-    let inst = SubgridInstance {
-        r0,
-        r1,
-        c0,
-        c1,
-        h: window,
-        base_f: d.base_f.clone(),
-        row_pts,
-        col_pts,
-    };
-    process_subgrid(&inst)
+    let parent = d.parent;
+    process_subgrid(&sub)
         .nonzeros
         .into_iter()
-        .map(|(row, col)| Nonzero {
-            inst: d.parent,
+        .map(move |(row, col)| Nonzero {
+            inst: parent,
             row,
             col,
         })
-        .collect()
 }
 
 // =====================================================================================
@@ -1431,6 +1422,7 @@ fn corner_f<'a>(packs: impl IntoIterator<Item = &'a (CornerPack, Vec<u64>)>) -> 
 #[cfg(test)]
 mod oracle {
     use super::*;
+    use monge::multiway::{process_subgrid_reference, SubgridInstance};
     use mpc_runtime::Group;
 
     /// Payload routed to the final per-subgrid groups.
@@ -1778,7 +1770,8 @@ mod oracle {
     }
 
     /// [`super::resolve_subgrid`] on one gathered group: its descriptor and
-    /// its row and column copies, in any order.
+    /// its row and column copies, in any order, resolved by the reference
+    /// kernel in window coordinates (colors shifted by the window start).
     fn resolve_gathered(
         items: Group<'_, (Target, Payload)>,
         specs: &BTreeMap<u64, ParentSpec>,
@@ -1794,7 +1787,38 @@ mod oracle {
             }
         }
         let d = desc.expect("an active subgrid was routed without its descriptor");
-        resolve_subgrid(d, &rows, &cols, &specs[&d.parent])
+        let (r, c) = (
+            band_range(&specs[&d.parent], d.gi),
+            band_range(&specs[&d.parent], d.gj),
+        );
+        let shift = |points: Vec<ColoredPoint>| -> Vec<ColoredPoint> {
+            points
+                .into_iter()
+                .map(|p| ColoredPoint {
+                    color: p.color - d.wlo,
+                    ..p
+                })
+                .collect()
+        };
+        let inst = SubgridInstance {
+            r0: r.start,
+            r1: r.end,
+            c0: c.start,
+            c1: c.end,
+            h: d.base_f.len() as u16,
+            base_f: d.base_f.clone(),
+            row_pts: shift(rows),
+            col_pts: shift(cols),
+        };
+        process_subgrid_reference(&inst)
+            .nonzeros
+            .into_iter()
+            .map(|(row, col)| Nonzero {
+                inst: d.parent,
+                row,
+                col,
+            })
+            .collect()
     }
 
     /// [`super::classify`], with the lines and points gathered by
@@ -2204,7 +2228,6 @@ mod tests {
     fn indexed_routing_matches_the_materialized_oracle() {
         let routed = for_each_case(41, |rng, parents, specs, routing, case| {
             let specs: BTreeMap<u64, ParentSpec> = specs.iter().map(|s| (s.inst, *s)).collect();
-            let bands = Bands::new(&specs);
             let mut cluster = Cluster::new(config());
             let colored = cluster.distribute(real_unions(rng, parents));
             let tree = LeveledIndex::build(&colored, &specs);
@@ -2214,51 +2237,71 @@ mod tests {
             let active = attach_base_f_tree(&mut cluster, active, &specs, &tree);
             let points = cluster.map(&classified, |(p, _)| *p);
             let in_order: Vec<Colored> = points.iter().copied().collect();
+            let tables = Tables::new(&in_order, &specs);
+            let windows: BTreeMap<Target, (u16, u16)> = active
+                .iter()
+                .map(|d| (d.target(), (d.wlo, d.whi)))
+                .collect();
             let mut routed = 0;
             for by_rows in [true, false] {
                 let mut cluster = Cluster::new(config());
                 cluster.set_phase(Some("combine-route"));
                 let got = route_band(
                     &mut cluster,
-                    &in_order,
+                    &tables,
                     &points.shape(),
                     &active,
-                    &bands,
+                    &specs,
                     by_rows,
                 );
-                let (ledger, shape) = (cluster.ledger().clone(), got.shape.clone());
-                let got: Vec<(Target, ColoredPoint)> = (0..got.targets.len())
-                    .flat_map(|t| {
-                        got.of(t)
-                            .iter()
-                            .map(|&cp| (got.targets[t], cp))
-                            .collect::<Vec<_>>()
-                    })
-                    .collect();
+                let ledger = cluster.ledger().clone();
 
                 let mut cluster = Cluster::new(config());
                 cluster.set_phase(Some("combine-route"));
                 let want = oracle::route_band(&mut cluster, &points, &active, &specs, by_rows);
                 assert_eq!(
-                    shape,
+                    got.shape,
                     want.shape(),
                     "copies' shape, by_rows={by_rows} {case}"
                 );
-                let want: Vec<(Target, ColoredPoint)> = want
-                    .into_inner()
-                    .into_iter()
-                    .map(|(target, payload)| match payload {
-                        oracle::Payload::RowPt(cp) | oracle::Payload::ColPt(cp) => (target, cp),
-                        oracle::Payload::Desc(_) => unreachable!(),
-                    })
-                    .collect();
-                assert_eq!(got, want, "routed copies, by_rows={by_rows} {case}");
+                let mut want_of: BTreeMap<Target, Vec<(u32, u32, u16)>> = BTreeMap::new();
+                for (target, payload) in want.into_inner() {
+                    let (oracle::Payload::RowPt(p) | oracle::Payload::ColPt(p)) = payload else {
+                        unreachable!("the routing emits no descriptor")
+                    };
+                    want_of
+                        .entry(target)
+                        .or_default()
+                        .push((p.row, p.col, p.color));
+                }
+                // What the resolver reads of each target: the in-window
+                // entries of its band's slice of the parent's table.
+                for (t, &target) in got.targets.iter().enumerate() {
+                    let (parent, gi, gj) = target;
+                    let (wlo, whi) = windows[&target];
+                    let band = band_range(&specs[&parent], if by_rows { gi } else { gj });
+                    let mut read: Vec<(u32, u32, u16)> = tables
+                        .of(parent, by_rows, band)
+                        .iter()
+                        .filter(|p| (wlo..=whi).contains(&p.color))
+                        .map(|p| (p.row, p.col, p.color))
+                        .collect();
+                    let mut want = want_of.remove(&target).unwrap_or_default();
+                    read.sort_unstable();
+                    want.sort_unstable();
+                    assert_eq!(read, want, "points of {target:?}, by_rows={by_rows} {case}");
+                    assert_eq!(got.copies[t], read.len(), "copies of {target:?}, {case}");
+                    routed += read.len();
+                }
+                assert!(
+                    want_of.is_empty(),
+                    "copies routed to no active subgrid: {want_of:?}, {case}"
+                );
                 assert_eq!(
                     ledger,
                     *cluster.ledger(),
                     "ledger, by_rows={by_rows} {case}"
                 );
-                routed += got.len();
             }
             routed
         });

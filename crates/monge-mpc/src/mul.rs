@@ -177,6 +177,9 @@ pub fn mul_batch(
     let mut frontier: Range<u64> = 0..k as u64;
 
     let mut level_records: Vec<LevelRecord> = Vec::new();
+    // Per descent level: `results`' part lengths before its local solve's
+    // products were appended, if it had one.
+    let mut solved_from: Vec<Option<Vec<usize>>> = Vec::new();
 
     // ------------------------------------------------------------------ descend
     loop {
@@ -188,7 +191,9 @@ pub fn mul_batch(
             .map(|id| n_of[id as usize] <= rp.local_threshold)
             .collect();
 
-        if small_flags.contains(&true) {
+        let has_small = small_flags.contains(&true);
+        solved_from.push(has_small.then(|| part_lengths(&results)));
+        if has_small {
             cluster.set_phase(Some("local-solve"));
             let sizes = &n_of[base as usize..frontier.end as usize];
             let solved = local_solve(cluster, [&a, &b], base, sizes, &small_flags);
@@ -254,9 +259,18 @@ pub fn mul_batch(
     }
 
     // ------------------------------------------------------------------- unwind
-    for record in level_records.into_iter().rev() {
-        let colored = lift(cluster, &results, &record);
+    // A level's children got their products from their own local solve, if
+    // any, and from the combine that unwound just before: every product of
+    // theirs lies past the earlier of those two marks.
+    let mut combined_from = None;
+    for (level, record) in level_records.into_iter().enumerate().rev() {
+        let from = solved_from[level + 1]
+            .take()
+            .or(combined_from.take())
+            .expect("every child level gets products from a local solve or a combine");
+        let colored = lift(cluster, &results, &from, &record);
         let combined = distributed_combine(cluster, colored, &record.parents, rp.routing);
+        combined_from = Some(part_lengths(&results));
         results = cluster.concat(results, combined);
     }
 
@@ -410,7 +424,9 @@ fn relabel(
 
 /// One level's lift: joins every child product with the children's
 /// coordinate maps to restore parent rows, then parent columns, and colors
-/// every nonzero with its child's parent and slice.
+/// every nonzero with its child's parent and slice. Every child product lies
+/// in `results` past `from`: per machine, the length its part had before the
+/// level's first product was appended (0 for machines past `from`'s end).
 ///
 /// Charged as the model runs it — the filter keeping the child products,
 /// then per join local maps tagging both sides, their concatenation and one
@@ -431,6 +447,7 @@ fn relabel(
 fn lift(
     cluster: &mut Cluster,
     results: &DistVec<Nonzero>,
+    from: &[usize],
     record: &LevelRecord,
 ) -> DistVec<Colored> {
     cluster.set_phase(Some("lift"));
@@ -474,8 +491,7 @@ fn lift(
         let mut child_col = vec![u32::MAX; total];
         let kept: Vec<usize> = (0..results.machines())
             .map(|m| {
-                let mut products = results
-                    .part(m)
+                let mut products = results.part(m)[from.get(m).copied().unwrap_or(0)..]
                     .iter()
                     .filter(|p| children.contains(&p.inst))
                     .map(|p| (p.inst, p.row, p.col));
@@ -554,6 +570,13 @@ fn lift(
             color,
         })
     })
+}
+
+/// The length of every machine's part of `results`.
+fn part_lengths(results: &DistVec<Nonzero>) -> Vec<usize> {
+    (0..results.machines())
+        .map(|m| results.part(m).len())
+        .collect()
 }
 
 /// The running starts of consecutive ranges of the given lengths, closed by
@@ -670,10 +693,12 @@ mod oracle {
         (children, maps)
     }
 
-    /// [`super::lift`], with two gathering joins.
+    /// [`super::lift`], with two gathering joins, filtering the whole of
+    /// `results` whatever `from` says.
     pub(super) fn lift(
         cluster: &mut Cluster,
         results: &DistVec<Nonzero>,
+        _from: &[usize],
         record: &LevelRecord,
     ) -> DistVec<Colored> {
         cluster.set_phase(Some("lift"));
@@ -785,7 +810,7 @@ mod tests {
         &Slicing<'_>,
         Operand,
     ) -> (DistVec<Nonzero>, DistVec<CoordMap>);
-    type Lift = fn(&mut Cluster, &DistVec<Nonzero>, &LevelRecord) -> DistVec<Colored>;
+    type Lift = fn(&mut Cluster, &DistVec<Nonzero>, &[usize], &LevelRecord) -> DistVec<Colored>;
 
     /// One split level: the frontier `base..base + ns.len()` of instances of
     /// sizes `ns`, all large but the one at index `small`, each large one cut
@@ -922,7 +947,8 @@ mod tests {
         }
     }
 
-    /// Runs `lift` over `products` on a fresh cluster.
+    /// Runs `lift` over `products` on a fresh cluster, every machine's part
+    /// scanned from its start.
     fn lift_on(
         config: &MpcConfig,
         products: &[Nonzero],
@@ -931,7 +957,7 @@ mod tests {
     ) -> (Vec<Vec<Colored>>, Ledger) {
         let mut cluster = Cluster::new(config.clone());
         let results = cluster.distribute(products.to_vec());
-        let colored = lift(&mut cluster, &results, record);
+        let colored = lift(&mut cluster, &results, &[], record);
         (parts(&colored), cluster.ledger().clone())
     }
 

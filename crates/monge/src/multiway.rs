@@ -22,7 +22,8 @@
 //!   `opt`,
 //! * [`opt_breakpoints_from_cmp`] — §3.2's derivation of the `opt(·, c)` step
 //!   function from the pairwise crossover rows `cmp(c, q, r)`,
-//! * [`SubgridInstance`] / [`process_subgrid`] — §3.3's per-subgrid local phase,
+//! * [`SubgridTables`] / [`process_subgrid`] — §3.3's per-subgrid local phase, with
+//!   [`process_subgrid_reference`] on a [`SubgridInstance`] as its test oracle,
 //! * [`combine_multiway`] — a sequential driver wiring the pieces together exactly
 //!   the way the MPC implementation (`monge-mpc`) does, used as its ground truth.
 //!
@@ -30,6 +31,7 @@
 
 use crate::dominance::DominanceCounter;
 use crate::matrix::PermutationMatrix;
+use std::cell::RefCell;
 
 /// A nonzero of the union permutation, tagged with the subproblem (color) it came
 /// from (§3.2: "to record the origin of each point, we say p(x̂) is of color i").
@@ -314,11 +316,305 @@ pub fn step_lookup(breakpoints: &[(u32, u16)], at: u32) -> u16 {
 // Subgrid-local phase (§3.3).
 // ---------------------------------------------------------------------------------
 
-/// All data a single machine needs to resolve one active subgrid: the absolute
-/// `F_q` values at the subgrid's upper-left corner plus every union point in the
-/// subgrid's row range and column range. (The distributed combine in `monge-mpc`
-/// builds it under the paper's tighter Lemma 3.12 routing: only the colors of the
-/// pierced interval, shifted to start at 0, with `F` restricted to them.)
+/// One subgrid as [`process_subgrid`] reads it: the corner `F` over a window of
+/// colors, and the union's row and column tables over the subgrid's ranges.
+///
+/// The union has exactly one point per row and per column, so the points in the
+/// subgrid's row range are exactly `rows` and those in its column range exactly
+/// `cols`. An entry whose color lies outside the window `[wlo, wlo + base_f.len())`
+/// counts as absent: such a color shifts every in-window `F_q` by the same amount
+/// anywhere inside the subgrid, so it cannot change an `opt` comparison as long as
+/// the window holds every `opt` value of the subgrid (Lemma 3.12's pierced
+/// interval, or any wider window).
+#[derive(Clone, Copy, Debug)]
+pub struct SubgridTables<'a> {
+    /// First block row of the subgrid (inclusive).
+    pub r0: u32,
+    /// Last corner row of the subgrid (blocks cover `[r0, r1)`).
+    pub r1: u32,
+    /// First block column (inclusive).
+    pub c0: u32,
+    /// Last corner column (blocks cover `[c0, c1)`).
+    pub c1: u32,
+    /// First color of the window.
+    pub wlo: u16,
+    /// `F_{wlo + k}(r0, c0)` for every window color `wlo + k`, up to a common shift.
+    pub base_f: &'a [u64],
+    /// `rows[k]` is the union point in row `r0 + k`.
+    pub rows: &'a [ColoredPoint],
+    /// `cols[k]` is the union point in column `c0 + k`.
+    pub cols: &'a [ColoredPoint],
+}
+
+impl SubgridTables<'_> {
+    /// The window index of `color`, or `None` outside the window.
+    fn window_index(&self, color: u16) -> Option<usize> {
+        let x = color.wrapping_sub(self.wlo) as usize;
+        (x < self.base_f.len()).then_some(x)
+    }
+
+    /// The same subgrid as the input of [`process_subgrid_reference`]: the
+    /// in-window points of both tables, colors shifted to start at 0.
+    pub fn instance(&self) -> SubgridInstance {
+        let in_window = |points: &[ColoredPoint]| -> Vec<ColoredPoint> {
+            points
+                .iter()
+                .filter_map(|p| {
+                    let x = self.window_index(p.color)?;
+                    Some(ColoredPoint {
+                        color: x as u16,
+                        ..*p
+                    })
+                })
+                .collect()
+        };
+        SubgridInstance {
+            r0: self.r0,
+            r1: self.r1,
+            c0: self.c0,
+            c1: self.c1,
+            h: self.base_f.len() as u16,
+            base_f: self.base_f.to_vec(),
+            row_pts: in_window(self.rows),
+            col_pts: in_window(self.cols),
+        }
+    }
+}
+
+/// Nonzeros of `P_C` contributed by one subgrid: the interesting points of
+/// Lemma 3.9 plus the union points of Lemma 3.10 that survive.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct SubgridOutput {
+    /// `(row, col)` nonzeros of the product whose block lies in this subgrid,
+    /// sorted.
+    pub nonzeros: Vec<(u32, u32)>,
+}
+
+thread_local! {
+    static SUBGRID_WORKSPACE: RefCell<SubgridWorkspace> = RefCell::new(SubgridWorkspace::default());
+}
+
+/// Per-worker scratch of [`process_subgrid`], reused across subgrids.
+#[derive(Default)]
+struct SubgridWorkspace {
+    /// `F` at the corner `(r1, c0)`, then up column `c0` as the lines enter.
+    corner: Vec<i64>,
+    /// `F` at a traced line's evaluation point.
+    f: Vec<i64>,
+    /// Every window line's boundary per corner row, line after line.
+    lines: Vec<i64>,
+}
+
+/// `F` as the evaluation point moves one row up past a row holding a window
+/// point of color `x`: the point's `S_x` term raises every color above `x`,
+/// and its `T_x` term raises `x` itself when the point lies left of the
+/// evaluation column (`left`).
+fn cross_row(f: &mut [i64], x: usize, left: bool) {
+    for v in &mut f[x + usize::from(!left)..] {
+        *v += 1;
+    }
+}
+
+/// `F` as the evaluation point moves one column right past a column holding a
+/// window point of color `x`: the point's `U_x` term raises every color below
+/// `x`, and its `T_x` term raises `x` itself when the point lies at or below the
+/// evaluation row (`below`).
+fn cross_col(f: &mut [i64], x: usize, below: bool) {
+    for v in &mut f[..x + usize::from(below)] {
+        *v += 1;
+    }
+}
+
+/// Would `opt ≤ q` hold after [`cross_col`]`(f, x, below)`? Decided in one pass
+/// over `f`, which is left as it is: the smallest minimizer is at most `q` iff
+/// the minimum over `[0, q]` is at most the minimum over `(q, len)`.
+fn opt_le_after_col(f: &[i64], x: usize, below: bool, q: usize) -> bool {
+    let end = x + usize::from(below);
+    let raised = |(k, &v): (usize, &i64)| v + i64::from(k < end);
+    let (low, high) = f.split_at(q + 1);
+    let low = low.iter().enumerate().map(raised).min();
+    let high = high
+        .iter()
+        .enumerate()
+        .map(|(k, v)| raised((q + 1 + k, v)))
+        .min();
+    low <= high
+}
+
+/// Resolves one subgrid: returns every nonzero of `P_C` whose block lies in
+/// `[r0, r1) × [c0, c1)`. The points need no order beyond the tables' own,
+/// and every scratch buffer comes from a per-worker workspace.
+///
+/// For every window color `q` but the last, the kernel traces demarcation
+/// line `q`: the per-row boundary `maxcol_q[i] = max {j : opt(i, j) ≤ q}`,
+/// clamped to the subgrid (`c0 − 1` where the region misses the row, `c1`
+/// where it spans it). One pass over the row table gives `F` at the
+/// bottom-left corner; the lines, highest first, enter the subgrid from one
+/// climb up column `c0`, and each is traced from there up the rows and
+/// greedily right, each rightward step decided in place. Then, row by row,
+///
+/// * a block `(i, j)` is *interesting* (Lemma 3.9) when `maxcol_a[i+1] = j`,
+///   `j+1 ≤ maxcol_a[i]` and `j > maxcol_{a−1}[i]`, and
+/// * the union point of color `x` at block `(i, j)` survives (Lemma 3.10) iff
+///   `j > maxcol_{x−1}[i]` and `j + 1 ≤ maxcol_x[i+1]`.
+///
+/// The outputs equal [`process_subgrid_reference`]'s on the tables'
+/// [`SubgridTables::instance`].
+pub fn process_subgrid(sub: &SubgridTables<'_>) -> SubgridOutput {
+    let rows = (sub.r1 - sub.r0) as usize;
+    debug_assert!(rows >= 1 && sub.c1 > sub.c0);
+    debug_assert!(
+        sub.rows.len() == rows && (sub.rows.iter()).zip(sub.r0..).all(|(p, r)| p.row == r),
+        "the row table covers rows r0..r1 in order"
+    );
+    debug_assert!(
+        sub.cols.len() == (sub.c1 - sub.c0) as usize
+            && (sub.cols.iter()).zip(sub.c0..).all(|(p, c)| p.col == c),
+        "the column table covers columns c0..c1 in order"
+    );
+    let w = sub.base_f.len();
+    SUBGRID_WORKSPACE.with(|ws| {
+        let SubgridWorkspace { corner, f, lines } = &mut *ws.borrow_mut();
+        // Down column c0 to the bottom-left corner: a point of color x lowers
+        // F on the colors from x + 1 on, from x when it lies left of c0. Count
+        // the points by that first color (in `f`, free until the lines), then
+        // lower F by the running counts.
+        f.clear();
+        f.resize(w + 1, 0);
+        for p in sub.rows {
+            if let Some(x) = sub.window_index(p.color) {
+                f[x + usize::from(p.col >= sub.c0)] += 1;
+            }
+        }
+        corner.clear();
+        let mut lowered = 0;
+        for (&base, &count) in sub.base_f.iter().zip(f.iter()) {
+            lowered += count;
+            corner.push(base as i64 - lowered);
+        }
+        f.truncate(w);
+
+        // Line q's boundary at corner row r0 + k is lines[q·stride + k]; the
+        // last window color's region is the whole subgrid (boundary c1).
+        let stride = rows + 1;
+        let (below, above) = (i64::from(sub.c0) - 1, i64::from(sub.c1));
+        lines.clear();
+        lines.resize(w.saturating_sub(1) * stride, below);
+        // Line q's region {opt ≤ q} meets column c0 in the rows above b_q(c0),
+        // fewer rows for every lower line: one climb up column c0 from the
+        // corner finds where each line, highest first, enters the subgrid.
+        let mut k = rows;
+        for (q, line) in lines.chunks_exact_mut(stride).enumerate().rev() {
+            let entered = loop {
+                if opt_of(corner) as usize <= q {
+                    break true;
+                }
+                if k == 0 {
+                    break false;
+                }
+                k -= 1;
+                let p = sub.rows[k];
+                if let Some(x) = sub.window_index(p.color) {
+                    cross_row(corner, x, p.col < sub.c0);
+                }
+            };
+            if !entered {
+                break; // this line and every lower one miss the subgrid
+            }
+            f.copy_from_slice(corner);
+            trace_line(sub, q, f, k, line);
+        }
+        let maxcol = |q: i64, k: usize| -> i64 {
+            if q < 0 {
+                below
+            } else if q as usize + 1 >= w {
+                above
+            } else {
+                lines[q as usize * stride + k]
+            }
+        };
+
+        // Each row holds at most one nonzero of the product, so emitting row by
+        // row yields the nonzeros sorted; a union point that is also an
+        // interesting point is emitted once.
+        let mut out = SubgridOutput::default();
+        let block = i64::from(sub.c0)..above;
+        for (k, p) in sub.rows.iter().enumerate() {
+            let i = p.row;
+            let mut emit = |j: i64| {
+                if out.nonzeros.last() != Some(&(i, j as u32)) {
+                    out.nonzeros.push((i, j as u32));
+                }
+            };
+            for a in 0..w as i64 - 1 {
+                let j = maxcol(a, k + 1);
+                if block.contains(&j) && j < maxcol(a, k) && j > maxcol(a - 1, k) {
+                    emit(j);
+                }
+            }
+            if let Some(x) = sub.window_index(p.color) {
+                let (j, x) = (i64::from(p.col), x as i64);
+                if block.contains(&j) && j > maxcol(x - 1, k) && j < maxcol(x, k + 1) {
+                    emit(j);
+                }
+            }
+        }
+        debug_assert!(
+            out.nonzeros.windows(2).all(|w| w[0] < w[1]),
+            "two nonzeros in one row of a subgrid"
+        );
+        out
+    })
+}
+
+/// Traces window color `q`'s demarcation line through the subgrid from `f` =
+/// `F` at `(r0 + k, c0)`, the lowest corner row whose region `{opt ≤ q}`
+/// reaches column `c0`: writes into `line`, for every corner row `r0 ..= r0 + k`
+/// (index `row − r0`), the largest column `≤ c1` with `opt(row, col) ≤ q`.
+///
+/// The region is monotone: its boundary moves right or stays as the rows go
+/// up. So the trace extends each row greedily right before stepping up, and
+/// once a row reaches `c1` every row above it does too.
+fn trace_line(sub: &SubgridTables<'_>, q: usize, f: &mut [i64], mut k: usize, line: &mut [i64]) {
+    let mut col = 0;
+    loop {
+        let row = sub.r0 + k as u32;
+        while let Some(p) = sub.cols.get(col) {
+            if let Some(x) = sub.window_index(p.color) {
+                let below = p.row >= row;
+                if !opt_le_after_col(f, x, below, q) {
+                    break;
+                }
+                cross_col(f, x, below);
+            }
+            col += 1;
+        }
+        if col == sub.cols.len() {
+            line[..=k].fill(i64::from(sub.c1));
+            return;
+        }
+        line[k] = i64::from(sub.c0) + col as i64;
+        if k == 0 {
+            return;
+        }
+        k -= 1;
+        let p = sub.rows[k];
+        if let Some(x) = sub.window_index(p.color) {
+            cross_row(f, x, p.col < sub.c0 + col as u32);
+        }
+        debug_assert!(
+            opt_of(f) as usize <= q,
+            "region must still contain the corner after moving up"
+        );
+    }
+}
+
+/// All data the reference resolver needs for one subgrid: the absolute `F_q`
+/// values at the subgrid's upper-left corner plus every union point in the
+/// subgrid's row range and column range, in any order. (The distributed combine
+/// in `monge-mpc` restricts it to the colors of the pierced interval, shifted to
+/// start at 0, with `F` restricted to them; [`SubgridTables::instance`] builds it
+/// that way.)
 #[derive(Clone, Debug)]
 pub struct SubgridInstance {
     /// First block row of the subgrid (inclusive).
@@ -333,22 +629,14 @@ pub struct SubgridInstance {
     pub h: u16,
     /// `F_q(r0, c0)` for every color `q`.
     pub base_f: Vec<u64>,
-    /// Union points with `row ∈ [r0, r1)` (any column), sorted by row.
+    /// Union points with `row ∈ [r0, r1)` (any column), at most one per row.
     pub row_pts: Vec<ColoredPoint>,
-    /// Union points with `col ∈ [c0, c1)` (any row), sorted by column.
+    /// Union points with `col ∈ [c0, c1)` (any row), at most one per column.
     pub col_pts: Vec<ColoredPoint>,
 }
 
-/// Nonzeros of `P_C` contributed by one subgrid: the interesting points of
-/// Lemma 3.9 plus the union points of Lemma 3.10 that survive.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct SubgridOutput {
-    /// `(row, col)` nonzeros of the product whose block lies in this subgrid.
-    pub nonzeros: Vec<(u32, u32)>,
-}
-
 /// Internal: evaluator for `F_·(i, j)` restricted to a subgrid, supporting the
-/// incremental updates used by the demarcation-line traces.
+/// incremental updates used by the reference's demarcation-line traces.
 struct LocalF<'a> {
     inst: &'a SubgridInstance,
     /// Current evaluation point.
@@ -391,9 +679,8 @@ impl<'a> LocalF<'a> {
         // row < i: it leaves the S_x suffix counts and the T_q terms.
         if let Some((pcol, pcolor)) = self.pt_in_row[(self.row - self.inst.r0) as usize] {
             let x0 = pcolor as usize;
-            // S-term: F_q for q > x0 loses one unit of S_{x0} → F_q decreases? No:
-            // F_q contains +Σ_{x<q} S_x(i); S_{x0}(i) drops by 1 when i passes the
-            // point's row, so F_q decreases by 1 for q > x0.
+            // S-term: F_q contains +Σ_{x<q} S_x(i), and S_{x0}(i) drops by 1 when
+            // i passes the point's row, so F_q decreases by 1 for every q > x0.
             for q in x0 + 1..self.inst.h as usize {
                 self.f[q] -= 1;
             }
@@ -427,13 +714,7 @@ impl<'a> LocalF<'a> {
 
     /// `opt` at the current evaluation point.
     fn opt(&self) -> u16 {
-        let mut best = 0usize;
-        for (q, &v) in self.f.iter().enumerate() {
-            if v < self.f[best] {
-                best = q;
-            }
-        }
-        best as u16
+        opt_of(&self.f)
     }
 
     /// Would `opt ≤ q` still hold after a `move_right`? (Non-destructive peek.)
@@ -463,8 +744,10 @@ fn opt_of(f: &[i64]) -> u16 {
     best as u16
 }
 
-/// Resolves one active subgrid: returns every nonzero of `P_C` whose block lies in
-/// `[r0, r1) × [c0, c1)`.
+/// The reference resolver [`process_subgrid`] is tested against: the same
+/// outputs, computed with three fresh walks for the corner `opt` values and a
+/// fresh walk down per traced line, a cloned `F` per rightward peek, and a
+/// final sort.
 ///
 /// The implementation traces, for every demarcation line `q` crossing the subgrid,
 /// the per-row boundary `maxcol_q[i] = max {j : opt(i, j) ≤ q}` (clamped to the
@@ -474,7 +757,7 @@ fn opt_of(f: &[i64]) -> u16 {
 ///   `maxcol_a[i+1] = j`, `j+1 ≤ maxcol_a[i]` and `j > maxcol_{a−1}[i]`, and
 /// * keeps a union point of color `x` at block `(i, j)` (Lemma 3.10) iff
 ///   `j > maxcol_{x−1}[i]` and `j + 1 ≤ maxcol_x[i+1]`.
-pub fn process_subgrid(inst: &SubgridInstance) -> SubgridOutput {
+pub fn process_subgrid_reference(inst: &SubgridInstance) -> SubgridOutput {
     let rows = (inst.r1 - inst.r0) as usize; // number of block rows
     debug_assert!(rows >= 1 && inst.c1 > inst.c0);
 
@@ -555,10 +838,9 @@ fn trace_demarcation_line(inst: &SubgridInstance, q: u16, rows: usize) -> Vec<i6
     let below = i64::from(inst.c0) - 1;
     let mut maxcol = vec![below; rows + 1];
 
-    // Start at the bottom-left corner (r1, c0) and walk up/right; the region
-    // {opt ≤ q} is monotone, so once a row's boundary is found the next row's
-    // boundary can only be further right... (it is nonincreasing as the row index
-    // grows, so walking upwards the boundary moves right or stays).
+    // Start at the bottom-left corner (r1, c0) and walk up/right. The region
+    // {opt ≤ q} is monotone: its boundary is nonincreasing as the row index
+    // grows, so walking upwards the boundary moves right or stays.
     let mut local = LocalF::new(inst);
     for _ in inst.r0..inst.r1 {
         local.move_down();
@@ -574,9 +856,7 @@ fn trace_demarcation_line(inst: &SubgridInstance, q: u16, rows: usize) -> Vec<i6
         if row == inst.r0 {
             return maxcol; // the region never reaches column c0 inside this subgrid
         }
-        // Move the evaluation point up one row. LocalF only supports downward and
-        // rightward movement, so rebuild is avoided by undoing the last move_down:
-        // instead we track rows from scratch — see `move_up` below.
+        // LocalF only moves down and right; `move_up` undoes a `move_down`.
         move_up(&mut local);
         row -= 1;
     }
@@ -664,7 +944,7 @@ pub fn combine_multiway(
 
     let mut result: Vec<(u32, u32)> = Vec::with_capacity(n);
 
-    // Points sorted by row / by col for range extraction.
+    // The row and column tables: the union holds one point per row and column.
     let mut by_row: Vec<ColoredPoint> = points.to_vec();
     by_row.sort_unstable_by_key(|p| p.row);
     let mut by_col: Vec<ColoredPoint> = points.to_vec();
@@ -674,43 +954,27 @@ pub fn combine_multiway(
         for bj in 0..cells {
             let (r0, r1) = (boundaries[bi], boundaries[bi + 1]);
             let (c0, c1) = (boundaries[bj], boundaries[bj + 1]);
+            let rows = &by_row[r0 as usize..r1 as usize];
             let active = corner_opt[bi][bj] != corner_opt[bi + 1][bj + 1];
             if active {
-                let row_pts: Vec<ColoredPoint> = by_row
-                    .iter()
-                    .filter(|p| p.row >= r0 && p.row < r1)
-                    .copied()
-                    .collect();
-                let col_pts: Vec<ColoredPoint> = by_col
-                    .iter()
-                    .filter(|p| p.col >= c0 && p.col < c1)
-                    .copied()
-                    .collect();
-                let inst = SubgridInstance {
+                let sub = SubgridTables {
                     r0,
                     r1,
                     c0,
                     c1,
-                    h: h as u16,
-                    base_f: oracle.f_vec(r0, c0),
-                    row_pts,
-                    col_pts,
+                    wlo: 0,
+                    base_f: &oracle.f_vec(r0, c0),
+                    rows,
+                    cols: &by_col[c0 as usize..c1 as usize],
                 };
-                result.extend(process_subgrid(&inst).nonzeros);
+                result.extend(process_subgrid(&sub).nonzeros);
             } else {
                 // Constant opt inside the subgrid: a union point survives iff its
                 // color equals the constant (Lemma 3.10).
                 let constant = corner_opt[bi][bj];
                 result.extend(
-                    by_row
-                        .iter()
-                        .filter(|p| {
-                            p.row >= r0
-                                && p.row < r1
-                                && p.col >= c0
-                                && p.col < c1
-                                && p.color == constant
-                        })
+                    rows.iter()
+                        .filter(|p| p.col >= c0 && p.col < c1 && p.color == constant)
                         .map(|p| (p.row, p.col)),
                 );
             }
@@ -923,6 +1187,138 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The subgrids [`subgrid_kernel_matches_the_reference`] resolves in a
+    /// union of `n` points: every cell of grids of spacing 1, 4, 7 and `n`,
+    /// single-row and single-column strips, and the bounding boxes of pairs of
+    /// union points, which put points on the corners.
+    fn subgrids(n: u32, union: &[ColoredPoint], rng: &mut StdRng) -> Vec<[u32; 4]> {
+        let mut rects = Vec::new();
+        for g in [1, 4, 7, n] {
+            let cuts: Vec<u32> = (0..n).step_by(g as usize).chain([n]).collect();
+            for r in cuts.windows(2) {
+                rects.extend(cuts.windows(2).map(|c| [r[0], r[1], c[0], c[1]]));
+            }
+        }
+        for _ in 0..12 {
+            let (at, from) = (rng.gen_range(0..n), rng.gen_range(0..n));
+            let to = rng.gen_range(from + 1..=n);
+            rects.push([at, at + 1, from, to]);
+            rects.push([from, to, at, at + 1]);
+            let (p, q) = (
+                union[rng.gen_range(0..union.len())],
+                union[rng.gen_range(0..union.len())],
+            );
+            rects.push([
+                p.row.min(q.row),
+                p.row.max(q.row) + 1,
+                p.col.min(q.col),
+                p.col.max(q.col) + 1,
+            ]);
+        }
+        rects
+    }
+
+    #[test]
+    fn subgrid_kernel_matches_the_reference() {
+        let mut rng = StdRng::seed_from_u64(12);
+        let n = 29usize;
+        let (id, rev) = (
+            PermutationMatrix::identity(n),
+            PermutationMatrix::from_rows((0..n as u32).rev().collect()),
+        );
+        let mut widths = [0usize; 9];
+        let mut corners = [0usize; 4];
+        let mut dropped = 0;
+        for h in [1, 2, 3, 5, 8] {
+            let families = [
+                (
+                    "random",
+                    random_permutation(n, &mut rng),
+                    random_permutation(n, &mut rng),
+                ),
+                ("identity", id.clone(), id.clone()),
+                ("reversed", rev.clone(), rev.clone()),
+                ("identity·reversed", id.clone(), rev.clone()),
+            ];
+            for (family, a, b) in families {
+                let subs = split_into_subproblems(a.rows(), b.rows(), h);
+                let lifted = subs.iter().enumerate().map(|(q, sub)| {
+                    lift_subresult(sub, &steady_ant::mul_rows(&sub.a, &sub.b), q as u16)
+                });
+                let by_row = overlay(lifted.collect());
+                let mut by_col = by_row.clone();
+                by_col.sort_unstable_by_key(|p| p.col);
+                let oracle = MultiwayOracle::new(&by_row, h);
+                let product = mul_dense(&a, &b);
+                for [r0, r1, c0, c1] in subgrids(n as u32, &by_row, &mut rng) {
+                    let f = oracle.f_vec(r0, c0);
+                    let (rows, cols) = (
+                        &by_row[r0 as usize..r1 as usize],
+                        &by_col[c0 as usize..c1 as usize],
+                    );
+                    // Every window holding the subgrid's opt values.
+                    let (lo, hi) = (oracle.opt(r0, c0), oracle.opt(r1, c1));
+                    for (wlo, whi) in (0..=lo).flat_map(|l| (hi..h as u16).map(move |w| (l, w))) {
+                        let case = format!(
+                            "{family} h={h} rows {r0}..{r1} cols {c0}..{c1} window {wlo}..={whi}"
+                        );
+                        let sub = SubgridTables {
+                            r0,
+                            r1,
+                            c0,
+                            c1,
+                            wlo,
+                            base_f: &f[wlo as usize..=whi as usize],
+                            rows,
+                            cols,
+                        };
+                        let got = process_subgrid(&sub);
+                        let mut inst = sub.instance();
+                        assert_eq!(
+                            got,
+                            process_subgrid_reference(&inst),
+                            "sorted input, {case}"
+                        );
+                        inst.row_pts.shuffle(&mut rng);
+                        inst.col_pts.shuffle(&mut rng);
+                        assert_eq!(
+                            got,
+                            process_subgrid_reference(&inst),
+                            "shuffled input, {case}"
+                        );
+                        let want: Vec<(u32, u32)> = (r0..r1)
+                            .map(|r| (r, product.rows()[r as usize]))
+                            .filter(|(_, c)| (c0..c1).contains(c))
+                            .collect();
+                        assert_eq!(got.nonzeros, want, "the product's nonzeros, {case}");
+
+                        widths[(whi - wlo + 1) as usize] += 1;
+                        dropped += (inst.row_pts.len() < rows.len()) as usize;
+                        let at = |r: u32, c: u32| by_row[r as usize].col == c;
+                        for (k, (r, c)) in [(r0, c0), (r0, c1 - 1), (r1 - 1, c0), (r1 - 1, c1 - 1)]
+                            .into_iter()
+                            .enumerate()
+                        {
+                            corners[k] += at(r, c) as usize;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            widths[1..].iter().all(|&w| w > 0),
+            "window widths seen: {widths:?}"
+        );
+        assert!(
+            corners.iter().all(|&c| c > 0),
+            "corner points seen: {corners:?}"
+        );
+        assert!(
+            dropped > 0,
+            "no subgrid had a row without an in-window point"
+        );
     }
 
     #[test]

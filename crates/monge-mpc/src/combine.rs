@@ -4,6 +4,12 @@
 //! this recursion level (each nonzero knows which of the `H` subproblems produced
 //! it). Output: the nonzeros of each parent's product matrix.
 //!
+//! A parent's colored union has exactly one point per row and one per column.
+//! The combine therefore lays every parent out once, in one pass over the
+//! union: its points filed in a row table and a column table (indexed by the
+//! parent's offset plus the coordinate), its first band id and its colored
+//! tree's geometry. Every phase below reads that one layout.
+//!
 //! The combine runs in a constant number of primitive rounds per level:
 //!
 //! 1. **Grid-line phase** — for every vertical grid line `c` (a multiple of `G`)
@@ -14,11 +20,10 @@
 //!    machine stays within its space budget and the `O(1)` round bound
 //!    follows from the tree height `⌈log_H n⌉ ≤ 10/(1−δ)`.
 //!    The tree's value side — every union point at every level — is built
-//!    once per combine into one [`mpc_runtime::RankIndex`]. A parent's
-//!    colored union has exactly one point per row, so every tree node is a
-//!    contiguous row block: the build writes the points' values in row order
-//!    as the leaf level and builds each level above from the one below,
-//!    merging every node's sorted child blocks, with no global sort. The grid
+//!    once per combine into one [`mpc_runtime::RankIndex`]. Every tree node
+//!    is a contiguous row block, so the build reads the leaf level off the
+//!    row table and builds each level above from the one below, merging
+//!    every node's sorted child blocks, with no global sort. The grid
 //!    precompute and the corner-`F` step query the index with
 //!    [`mpc_runtime::Cluster::rank_search_multi_in`]. The descent is charged
 //!    level by level as the model runs it — the packages, their rank search,
@@ -47,12 +52,10 @@
 //!    more routed volume, measured by the ledger's `comm_by_phase`).
 //!    The model routes with rank searches, a multicast and a rebalancing
 //!    join; the simulator charges exactly those, but counts the copies
-//!    instead of making them. A parent's colored union has exactly one point
-//!    per row and one per column, so the combine files every parent's points
-//!    once in a row table and a column table (indexed by the parent's offset
-//!    plus the coordinate). The points routed to a subgrid are exactly the
-//!    in-window entries of its band's slice of one table, and each subgrid's
-//!    copy count, which sizes the charged join, is counted there on the pool.
+//!    instead of making them. The points routed to a subgrid are exactly the
+//!    in-window entries of its band's slice of one of the layout's tables,
+//!    and each subgrid's copy count, which sizes the charged join, is counted
+//!    there on the pool.
 //! 4. **Local phase** — each active subgrid is resolved on one machine with
 //!    [`monge::multiway::process_subgrid`], emitting the interesting points of
 //!    Lemma 3.9 and the surviving union points. The model joins every
@@ -151,20 +154,19 @@ pub fn distributed_combine(
     routing: Routing,
 ) -> DistVec<Nonzero> {
     let specs: BTreeMap<u64, ParentSpec> = parents.iter().map(|p| (p.inst, *p)).collect();
-    let specs = cluster.broadcast(specs);
-    let bands = Bands::new(&specs);
+    let layout = Layout::new(&colored, &cluster.broadcast(specs));
 
     // Phase 1: per-line demarcation rows. The colored tree's value side is
     // built once for the whole combine: the grid descent and the corner-F
     // step all query it.
     cluster.set_phase(Some("combine-grid"));
-    let tree = LeveledIndex::build(&colored, &specs);
-    let lines = grid_phase_tree(cluster, &colored, &specs, &tree);
+    let tree = LeveledIndex::build(&layout);
+    let lines = grid_phase_tree(cluster, &colored, &layout, &tree);
 
     // Phase 2: classify points, enumerate active subgrids with their windows.
     cluster.set_phase(Some("combine"));
-    let classified = classify(cluster, &colored, &lines, &specs, &bands, routing);
-    let active = attach_base_f_tree(cluster, classified.active, &specs, &tree);
+    let classified = classify(cluster, &colored, &lines, &layout, routing);
+    let active = attach_base_f_tree(cluster, classified.active, &layout, &tree);
 
     // Points of non-active subgrids that survive (Lemma 3.10, constant case).
     let (points, verdicts) = (&classified.points, &classified.verdicts);
@@ -184,105 +186,167 @@ pub fn distributed_combine(
     cluster.set_phase(Some("combine-route"));
     let points_shape = classified.placed.shape();
     cluster.charge_map(&points_shape);
-    let tables = Tables::new(points, &specs);
-    let rows = route_band(cluster, &tables, &points_shape, &active, &specs, true);
-    let cols = route_band(cluster, &tables, &points_shape, &active, &specs, false);
+    let rows = route_band(cluster, &layout, &points_shape, &active, true);
+    let cols = route_band(cluster, &layout, &points_shape, &active, false);
 
     // Phase 4: local subgrid resolution (communication-wise this is the routed
     // volume arriving at its target machines, so it stays under "combine-route").
-    let subgrid_out = resolve_subgrids(cluster, &active, [&rows, &cols], &tables, &specs);
+    let subgrid_out = resolve_subgrids(cluster, &active, [&rows, &cols], &layout);
 
     cluster.set_phase(None::<String>);
     cluster.concat(kept, subgrid_out)
 }
 
-/// Dense ids for the bands of a combine. A band is one grid row or one grid
-/// column of a parent (`G` rows or columns), and both are numbered alike:
-/// parent `p`'s band `b` is `first + b`, parents in ascending id, so band
-/// ids ascend with `(parent, band)`.
-struct Bands {
-    /// Per parent id: its grid spacing `G` and its first band id.
-    first: BTreeMap<u64, (u32, usize)>,
-    /// Per band id: its parent and its index among the parent's bands.
-    band: Vec<(u64, u32)>,
-}
-
-impl Bands {
-    fn new(specs: &BTreeMap<u64, ParentSpec>) -> Self {
-        let mut first = BTreeMap::new();
-        let mut band = Vec::new();
-        for (&parent, spec) in specs {
-            first.insert(parent, (spec.g as u32, band.len()));
-            band.extend((0..spec.n.div_ceil(spec.g) as u32).map(|b| (parent, b)));
-        }
-        Self { first, band }
-    }
-
-    /// Number of bands.
-    fn len(&self) -> usize {
-        self.band.len()
-    }
-
-    /// The id of the band of `parent` holding row or column `coord`.
-    fn id(&self, parent: u64, coord: u32) -> usize {
-        let (g, first) = self.first[&parent];
-        first + (coord / g) as usize
-    }
-
-    /// The parent of band `id` and the band's index among its bands.
-    fn band(&self, id: usize) -> (u64, u32) {
-        self.band[id]
-    }
-}
-
-/// Every parent's union points filed by row and by column. A parent's colored
-/// union has exactly one point per row and one per column, so parent `p`'s
-/// point in row `r` is `rows[first[p] + r]` and its point in column `c` is
-/// `cols[first[p] + c]`, parents laid out in ascending id.
-struct Tables {
-    first: BTreeMap<u64, usize>,
+/// Every parent of a combine laid out once, parents in ascending id.
+///
+/// A band is one grid row or one grid column of a parent (`G` rows or
+/// columns), and both are numbered alike: parent `p`'s band `b` has id
+/// `p.band + b`, so band ids ascend with `(parent, band)`. A parent's colored
+/// union has exactly one point per row and one per column, so its points are
+/// filed once in a row table and a column table: its point in row `r` is
+/// `rows[p.first + r]` and its point in column `c` is `cols[p.first + c]`.
+/// The tree's leaf level, the routing's band slices and the subgrids' slices
+/// all read these tables.
+struct Layout {
+    parents: Vec<Parent>,
+    /// Number of bands over all parents.
+    bands: usize,
     rows: Vec<ColoredPoint>,
     cols: Vec<ColoredPoint>,
 }
 
-impl Tables {
-    fn new(points: &[Colored], specs: &BTreeMap<u64, ParentSpec>) -> Self {
-        let mut first = BTreeMap::new();
-        let mut total = 0;
-        for (&parent, spec) in specs {
-            first.insert(parent, total);
-            total += spec.n;
-        }
-        debug_assert_eq!(points.len(), total, "one union point per parent row");
+/// One parent's place in the [`Layout`] and its colored tree's geometry.
+struct Parent {
+    spec: ParentSpec,
+    /// The parent's first slot in the row and column tables.
+    first: usize,
+    /// The id of the parent's first band.
+    band: usize,
+    /// The composite stride `W = n + 1` of the tree's values `color·W + col`.
+    w: u64,
+    /// Per tree level, root first: its node size (see [`level_sizes`]).
+    sizes: Vec<u64>,
+    /// Per tree level: the dense group code of its first node.
+    bases: Vec<u64>,
+}
+
+impl Layout {
+    /// Lays out every parent of `specs` and files the points of `colored` in
+    /// one pass. Tree group codes are numbered parent by parent and level by
+    /// level.
+    fn new(colored: &DistVec<Colored>, specs: &BTreeMap<u64, ParentSpec>) -> Self {
+        let (mut first, mut bands, mut code) = (0usize, 0usize, 0u64);
+        let parents: Vec<Parent> = specs
+            .values()
+            .map(|&spec| {
+                let sizes = level_sizes(spec.n, spec.h);
+                let bases = sizes
+                    .iter()
+                    .map(|&size| {
+                        let base = code;
+                        code += node_count(spec.n, size);
+                        base
+                    })
+                    .collect();
+                let parent = Parent {
+                    spec,
+                    first,
+                    band: bands,
+                    w: spec.n as u64 + 1,
+                    sizes,
+                    bases,
+                };
+                first += spec.n;
+                bands += spec.n.div_ceil(spec.g);
+                parent
+            })
+            .collect();
+
         // A slot no point fills keeps a color outside every window.
         let empty = ColoredPoint {
             row: 0,
             col: 0,
             color: u16::MAX,
         };
-        let (mut rows, mut cols) = (vec![empty; total], vec![empty; total]);
-        // The points come grouped by parent: look each parent up once.
-        let mut at = (u64::MAX, 0);
-        for p in points {
-            if p.inst != at.0 {
-                at = (p.inst, first[&p.inst]);
+        let (mut rows, mut cols) = (vec![empty; first], vec![empty; first]);
+        // Look each parent up once per run of its points.
+        let mut at = 0;
+        for p in colored.iter() {
+            if parents[at].spec.inst != p.inst {
+                at = parents.partition_point(|q| q.spec.inst < p.inst);
             }
+            let (first, n) = (parents[at].first, parents[at].spec.n);
+            debug_assert!(
+                (p.row as usize) < n && rows[first + p.row as usize].color == u16::MAX,
+                "the colored union of parent {} must have one union point per row \
+                 (row {} of n = {})",
+                p.inst,
+                p.row,
+                n
+            );
+            debug_assert!(
+                (p.col as usize) < n && cols[first + p.col as usize].color == u16::MAX,
+                "the colored union of parent {} must have one union point per column \
+                 (column {} of n = {})",
+                p.inst,
+                p.col,
+                n
+            );
             let point = ColoredPoint {
                 row: p.row,
                 col: p.col,
                 color: p.color,
             };
-            rows[at.1 + p.row as usize] = point;
-            cols[at.1 + p.col as usize] = point;
+            rows[first + p.row as usize] = point;
+            cols[first + p.col as usize] = point;
         }
-        Self { first, rows, cols }
+        debug_assert!(
+            rows.iter().all(|p| p.color != u16::MAX),
+            "the colored union of every parent must have one union point per row \
+             (a row has none)"
+        );
+        Self {
+            parents,
+            bands,
+            rows,
+            cols,
+        }
     }
 
-    /// `parent`'s row table (`by_rows`) or column table over `range`.
-    fn of(&self, parent: u64, by_rows: bool, range: Range<u32>) -> &[ColoredPoint] {
+    /// The parent with id `id`.
+    fn parent(&self, id: u64) -> &Parent {
+        let at = self.parents.partition_point(|p| p.spec.inst < id);
+        debug_assert_eq!(self.parents[at].spec.inst, id, "parent {id} is laid out");
+        &self.parents[at]
+    }
+
+    /// The parent of band `id` and the band's index among its bands.
+    fn band(&self, id: usize) -> (&Parent, u32) {
+        let p = &self.parents[self.parents.partition_point(|p| p.band <= id) - 1];
+        (p, (id - p.band) as u32)
+    }
+
+    /// `p`'s row table (`by_rows`) or column table over `range`.
+    fn table(&self, p: &Parent, by_rows: bool, range: Range<u32>) -> &[ColoredPoint] {
         let table = if by_rows { &self.rows } else { &self.cols };
-        let first = self.first[&parent];
-        &table[first + range.start as usize..first + range.end as usize]
+        &table[p.first + range.start as usize..p.first + range.end as usize]
+    }
+}
+
+impl Parent {
+    /// The id of the parent's band holding row or column `coord`.
+    fn band_of(&self, coord: u32) -> usize {
+        self.band + (coord / self.spec.g as u32) as usize
+    }
+
+    /// The height of the parent's tree: its leaves are this level.
+    fn height(&self) -> usize {
+        self.sizes.len() - 1
+    }
+
+    /// The group code of tree node `node` at `level`.
+    fn group(&self, level: u32, node: u64) -> u64 {
+        self.bases[level as usize] + node
     }
 }
 
@@ -331,15 +395,14 @@ struct Routed {
 /// The simulator charges exactly those steps (their local maps and
 /// concatenation included, over `points_shape`, the shape of the points'
 /// distributed vector) but copies nothing. The points a subgrid receives are
-/// exactly the in-window entries of its band's slice of the parent's table,
-/// so each subgrid's copy count is counted there, on the pool, and the local
-/// phase reads the same slices.
+/// exactly the in-window entries of its band's slice of the parent's table in
+/// the layout, so each subgrid's copy count is counted there, on the pool, and
+/// the local phase reads the same slices.
 fn route_band(
     cluster: &mut Cluster,
-    tables: &Tables,
+    layout: &Layout,
     points_shape: &Shape,
     active: &DistVec<ActiveSubgrid>,
-    specs: &BTreeMap<u64, ParentSpec>,
     by_rows: bool,
 ) -> Routed {
     let band = move |gi: u32, gj: u32| if by_rows { gi } else { gj };
@@ -363,8 +426,9 @@ fn route_band(
     let copies: Vec<usize> = table
         .par_iter()
         .map(|&(parent, b, _, wlo, whi)| {
-            let points = tables.of(parent, by_rows, band_range(&specs[&parent], b));
-            points
+            let p = layout.parent(parent);
+            layout
+                .table(p, by_rows, band_range(&p.spec, b))
                 .iter()
                 .filter(|p| (wlo..=whi).contains(&p.color))
                 .count()
@@ -404,15 +468,14 @@ fn route_band(
 /// on `(parent, gi, gj)` — but computed by dense index. The groups in key
 /// order are the descriptors sorted by target, which is the row table's
 /// order; the column table, ordered by `(parent, gj, gi)`, is permuted into
-/// it. Every group reads its descriptor and its slices of the parent's
+/// it. Every group reads its descriptor and its slices of the layout's
 /// tables directly, and its outputs land where the charged group map packs
 /// it.
 fn resolve_subgrids(
     cluster: &mut Cluster,
     active: &DistVec<ActiveSubgrid>,
     [rows, cols]: [&Routed; 2],
-    tables: &Tables,
-    specs: &BTreeMap<u64, ParentSpec>,
+    layout: &Layout,
 ) -> DistVec<Nonzero> {
     let active_shape = active.shape();
     cluster.charge_map(&active_shape);
@@ -433,13 +496,10 @@ fn resolve_subgrids(
     let sizes: Vec<usize> = (0..descs.len())
         .map(|k| 1 + rows.copies[k] + cols.copies[col_of[k]])
         .collect();
-    cluster.group_map_sized(&sizes, |k| {
-        let d = descs[k];
-        resolve_subgrid(d, tables, &specs[&d.parent])
-    })
+    cluster.group_map_sized(&sizes, |k| resolve_subgrid(descs[k], layout))
 }
 
-/// Resolves active subgrid `d` locally from its slices of the parent's
+/// Resolves active subgrid `d` locally from its slices of the layout's
 /// tables: the points in its row and column bands, of which the kernel reads
 /// those whose color lies in the pierced window.
 ///
@@ -448,12 +508,9 @@ fn resolve_subgrids(
 /// out-of-window colors contribute a window-uniform shift, so the argmin
 /// comparisons — and hence the emitted nonzeros — are identical to the
 /// full-color computation.
-fn resolve_subgrid(
-    d: &ActiveSubgrid,
-    tables: &Tables,
-    spec: &ParentSpec,
-) -> impl Iterator<Item = Nonzero> {
-    let (rows, cols) = (band_range(spec, d.gi), band_range(spec, d.gj));
+fn resolve_subgrid(d: &ActiveSubgrid, layout: &Layout) -> impl Iterator<Item = Nonzero> {
+    let p = layout.parent(d.parent);
+    let (rows, cols) = (band_range(&p.spec, d.gi), band_range(&p.spec, d.gj));
     let sub = SubgridTables {
         r0: rows.start,
         r1: rows.end,
@@ -461,8 +518,8 @@ fn resolve_subgrid(
         c1: cols.end,
         wlo: d.wlo,
         base_f: &d.base_f,
-        rows: tables.of(d.parent, true, rows),
-        cols: tables.of(d.parent, false, cols),
+        rows: layout.table(p, true, rows),
+        cols: layout.table(p, false, cols),
     };
     let parent = d.parent;
     process_subgrid(&sub)
@@ -479,57 +536,36 @@ fn resolve_subgrid(
 // Colored H-ary tree geometry
 // =====================================================================================
 
-/// Height of the colored H-ary tree over a parent's rows: the smallest `t ≥ 0`
-/// with `h^t ≥ n`. The paper's parameters give `h = n^{(1−δ)/10}`, hence a
-/// height of at most `⌈10/(1−δ)⌉ = O(1)`.
-fn tree_height(n: usize, h: usize) -> u32 {
-    let h = h.max(2);
-    let mut height = 0u32;
-    let mut cover = 1u64;
-    while cover < n as u64 {
-        cover = cover.saturating_mul(h as u64);
-        height += 1;
-    }
-    height
-}
-
-/// Size of one tree node at level `t` (level 0 is the root covering the padded
-/// domain `[0, h^height)`; level `height` nodes are single rows).
-fn level_size(n: usize, h: usize, t: u32) -> u64 {
+/// Node sizes of the colored H-ary tree over a parent's `n` rows, level by
+/// level: level 0 is the root covering the padded domain `[0, h^height)`,
+/// and the `height` level's nodes are single rows, `height` being the
+/// smallest `t ≥ 0` with `h^t ≥ n`. The paper's parameters give
+/// `h = n^{(1−δ)/10}`, hence a height of at most `⌈10/(1−δ)⌉ = O(1)`.
+fn level_sizes(n: usize, h: usize) -> Vec<u64> {
     let h = h.max(2) as u64;
-    let height = tree_height(n, h as usize);
-    h.saturating_pow(height.saturating_sub(t))
+    let mut sizes = vec![1u64];
+    while sizes[sizes.len() - 1] < n as u64 {
+        sizes.push(sizes[sizes.len() - 1].saturating_mul(h));
+    }
+    sizes.reverse();
+    sizes
 }
 
-/// Decomposes the row prefix `[0, upto)` into maximal aligned tree nodes:
-/// returns `(level, node_index)` pairs whose row ranges partition the prefix.
-/// At most `(h − 1) · height` nodes. `upto` must lie strictly inside the padded
-/// domain `[0, h^height)` (subgrid corners always do: `r0 < n`).
-fn prefix_decomposition(upto: u64, n: usize, h: usize) -> Vec<(u32, u64)> {
-    let h64 = h.max(2) as u64;
-    let height = tree_height(n, h);
-    debug_assert!(upto < h64.saturating_pow(height) || height == 0);
+/// Decomposes the row prefix `[0, upto)` of `p`'s tree into maximal aligned
+/// tree nodes: returns `(level, node_index)` pairs whose row ranges partition
+/// the prefix. At most `(h − 1) · height` nodes. `upto` must lie strictly
+/// inside the padded domain `[0, h^height)` (subgrid corners always do:
+/// `r0 < n`).
+fn prefix_decomposition(upto: u64, p: &Parent) -> Vec<(u32, u64)> {
+    let h = p.spec.h.max(2) as u64;
+    debug_assert!(upto < p.sizes[0] || p.height() == 0);
     let mut out = Vec::new();
-    for t in 1..=height {
-        let size = level_size(n, h, t);
+    for (t, &size) in p.sizes.iter().enumerate().skip(1) {
         let end = upto / size; // node index just past the prefix at this level
-        let d = end % h64; // completed siblings inside the level-(t−1) parent
-        for node in (end - d)..end {
-            out.push((t, node));
-        }
+        let d = end % h; // completed siblings inside the level-(t−1) parent
+        out.extend((end - d..end).map(|node| (t as u32, node)));
     }
     out
-}
-
-/// Per-parent geometry of the colored tree: the parent's size `n`, the
-/// composite stride `W = n + 1` of the value `v = color·W + col`, and per level
-/// its node size and the first dense group code of its nodes.
-#[derive(Debug)]
-struct TreeGeom {
-    n: usize,
-    w: u64,
-    sizes: Vec<u64>,
-    bases: Vec<u64>,
 }
 
 /// Nodes at a tree level of node size `size`: the row blocks that meet
@@ -541,11 +577,12 @@ fn node_count(n: usize, size: u64) -> u64 {
 /// The colored H-ary tree of every parent in a combine as one rank index:
 /// tree node `(parent, level, node)` holds the values `color·W + col` of the
 /// union points in its row block. Groups are dense codes, one per
-/// `(parent, level, node)`, numbered parent by parent and level by level.
+/// `(parent, level, node)`, numbered parent by parent and level by level
+/// (see [`Parent::group`]).
 ///
 /// A parent's colored union is a permutation — exactly one point per row — so
-/// every node is a contiguous block of the parent's values written in row
-/// order. The build writes each point's value at its row once: that is the
+/// every node is a contiguous block of the parent's values in row order. The
+/// build reads each point's value off the layout's row table: that is the
 /// leaf level, one row per node. It then builds every level above bottom-up,
 /// each node by merging the sorted blocks of its `H` children (see
 /// [`build_levels`]), parents in parallel; the runs land in group order, so
@@ -556,7 +593,6 @@ fn node_count(n: usize, size: u64) -> u64 {
 /// build charges nothing; every query charges its value side in full, so the
 /// ledger is that of one sort per search.
 struct LeveledIndex {
-    geom: BTreeMap<u64, TreeGeom>,
     index: RankIndex<u64>,
 }
 
@@ -565,60 +601,32 @@ struct LeveledIndex {
 type Runs = (Vec<u64>, Vec<usize>, Vec<u64>);
 
 impl LeveledIndex {
-    fn build(colored: &DistVec<Colored>, specs: &BTreeMap<u64, ParentSpec>) -> Self {
-        let geom = Self::geometry(specs);
-        let (groups, starts, values) = Self::runs(colored, &geom, build_levels);
+    fn build(layout: &Layout) -> Self {
+        let (groups, starts, values) = Self::runs(layout, build_levels);
         let index = RankIndex::from_sorted_runs(groups, starts, values);
-        Self { geom, index }
+        Self { index }
     }
 
-    /// Every tree node's run, parent by parent and level by level. `fill`
-    /// writes one parent's levels — `height + 1` runs of `n` values, level 0
-    /// first, each sorted within every node — from its row-ordered values.
-    fn runs<F>(colored: &DistVec<Colored>, geom: &BTreeMap<u64, TreeGeom>, fill: F) -> Runs
+    /// Every tree node's run, parent by parent and level by level: `height +
+    /// 1` runs of `n` values per parent, level 0 first, each sorted within
+    /// every node. Each parent's leaf level is its row table's values; `fill`
+    /// writes the levels above it from it.
+    fn runs<F>(layout: &Layout, fill: F) -> Runs
     where
-        F: Fn(&mut [u64], &[u64], &TreeGeom) + Sync,
+        F: Fn(&mut [u64], &Parent) + Sync,
     {
-        // Every parent's values in row order, parents back to back: each
-        // parent's first slot and geometry, by parent id.
-        let mut total = 0usize;
-        let parents: BTreeMap<u64, (usize, &TreeGeom)> = geom
-            .iter()
-            .map(|(&pid, g)| {
-                total += g.n;
-                (pid, (total - g.n, g))
-            })
-            .collect();
-        let mut rows = vec![u64::MAX; total];
-        for p in colored.iter() {
-            let (first, g) = parents[&p.inst];
-            debug_assert!(
-                (p.row as usize) < g.n && rows[first + p.row as usize] == u64::MAX,
-                "the colored union of parent {} must have one union point per row \
-                 (row {} of n = {})",
-                p.inst,
-                p.row,
-                g.n
-            );
-            rows[first + p.row as usize] = p.color as u64 * g.w + p.col as u64;
-        }
-        debug_assert!(
-            !rows.contains(&u64::MAX),
-            "the colored union of every parent must have one union point per row \
-             (a row has none)"
-        );
-
         // One run per (parent, level), every node a block of it. Each parent
         // writes its own slices of the values, group codes and starts.
-        let nodes = |g: &TreeGeom| -> usize {
-            g.sizes
+        let nodes = |p: &Parent| -> usize {
+            p.sizes
                 .iter()
-                .map(|&size| node_count(g.n, size) as usize)
+                .map(|&size| node_count(p.spec.n, size) as usize)
                 .sum()
         };
-        let entries = geom.values().map(|g| g.n * g.sizes.len()).sum();
+        let parents = &layout.parents;
+        let entries = parents.iter().map(|p| p.spec.n * p.sizes.len()).sum();
         let mut values = vec![0u64; entries];
-        let total_nodes = geom.values().map(nodes).sum();
+        let total_nodes = parents.iter().map(nodes).sum();
         let mut groups = vec![0u64; total_nodes];
         let mut starts = vec![entries; total_nodes + 1];
         let mut trees = Vec::with_capacity(parents.len());
@@ -628,80 +636,55 @@ impl LeveledIndex {
             &mut starts[..total_nodes],
         );
         let mut offset = 0usize;
-        for &(first, g) in parents.values() {
-            let (levels, tail) = std::mem::take(&mut rest).split_at_mut(g.n * g.sizes.len());
+        for p in parents {
+            let (levels, tail) = std::mem::take(&mut rest).split_at_mut(p.spec.n * p.sizes.len());
             rest = tail;
-            let count = nodes(g);
+            let count = nodes(p);
             let (code, tail) = std::mem::take(&mut codes).split_at_mut(count);
             codes = tail;
             let (at, tail) = std::mem::take(&mut firsts).split_at_mut(count);
             firsts = tail;
-            trees.push((levels, code, at, offset, &rows[first..first + g.n], g));
-            offset += g.n * g.sizes.len();
+            trees.push((levels, code, at, offset, p));
+            offset += p.spec.n * p.sizes.len();
         }
         trees
             .into_par_iter()
-            .for_each(|(levels, code, at, offset, rows, g)| {
+            .for_each(|(levels, code, at, offset, p)| {
+                let n = p.spec.n;
                 let mut k = 0;
-                for (t, (&size, &base)) in g.sizes.iter().zip(&g.bases).enumerate() {
-                    for node in 0..node_count(g.n, size) {
+                for (t, (&size, &base)) in p.sizes.iter().zip(&p.bases).enumerate() {
+                    for node in 0..node_count(n, size) {
                         code[k] = base + node;
-                        at[k] = offset + t * g.n + node as usize * size as usize;
+                        at[k] = offset + t * n + node as usize * size as usize;
                         k += 1;
                     }
                 }
-                fill(levels, rows, g)
+                let leaves = layout.table(p, true, 0..n as u32);
+                for (v, q) in levels[p.height() * n..].iter_mut().zip(leaves) {
+                    *v = q.color as u64 * p.w + q.col as u64;
+                }
+                fill(levels, p)
             });
         (groups, starts, values)
-    }
-
-    /// Per-parent tree geometry, group codes numbered parent by parent (in
-    /// ascending parent id) and level by level.
-    fn geometry(specs: &BTreeMap<u64, ParentSpec>) -> BTreeMap<u64, TreeGeom> {
-        let mut next = 0u64;
-        specs
-            .iter()
-            .map(|(&pid, spec)| {
-                let sizes: Vec<u64> = (0..=tree_height(spec.n, spec.h))
-                    .map(|t| level_size(spec.n, spec.h, t))
-                    .collect();
-                let bases = sizes
-                    .iter()
-                    .map(|&size| {
-                        let base = next;
-                        next += node_count(spec.n, size);
-                        base
-                    })
-                    .collect();
-                let (n, w) = (spec.n, spec.n as u64 + 1);
-                (pid, TreeGeom { n, w, sizes, bases })
-            })
-            .collect()
-    }
-
-    /// The group code of tree node `node` at `level` of `parent`.
-    fn group(&self, parent: u64, level: u32, node: u64) -> u64 {
-        self.geom[&parent].bases[level as usize] + node
     }
 }
 
 /// Smallest stretch of a level sorted as one pool task.
 const LEVEL_PIECE: usize = 1 << 13;
 
-/// Writes one parent's tree levels bottom-up: the leaf level is `rows`
-/// itself, and every level above is a copy of the level below with every
-/// node's block sorted. The copy leaves each block as its `H` children's
-/// sorted runs, which the standard library's stable sort detects and
-/// merges. Blocks sort independently, so a long level is cut into pieces of
-/// whole blocks that sort in parallel.
-fn build_levels(levels: &mut [u64], rows: &[u64], g: &TreeGeom) {
-    let (n, height) = (g.n, g.sizes.len() - 1);
-    levels[height * n..].copy_from_slice(rows);
-    for t in (0..height).rev() {
+/// Writes one parent's tree levels above its leaf level bottom-up: every
+/// level is a copy of the level below with every node's block sorted. The
+/// copy leaves each block as its `H` children's sorted runs, which the
+/// standard library's stable sort detects and merges. Blocks sort
+/// independently, so a long level is cut into pieces of whole blocks that
+/// sort in parallel.
+fn build_levels(levels: &mut [u64], p: &Parent) {
+    let n = p.spec.n;
+    for t in (0..p.height()).rev() {
         let (upper, lower) = levels.split_at_mut((t + 1) * n);
         let level = &mut upper[t * n..];
         level.copy_from_slice(&lower[..n]);
-        let block = g.sizes[t] as usize;
+        let block = p.sizes[t] as usize;
         let pieces: Vec<&mut [u64]> = level
             .chunks_mut(block * LEVEL_PIECE.div_ceil(block))
             .collect();
@@ -715,13 +698,11 @@ fn build_levels(levels: &mut [u64], rows: &[u64], g: &TreeGeom) {
 // Grid-line phase
 // =====================================================================================
 
-/// One grid line of the descent: its parent, its column, the parent's
-/// fan-out and tree, and the machine the precompute left the line's pairs on.
+/// One grid line of the descent: its parent, its column, and the machine
+/// the precompute left the line's pairs on.
 struct Line<'a> {
-    parent: u64,
+    p: &'a Parent,
     c: u32,
-    h: usize,
-    geom: &'a TreeGeom,
     machine: usize,
 }
 
@@ -771,28 +752,27 @@ struct Search {
 fn grid_phase_tree(
     cluster: &mut Cluster,
     colored: &DistVec<Colored>,
-    specs: &BTreeMap<u64, ParentSpec>,
+    layout: &Layout,
     tree: &LeveledIndex,
 ) -> DistVec<LineInfo> {
     let charged = colored.len() as u64;
     // Precompute round: per line, the color totals and the prefix counts
     // `U_x(c)` over the root. The line descriptors are O(n/G) metadata; like
     // the input, they start out distributed (no rounds charged).
-    let line_keys: Vec<(u64, u32)> = specs
+    let line_keys: Vec<(&Parent, u32)> = layout
+        .parents
         .iter()
-        .flat_map(|(&pid, spec)| line_columns(spec).into_iter().map(move |c| (pid, c)))
+        .flat_map(|p| line_columns(&p.spec).into_iter().map(move |c| (p, c)))
         .collect();
     let queries = cluster.distribute(line_keys);
-    let answered = cluster.rank_search_multi_in(&tree.index, charged, queries, |&(parent, c)| {
-        let spec = &specs[&parent];
-        let w = spec.n as u64 + 1;
-        let mut thresholds = Vec::with_capacity(2 * spec.h + 1);
-        for x in 0..spec.h as u64 {
-            thresholds.push(x * w);
-            thresholds.push(x * w + c as u64);
+    let answered = cluster.rank_search_multi_in(&tree.index, charged, queries, |&(p, c)| {
+        let mut thresholds = Vec::with_capacity(2 * p.spec.h + 1);
+        for x in 0..p.spec.h as u64 {
+            thresholds.push(x * p.w);
+            thresholds.push(x * p.w + c as u64);
         }
-        thresholds.push(spec.h as u64 * w);
-        (tree.group(parent, 0, 0), thresholds)
+        thresholds.push(p.spec.h as u64 * p.w);
+        (p.group(0, 0), thresholds)
     });
 
     // Every line's pairs `q < r`, back to back in `(line, q, r)` order: the
@@ -802,17 +782,10 @@ fn grid_phase_tree(
     let mut cmp = Vec::new();
     let mut searches = Vec::new();
     for machine in 0..answered.machines() {
-        for ((parent, c), counts) in answered.part(machine) {
-            let spec = &specs[parent];
+        for &((p, c), ref counts) in answered.part(machine) {
             let line = lines.len();
-            lines.push(Line {
-                parent: *parent,
-                c: *c,
-                h: spec.h,
-                geom: &tree.geom[parent],
-                machine,
-            });
-            let (h, n) = (spec.h, spec.n as u32);
+            lines.push(Line { p, c, machine });
+            let (h, n) = (p.spec.h, p.spec.n as u32);
             // counts layout: [0·W, 0·W+c, 1·W, 1·W+c, …, (h−1)·W, (h−1)·W+c, h·W].
             let p_at = |x: usize| counts[2 * x] as i64; // Σ_{y<x} n_y
             let u_at = |x: usize| (counts[2 * x + 1] - counts[2 * x]) as i64; // U_x(c)
@@ -847,11 +820,7 @@ fn grid_phase_tree(
 
     // The descent, computed: every search walks to its leaf, noting its
     // segment count per level (`stride` slots each).
-    let max_height = specs
-        .values()
-        .map(|s| tree_height(s.n, s.h))
-        .max()
-        .unwrap_or(0);
+    let max_height = layout.parents.iter().map(Parent::height).max().unwrap_or(0) as u32;
     let stride = max_height.max(1) as usize;
     let mut segs = vec![0u16; searches.len() * stride];
     let found: Vec<u32> = segs
@@ -872,7 +841,7 @@ fn grid_phase_tree(
     let machines = cluster.config().machines;
     // The level a search resolves at: its parent's leaf level (level 1 for
     // a one-row parent, whose root is its leaf).
-    let last = |s: &Search| (lines[s.line].geom.sizes.len() - 1).max(1) as u32;
+    let last = |s: &Search| lines[s.line].p.height().max(1) as u32;
     let mut machine: Vec<usize> = searches.iter().map(|s| lines[s.line].machine).collect();
     let mut work = vec![0usize; machines];
     for (line, pairs) in lines.iter().zip(first.windows(2)) {
@@ -924,7 +893,7 @@ fn grid_phase_tree(
     let sizes: Vec<usize> = first.windows(2).map(|w| w[1] - w[0]).collect();
     cluster.group_map_sized(&sizes, |l| {
         let line = &lines[l];
-        let (h, n) = (line.h, line.geom.n as u32);
+        let (h, n) = (line.p.spec.h, line.p.spec.n as u32);
         let mut pairs = cmp[first[l]..first[l + 1]].iter();
         let mut matrix = vec![vec![0u32; h]; h];
         for q in 0..h {
@@ -934,7 +903,7 @@ fn grid_phase_tree(
         }
         let breakpoints = opt_breakpoints_from_cmp(&matrix, h, n);
         Some(LineInfo {
-            parent: line.parent,
+            parent: line.p.spec.inst,
             c: line.c,
             b: b_vector(&breakpoints, h, n),
         })
@@ -950,22 +919,22 @@ fn grid_phase_tree(
 /// entirely inside the padded tail `[n, h^height)` holds no points and
 /// cannot contain the crossover.
 fn descend(index: &RankIndex<u64>, line: &Line<'_>, s: &Search, segs: &mut [u16]) -> u32 {
-    let g = line.geom;
-    let (n, height) = (g.n as u64, g.sizes.len() - 1);
+    let p = line.p;
+    let (n, height) = (p.spec.n as u64, p.height());
     let (from, to) = (
-        s.q as u64 * g.w + line.c as u64,
-        s.r as u64 * g.w + line.c as u64,
+        s.q as u64 * p.w + line.c as u64,
+        s.r as u64 * p.w + line.c as u64,
     );
     // Invariant: `δ(lo, c) = delta ≤ 0`, `lo` the current node's start.
     let (mut lo, mut delta) = (0u64, s.delta_0);
     for t in 1..=height.max(1) {
         let level = t.min(height);
-        let size = g.sizes[level];
-        let count = (0..line.h as u64)
+        let size = p.sizes[level];
+        let count = (0..p.spec.h as u64)
             .take_while(|&seg| lo + seg * size < n)
             .count();
         segs[t - 1] = count as u16;
-        let node = g.bases[level] + lo / size;
+        let node = p.group(level as u32, lo / size);
         let mut seg = 0;
         loop {
             assert!(
@@ -1049,7 +1018,7 @@ struct Classified {
 /// lines in one rebalancing `group_map` (a band can enumerate many active
 /// subgrids, so its outputs leave rebalanced). The simulator charges those
 /// steps and the two filter-and-map passes that split the outputs, but
-/// computes the join by dense band id (see [`Bands`]): a counting-sort scatter
+/// computes the join by dense band id (see [`Layout`]): a counting-sort scatter
 /// files the points under their bands in arrival order, every band reads its
 /// borders by index and is classified by [`classify_band`], and the join's
 /// outputs are indices into the flat results, so splitting them moves no
@@ -1058,8 +1027,7 @@ fn classify(
     cluster: &mut Cluster,
     colored: &DistVec<Colored>,
     lines: &DistVec<LineInfo>,
-    specs: &BTreeMap<u64, ParentSpec>,
-    bands: &Bands,
+    layout: &Layout,
     routing: Routing,
 ) -> Classified {
     // One output of the join, as an index into the flat results.
@@ -1072,31 +1040,35 @@ fn classify(
     // A grid line at column c borders the band to its right (if c < n) and
     // the band to its left (if c > 0): it is that band's left or right line.
     let borders_of = |line: &LineInfo| -> Vec<(usize, usize)> {
-        let n = specs[&line.parent].n as u32;
+        let p = layout.parent(line.parent);
         let mut out = Vec::with_capacity(2);
-        if line.c < n {
-            out.push((bands.id(line.parent, line.c), 0));
+        if line.c < p.spec.n as u32 {
+            out.push((p.band_of(line.c), 0));
         }
         if line.c > 0 {
-            out.push((bands.id(line.parent, line.c - 1), 1));
+            out.push((p.band_of(line.c - 1), 1));
         }
         out
     };
-    let mut borders: Vec<[Option<&LineInfo>; 2]> = vec![[None; 2]; bands.len()];
+    let bands = layout.bands;
+    let mut borders: Vec<[Option<&LineInfo>; 2]> = vec![[None; 2]; bands];
     for line in lines.iter() {
         for (id, side) in borders_of(line) {
             borders[id][side] = Some(line);
         }
     }
-    let band_ids: Vec<usize> = colored.iter().map(|p| bands.id(p.inst, p.col)).collect();
-    let mut starts = vec![0usize; bands.len() + 1];
+    let band_ids: Vec<usize> = colored
+        .iter()
+        .map(|p| layout.parent(p.inst).band_of(p.col))
+        .collect();
+    let mut starts = vec![0usize; bands + 1];
     for &id in &band_ids {
         starts[id + 1] += 1;
     }
-    for id in 0..bands.len() {
+    for id in 0..bands {
         starts[id + 1] += starts[id];
     }
-    let mut next = starts[..bands.len()].to_vec();
+    let mut next = starts[..bands].to_vec();
     let mut points = vec![
         Colored {
             inst: 0,
@@ -1111,13 +1083,13 @@ fn classify(
         next[id] += 1;
     }
 
-    let per_band: Vec<(Vec<ActiveSubgrid>, Vec<Verdict>)> = (0..bands.len())
+    let per_band: Vec<(Vec<ActiveSubgrid>, Vec<Verdict>)> = (0..bands)
         .into_par_iter()
         .map(|id| {
-            let (parent, band) = bands.band(id);
+            let (p, band) = layout.band(id);
             let [left, right] = borders[id].map(|line| line.expect("grid line missing for band"));
             let band_points = &points[starts[id]..starts[id + 1]];
-            classify_band(&specs[&parent], band, left, right, band_points, routing)
+            classify_band(&p.spec, band, left, right, band_points, routing)
         })
         .collect();
     let mut actives = Vec::new();
@@ -1272,10 +1244,10 @@ struct CornerPack {
 fn attach_base_f_tree(
     cluster: &mut Cluster,
     active: DistVec<ActiveSubgrid>,
-    specs: &BTreeMap<u64, ParentSpec>,
+    layout: &Layout,
     tree: &LeveledIndex,
 ) -> DistVec<ActiveSubgrid> {
-    let answered = corner_packages(cluster, &active, specs, tree);
+    let answered = corner_packages(cluster, &active, layout, tree);
     // Every subgrid's packages are one run of the answers, led by its
     // level-0 package; the groups in key order are those runs sorted by
     // target.
@@ -1304,7 +1276,7 @@ fn attach_base_f_tree(
 fn corner_packages(
     cluster: &mut Cluster,
     active: &DistVec<ActiveSubgrid>,
-    specs: &BTreeMap<u64, ParentSpec>,
+    layout: &Layout,
     tree: &LeveledIndex,
 ) -> DistVec<(CornerPack, Vec<u64>)> {
     // Every point participates once per tree level (level 0 is the whole row
@@ -1315,10 +1287,9 @@ fn corner_packages(
     // already hold them sorted, so the multicast is charged, not built.
     cluster.charge_multicast(tree.index.len());
 
-    let specs_p = specs.clone();
-    let packages: DistVec<CornerPack> = cluster.flat_map(active, move |d| {
-        let spec = specs_p[&d.parent];
-        let r0 = (d.gi * spec.g as u32) as u64;
+    let packages: DistVec<CornerPack> = cluster.flat_map(active, |d| {
+        let p = layout.parent(d.parent);
+        let r0 = (d.gi * p.spec.g as u32) as u64;
         let mut out = vec![CornerPack {
             parent: d.parent,
             gi: d.gi,
@@ -1328,7 +1299,7 @@ fn corner_packages(
             level: 0,
             node: 0,
         }];
-        for (level, node) in prefix_decomposition(r0, spec.n, spec.h) {
+        for (level, node) in prefix_decomposition(r0, p) {
             out.push(CornerPack {
                 parent: d.parent,
                 gi: d.gi,
@@ -1342,20 +1313,18 @@ fn corner_packages(
         out
     });
 
-    let specs_q = specs.clone();
-    cluster.rank_search_multi_in(&tree.index, tree.index.len() as u64, packages, move |pk| {
-        let spec = specs_q[&pk.parent];
-        let w = spec.n as u64 + 1;
-        let c0 = (pk.gj * spec.g as u32) as u64;
+    cluster.rank_search_multi_in(&tree.index, tree.index.len() as u64, packages, |pk| {
+        let p = layout.parent(pk.parent);
+        let c0 = (pk.gj * p.spec.g as u32) as u64;
         // Layout per window color y: [y·W, y·W + c0], plus the closing
         // boundary (whi+1)·W for the color totals.
         let mut thresholds = Vec::with_capacity(2 * (pk.whi - pk.wlo) as usize + 3);
         for y in pk.wlo as u64..=pk.whi as u64 {
-            thresholds.push(y * w);
-            thresholds.push(y * w + c0);
+            thresholds.push(y * p.w);
+            thresholds.push(y * p.w + c0);
         }
-        thresholds.push((pk.whi as u64 + 1) * w);
-        (tree.group(pk.parent, pk.level, pk.node), thresholds)
+        thresholds.push((pk.whi as u64 + 1) * p.w);
+        (p.group(pk.level, pk.node), thresholds)
     })
 }
 
@@ -1443,15 +1412,15 @@ mod oracle {
         routing: Routing,
     ) -> DistVec<Nonzero> {
         let specs: BTreeMap<u64, ParentSpec> = parents.iter().map(|p| (p.inst, *p)).collect();
-        let specs = cluster.broadcast(specs);
+        let layout = Layout::new(&colored, &cluster.broadcast(specs));
 
         cluster.set_phase(Some("combine-grid"));
-        let tree = LeveledIndex::build(&colored, &specs);
-        let lines = grid_phase_tree(cluster, &colored, &specs, &tree);
+        let tree = LeveledIndex::build(&layout);
+        let lines = grid_phase_tree(cluster, &colored, &layout, &tree);
 
         cluster.set_phase(Some("combine"));
-        let (active, classified) = classify(cluster, &colored, lines, &specs, routing);
-        let active = attach_base_f_tree(cluster, active, &specs, &tree);
+        let (active, classified) = classify(cluster, &colored, lines, &layout, routing);
+        let active = attach_base_f_tree(cluster, active, &layout, &tree);
         let kept: DistVec<Nonzero> = {
             let kept_points = cluster.filter(classified.clone(), |(_, v)| *v == Verdict::Keep);
             cluster.map(&kept_points, |(p, _)| Nonzero {
@@ -1463,8 +1432,8 @@ mod oracle {
 
         cluster.set_phase(Some("combine-route"));
         let points_only = cluster.map(&classified, |(p, _)| *p);
-        let row_routed = route_band(cluster, &points_only, &active, &specs, true);
-        let col_routed = route_band(cluster, &points_only, &active, &specs, false);
+        let row_routed = route_band(cluster, &points_only, &active, &layout, true);
+        let col_routed = route_band(cluster, &points_only, &active, &layout, false);
         let descs = cluster.map(&active, |d| (d.target(), Payload::Desc(d.clone())));
         let all_items = {
             let rc = cluster.concat(row_routed, col_routed);
@@ -1473,7 +1442,7 @@ mod oracle {
         let subgrid_out = cluster.group_map_view(
             all_items,
             |(target, _)| *target,
-            |_, items| resolve_gathered(items, &specs),
+            |_, items| resolve_gathered(items, &layout),
         );
 
         cluster.set_phase(None::<String>);
@@ -1534,40 +1503,37 @@ mod oracle {
     pub(super) fn grid_phase_tree(
         cluster: &mut Cluster,
         colored: &DistVec<Colored>,
-        specs: &BTreeMap<u64, ParentSpec>,
+        layout: &Layout,
         tree: &LeveledIndex,
     ) -> DistVec<LineInfo> {
-        let mut parent_ids: Vec<u64> = specs.keys().copied().collect();
-        parent_ids.sort_unstable();
-
         // Precompute round: per line, the color totals and the prefix counts
         // `U_x(c)` that determine δ(0, c) and δ(n, c) for every pair.
         let mut line_queries: Vec<LineQuery> = Vec::new();
-        for &pid in &parent_ids {
-            for c in line_columns(&specs[&pid]) {
-                line_queries.push(LineQuery { parent: pid, c });
+        for p in &layout.parents {
+            for c in line_columns(&p.spec) {
+                line_queries.push(LineQuery {
+                    parent: p.spec.inst,
+                    c,
+                });
             }
         }
         // The line descriptors are O(n/G) metadata; like the input, they start out
         // distributed (no rounds charged).
         let queries = cluster.distribute(line_queries);
-        let specs_q = specs.clone();
         // Level 0 is the root: all of a parent's points.
         let answered =
-            cluster.rank_search_multi_in(&tree.index, colored.len() as u64, queries, move |q| {
-                let spec = specs_q[&q.parent];
-                let w = spec.n as u64 + 1;
-                let mut thresholds = Vec::with_capacity(2 * spec.h + 1);
-                for x in 0..spec.h as u64 {
-                    thresholds.push(x * w);
-                    thresholds.push(x * w + q.c as u64);
+            cluster.rank_search_multi_in(&tree.index, colored.len() as u64, queries, |q| {
+                let p = layout.parent(q.parent);
+                let mut thresholds = Vec::with_capacity(2 * p.spec.h + 1);
+                for x in 0..p.spec.h as u64 {
+                    thresholds.push(x * p.w);
+                    thresholds.push(x * p.w + q.c as u64);
                 }
-                thresholds.push(spec.h as u64 * w);
-                (tree.group(q.parent, 0, 0), thresholds)
+                thresholds.push(p.spec.h as u64 * p.w);
+                (p.group(0, 0), thresholds)
             });
-        let specs_init = specs.clone();
-        let work: DistVec<GridWork> = cluster.flat_map(&answered, move |(lq, counts)| {
-            let spec = specs_init[&lq.parent];
+        let work: DistVec<GridWork> = cluster.flat_map(&answered, |(lq, counts)| {
+            let spec = layout.parent(lq.parent).spec;
             let (h, n) = (spec.h, spec.n as u32);
             // counts layout: [0·W, 0·W+c, 1·W, 1·W+c, …, (h−1)·W, (h−1)·W+c, h·W].
             let p_at = |x: usize| counts[2 * x] as i64; // Σ_{y<x} n_y
@@ -1618,62 +1584,44 @@ mod oracle {
         // Descent: one batched package exchange plus one regroup per tree level.
         // The loop always runs the full height so that the superstep schedule is a
         // function of the parent specs alone.
-        let max_height = specs
-            .values()
-            .map(|s| tree_height(s.n, s.h))
-            .max()
-            .unwrap_or(0);
+        let max_height = layout.parents.iter().map(Parent::height).max().unwrap_or(0);
         for t in 1..=max_height {
-            // Per-parent geometry of this level, hoisted out of the per-package
-            // closures: (tree level min(t, height), its node size).
-            let geom: BTreeMap<u64, (u32, u64)> = specs
-                .iter()
-                .map(|(&pid, spec)| {
-                    let level = t.min(tree_height(spec.n, spec.h));
-                    (pid, (level, level_size(spec.n, spec.h, level)))
-                })
-                .collect();
-
-            let specs_p = specs.clone();
-            let geom_p = geom.clone();
-            let packages: DistVec<SegPack> = cluster.flat_map(&searches, move |s| {
-                let spec = specs_p[&s.parent];
-                let (_, size) = geom_p[&s.parent];
+            // A parent's tree level at descent level `t`, and its node size.
+            let level = |parent: u64| {
+                let p = layout.parent(parent);
+                let level = t.min(p.height());
+                (p, level as u32, p.sizes[level])
+            };
+            let packages: DistVec<SegPack> = cluster.flat_map(&searches, |s| {
+                let (p, _, size) = level(s.parent);
                 // Segments entirely inside the padded tail [n, h^height) hold no
                 // points and cannot contain the crossover; skip their packages.
-                (0..spec.h as u16)
-                    .filter(|&seg| s.lo + seg as u64 * size < spec.n as u64)
+                (0..p.spec.h as u16)
+                    .filter(|&seg| s.lo + seg as u64 * size < p.spec.n as u64)
                     .map(|seg| SegPack { search: *s, seg })
                     .collect()
             });
-            let geom_k = geom.clone();
-            let answered = cluster.rank_search_multi_in(
-                &tree.index,
-                colored.len() as u64,
-                packages,
-                move |pk| {
+            let answered =
+                cluster.rank_search_multi_in(&tree.index, colored.len() as u64, packages, |pk| {
                     let s = pk.search;
-                    let (level, size) = geom_k[&s.parent];
-                    let w = tree.geom[&s.parent].w;
+                    let (p, level, size) = level(s.parent);
                     let node = s.lo / size + pk.seg as u64;
                     (
-                        tree.group(s.parent, level, node),
-                        vec![s.q as u64 * w + s.c as u64, s.r as u64 * w + s.c as u64],
+                        p.group(level, node),
+                        vec![s.q as u64 * p.w + s.c as u64, s.r as u64 * p.w + s.c as u64],
                     )
-                },
-            );
-            let geom_g = geom.clone();
+                });
             let stepped: DistVec<GridWork> = cluster.group_map_view(
                 answered,
                 |(pk, _)| {
                     let s = pk.search;
                     (s.parent, s.c, s.q, s.r)
                 },
-                move |_, group| {
+                |_, group| {
                     let mut packs: Vec<&(SegPack, Vec<u64>)> = group.iter().collect();
                     packs.sort_unstable_by_key(|(pk, _)| pk.seg);
                     let s = packs[0].0.search;
-                    let (_, size) = geom_g[&s.parent];
+                    let (_, _, size) = level(s.parent);
                     // δ at successive segment boundaries; descend into the first
                     // segment whose right boundary turns positive.
                     let mut delta = s.delta_lo;
@@ -1713,12 +1661,11 @@ mod oracle {
         debug_assert!(searches.is_empty(), "all searches resolve at the leaves");
 
         // Assemble per-line demarcation rows from the crossover values.
-        let specs_l = specs.clone();
         cluster.group_map_view(
             resolved,
             |rc| (rc.parent, rc.c),
-            move |&(parent, c), items| {
-                let spec = specs_l[&parent];
+            |&(parent, c), items| {
+                let spec = layout.parent(parent).spec;
                 let (h, n) = (spec.h, spec.n as u32);
                 let mut cmp = vec![vec![0u32; h]; h];
                 debug_assert_eq!(items.len(), h * (h - 1) / 2);
@@ -1758,10 +1705,10 @@ mod oracle {
     pub(super) fn attach_base_f_tree(
         cluster: &mut Cluster,
         active: DistVec<ActiveSubgrid>,
-        specs: &BTreeMap<u64, ParentSpec>,
+        layout: &Layout,
         tree: &LeveledIndex,
     ) -> DistVec<ActiveSubgrid> {
-        let answered = corner_packages(cluster, &active, specs, tree);
+        let answered = corner_packages(cluster, &active, layout, tree);
         cluster.group_map_view(
             answered,
             |(pk, _)| (pk.parent, pk.gi, pk.gj),
@@ -1772,10 +1719,7 @@ mod oracle {
     /// [`super::resolve_subgrid`] on one gathered group: its descriptor and
     /// its row and column copies, in any order, resolved by the reference
     /// kernel in window coordinates (colors shifted by the window start).
-    fn resolve_gathered(
-        items: Group<'_, (Target, Payload)>,
-        specs: &BTreeMap<u64, ParentSpec>,
-    ) -> Vec<Nonzero> {
+    fn resolve_gathered(items: Group<'_, (Target, Payload)>, layout: &Layout) -> Vec<Nonzero> {
         let mut desc = None;
         let mut rows = Vec::new();
         let mut cols = Vec::new();
@@ -1787,10 +1731,8 @@ mod oracle {
             }
         }
         let d = desc.expect("an active subgrid was routed without its descriptor");
-        let (r, c) = (
-            band_range(&specs[&d.parent], d.gi),
-            band_range(&specs[&d.parent], d.gj),
-        );
+        let spec = &layout.parent(d.parent).spec;
+        let (r, c) = (band_range(spec, d.gi), band_range(spec, d.gj));
         let shift = |points: Vec<ColoredPoint>| -> Vec<ColoredPoint> {
             points
                 .into_iter()
@@ -1827,7 +1769,7 @@ mod oracle {
         cluster: &mut Cluster,
         colored: &DistVec<Colored>,
         lines: DistVec<LineInfo>,
-        specs: &BTreeMap<u64, ParentSpec>,
+        layout: &Layout,
         routing: Routing,
     ) -> (DistVec<ActiveSubgrid>, DistVec<(Colored, Verdict)>) {
         #[derive(Clone, Debug)]
@@ -1843,9 +1785,8 @@ mod oracle {
 
         // A grid line at column c borders the band to its right (if c < n) and the band
         // to its left (if c > 0); replicate it into both groups.
-        let specs_lines = specs.clone();
-        let line_items = cluster.flat_map(&lines, move |line| {
-            let spec = specs_lines[&line.parent];
+        let line_items = cluster.flat_map(&lines, |line| {
+            let spec = layout.parent(line.parent).spec;
             let g = spec.g as u32;
             let n = spec.n as u32;
             let mut out = Vec::with_capacity(2);
@@ -1860,19 +1801,17 @@ mod oracle {
             }
             out
         });
-        let specs_pts = specs.clone();
-        let point_items = cluster.map(colored, move |p| {
-            let g = specs_pts[&p.inst].g as u32;
+        let point_items = cluster.map(colored, |p| {
+            let g = layout.parent(p.inst).spec.g as u32;
             ((p.inst, p.col / g), BandItem::Point(*p))
         });
         let all = cluster.concat(line_items, point_items);
 
-        let specs_groups = specs.clone();
         let outputs: DistVec<BandOut> = cluster.group_map_rebalanced(
             all,
             |(key, _)| *key,
-            move |&(parent, band), items| {
-                let spec = specs_groups[&parent];
+            |&(parent, band), items| {
+                let spec = layout.parent(parent).spec;
                 let g = spec.g as u32;
                 let n = spec.n as u32;
                 let h = spec.h;
@@ -1966,7 +1905,7 @@ mod oracle {
         cluster: &mut Cluster,
         points: &DistVec<Colored>,
         active: &DistVec<ActiveSubgrid>,
-        specs: &BTreeMap<u64, ParentSpec>,
+        layout: &Layout,
         by_rows: bool,
     ) -> DistVec<(Target, Payload)> {
         // A descriptor slimmed to plain words: (parent, gi, gj, wlo, whi).
@@ -1985,24 +1924,21 @@ mod oracle {
         };
 
         // Step 2: each point's contiguous target-ordinal range [j_lo, j_hi).
-        let specs_pt = specs.clone();
-        let point_band = move |p: &Colored| -> (u64, u32) {
-            let g = specs_pt[&p.inst].g as u32;
+        let point_band = |p: &Colored| -> (u64, u32) {
+            let g = layout.parent(p.inst).spec.g as u32;
             (p.inst, if by_rows { p.row / g } else { p.col / g })
         };
-        let pb = point_band.clone();
         let with_lo: DistVec<(Colored, u64)> = cluster.rank_search(
             &slim,
             move |&(parent, gi, gj, _, whi): &Slim| ((parent, band(gi, gj)), whi as u64),
             points.clone(),
-            move |p| (pb(p), p.color as u64),
+            move |p| (point_band(p), p.color as u64),
         );
-        let pb = point_band.clone();
         let with_range: DistVec<((Colored, u64), u64)> = cluster.rank_search(
             &slim,
             move |&(parent, gi, gj, wlo, _): &Slim| ((parent, band(gi, gj)), wlo as u64),
             with_lo,
-            move |(p, _)| (pb(p), p.color as u64 + 1),
+            move |(p, _)| (point_band(p), p.color as u64 + 1),
         );
 
         // Step 3: multicast one copy per target ordinal, then join each copy with
@@ -2013,10 +1949,9 @@ mod oracle {
             Reg(u32, u32),
             Pt(Colored),
         }
-        let pb = point_band.clone();
         let copies: DistVec<((u64, u32, u64), Slot)> =
             cluster.flat_map_rebalanced(&with_range, move |&((p, j_lo), j_hi)| {
-                let (parent, band) = pb(&p);
+                let (parent, band) = point_band(&p);
                 (j_lo..j_hi)
                     .map(|ordinal| ((parent, band, ordinal), Slot::Pt(p)))
                     .collect()
@@ -2075,11 +2010,10 @@ mod tests {
         fn build_from_entries(
             cluster: &Cluster,
             colored: &DistVec<Colored>,
-            specs: &BTreeMap<u64, ParentSpec>,
+            layout: &Layout,
         ) -> Self {
-            let geom = Self::geometry(specs);
             let index = cluster.rank_index(colored, |p| {
-                let g = &geom[&p.inst];
+                let g = layout.parent(p.inst);
                 let (row, v) = (p.row as u64, p.color as u64 * g.w + p.col as u64);
                 g.sizes
                     .iter()
@@ -2087,16 +2021,17 @@ mod tests {
                     .map(move |(&size, &base)| (base + row / size, v))
                     .collect::<Vec<_>>()
             });
-            Self { geom, index }
+            Self { index }
         }
     }
 
     /// The from-scratch fill the bottom-up one is tested against: every
-    /// level a copy of the row-ordered values, each node's block sorted in
-    /// place.
-    fn sort_blocks(levels: &mut [u64], rows: &[u64], g: &TreeGeom) {
-        for (level, &size) in levels.chunks_mut(g.n).zip(&g.sizes) {
-            level.copy_from_slice(rows);
+    /// level above the leaves a copy of the row-ordered leaf values, each
+    /// node's block sorted in place.
+    fn sort_blocks(levels: &mut [u64], p: &Parent) {
+        let (upper, leaves) = levels.split_at_mut(p.height() * p.spec.n);
+        for (level, &size) in upper.chunks_mut(p.spec.n).zip(&p.sizes) {
+            level.copy_from_slice(leaves);
             for block in level.chunks_mut(size as usize) {
                 block.sort_unstable();
             }
@@ -2230,14 +2165,13 @@ mod tests {
             let specs: BTreeMap<u64, ParentSpec> = specs.iter().map(|s| (s.inst, *s)).collect();
             let mut cluster = Cluster::new(config());
             let colored = cluster.distribute(real_unions(rng, parents));
-            let tree = LeveledIndex::build(&colored, &specs);
-            let lines = grid_phase_tree(&mut cluster, &colored, &specs, &tree);
+            let layout = Layout::new(&colored, &specs);
+            let tree = LeveledIndex::build(&layout);
+            let lines = grid_phase_tree(&mut cluster, &colored, &layout, &tree);
             let (active, classified) =
-                oracle::classify(&mut cluster, &colored, lines, &specs, routing);
-            let active = attach_base_f_tree(&mut cluster, active, &specs, &tree);
+                oracle::classify(&mut cluster, &colored, lines, &layout, routing);
+            let active = attach_base_f_tree(&mut cluster, active, &layout, &tree);
             let points = cluster.map(&classified, |(p, _)| *p);
-            let in_order: Vec<Colored> = points.iter().copied().collect();
-            let tables = Tables::new(&in_order, &specs);
             let windows: BTreeMap<Target, (u16, u16)> = active
                 .iter()
                 .map(|d| (d.target(), (d.wlo, d.whi)))
@@ -2246,19 +2180,12 @@ mod tests {
             for by_rows in [true, false] {
                 let mut cluster = Cluster::new(config());
                 cluster.set_phase(Some("combine-route"));
-                let got = route_band(
-                    &mut cluster,
-                    &tables,
-                    &points.shape(),
-                    &active,
-                    &specs,
-                    by_rows,
-                );
+                let got = route_band(&mut cluster, &layout, &points.shape(), &active, by_rows);
                 let ledger = cluster.ledger().clone();
 
                 let mut cluster = Cluster::new(config());
                 cluster.set_phase(Some("combine-route"));
-                let want = oracle::route_band(&mut cluster, &points, &active, &specs, by_rows);
+                let want = oracle::route_band(&mut cluster, &points, &active, &layout, by_rows);
                 assert_eq!(
                     got.shape,
                     want.shape(),
@@ -2279,9 +2206,10 @@ mod tests {
                 for (t, &target) in got.targets.iter().enumerate() {
                     let (parent, gi, gj) = target;
                     let (wlo, whi) = windows[&target];
-                    let band = band_range(&specs[&parent], if by_rows { gi } else { gj });
-                    let mut read: Vec<(u32, u32, u16)> = tables
-                        .of(parent, by_rows, band)
+                    let p = layout.parent(parent);
+                    let band = band_range(&p.spec, if by_rows { gi } else { gj });
+                    let mut read: Vec<(u32, u32, u16)> = layout
+                        .table(p, by_rows, band)
                         .iter()
                         .filter(|p| (wlo..=whi).contains(&p.color))
                         .map(|p| (p.row, p.col, p.color))
@@ -2335,21 +2263,21 @@ mod tests {
     fn indexed_corner_join_matches_the_gathered_oracle() {
         let attached = for_each_case(47, |rng, parents, specs, routing, case| {
             let specs: BTreeMap<u64, ParentSpec> = specs.iter().map(|s| (s.inst, *s)).collect();
-            let bands = Bands::new(&specs);
             let mut cluster = Cluster::new(config());
             let colored = cluster.distribute(real_unions(rng, parents));
-            let tree = LeveledIndex::build(&colored, &specs);
-            let lines = grid_phase_tree(&mut cluster, &colored, &specs, &tree);
-            let active = classify(&mut cluster, &colored, &lines, &specs, &bands, routing).active;
+            let layout = Layout::new(&colored, &specs);
+            let tree = LeveledIndex::build(&layout);
+            let lines = grid_phase_tree(&mut cluster, &colored, &layout, &tree);
+            let active = classify(&mut cluster, &colored, &lines, &layout, routing).active;
             type Attach = fn(
                 &mut Cluster,
                 DistVec<ActiveSubgrid>,
-                &BTreeMap<u64, ParentSpec>,
+                &Layout,
                 &LeveledIndex,
             ) -> DistVec<ActiveSubgrid>;
             let run = |attach: Attach| {
                 let mut cluster = Cluster::new(config());
-                let out = attach(&mut cluster, active.clone(), &specs, &tree);
+                let out = attach(&mut cluster, active.clone(), &layout, &tree);
                 let out: Vec<Vec<ActiveSubgrid>> =
                     (0..out.machines()).map(|i| out.part(i).to_vec()).collect();
                 (out, cluster.ledger().clone())
@@ -2367,19 +2295,16 @@ mod tests {
     /// and requires the same lines on every machine and the same ledger.
     /// Returns the lines produced.
     fn check_grid_phase(points: &[Colored], specs: &[ParentSpec], case: &str) -> usize {
-        type Grid = fn(
-            &mut Cluster,
-            &DistVec<Colored>,
-            &BTreeMap<u64, ParentSpec>,
-            &LeveledIndex,
-        ) -> DistVec<LineInfo>;
+        type Grid =
+            fn(&mut Cluster, &DistVec<Colored>, &Layout, &LeveledIndex) -> DistVec<LineInfo>;
         let specs: BTreeMap<u64, ParentSpec> = specs.iter().map(|s| (s.inst, *s)).collect();
         let run = |grid: Grid| {
             let mut cluster = Cluster::new(config());
             let colored = cluster.distribute(points.to_vec());
-            let tree = LeveledIndex::build(&colored, &specs);
+            let layout = Layout::new(&colored, &specs);
+            let tree = LeveledIndex::build(&layout);
             cluster.set_phase(Some("combine-grid"));
-            let lines = grid(&mut cluster, &colored, &specs, &tree);
+            let lines = grid(&mut cluster, &colored, &layout, &tree);
             let lines: Vec<Vec<LineInfo>> = (0..lines.machines())
                 .map(|i| lines.part(i).to_vec())
                 .collect();
@@ -2438,17 +2363,15 @@ mod tests {
             let points = random_unions(&mut rng, &parents);
             let mut cluster = Cluster::new(MpcConfig::lenient(1000, 0.5).with_machines(6));
             let colored = cluster.distribute(points);
-            let tree = LeveledIndex::build(&colored, &specs);
-            let oracle = LeveledIndex::build_from_entries(&cluster, &colored, &specs);
+            let layout = Layout::new(&colored, &specs);
+            let tree = LeveledIndex::build(&layout);
+            let oracle = LeveledIndex::build_from_entries(&cluster, &colored, &layout);
             assert_eq!(tree.index.len(), oracle.index.len(), "{parents:?}");
 
             // The bottom-up runs are the from-scratch ones, entry for entry.
-            let geom = LeveledIndex::geometry(&specs);
-            let sorted = LeveledIndex::runs(&colored, &geom, sort_blocks);
+            let sorted = LeveledIndex::runs(&layout, sort_blocks);
             for threads in [1, 4] {
-                let built = on_threads(threads, || {
-                    LeveledIndex::runs(&colored, &geom, build_levels)
-                });
+                let built = on_threads(threads, || LeveledIndex::runs(&layout, build_levels));
                 assert!(
                     built == sorted,
                     "{parents:?}, {threads} threads: runs differ"
@@ -2457,16 +2380,16 @@ mod tests {
 
             // Every node of every level, plus one code past the last group.
             let mut queries: Vec<(u64, Vec<u64>)> = Vec::new();
-            for (&pid, g) in &tree.geom {
-                for (level, &size) in g.sizes.iter().enumerate() {
-                    for node in 0..node_count(g.n, size) {
+            for p in &layout.parents {
+                for (level, &size) in p.sizes.iter().enumerate() {
+                    for node in 0..node_count(p.spec.n, size) {
                         let mut t: Vec<u64> = (0..6)
-                            .map(|_| rng.gen_range(0..g.w * (specs[&pid].h as u64 + 1)))
+                            .map(|_| rng.gen_range(0..p.w * (p.spec.h as u64 + 1)))
                             .collect();
                         t.push(0);
                         t.push(u64::MAX);
                         t.sort_unstable();
-                        queries.push((tree.group(pid, level as u32, node), t));
+                        queries.push((p.group(level as u32, node), t));
                     }
                 }
             }
@@ -2498,11 +2421,12 @@ mod tests {
         };
         // Row 0 holds two points, row 1 none.
         let colored = cluster.distribute(vec![point(0, 0, 0), point(0, 1, 1), point(2, 2, 0)]);
-        let _ = LeveledIndex::build(&colored, &specs);
+        let _ = Layout::new(&colored, &specs);
     }
 
     #[test]
     fn tree_height_covers_the_domain() {
+        let tree_height = |n, h| level_sizes(n, h).len() as u32 - 1;
         assert_eq!(tree_height(1, 2), 0);
         assert_eq!(tree_height(2, 2), 1);
         assert_eq!(tree_height(3, 2), 2);
@@ -2514,20 +2438,27 @@ mod tests {
             let t = tree_height(n, h);
             assert!((h as u64).pow(t) >= n as u64);
             assert!(t == 0 || (h as u64).pow(t - 1) < n as u64);
-            assert_eq!(level_size(n, h, t), 1, "leaves are single rows");
+            let sizes = level_sizes(n, h);
+            assert_eq!(sizes[t as usize], 1, "leaves are single rows");
+            assert_eq!(sizes[0], (h as u64).pow(t), "the root covers [0, h^height)");
         }
     }
 
     #[test]
     fn prefix_decomposition_partitions_the_prefix() {
+        let mut rng = StdRng::seed_from_u64(31);
         for (n, h) in [(37usize, 2usize), (100, 3), (64, 4), (1000, 10)] {
+            let mut cluster = Cluster::new(MpcConfig::lenient(1000, 0.5));
+            let colored = cluster.distribute(random_unions(&mut rng, &[(0, n, h)]));
+            let layout = Layout::new(&colored, &specs_of(&[(0, n, h)]));
+            let p = &layout.parents[0];
             for upto in [0u64, 1, 5, (n / 2) as u64, (n - 1) as u64] {
-                let nodes = prefix_decomposition(upto, n, h);
+                let nodes = prefix_decomposition(upto, p);
                 // The ranges must be disjoint and cover exactly [0, upto).
                 let mut covered: Vec<(u64, u64)> = nodes
                     .iter()
                     .map(|&(t, node)| {
-                        let size = level_size(n, h, t);
+                        let size = p.sizes[t as usize];
                         (node * size, (node + 1) * size)
                     })
                     .collect();
@@ -2541,7 +2472,7 @@ mod tests {
                     cursor = end;
                 }
                 assert_eq!(cursor, upto, "decomposition must end at {upto}");
-                assert!(nodes.len() <= h * tree_height(n, h) as usize);
+                assert!(nodes.len() <= h * p.height());
             }
         }
     }

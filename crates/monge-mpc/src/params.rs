@@ -50,6 +50,12 @@ impl Default for MulParams {
 impl MulParams {
     /// The paper's parameter choices for every `0` field, resolved against the
     /// cluster configuration and the instance size `n`.
+    ///
+    /// # Panics
+    ///
+    /// If a split of `n` would make more than `u16::MAX` subproblems:
+    /// `min(H, n) > u16::MAX`, since every subproblem's points carry a `u16`
+    /// color.
     pub fn resolved(&self, cfg: &MpcConfig, n: usize) -> ResolvedParams {
         let nf = (n.max(2)) as f64;
         // The paper's fan-out must be honored exactly: the tree descent's round
@@ -60,6 +66,11 @@ impl MulParams {
         } else {
             self.h.max(2)
         };
+        assert!(
+            h.min(n) <= u16::MAX as usize,
+            "fan-out H = {h} at n = {n} makes more than {} colors",
+            u16::MAX
+        );
         let g = if self.g == 0 {
             (nf.powf(1.0 - cfg.delta).ceil() as usize).max(4)
         } else {
@@ -156,6 +167,24 @@ mod tests {
         let expected = ((n as f64).powf((1.0 - 0.05) / 10.0)).round() as usize;
         assert_eq!(p.h, expected.max(2));
         assert!(p.h > 64, "paper fan-out {} must not be capped at 64", p.h);
+    }
+
+    #[test]
+    #[should_panic(expected = "more than 65535 colors")]
+    fn a_fan_out_beyond_u16_colors_is_rejected() {
+        let cfg = MpcConfig::new(1 << 16, 0.5);
+        let _ = MulParams::default().with_h(1 << 16).resolved(&cfg, 1 << 16);
+    }
+
+    #[test]
+    fn a_fan_out_with_u16_colors_is_accepted() {
+        let cfg = MpcConfig::new(1 << 20, 0.5);
+        let p = MulParams::default().with_h(1 << 16).resolved(&cfg, 1000);
+        assert_eq!(p.h, 1 << 16, "only min(H, n) = 1000 colors are made");
+        let p = MulParams::default()
+            .with_h(u16::MAX as usize)
+            .resolved(&cfg, 1 << 20);
+        assert_eq!(p.h, u16::MAX as usize);
     }
 
     #[test]

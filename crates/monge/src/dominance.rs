@@ -2,12 +2,9 @@
 //!
 //! The semi-local LIS/LCS query structures (and several tests) need counts of the
 //! form "how many nonzeros `(r, c)` satisfy `r ≥ r0` and `c < c0`" — exactly the
-//! quantity `P^Σ(r0, c0)` of the paper. This module provides:
-//!
-//! * [`DominanceCounter`] — an online structure (merge-sort tree) answering
-//!   arbitrary quadrant counts in `O(log² n)` after `O(n log n)` preprocessing.
-//! * [`offline_dominance_count`] — a sort + Fenwick sweep for batched queries,
-//!   `O((n + q) log (n + q))` total.
+//! quantity `P^Σ(r0, c0)` of the paper. [`DominanceCounter`] is an online
+//! structure (merge-sort tree) answering arbitrary quadrant counts in
+//! `O(log² n)` after `O(n log n)` preprocessing.
 
 /// Online dominance counting over a fixed set of points (merge-sort tree).
 #[derive(Clone, Debug)]
@@ -99,57 +96,6 @@ impl DominanceCounter {
     }
 }
 
-/// A query for [`offline_dominance_count`]: count points with `row ≥ row_min` and
-/// `col < col_max`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct DominanceQuery {
-    /// Lower bound (inclusive) on point rows.
-    pub row_min: u32,
-    /// Upper bound (exclusive) on point columns.
-    pub col_max: u32,
-}
-
-/// Answers a batch of dominance queries with a single sweep.
-/// Returns one count per query, in the input order.
-pub fn offline_dominance_count(points: &[(u32, u32)], queries: &[DominanceQuery]) -> Vec<usize> {
-    // Sweep rows from high to low, inserting point columns into a Fenwick tree; a
-    // query (row_min, col_max) is answered once every point with row ≥ row_min has
-    // been inserted.
-    let mut pts: Vec<(u32, u32)> = points.to_vec();
-    pts.sort_unstable_by_key(|p| std::cmp::Reverse(p.0));
-    let mut qs: Vec<(usize, DominanceQuery)> = queries.iter().copied().enumerate().collect();
-    qs.sort_unstable_by_key(|q| std::cmp::Reverse(q.1.row_min));
-
-    let max_col = points.iter().map(|&(_, c)| c).max().unwrap_or(0) as usize + 2;
-    let mut fenwick = vec![0usize; max_col + 1];
-    let add = |fw: &mut Vec<usize>, mut i: usize| {
-        i += 1;
-        while i < fw.len() {
-            fw[i] += 1;
-            i += i & i.wrapping_neg();
-        }
-    };
-    let prefix = |fw: &Vec<usize>, mut i: usize| {
-        let mut s = 0;
-        while i > 0 {
-            s += fw[i];
-            i -= i & i.wrapping_neg();
-        }
-        s
-    };
-
-    let mut out = vec![0usize; queries.len()];
-    let mut next_pt = 0;
-    for (orig, q) in qs {
-        while next_pt < pts.len() && pts[next_pt].0 >= q.row_min {
-            add(&mut fenwick, pts[next_pt].1 as usize);
-            next_pt += 1;
-        }
-        out[orig] = prefix(&fenwick, (q.col_max as usize).min(max_col));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -179,38 +125,9 @@ mod tests {
     }
 
     #[test]
-    fn offline_matches_brute_force() {
-        let mut rng = StdRng::seed_from_u64(7);
-        let points: Vec<(u32, u32)> = (0..500)
-            .map(|_| (rng.gen_range(0..64), rng.gen_range(0..64)))
-            .collect();
-        let queries: Vec<DominanceQuery> = (0..300)
-            .map(|_| DominanceQuery {
-                row_min: rng.gen_range(0..70),
-                col_max: rng.gen_range(0..70),
-            })
-            .collect();
-        let got = offline_dominance_count(&points, &queries);
-        for (i, q) in queries.iter().enumerate() {
-            assert_eq!(got[i], brute(&points, q.row_min, q.col_max), "query {i}");
-        }
-    }
-
-    #[test]
     fn empty_inputs() {
         let dc = DominanceCounter::new(&[]);
         assert!(dc.is_empty());
         assert_eq!(dc.count_row_ge_col_lt(0, 100), 0);
-        assert_eq!(offline_dominance_count(&[], &[]), Vec::<usize>::new());
-        assert_eq!(
-            offline_dominance_count(
-                &[],
-                &[DominanceQuery {
-                    row_min: 0,
-                    col_max: 5
-                }]
-            ),
-            vec![0]
-        );
     }
 }

@@ -305,13 +305,6 @@ pub fn opt_breakpoints_from_cmp(cmp: &[Vec<u32>], h: usize, n: u32) -> Vec<(u32,
     breakpoints
 }
 
-/// Looks up a step function given as breakpoints `(start, value)` sorted by start.
-pub fn step_lookup(breakpoints: &[(u32, u16)], at: u32) -> u16 {
-    let idx = breakpoints.partition_point(|&(start, _)| start <= at);
-    assert!(idx > 0, "lookup before the first breakpoint");
-    breakpoints[idx - 1].1
-}
-
 // ---------------------------------------------------------------------------------
 // Subgrid-local phase (§3.3).
 // ---------------------------------------------------------------------------------
@@ -1023,6 +1016,13 @@ mod tests {
     use crate::dense::mul_dense;
     use crate::steady_ant;
     use rand::prelude::*;
+
+    /// Looks up a step function given as breakpoints `(start, value)` sorted by start.
+    fn step_lookup(breakpoints: &[(u32, u16)], at: u32) -> u16 {
+        let idx = breakpoints.partition_point(|&(start, _)| start <= at);
+        assert!(idx > 0, "lookup before the first breakpoint");
+        breakpoints[idx - 1].1
+    }
 
     fn random_permutation(n: usize, rng: &mut StdRng) -> PermutationMatrix {
         let mut v: Vec<u32> = (0..n as u32).collect();

@@ -163,30 +163,18 @@ impl Ledger {
     /// the analytics service asserts its incremental appends charge only the
     /// O(log n) spine merges by reading the `service-*` scopes back.
     pub fn scope_rounds(&self, prefix: &str) -> u64 {
-        self.rounds_by_phase
-            .iter()
-            .filter(|(k, _)| k.starts_with(prefix))
-            .map(|(_, &v)| v)
-            .sum()
+        scope_sum(&self.rounds_by_phase, prefix)
     }
 
     /// Total items communicated under every phase label starting with `prefix`.
     pub fn scope_comm(&self, prefix: &str) -> u64 {
-        self.comm_by_phase
-            .iter()
-            .filter(|(k, _)| k.starts_with(prefix))
-            .map(|(_, &v)| v)
-            .sum()
+        scope_sum(&self.comm_by_phase, prefix)
     }
 
     /// Space-violating supersteps recorded under every phase label starting
     /// with `prefix`.
     pub fn scope_violations(&self, prefix: &str) -> u64 {
-        self.violations_by_phase
-            .iter()
-            .filter(|(k, _)| k.starts_with(prefix))
-            .map(|(_, &v)| v)
-            .sum()
+        scope_sum(&self.violations_by_phase, prefix)
     }
 
     /// Superstep span covering every phase label starting with `prefix`
@@ -211,6 +199,14 @@ impl Ledger {
             self.stall_rounds
         )
     }
+}
+
+/// The sum of `map`'s values under every label starting with `prefix`.
+fn scope_sum(map: &BTreeMap<String, u64>, prefix: &str) -> u64 {
+    map.iter()
+        .filter(|(k, _)| k.starts_with(prefix))
+        .map(|(_, &v)| v)
+        .sum()
 }
 
 /// The value under `phase`, inserted from `init` on first use. The key is

@@ -19,20 +19,19 @@
 //!    H-ary tree level by level with batched rank-search packages; every
 //!    machine stays within its space budget and the `O(1)` round bound
 //!    follows from the tree height `⌈log_H n⌉ ≤ 10/(1−δ)`.
-//!    The tree's value side — every union point at every level — is built
-//!    once per combine into one [`mpc_runtime::RankIndex`]. Every tree node
-//!    is a contiguous row block, so the build reads the leaf level off the
-//!    row table and builds each level above from the one below, merging
-//!    every node's sorted child blocks, with no global sort. The grid
-//!    precompute and the corner-`F` step query the index with
-//!    [`mpc_runtime::Cluster::rank_search_multi_in`]. The descent is charged
-//!    level by level as the model runs it — the packages, their rank search,
-//!    the join on `(parent, c, q, r)` and the split of resolved from pending
-//!    searches — but computed by index: every search walks the index from
-//!    the root to its leaf on the pool. Each query is still charged as a full
-//!    rank search over its value side, and the per-level copies that feed it
-//!    as a multicast, so the ledger is the same as re-sorting the points per
-//!    search.
+//!    The simulator charges that descent as the model runs it — the
+//!    precompute's packages, and per level the packages, their rank search
+//!    over the tree's per-level copies, the join on `(parent, c, q, r)` and
+//!    the split of resolved from pending searches — but builds no tree:
+//!    every count the tree answers is read off the layout's tables. One pass
+//!    over a parent's column table gives every color's count left of every
+//!    grid line, which settles the precompute. A pending crossover is the
+//!    `k`-th row, in row order, among the points whose value `color·W + col`
+//!    lies in `[q·W + c, r·W + c)`; one sweep over the line columns per
+//!    color pair keeps that point set in a row counter, which selects it. A
+//!    walk's path is fixed by its leaf, so each level's segment count, which
+//!    sizes the charged steps, follows from the crossover row and the tree's
+//!    node sizes.
 //! 2. **Classification** — a subgrid crossed by a demarcation line is *active*;
 //!    points in non-active subgrids survive iff their color equals the locally
 //!    constant `opt` (Lemma 3.10). Each active subgrid is annotated with its
@@ -67,7 +66,7 @@
 use crate::mul::Nonzero;
 use crate::params::Routing;
 use monge::multiway::{opt_breakpoints_from_cmp, process_subgrid, ColoredPoint, SubgridTables};
-use mpc_runtime::{Cluster, DistVec, RankIndex, Shape};
+use mpc_runtime::{Cluster, DistVec, Shape};
 use rayon::prelude::*;
 use std::collections::BTreeMap;
 use std::ops::Range;
@@ -156,17 +155,14 @@ pub fn distributed_combine(
     let specs: BTreeMap<u64, ParentSpec> = parents.iter().map(|p| (p.inst, *p)).collect();
     let layout = Layout::new(&colored, &cluster.broadcast(specs));
 
-    // Phase 1: per-line demarcation rows. The colored tree's value side is
-    // built once for the whole combine: the grid descent and the corner-F
-    // step all query it.
+    // Phase 1: per-line demarcation rows.
     cluster.set_phase(Some("combine-grid"));
-    let tree = LeveledIndex::build(&layout);
-    let lines = grid_phase_tree(cluster, &colored, &layout, &tree);
+    let lines = grid_phase(cluster, &colored, &layout);
 
     // Phase 2: classify points, enumerate active subgrids with their windows.
     cluster.set_phase(Some("combine"));
     let classified = classify(cluster, &colored, &lines, &layout, routing);
-    let active = attach_base_f_tree(cluster, classified.active, &layout, &tree);
+    let active = attach_base_f(cluster, classified.active, &layout);
 
     // Points of non-active subgrids that survive (Lemma 3.10, constant case).
     let (points, verdicts) = (&classified.points, &classified.verdicts);
@@ -205,8 +201,8 @@ pub fn distributed_combine(
 /// union has exactly one point per row and one per column, so its points are
 /// filed once in a row table and a column table: its point in row `r` is
 /// `rows[p.first + r]` and its point in column `c` is `cols[p.first + c]`.
-/// The tree's leaf level, the routing's band slices and the subgrids' slices
-/// all read these tables.
+/// The grid phase, the corner-`F` step, the routing's band slices and the
+/// subgrids' slices all read these tables.
 struct Layout {
     parents: Vec<Parent>,
     /// Number of bands over all parents.
@@ -215,46 +211,36 @@ struct Layout {
     cols: Vec<ColoredPoint>,
 }
 
-/// One parent's place in the [`Layout`] and its colored tree's geometry.
+/// One parent's place in the [`Layout`], its colored tree's geometry and
+/// its per-line color counts.
 struct Parent {
     spec: ParentSpec,
     /// The parent's first slot in the row and column tables.
     first: usize,
     /// The id of the parent's first band.
     band: usize,
-    /// The composite stride `W = n + 1` of the tree's values `color·W + col`.
-    w: u64,
     /// Per tree level, root first: its node size (see [`level_sizes`]).
     sizes: Vec<u64>,
-    /// Per tree level: the dense group code of its first node.
-    bases: Vec<u64>,
+    /// Per grid line `l` and color `x`, at `l·h + x`: `U_x(c_l)`, the
+    /// number of color-`x` points left of the line (see [`Parent::left`]).
+    left: Vec<u32>,
 }
 
 impl Layout {
-    /// Lays out every parent of `specs` and files the points of `colored` in
-    /// one pass. Tree group codes are numbered parent by parent and level by
-    /// level.
+    /// Lays out every parent of `specs`, files the points of `colored` in
+    /// one pass, then counts every parent's colors left of its grid lines
+    /// from its column table, parents in parallel.
     fn new(colored: &DistVec<Colored>, specs: &BTreeMap<u64, ParentSpec>) -> Self {
-        let (mut first, mut bands, mut code) = (0usize, 0usize, 0u64);
-        let parents: Vec<Parent> = specs
+        let (mut first, mut bands) = (0usize, 0usize);
+        let mut parents: Vec<Parent> = specs
             .values()
             .map(|&spec| {
-                let sizes = level_sizes(spec.n, spec.h);
-                let bases = sizes
-                    .iter()
-                    .map(|&size| {
-                        let base = code;
-                        code += node_count(spec.n, size);
-                        base
-                    })
-                    .collect();
                 let parent = Parent {
                     spec,
                     first,
                     band: bands,
-                    w: spec.n as u64 + 1,
-                    sizes,
-                    bases,
+                    sizes: level_sizes(spec.n, spec.h),
+                    left: Vec::new(),
                 };
                 first += spec.n;
                 bands += spec.n.div_ceil(spec.g);
@@ -305,6 +291,13 @@ impl Layout {
             "the colored union of every parent must have one union point per row \
              (a row has none)"
         );
+        let left: Vec<Vec<u32>> = parents
+            .par_iter()
+            .map(|p| p.count_left(&cols[p.first..p.first + p.spec.n]))
+            .collect();
+        for (p, left) in parents.iter_mut().zip(left) {
+            p.left = left;
+        }
         Self {
             parents,
             bands,
@@ -331,6 +324,12 @@ impl Layout {
         let table = if by_rows { &self.rows } else { &self.cols };
         &table[p.first + range.start as usize..p.first + range.end as usize]
     }
+
+    /// The number of values the colored trees hold, every union point once
+    /// per level of its parent's tree: what a query of the tree charges.
+    fn tree_values(&self) -> usize {
+        self.parents.iter().map(|p| p.spec.n * p.sizes.len()).sum()
+    }
 }
 
 impl Parent {
@@ -344,9 +343,39 @@ impl Parent {
         self.sizes.len() - 1
     }
 
-    /// The group code of tree node `node` at `level`.
-    fn group(&self, level: u32, node: u64) -> u64 {
-        self.bases[level as usize] + node
+    /// The number of the parent's grid lines: one per multiple of `G`
+    /// below `n`, plus one at `n`.
+    fn lines(&self) -> usize {
+        self.spec.n.div_ceil(self.spec.g) + 1
+    }
+
+    /// The column of grid line `l`.
+    fn line(&self, l: usize) -> u32 {
+        (l * self.spec.g).min(self.spec.n) as u32
+    }
+
+    /// Per color `x`: `U_x(c_l)`, its points left of grid line `l`. The last
+    /// line, at `n`, gives the color totals `n_x`.
+    fn left(&self, l: usize) -> &[u32] {
+        let h = self.spec.h;
+        &self.left[l * h..(l + 1) * h]
+    }
+
+    /// [`Parent::left`] for every line at once, from the parent's column
+    /// table `cols`: one pass with a counter per color, copied out at every
+    /// line, a band of `G` columns apart.
+    fn count_left(&self, cols: &[ColoredPoint]) -> Vec<u32> {
+        let h = self.spec.h;
+        let mut counts = vec![0u32; h];
+        let mut left = Vec::with_capacity(self.lines() * h);
+        for band in cols.chunks(self.spec.g) {
+            left.extend_from_slice(&counts);
+            for point in band {
+                counts[point.color as usize] += 1;
+            }
+        }
+        left.extend_from_slice(&counts);
+        left
     }
 }
 
@@ -551,147 +580,18 @@ fn level_sizes(n: usize, h: usize) -> Vec<u64> {
     sizes
 }
 
-/// Decomposes the row prefix `[0, upto)` of `p`'s tree into maximal aligned
-/// tree nodes: returns `(level, node_index)` pairs whose row ranges partition
-/// the prefix. At most `(h − 1) · height` nodes. `upto` must lie strictly
-/// inside the padded domain `[0, h^height)` (subgrid corners always do:
-/// `r0 < n`).
-fn prefix_decomposition(upto: u64, p: &Parent) -> Vec<(u32, u64)> {
+/// The number of maximal aligned tree nodes the row prefix `[0, upto)` of
+/// `p`'s tree splits into: at every level below the root, the completed
+/// siblings inside the node one level up. At most `(h − 1) · height`.
+/// `upto` must lie strictly inside the padded domain `[0, h^height)`
+/// (subgrid corners always do: `r0 < n`).
+fn prefix_nodes(upto: u64, p: &Parent) -> usize {
     let h = p.spec.h.max(2) as u64;
     debug_assert!(upto < p.sizes[0] || p.height() == 0);
-    let mut out = Vec::new();
-    for (t, &size) in p.sizes.iter().enumerate().skip(1) {
-        let end = upto / size; // node index just past the prefix at this level
-        let d = end % h; // completed siblings inside the level-(t−1) parent
-        out.extend((end - d..end).map(|node| (t as u32, node)));
-    }
-    out
-}
-
-/// Nodes at a tree level of node size `size`: the row blocks that meet
-/// `[0, n)`.
-fn node_count(n: usize, size: u64) -> u64 {
-    (n as u64).saturating_sub(1) / size + 1
-}
-
-/// The colored H-ary tree of every parent in a combine as one rank index:
-/// tree node `(parent, level, node)` holds the values `color·W + col` of the
-/// union points in its row block. Groups are dense codes, one per
-/// `(parent, level, node)`, numbered parent by parent and level by level
-/// (see [`Parent::group`]).
-///
-/// A parent's colored union is a permutation — exactly one point per row — so
-/// every node is a contiguous block of the parent's values in row order. The
-/// build reads each point's value off the layout's row table: that is the
-/// leaf level, one row per node. It then builds every level above bottom-up,
-/// each node by merging the sorted blocks of its `H` children (see
-/// [`build_levels`]), parents in parallel; the runs land in group order, so
-/// the index is assembled without any sort.
-///
-/// Built once per combine and shared by the grid precompute (level 0), every
-/// descent level `t` (level `min(t, height)`) and the corner-`F` step. The
-/// build charges nothing; every query charges its value side in full, so the
-/// ledger is that of one sort per search.
-struct LeveledIndex {
-    index: RankIndex<u64>,
-}
-
-/// A rank index's runs: group codes, each group's start in the values
-/// (plus the end), and the values.
-type Runs = (Vec<u64>, Vec<usize>, Vec<u64>);
-
-impl LeveledIndex {
-    fn build(layout: &Layout) -> Self {
-        let (groups, starts, values) = Self::runs(layout, build_levels);
-        let index = RankIndex::from_sorted_runs(groups, starts, values);
-        Self { index }
-    }
-
-    /// Every tree node's run, parent by parent and level by level: `height +
-    /// 1` runs of `n` values per parent, level 0 first, each sorted within
-    /// every node. Each parent's leaf level is its row table's values; `fill`
-    /// writes the levels above it from it.
-    fn runs<F>(layout: &Layout, fill: F) -> Runs
-    where
-        F: Fn(&mut [u64], &Parent) + Sync,
-    {
-        // One run per (parent, level), every node a block of it. Each parent
-        // writes its own slices of the values, group codes and starts.
-        let nodes = |p: &Parent| -> usize {
-            p.sizes
-                .iter()
-                .map(|&size| node_count(p.spec.n, size) as usize)
-                .sum()
-        };
-        let parents = &layout.parents;
-        let entries = parents.iter().map(|p| p.spec.n * p.sizes.len()).sum();
-        let mut values = vec![0u64; entries];
-        let total_nodes = parents.iter().map(nodes).sum();
-        let mut groups = vec![0u64; total_nodes];
-        let mut starts = vec![entries; total_nodes + 1];
-        let mut trees = Vec::with_capacity(parents.len());
-        let (mut rest, mut codes, mut firsts) = (
-            values.as_mut_slice(),
-            groups.as_mut_slice(),
-            &mut starts[..total_nodes],
-        );
-        let mut offset = 0usize;
-        for p in parents {
-            let (levels, tail) = std::mem::take(&mut rest).split_at_mut(p.spec.n * p.sizes.len());
-            rest = tail;
-            let count = nodes(p);
-            let (code, tail) = std::mem::take(&mut codes).split_at_mut(count);
-            codes = tail;
-            let (at, tail) = std::mem::take(&mut firsts).split_at_mut(count);
-            firsts = tail;
-            trees.push((levels, code, at, offset, p));
-            offset += p.spec.n * p.sizes.len();
-        }
-        trees
-            .into_par_iter()
-            .for_each(|(levels, code, at, offset, p)| {
-                let n = p.spec.n;
-                let mut k = 0;
-                for (t, (&size, &base)) in p.sizes.iter().zip(&p.bases).enumerate() {
-                    for node in 0..node_count(n, size) {
-                        code[k] = base + node;
-                        at[k] = offset + t * n + node as usize * size as usize;
-                        k += 1;
-                    }
-                }
-                let leaves = layout.table(p, true, 0..n as u32);
-                for (v, q) in levels[p.height() * n..].iter_mut().zip(leaves) {
-                    *v = q.color as u64 * p.w + q.col as u64;
-                }
-                fill(levels, p)
-            });
-        (groups, starts, values)
-    }
-}
-
-/// Smallest stretch of a level sorted as one pool task.
-const LEVEL_PIECE: usize = 1 << 13;
-
-/// Writes one parent's tree levels above its leaf level bottom-up: every
-/// level is a copy of the level below with every node's block sorted. The
-/// copy leaves each block as its `H` children's sorted runs, which the
-/// standard library's stable sort detects and merges. Blocks sort
-/// independently, so a long level is cut into pieces of whole blocks that
-/// sort in parallel.
-fn build_levels(levels: &mut [u64], p: &Parent) {
-    let n = p.spec.n;
-    for t in (0..p.height()).rev() {
-        let (upper, lower) = levels.split_at_mut((t + 1) * n);
-        let level = &mut upper[t * n..];
-        level.copy_from_slice(&lower[..n]);
-        let block = p.sizes[t] as usize;
-        let pieces: Vec<&mut [u64]> = level
-            .chunks_mut(block * LEVEL_PIECE.div_ceil(block))
-            .collect();
-        pieces
-            .into_par_iter()
-            .for_each(|piece| piece.chunks_mut(block).for_each(<[u64]>::sort));
-    }
+    p.sizes[1..]
+        .iter()
+        .map(|&size| (upto / size % h) as usize)
+        .sum()
 }
 
 // =====================================================================================
@@ -739,41 +639,39 @@ struct Search {
 /// `group_map` on `(parent, c)` turns each line's `h(h−1)/2` crossovers into
 /// its demarcation rows.
 ///
-/// The simulator runs the precompute and the final assembly as those
-/// primitives and charges every descent level's steps by shape, but computes
-/// the descent by index: the searches sit in one flat array in
-/// `(line, q, r)` order — the key order of every level's join — and each walks
-/// the shared [`LeveledIndex`] from the root to its leaf on the pool, noting
-/// its segment count per level. Each level's groups are the searches still
-/// pending there (a parent's searches all resolve at its leaf level), sized
-/// by those counts, and the placement the charged join gives them decides
-/// where the next level's packages start. Every query charges `colored.len()`
+/// The simulator charges the precompute and every descent level's steps by
+/// shape and runs the final assembly as the primitive it is, but reads every
+/// count off the layout: the precompute's from [`Parent::left`], and each
+/// search's crossover from [`crossover_rows`]. The searches sit in one flat
+/// array in `(line, q, r)` order — the key order of every level's join. Each
+/// level's groups are the searches still pending there (a parent's searches
+/// all resolve at its leaf level), sized by their segment counts (see
+/// [`segments`]), and the placement the charged join gives them decides where
+/// the next level's packages start. Every query charges `colored.len()`
 /// values, what a rank search over the points keyed for that one level costs.
-fn grid_phase_tree(
+fn grid_phase(
     cluster: &mut Cluster,
     colored: &DistVec<Colored>,
     layout: &Layout,
-    tree: &LeveledIndex,
 ) -> DistVec<LineInfo> {
     let charged = colored.len() as u64;
-    // Precompute round: per line, the color totals and the prefix counts
-    // `U_x(c)` over the root. The line descriptors are O(n/G) metadata; like
-    // the input, they start out distributed (no rounds charged).
-    let line_keys: Vec<(&Parent, u32)> = layout
+    // Precompute round: per line, one package of `2h + 1` thresholds over the
+    // root, answering the color totals and the prefix counts `U_x(c)`. The
+    // line descriptors are O(n/G) metadata; like the input, they start out
+    // distributed (no rounds charged). The answers come home rebalanced, in
+    // line order.
+    let line_keys: Vec<(&Parent, usize)> = layout
         .parents
         .iter()
-        .flat_map(|p| line_columns(&p.spec).into_iter().map(move |c| (p, c)))
+        .flat_map(|p| (0..p.lines()).map(move |l| (p, l)))
         .collect();
     let queries = cluster.distribute(line_keys);
-    let answered = cluster.rank_search_multi_in(&tree.index, charged, queries, |&(p, c)| {
-        let mut thresholds = Vec::with_capacity(2 * p.spec.h + 1);
-        for x in 0..p.spec.h as u64 {
-            thresholds.push(x * p.w);
-            thresholds.push(x * p.w + c as u64);
-        }
-        thresholds.push(p.spec.h as u64 * p.w);
-        (p.group(0, 0), thresholds)
-    });
+    let thresholds = queries.iter().map(|(p, _)| 2 * p.spec.h as u64 + 1).sum();
+    let answers = cluster.charge_rank_search_multi(charged, queries.len(), thresholds);
+    let machine_of = answers
+        .loads()
+        .enumerate()
+        .flat_map(|(machine, load)| std::iter::repeat_n(machine, load));
 
     // Every line's pairs `q < r`, back to back in `(line, q, r)` order: the
     // crossovers the precompute settles, and the searches it leaves.
@@ -781,57 +679,50 @@ fn grid_phase_tree(
     let mut first = vec![0usize];
     let mut cmp = Vec::new();
     let mut searches = Vec::new();
-    for machine in 0..answered.machines() {
-        for &((p, c), ref counts) in answered.part(machine) {
-            let line = lines.len();
-            lines.push(Line { p, c, machine });
-            let (h, n) = (p.spec.h, p.spec.n as u32);
-            // counts layout: [0·W, 0·W+c, 1·W, 1·W+c, …, (h−1)·W, (h−1)·W+c, h·W].
-            let p_at = |x: usize| counts[2 * x] as i64; // Σ_{y<x} n_y
-            let u_at = |x: usize| (counts[2 * x + 1] - counts[2 * x]) as i64; // U_x(c)
-            let mut pu = vec![0i64; h + 1]; // prefix sums of U
-            for x in 0..h {
-                pu[x + 1] = pu[x] + u_at(x);
-            }
-            for q in 0..h {
-                for r in q + 1..h {
-                    // δ(n, c) = Σ_{x ∈ (q, r]} U_x(c);  δ(0, c) adds U_q − U_r − Σ_{[q,r)} n_x.
-                    let delta_n = pu[r + 1] - pu[q + 1];
-                    let delta_0 = u_at(q) - u_at(r) - (p_at(r) - p_at(q)) + delta_n;
-                    if delta_n <= 0 {
-                        cmp.push(n + 1);
-                    } else if delta_0 > 0 {
-                        cmp.push(0);
-                    } else {
-                        searches.push(Search {
-                            pair: cmp.len(),
-                            line,
-                            q: q as u16,
-                            r: r as u16,
-                            delta_0,
-                        });
-                        cmp.push(0); // set by the descent
-                    }
+    for (&(p, l), machine) in queries.iter().zip(machine_of) {
+        let line = lines.len();
+        lines.push(Line {
+            p,
+            c: p.line(l),
+            machine,
+        });
+        let (h, n) = (p.spec.h, p.spec.n as u32);
+        let (u, totals) = (p.left(l), p.left(p.lines() - 1));
+        // Prefix sums over the colors of `U_x(c)` and of the totals `n_x`.
+        let (mut pu, mut pn) = (vec![0i64; h + 1], vec![0i64; h + 1]);
+        for x in 0..h {
+            pu[x + 1] = pu[x] + u[x] as i64;
+            pn[x + 1] = pn[x] + totals[x] as i64;
+        }
+        for q in 0..h {
+            for r in q + 1..h {
+                // δ(n, c) = Σ_{x ∈ (q, r]} U_x(c);  δ(0, c) adds U_q − U_r − Σ_{[q,r)} n_x.
+                let delta_n = pu[r + 1] - pu[q + 1];
+                let delta_0 = u[q] as i64 - u[r] as i64 - (pn[r] - pn[q]) + delta_n;
+                if delta_n <= 0 {
+                    cmp.push(n + 1);
+                } else if delta_0 > 0 {
+                    cmp.push(0);
+                } else {
+                    searches.push(Search {
+                        pair: cmp.len(),
+                        line,
+                        q: q as u16,
+                        r: r as u16,
+                        delta_0,
+                    });
+                    cmp.push(0); // set by the descent
                 }
             }
-            first.push(cmp.len());
         }
+        first.push(cmp.len());
     }
 
-    // The descent, computed: every search walks to its leaf, noting its
-    // segment count per level (`stride` slots each).
-    let max_height = layout.parents.iter().map(Parent::height).max().unwrap_or(0) as u32;
-    let stride = max_height.max(1) as usize;
-    let mut segs = vec![0u16; searches.len() * stride];
-    let found: Vec<u32> = segs
-        .chunks_mut(stride)
-        .zip(&searches)
-        .collect::<Vec<_>>()
-        .into_par_iter()
-        .map(|(segs, s)| descend(&tree.index, &lines[s.line], s, segs))
-        .collect();
-    for (s, val) in searches.iter().zip(found) {
-        cmp[s.pair] = val;
+    // The descent, computed: every search's crossover row, the leaf its walk
+    // ends at.
+    let leaves = crossover_rows(layout, &lines, &searches);
+    for (s, &leaf) in searches.iter().zip(&leaves) {
+        cmp[s.pair] = leaf + 1;
     }
 
     // The descent, charged: the precompute's packages expand into every
@@ -839,6 +730,7 @@ fn grid_phase_tree(
     // over the searches pending there. A search resolves at its parent's
     // leaf level and stays on the machine its last group ran on.
     let machines = cluster.config().machines;
+    let max_height = layout.parents.iter().map(Parent::height).max().unwrap_or(0) as u32;
     // The level a search resolves at: its parent's leaf level (level 1 for
     // a one-row parent, whose root is its leaf).
     let last = |s: &Search| lines[s.line].p.height().max(1) as u32;
@@ -858,7 +750,7 @@ fn grid_phase_tree(
     // The searches pending at level `t`, in key order.
     let mut live: Vec<usize> = (0..searches.len()).collect();
     for t in 1..=max_height {
-        let seg_count = |i: usize| segs[i * stride + t as usize - 1] as usize;
+        let seg_count = |i: usize| segments(lines[searches[i].line].p, leaves[i], t as usize);
         let mut packages = vec![0usize; machines];
         for &i in &live {
             packages[machine[i]] += seg_count(i);
@@ -910,48 +802,177 @@ fn grid_phase_tree(
     })
 }
 
-/// Walks search `s` of `line` down the colored tree from the root and
-/// returns `cmp(c, q, r)`, the first row with `δ_{q,r} > 0`: the row after
-/// the leaf the walk ends at. At every level it prefix-sums the δ increments of the
-/// current node's child segments, descends into the first segment whose
-/// right boundary turns δ positive, and notes in `segs[t − 1]` how many
-/// segments level `t` queried: those meeting `[0, n)`, since a segment
-/// entirely inside the padded tail `[n, h^height)` holds no points and
-/// cannot contain the crossover.
-fn descend(index: &RankIndex<u64>, line: &Line<'_>, s: &Search, segs: &mut [u16]) -> u32 {
-    let p = line.p;
-    let (n, height) = (p.spec.n as u64, p.height());
-    let (from, to) = (
-        s.q as u64 * p.w + line.c as u64,
-        s.r as u64 * p.w + line.c as u64,
-    );
-    // Invariant: `δ(lo, c) = delta ≤ 0`, `lo` the current node's start.
-    let (mut lo, mut delta) = (0u64, s.delta_0);
-    for t in 1..=height.max(1) {
-        let level = t.min(height);
-        let size = p.sizes[level];
-        let count = (0..p.spec.h as u64)
-            .take_while(|&seg| lo + seg * size < n)
-            .count();
-        segs[t - 1] = count as u16;
-        let node = p.group(level as u32, lo / size);
-        let mut seg = 0;
-        loop {
-            assert!(
-                seg < count,
-                "δ must turn positive within the node (invariant)"
-            );
-            let run = index.run(node + seg as u64);
-            let contrib = run.partition_point(|&v| v < to) - run.partition_point(|&v| v < from);
-            if delta + contrib as i64 > 0 {
+/// Every search's crossover row `cmp(c, q, r) − 1`, the leaf its tree walk
+/// ends at, in the order of `searches`.
+///
+/// Every row adds 0 or 1 to `δ_{q,r}(·, c)`: 1 exactly when its point's
+/// value lies in `[q·W + c, r·W + c)`, that is when it has color `q` and
+/// column `≥ c`, a color strictly between, or color `r` and column `< c`.
+/// So the crossover is the `(1 − δ₀)`-th such row in row order. Per parent
+/// and color `q` a [`RowSet`] holds those rows for one pair `(q, r)` at a
+/// time, and a sweep over the line columns ascending updates it: color-`q`
+/// points leave it and color-`r` points join it. After the pair the set is
+/// topped up to `{q ≤ color ≤ r}`, the next pair's set at column 0, so every
+/// color `q` costs `O(h·n_q + n)` updates. Parents run in parallel.
+fn crossover_rows(layout: &Layout, lines: &[Line<'_>], searches: &[Search]) -> Vec<u32> {
+    // A parent's lines are consecutive, and so are its searches.
+    let runs: Vec<&[Search]> = searches
+        .chunk_by(|a, b| std::ptr::eq(lines[a.line].p, lines[b.line].p))
+        .collect();
+    runs.par_iter()
+        .map(|run| parent_crossovers(layout, lines, run))
+        .collect::<Vec<_>>()
+        .concat()
+}
+
+/// [`crossover_rows`] for the searches of one parent, in their order.
+fn parent_crossovers(layout: &Layout, lines: &[Line<'_>], searches: &[Search]) -> Vec<u32> {
+    let p = lines[searches[0].line].p;
+    let (n, h) = (p.spec.n, p.spec.h);
+    // The parent's points by color, each color's in column order: a
+    // counting sort of its column table.
+    let cols = layout.table(p, false, 0..n as u32);
+    let mut start = vec![0usize; h + 1];
+    for point in cols {
+        start[point.color as usize + 1] += 1;
+    }
+    for x in 0..h {
+        start[x + 1] += start[x];
+    }
+    let mut next = start.clone();
+    let mut by_color = cols.to_vec();
+    for point in cols {
+        by_color[next[point.color as usize]] = *point;
+        next[point.color as usize] += 1;
+    }
+    let color = |x: u16| &by_color[start[x as usize]..start[x as usize + 1]];
+
+    // The searches by `(q, r)`, line order kept within a pair.
+    let mut order: Vec<usize> = (0..searches.len()).collect();
+    order.sort_by_key(|&i| (searches[i].q, searches[i].r));
+    let mut leaves = vec![0u32; searches.len()];
+    for same_q in order.chunk_by(|&a, &b| searches[a].q == searches[b].q) {
+        let q = searches[same_q[0]].q;
+        let mut set = RowSet::new(n);
+        for point in color(q) {
+            set.insert(point.row);
+        }
+        let mut pending = same_q.iter().peekable();
+        for r in q + 1..h as u16 {
+            if pending.peek().is_none() {
                 break;
             }
-            delta += contrib as i64;
-            seg += 1;
+            // The sweep has passed the first `i` color-`q` and the first `j`
+            // color-`r` points.
+            let (qs, rs) = (color(q), color(r));
+            let (mut i, mut j) = (0, 0);
+            while let Some(&s) = pending.next_if(|&&s| searches[s].r == r) {
+                let c = lines[searches[s].line].c;
+                let to = i + qs[i..].partition_point(|point| point.col < c);
+                for point in &qs[i..to] {
+                    set.remove(point.row);
+                }
+                i = to;
+                let to = j + rs[j..].partition_point(|point| point.col < c);
+                for point in &rs[j..to] {
+                    set.insert(point.row);
+                }
+                j = to;
+                leaves[s] = set.select((1 - searches[s].delta_0) as u32);
+            }
+            // Back to `{q ≤ color ≤ r}`, the next pair's set at column 0.
+            for point in qs[..i].iter().chain(&rs[j..]) {
+                set.insert(point.row);
+            }
         }
-        lo += seg as u64 * size;
     }
-    (lo + 1) as u32
+    leaves
+}
+
+/// A set of rows `0..n` that selects its `k`-th row: one bit per row, and a
+/// count per block of `2^shift` words, about `√(n/64)` words a block, so an
+/// update costs `O(1)` and a select `O(√n)` word reads.
+struct RowSet {
+    words: Vec<u64>,
+    blocks: Vec<u32>,
+    shift: u32,
+}
+
+impl RowSet {
+    fn new(n: usize) -> Self {
+        let words = n.div_ceil(64);
+        let shift = (words.max(1).ilog2() / 2).max(3);
+        Self {
+            words: vec![0; words],
+            blocks: vec![0; words.div_ceil(1 << shift)],
+            shift,
+        }
+    }
+
+    fn insert(&mut self, row: u32) {
+        let word = row as usize / 64;
+        debug_assert_eq!(
+            self.words[word] >> (row % 64) & 1,
+            0,
+            "row {row} inserted twice"
+        );
+        self.words[word] |= 1 << (row % 64);
+        self.blocks[word >> self.shift] += 1;
+    }
+
+    fn remove(&mut self, row: u32) {
+        let word = row as usize / 64;
+        debug_assert_eq!(self.words[word] >> (row % 64) & 1, 1, "row {row} is absent");
+        self.words[word] &= !(1 << (row % 64));
+        self.blocks[word >> self.shift] -= 1;
+    }
+
+    /// The `k`-th smallest row of the set, counting from 1.
+    ///
+    /// # Panics
+    ///
+    /// If the set holds fewer than `k` rows: a crossover search whose δ
+    /// never turns positive breaks the descent's invariant.
+    fn select(&self, mut k: u32) -> u32 {
+        assert!(k >= 1, "δ₀ ≤ 0 for a pending search (invariant)");
+        let block = self
+            .blocks
+            .iter()
+            .position(|&count| {
+                let found = k <= count;
+                if !found {
+                    k -= count;
+                }
+                found
+            })
+            .expect("δ must turn positive below row n (invariant)");
+        let from = block << self.shift;
+        for (at, &word) in self.words[from..].iter().enumerate() {
+            let ones = word.count_ones();
+            if k <= ones {
+                // Clear the `k − 1` lowest set bits; the next one is the row.
+                let mut word = word;
+                for _ in 1..k {
+                    word &= word - 1;
+                }
+                return ((from + at) * 64) as u32 + word.trailing_zeros();
+            }
+            k -= ones;
+        }
+        unreachable!("a block's count covers its words")
+    }
+}
+
+/// The number of child segments descent level `t` (from 1) queries on the
+/// walk that ends at row `leaf`: those of the walk's node one level up that
+/// meet `[0, n)`, since a segment entirely inside the padded tail
+/// `[n, h^height)` holds no points and cannot contain the crossover. A
+/// one-row parent's root is its leaf, queried at level 1.
+fn segments(p: &Parent, leaf: u32, t: usize) -> usize {
+    let size = p.sizes[t.min(p.height())];
+    let node = p.sizes[t - 1];
+    let lo = leaf as u64 / node * node;
+    (p.spec.n as u64 - lo).div_ceil(size).min(p.spec.h as u64) as usize
 }
 
 /// Charges the filter-and-map passes that split a descent step's outputs
@@ -961,21 +982,6 @@ fn charge_split(cluster: &mut Cluster, resolved: &Shape, pending: &Shape) {
     cluster.charge_map(resolved);
     cluster.charge_filter(pending);
     cluster.charge_map(pending);
-}
-
-/// The grid-line columns of a parent: every multiple of `G`, plus `n`.
-fn line_columns(spec: &ParentSpec) -> Vec<u32> {
-    let n = spec.n as u32;
-    let mut columns = Vec::new();
-    let mut c = 0u32;
-    loop {
-        columns.push(c);
-        if c >= n {
-            break;
-        }
-        c = (c + spec.g as u32).min(n);
-    }
-    columns
 }
 
 /// Converts `opt(·, c)` breakpoints into the demarcation rows
@@ -1214,19 +1220,6 @@ fn classify_band(
 // Corner F vectors
 // =====================================================================================
 
-/// One batched rank-search package of the corner-`F` computation: tree node
-/// `(level, node)` queried on behalf of one active subgrid.
-#[derive(Clone, Debug)]
-struct CornerPack {
-    parent: u64,
-    gi: u32,
-    gj: u32,
-    wlo: u16,
-    whi: u16,
-    level: u32,
-    node: u64,
-}
-
 /// Space-conformant corner `F` vectors: evaluates, for every active subgrid, the
 /// window-relative `F_y(r0, c0)` (colors `y ∈ [wlo, whi]`, anchored at
 /// `F_{wlo} = 0`) from one batched rank-search over the colored tree levels.
@@ -1234,136 +1227,86 @@ struct CornerPack {
 /// The decomposition is `F_y(r0, c0) = F_y(0, c0) − Σ_{x<y} |{x, row < r0}| −
 /// |{y, row < r0, col < c0}|`, whose window-relative differences need only
 /// per-window-color totals `n_y`, prefix counts `U_y(c0)`, and the two row-prefix
-/// counts. The row prefix `[0, r0)` splits into `O(h · height)` aligned tree
-/// nodes, each answered by one package from the shared [`LeveledIndex`],
-/// charged as a search over the multicast per-level copies.
+/// counts. The model sends one package over the tree root for the totals
+/// and prefix counts, and splits the row prefix `[0, r0)` into `O(h ·
+/// height)` aligned tree nodes (see [`prefix_nodes`]), one package each,
+/// answered by a rank search over the multicast per-level copies. It then
+/// joins every subgrid's answered packages in one `group_map` on
+/// `(parent, gi, gj)`.
 ///
-/// The model joins every subgrid's answered packages in one `group_map` on
-/// `(parent, gi, gj)`; the simulator charges that join but reads each group
-/// by index, as one run of the answers.
-fn attach_base_f_tree(
+/// The simulator charges those steps by shape, in that order, and runs the
+/// join over the same group sizes in target order, but every group reads its
+/// counts off the layout (see [`corner_vectors`]).
+fn attach_base_f(
     cluster: &mut Cluster,
     active: DistVec<ActiveSubgrid>,
     layout: &Layout,
-    tree: &LeveledIndex,
 ) -> DistVec<ActiveSubgrid> {
-    let answered = corner_packages(cluster, &active, layout, tree);
-    // Every subgrid's packages are one run of the answers, led by its
-    // level-0 package; the groups in key order are those runs sorted by
-    // target.
-    let answered: Vec<&(CornerPack, Vec<u64>)> = answered.iter().collect();
-    let target = |i: usize| {
-        let pk = &answered[i].0;
-        (pk.parent, pk.gi, pk.gj)
-    };
-    let starts: Vec<usize> = (0..answered.len())
-        .filter(|&i| answered[i].0.level == 0)
-        .chain([answered.len()])
-        .collect();
-    let mut runs: Vec<Range<usize>> = starts.windows(2).map(|w| w[0]..w[1]).collect();
-    runs.sort_unstable_by_key(|run| target(run.start));
-    let sizes: Vec<usize> = runs.iter().map(Range::len).collect();
-    cluster.group_map_sized(&sizes, |k| {
-        let run = runs[k].clone();
-        debug_assert!(run.clone().all(|i| target(i) == target(run.start)));
-        Some(corner_f(answered[run].iter().copied()))
-    })
-}
-
-/// Every active subgrid's corner packages, answered: the level-0 package
-/// and one per node of its row prefix's decomposition, in the order of
-/// `active`, each subgrid's packages back to back.
-fn corner_packages(
-    cluster: &mut Cluster,
-    active: &DistVec<ActiveSubgrid>,
-    layout: &Layout,
-    tree: &LeveledIndex,
-) -> DistVec<(CornerPack, Vec<u64>)> {
-    // Every point participates once per tree level (level 0 is the whole row
-    // range, answering the global counts): Õ(1) copies — the tree's space cost.
-    // The per-level copies feed the batched rank search as its value side, so
-    // they leave rebalanced rather than piling up (height + 1)-fold beside
-    // their source points. They are exactly the shared index's entries, which
-    // already hold them sorted, so the multicast is charged, not built.
-    cluster.charge_multicast(tree.index.len());
-
-    let packages: DistVec<CornerPack> = cluster.flat_map(active, |d| {
-        let p = layout.parent(d.parent);
-        let r0 = (d.gi * p.spec.g as u32) as u64;
-        let mut out = vec![CornerPack {
-            parent: d.parent,
-            gi: d.gi,
-            gj: d.gj,
-            wlo: d.wlo,
-            whi: d.whi,
-            level: 0,
-            node: 0,
-        }];
-        for (level, node) in prefix_decomposition(r0, p) {
-            out.push(CornerPack {
-                parent: d.parent,
-                gi: d.gi,
-                gj: d.gj,
-                wlo: d.wlo,
-                whi: d.whi,
-                level,
-                node,
-            });
-        }
-        out
-    });
-
-    cluster.rank_search_multi_in(&tree.index, tree.index.len() as u64, packages, |pk| {
-        let p = layout.parent(pk.parent);
-        let c0 = (pk.gj * p.spec.g as u32) as u64;
-        // Layout per window color y: [y·W, y·W + c0], plus the closing
-        // boundary (whi+1)·W for the color totals.
-        let mut thresholds = Vec::with_capacity(2 * (pk.whi - pk.wlo) as usize + 3);
-        for y in pk.wlo as u64..=pk.whi as u64 {
-            thresholds.push(y * p.w);
-            thresholds.push(y * p.w + c0);
-        }
-        thresholds.push((pk.whi as u64 + 1) * p.w);
-        (p.group(pk.level, pk.node), thresholds)
-    })
-}
-
-/// Active subgrid `(parent, gi, gj)` with its corner `F` vector, from its
-/// answered packages: the level-0 package first, then the row prefix's
-/// decomposition.
-fn corner_f<'a>(packs: impl IntoIterator<Item = &'a (CornerPack, Vec<u64>)>) -> ActiveSubgrid {
-    let mut packs = packs.into_iter().peekable();
-    let first = &packs.peek().expect("level-0 package present").0;
-    let (parent, gi, gj, wlo, whi) = (first.parent, first.gi, first.gj, first.wlo, first.whi);
-    let k = (whi - wlo) as usize;
-    // Per window index i (color y = wlo + i): global color-prefix totals
-    // and U_y(c0), plus row-prefix counts summed over the decomposition.
-    let mut glob: Option<&[u64]> = None;
-    let mut row_lt = vec![0i64; k + 2]; // Σ decomposition: #{color < y, row < r0} at boundaries
-    let mut b_cnt = vec![0i64; k + 1]; // #{color = y, row < r0, col < c0}
-    for (pk, counts) in packs {
-        if pk.level == 0 {
-            glob = Some(counts);
-        } else {
-            for i in 0..=k {
-                row_lt[i] += counts[2 * i] as i64;
-                b_cnt[i] += counts[2 * i + 1] as i64 - counts[2 * i] as i64;
-            }
-            row_lt[k + 1] += counts[2 * k + 2] as i64;
+    // Every point is copied once per tree level (level 0 is the whole row
+    // range, answering the global counts): Õ(1) copies — the tree's space
+    // cost. They feed the rank search as its value side, so they leave
+    // rebalanced rather than piling up (height + 1)-fold beside their source
+    // points.
+    let values = layout.tree_values();
+    cluster.charge_multicast(values);
+    // One package over the root, and one per node of the row prefix's
+    // decomposition, each with two thresholds per window color plus one.
+    let mut emitted = vec![0usize; active.machines()];
+    let mut thresholds = 0u64;
+    let mut descs: Vec<(&ActiveSubgrid, usize)> = Vec::with_capacity(active.len());
+    for (machine, part) in emitted.iter_mut().enumerate() {
+        for d in active.part(machine) {
+            let p = layout.parent(d.parent);
+            let packages = 1 + prefix_nodes(d.gi as u64 * p.spec.g as u64, p);
+            *part += packages;
+            thresholds += packages as u64 * (2 * (d.whi - d.wlo) as u64 + 3);
+            descs.push((d, packages));
         }
     }
-    let glob = glob.expect("level-0 package present");
-    let n_y = |i: usize| -> i64 {
-        let hi = if i == k {
-            glob[2 * k + 2]
-        } else {
-            glob[2 * (i + 1)]
-        };
-        hi as i64 - glob[2 * i] as i64
-    };
-    let u_y = |i: usize| -> i64 { glob[2 * i + 1] as i64 - glob[2 * i] as i64 };
-    // #{color = y, row < r0} from the decomposition's color-prefix counts.
-    let r_y = |i: usize| -> i64 { row_lt[i + 1] - row_lt[i] };
+    let emitted = Shape::from_loads(emitted);
+    cluster.charge_flat_map(&emitted);
+    cluster.charge_rank_search_multi(values as u64, emitted.len(), thresholds);
+
+    // The join's groups in key order: the subgrids by target, each holding
+    // its packages.
+    descs.sort_unstable_by_key(|(d, _)| d.target());
+    let sizes: Vec<usize> = descs.iter().map(|&(_, packages)| packages).collect();
+    let descs: Vec<&ActiveSubgrid> = descs.into_iter().map(|(d, _)| d).collect();
+    let attached = corner_vectors(layout, &descs);
+    cluster.group_map_sized(&sizes, |k| Some(attached[k].clone()))
+}
+
+/// Every subgrid of `descs` (sorted by target) with its corner `F` vector,
+/// in that order. Per parent one sweep over its row table, in parallel
+/// across parents, stops at every subgrid's `r0` and reads its counts: the
+/// totals `n_y` and `U_y(c0)` from [`Parent::left`], and from the
+/// [`RowSweep`] `#{y, row < r0}` and `#{y, row < r0, col < c0}`.
+fn corner_vectors(layout: &Layout, descs: &[&ActiveSubgrid]) -> Vec<ActiveSubgrid> {
+    let runs: Vec<&[&ActiveSubgrid]> = descs.chunk_by(|a, b| a.parent == b.parent).collect();
+    runs.par_iter()
+        .map(|run| {
+            let p = layout.parent(run[0].parent);
+            let mut sweep = RowSweep::new(p, layout);
+            run.iter()
+                .map(|d| {
+                    sweep.advance(d.gi as usize * p.spec.g);
+                    corner_f(p, &sweep, d)
+                })
+                .collect::<Vec<_>>()
+        })
+        .collect::<Vec<_>>()
+        .concat()
+}
+
+/// Active subgrid `d` with its corner `F` vector, `sweep` standing at its
+/// `r0`.
+fn corner_f(p: &Parent, sweep: &RowSweep<'_>, d: &ActiveSubgrid) -> ActiveSubgrid {
+    let (wlo, k) = (d.wlo as usize, (d.whi - d.wlo) as usize);
+    let (u, totals) = (p.left(d.gj as usize), p.left(p.lines() - 1));
+    // #{color = y, row < r0, col < c0} for every window color.
+    let b_cnt: Vec<i64> = (wlo..=wlo + k)
+        .map(|y| sweep.above_left(y, d.gj as usize) as i64)
+        .collect();
 
     // Window-relative F at the corner:
     // F_{y+1} − F_y = n_y − U_y(c0) − #{y, row<r0} − B_{y+1} + B_y.
@@ -1371,16 +1314,78 @@ fn corner_f<'a>(packs: impl IntoIterator<Item = &'a (CornerPack, Vec<u64>)>) -> 
     // comparison), so anchor the vector at its minimum to keep it in u64.
     let mut f = vec![0i64; k + 1];
     for i in 0..k {
-        f[i + 1] = f[i] + n_y(i) - u_y(i) - r_y(i) - b_cnt[i + 1] + b_cnt[i];
+        let y = wlo + i;
+        f[i + 1] =
+            f[i] + totals[y] as i64 - u[y] as i64 - sweep.above(y) as i64 - b_cnt[i + 1] + b_cnt[i];
     }
     let anchor = f.iter().copied().min().unwrap_or(0);
     ActiveSubgrid {
-        parent,
-        gi,
-        gj,
-        wlo,
-        whi,
         base_f: f.into_iter().map(|v| (v - anchor) as u64).collect(),
+        ..d.clone()
+    }
+}
+
+/// A sweep over one parent's row table in row order, counting the points
+/// above it per color, and per color and column band.
+struct RowSweep<'a> {
+    rows: &'a [ColoredPoint],
+    /// Per row: the column band of its point.
+    band_of: Vec<u32>,
+    /// The rows swept: the sweep stands at row `swept`.
+    swept: usize,
+    /// Per color: its points above the sweep.
+    above: Vec<u32>,
+    /// Per color, `width` slots: its points above the sweep per column band.
+    bands: Vec<u32>,
+    /// The number of column bands.
+    width: usize,
+}
+
+impl<'a> RowSweep<'a> {
+    fn new(p: &Parent, layout: &'a Layout) -> Self {
+        let (n, g) = (p.spec.n, p.spec.g);
+        // The column table a band at a time files every row's band.
+        let mut band_of = vec![0u32; n];
+        for (band, points) in layout.table(p, false, 0..n as u32).chunks(g).enumerate() {
+            for point in points {
+                band_of[point.row as usize] = band as u32;
+            }
+        }
+        let width = n.div_ceil(g);
+        Self {
+            rows: layout.table(p, true, 0..n as u32),
+            band_of,
+            swept: 0,
+            above: vec![0; p.spec.h],
+            bands: vec![0; p.spec.h * width],
+            width,
+        }
+    }
+
+    /// Moves the sweep down to row `row` (at or below where it stands).
+    fn advance(&mut self, row: usize) {
+        let swept = self.rows[self.swept..row]
+            .iter()
+            .zip(&self.band_of[self.swept..row]);
+        for (point, &band) in swept {
+            let color = point.color as usize;
+            self.above[color] += 1;
+            self.bands[color * self.width + band as usize] += 1;
+        }
+        self.swept = row;
+    }
+
+    /// `#{color y, row < swept}`.
+    fn above(&self, y: usize) -> u32 {
+        self.above[y]
+    }
+
+    /// `#{color y, row < swept, column band < band}`: the color's points
+    /// above the sweep and left of column `band·G`.
+    fn above_left(&self, y: usize, band: usize) -> u32 {
+        self.bands[y * self.width..y * self.width + band]
+            .iter()
+            .sum()
     }
 }
 
@@ -1392,7 +1397,369 @@ fn corner_f<'a>(packs: impl IntoIterator<Item = &'a (CornerPack, Vec<u64>)>) -> 
 mod oracle {
     use super::*;
     use monge::multiway::{process_subgrid_reference, SubgridInstance};
-    use mpc_runtime::Group;
+    use mpc_runtime::{Group, RankIndex};
+
+    impl Parent {
+        /// The composite stride `W = n + 1` of the tree's values `color·W + col`.
+        pub(super) fn w(&self) -> u64 {
+            self.spec.n as u64 + 1
+        }
+    }
+
+    /// Decomposes the row prefix `[0, upto)` of `p`'s tree into maximal aligned
+    /// tree nodes: returns `(level, node_index)` pairs whose row ranges partition
+    /// the prefix. At most `(h − 1) · height` nodes. `upto` must lie strictly
+    /// inside the padded domain `[0, h^height)` (subgrid corners always do:
+    /// `r0 < n`).
+    pub(super) fn prefix_decomposition(upto: u64, p: &Parent) -> Vec<(u32, u64)> {
+        let h = p.spec.h.max(2) as u64;
+        debug_assert!(upto < p.sizes[0] || p.height() == 0);
+        let mut out = Vec::new();
+        for (t, &size) in p.sizes.iter().enumerate().skip(1) {
+            let end = upto / size; // node index just past the prefix at this level
+            let d = end % h; // completed siblings inside the level-(t−1) parent
+            out.extend((end - d..end).map(|node| (t as u32, node)));
+        }
+        out
+    }
+
+    /// Nodes at a tree level of node size `size`: the row blocks that meet
+    /// `[0, n)`.
+    pub(super) fn node_count(n: usize, size: u64) -> u64 {
+        (n as u64).saturating_sub(1) / size + 1
+    }
+
+    /// The colored H-ary tree of every parent in a combine as one rank index:
+    /// tree node `(parent, level, node)` holds the values `color·W + col` of the
+    /// union points in its row block. Groups are dense codes, one per
+    /// `(parent, level, node)`, numbered parent by parent and level by level
+    /// (see [`LeveledIndex::group`]).
+    ///
+    /// A parent's colored union is a permutation — exactly one point per row — so
+    /// every node is a contiguous block of the parent's values in row order. The
+    /// build reads each point's value off the layout's row table: that is the
+    /// leaf level, one row per node. It then builds every level above bottom-up,
+    /// each node by merging the sorted blocks of its `H` children (see
+    /// [`build_levels`]), parents in parallel; the runs land in group order, so
+    /// the index is assembled without any sort.
+    ///
+    /// Built once per combine and shared by the grid precompute (level 0), every
+    /// descent level `t` (level `min(t, height)`) and the corner-`F` step. The
+    /// build charges nothing; every query charges its value side in full, so the
+    /// ledger is that of one sort per search.
+    pub(super) struct LeveledIndex {
+        pub(super) index: RankIndex<u64>,
+        /// Per parent id, per tree level: the group code of its first node.
+        pub(super) bases: BTreeMap<u64, Vec<u64>>,
+    }
+
+    /// A rank index's runs: group codes, each group's start in the values
+    /// (plus the end), and the values.
+    pub(super) type Runs = (Vec<u64>, Vec<usize>, Vec<u64>);
+
+    impl LeveledIndex {
+        pub(super) fn build(layout: &Layout) -> Self {
+            let (groups, starts, values) = Self::runs(layout, build_levels);
+            let index = RankIndex::from_sorted_runs(groups, starts, values);
+            Self {
+                index,
+                bases: Self::bases(layout),
+            }
+        }
+
+        /// The dense group code of every parent's first node per level,
+        /// codes numbered parent by parent and level by level.
+        pub(super) fn bases(layout: &Layout) -> BTreeMap<u64, Vec<u64>> {
+            let mut code = 0;
+            layout
+                .parents
+                .iter()
+                .map(|p| {
+                    let bases = p
+                        .sizes
+                        .iter()
+                        .map(|&size| {
+                            let base = code;
+                            code += node_count(p.spec.n, size);
+                            base
+                        })
+                        .collect();
+                    (p.spec.inst, bases)
+                })
+                .collect()
+        }
+
+        /// The group code of `p`'s tree node `node` at `level`.
+        pub(super) fn group(&self, p: &Parent, level: u32, node: u64) -> u64 {
+            self.bases[&p.spec.inst][level as usize] + node
+        }
+
+        /// Every tree node's run, parent by parent and level by level: `height +
+        /// 1` runs of `n` values per parent, level 0 first, each sorted within
+        /// every node. Each parent's leaf level is its row table's values; `fill`
+        /// writes the levels above it from it.
+        pub(super) fn runs<F>(layout: &Layout, fill: F) -> Runs
+        where
+            F: Fn(&mut [u64], &Parent) + Sync,
+        {
+            // One run per (parent, level), every node a block of it. Each parent
+            // writes its own slices of the values, group codes and starts.
+            let nodes = |p: &Parent| -> usize {
+                p.sizes
+                    .iter()
+                    .map(|&size| node_count(p.spec.n, size) as usize)
+                    .sum()
+            };
+            let parents = &layout.parents;
+            let bases = Self::bases(layout);
+            let entries = parents.iter().map(|p| p.spec.n * p.sizes.len()).sum();
+            let mut values = vec![0u64; entries];
+            let total_nodes = parents.iter().map(nodes).sum();
+            let mut groups = vec![0u64; total_nodes];
+            let mut starts = vec![entries; total_nodes + 1];
+            let mut trees = Vec::with_capacity(parents.len());
+            let (mut rest, mut codes, mut firsts) = (
+                values.as_mut_slice(),
+                groups.as_mut_slice(),
+                &mut starts[..total_nodes],
+            );
+            let mut offset = 0usize;
+            for p in parents {
+                let (levels, tail) =
+                    std::mem::take(&mut rest).split_at_mut(p.spec.n * p.sizes.len());
+                rest = tail;
+                let count = nodes(p);
+                let (code, tail) = std::mem::take(&mut codes).split_at_mut(count);
+                codes = tail;
+                let (at, tail) = std::mem::take(&mut firsts).split_at_mut(count);
+                firsts = tail;
+                trees.push((levels, code, at, offset, p));
+                offset += p.spec.n * p.sizes.len();
+            }
+            trees
+                .into_par_iter()
+                .for_each(|(levels, code, at, offset, p)| {
+                    let n = p.spec.n;
+                    let mut k = 0;
+                    let bases = &bases[&p.spec.inst];
+                    for (t, (&size, &base)) in p.sizes.iter().zip(bases).enumerate() {
+                        for node in 0..node_count(n, size) {
+                            code[k] = base + node;
+                            at[k] = offset + t * n + node as usize * size as usize;
+                            k += 1;
+                        }
+                    }
+                    let leaves = layout.table(p, true, 0..n as u32);
+                    for (v, q) in levels[p.height() * n..].iter_mut().zip(leaves) {
+                        *v = q.color as u64 * p.w() + q.col as u64;
+                    }
+                    fill(levels, p)
+                });
+            (groups, starts, values)
+        }
+    }
+
+    /// Smallest stretch of a level sorted as one pool task.
+    const LEVEL_PIECE: usize = 1 << 13;
+
+    /// Writes one parent's tree levels above its leaf level bottom-up: every
+    /// level is a copy of the level below with every node's block sorted. The
+    /// copy leaves each block as its `H` children's sorted runs, which the
+    /// standard library's stable sort detects and merges. Blocks sort
+    /// independently, so a long level is cut into pieces of whole blocks that
+    /// sort in parallel.
+    pub(super) fn build_levels(levels: &mut [u64], p: &Parent) {
+        let n = p.spec.n;
+        for t in (0..p.height()).rev() {
+            let (upper, lower) = levels.split_at_mut((t + 1) * n);
+            let level = &mut upper[t * n..];
+            level.copy_from_slice(&lower[..n]);
+            let block = p.sizes[t] as usize;
+            let pieces: Vec<&mut [u64]> = level
+                .chunks_mut(block * LEVEL_PIECE.div_ceil(block))
+                .collect();
+            pieces
+                .into_par_iter()
+                .for_each(|piece| piece.chunks_mut(block).for_each(<[u64]>::sort));
+        }
+    }
+
+    /// One batched rank-search package of the corner-`F` computation: tree node
+    /// `(level, node)` queried on behalf of one active subgrid.
+    #[derive(Clone, Debug)]
+    struct CornerPack {
+        parent: u64,
+        gi: u32,
+        gj: u32,
+        wlo: u16,
+        whi: u16,
+        level: u32,
+        node: u64,
+    }
+
+    /// Every active subgrid's corner packages, answered: the level-0 package
+    /// and one per node of its row prefix's decomposition, in the order of
+    /// `active`, each subgrid's packages back to back.
+    fn corner_packages(
+        cluster: &mut Cluster,
+        active: &DistVec<ActiveSubgrid>,
+        layout: &Layout,
+        tree: &LeveledIndex,
+    ) -> DistVec<(CornerPack, Vec<u64>)> {
+        // Every point participates once per tree level (level 0 is the whole row
+        // range, answering the global counts): Õ(1) copies — the tree's space cost.
+        // The per-level copies feed the batched rank search as its value side, so
+        // they leave rebalanced rather than piling up (height + 1)-fold beside
+        // their source points. They are exactly the shared index's entries, which
+        // already hold them sorted, so the multicast is charged, not built.
+        cluster.charge_multicast(tree.index.len());
+
+        let packages: DistVec<CornerPack> = cluster.flat_map(active, |d| {
+            let p = layout.parent(d.parent);
+            let r0 = (d.gi * p.spec.g as u32) as u64;
+            let mut out = vec![CornerPack {
+                parent: d.parent,
+                gi: d.gi,
+                gj: d.gj,
+                wlo: d.wlo,
+                whi: d.whi,
+                level: 0,
+                node: 0,
+            }];
+            for (level, node) in prefix_decomposition(r0, p) {
+                out.push(CornerPack {
+                    parent: d.parent,
+                    gi: d.gi,
+                    gj: d.gj,
+                    wlo: d.wlo,
+                    whi: d.whi,
+                    level,
+                    node,
+                });
+            }
+            out
+        });
+
+        cluster.rank_search_multi_in(&tree.index, tree.index.len() as u64, packages, |pk| {
+            let p = layout.parent(pk.parent);
+            let c0 = (pk.gj * p.spec.g as u32) as u64;
+            // Layout per window color y: [y·W, y·W + c0], plus the closing
+            // boundary (whi+1)·W for the color totals.
+            let mut thresholds = Vec::with_capacity(2 * (pk.whi - pk.wlo) as usize + 3);
+            for y in pk.wlo as u64..=pk.whi as u64 {
+                thresholds.push(y * p.w());
+                thresholds.push(y * p.w() + c0);
+            }
+            thresholds.push((pk.whi as u64 + 1) * p.w());
+            (tree.group(p, pk.level, pk.node), thresholds)
+        })
+    }
+
+    /// Active subgrid `(parent, gi, gj)` with its corner `F` vector, from its
+    /// answered packages: the level-0 package first, then the row prefix's
+    /// decomposition.
+    fn corner_f<'a>(packs: impl IntoIterator<Item = &'a (CornerPack, Vec<u64>)>) -> ActiveSubgrid {
+        let mut packs = packs.into_iter().peekable();
+        let first = &packs.peek().expect("level-0 package present").0;
+        let (parent, gi, gj, wlo, whi) = (first.parent, first.gi, first.gj, first.wlo, first.whi);
+        let k = (whi - wlo) as usize;
+        // Per window index i (color y = wlo + i): global color-prefix totals
+        // and U_y(c0), plus row-prefix counts summed over the decomposition.
+        let mut glob: Option<&[u64]> = None;
+        let mut row_lt = vec![0i64; k + 2]; // Σ decomposition: #{color < y, row < r0} at boundaries
+        let mut b_cnt = vec![0i64; k + 1]; // #{color = y, row < r0, col < c0}
+        for (pk, counts) in packs {
+            if pk.level == 0 {
+                glob = Some(counts);
+            } else {
+                for i in 0..=k {
+                    row_lt[i] += counts[2 * i] as i64;
+                    b_cnt[i] += counts[2 * i + 1] as i64 - counts[2 * i] as i64;
+                }
+                row_lt[k + 1] += counts[2 * k + 2] as i64;
+            }
+        }
+        let glob = glob.expect("level-0 package present");
+        let n_y = |i: usize| -> i64 {
+            let hi = if i == k {
+                glob[2 * k + 2]
+            } else {
+                glob[2 * (i + 1)]
+            };
+            hi as i64 - glob[2 * i] as i64
+        };
+        let u_y = |i: usize| -> i64 { glob[2 * i + 1] as i64 - glob[2 * i] as i64 };
+        // #{color = y, row < r0} from the decomposition's color-prefix counts.
+        let r_y = |i: usize| -> i64 { row_lt[i + 1] - row_lt[i] };
+
+        // Window-relative F at the corner:
+        // F_{y+1} − F_y = n_y − U_y(c0) − #{y, row<r0} − B_{y+1} + B_y.
+        // Only differences matter downstream (the local phase is pure argmin
+        // comparison), so anchor the vector at its minimum to keep it in u64.
+        let mut f = vec![0i64; k + 1];
+        for i in 0..k {
+            f[i + 1] = f[i] + n_y(i) - u_y(i) - r_y(i) - b_cnt[i + 1] + b_cnt[i];
+        }
+        let anchor = f.iter().copied().min().unwrap_or(0);
+        ActiveSubgrid {
+            parent,
+            gi,
+            gj,
+            wlo,
+            whi,
+            base_f: f.into_iter().map(|v| (v - anchor) as u64).collect(),
+        }
+    }
+
+    /// The tree walk [`super::crossover_rows`] and [`super::segments`] are
+    /// tested against. Walks search `s` of `line` down the colored tree from
+    /// the root and returns `cmp(c, q, r)`, the first row with `δ_{q,r} > 0`: the row after
+    /// the leaf the walk ends at. At every level it prefix-sums the δ increments of the
+    /// current node's child segments, descends into the first segment whose
+    /// right boundary turns δ positive, and notes in `segs[t − 1]` how many
+    /// segments level `t` queried: those meeting `[0, n)`, since a segment
+    /// entirely inside the padded tail `[n, h^height)` holds no points and
+    /// cannot contain the crossover.
+    pub(super) fn descend(
+        tree: &LeveledIndex,
+        line: &Line<'_>,
+        s: &Search,
+        segs: &mut [u16],
+    ) -> u32 {
+        let p = line.p;
+        let (n, height) = (p.spec.n as u64, p.height());
+        let (from, to) = (
+            s.q as u64 * p.w() + line.c as u64,
+            s.r as u64 * p.w() + line.c as u64,
+        );
+        // Invariant: `δ(lo, c) = delta ≤ 0`, `lo` the current node's start.
+        let (mut lo, mut delta) = (0u64, s.delta_0);
+        for t in 1..=height.max(1) {
+            let level = t.min(height);
+            let size = p.sizes[level];
+            let count = (0..p.spec.h as u64)
+                .take_while(|&seg| lo + seg * size < n)
+                .count();
+            segs[t - 1] = count as u16;
+            let node = tree.group(p, level as u32, lo / size);
+            let mut seg = 0;
+            loop {
+                assert!(
+                    seg < count,
+                    "δ must turn positive within the node (invariant)"
+                );
+                let run = tree.index.run(node + seg as u64);
+                let contrib = run.partition_point(|&v| v < to) - run.partition_point(|&v| v < from);
+                if delta + contrib as i64 > 0 {
+                    break;
+                }
+                delta += contrib as i64;
+                seg += 1;
+            }
+            lo += seg as u64 * size;
+        }
+        (lo + 1) as u32
+    }
 
     /// Payload routed to the final per-subgrid groups.
     #[derive(Clone, Debug)]
@@ -1496,7 +1863,7 @@ mod oracle {
         c: u32,
     }
 
-    /// [`super::grid_phase_tree`], run level by level as the primitives it is
+    /// [`super::grid_phase`], run level by level as the primitives it is
     /// charged as: every level's packages materialized, answered from the
     /// shared [`LeveledIndex`] and gathered by `(parent, c, q, r)`, and the
     /// crossovers gathered by `(parent, c)`.
@@ -1510,10 +1877,10 @@ mod oracle {
         // `U_x(c)` that determine δ(0, c) and δ(n, c) for every pair.
         let mut line_queries: Vec<LineQuery> = Vec::new();
         for p in &layout.parents {
-            for c in line_columns(&p.spec) {
+            for l in 0..p.lines() {
                 line_queries.push(LineQuery {
                     parent: p.spec.inst,
-                    c,
+                    c: p.line(l),
                 });
             }
         }
@@ -1526,11 +1893,11 @@ mod oracle {
                 let p = layout.parent(q.parent);
                 let mut thresholds = Vec::with_capacity(2 * p.spec.h + 1);
                 for x in 0..p.spec.h as u64 {
-                    thresholds.push(x * p.w);
-                    thresholds.push(x * p.w + q.c as u64);
+                    thresholds.push(x * p.w());
+                    thresholds.push(x * p.w() + q.c as u64);
                 }
-                thresholds.push(p.spec.h as u64 * p.w);
-                (p.group(0, 0), thresholds)
+                thresholds.push(p.spec.h as u64 * p.w());
+                (tree.group(p, 0, 0), thresholds)
             });
         let work: DistVec<GridWork> = cluster.flat_map(&answered, |(lq, counts)| {
             let spec = layout.parent(lq.parent).spec;
@@ -1607,8 +1974,11 @@ mod oracle {
                     let (p, level, size) = level(s.parent);
                     let node = s.lo / size + pk.seg as u64;
                     (
-                        p.group(level, node),
-                        vec![s.q as u64 * p.w + s.c as u64, s.r as u64 * p.w + s.c as u64],
+                        tree.group(p, level, node),
+                        vec![
+                            s.q as u64 * p.w() + s.c as u64,
+                            s.r as u64 * p.w() + s.c as u64,
+                        ],
                     )
                 });
             let stepped: DistVec<GridWork> = cluster.group_map_view(
@@ -1700,8 +2070,9 @@ mod oracle {
         (resolved, searches)
     }
 
-    /// [`super::attach_base_f_tree`], with every subgrid's answered
-    /// packages gathered by `(parent, gi, gj)`.
+    /// [`super::attach_base_f`], run as the primitives it is charged as:
+    /// every subgrid's packages materialized, answered from the shared
+    /// [`LeveledIndex`] and gathered by `(parent, gi, gj)`.
     pub(super) fn attach_base_f_tree(
         cluster: &mut Cluster,
         active: DistVec<ActiveSubgrid>,
@@ -1999,9 +2370,10 @@ mod oracle {
 
 #[cfg(test)]
 mod tests {
+    use super::oracle::{descend, LeveledIndex};
     use super::*;
     use monge::multiway::{lift_subresult, split_into_subproblems};
-    use mpc_runtime::MpcConfig;
+    use mpc_runtime::{MpcConfig, RankIndex};
     use rand::prelude::*;
 
     impl LeveledIndex {
@@ -2012,16 +2384,17 @@ mod tests {
             colored: &DistVec<Colored>,
             layout: &Layout,
         ) -> Self {
+            let bases = Self::bases(layout);
             let index = cluster.rank_index(colored, |p| {
                 let g = layout.parent(p.inst);
-                let (row, v) = (p.row as u64, p.color as u64 * g.w + p.col as u64);
+                let (row, v) = (p.row as u64, p.color as u64 * g.w() + p.col as u64);
                 g.sizes
                     .iter()
-                    .zip(&g.bases)
+                    .zip(&bases[&p.inst])
                     .map(move |(&size, &base)| (base + row / size, v))
                     .collect::<Vec<_>>()
             });
-            Self { index }
+            Self { index, bases }
         }
     }
 
@@ -2166,11 +2539,10 @@ mod tests {
             let mut cluster = Cluster::new(config());
             let colored = cluster.distribute(real_unions(rng, parents));
             let layout = Layout::new(&colored, &specs);
-            let tree = LeveledIndex::build(&layout);
-            let lines = grid_phase_tree(&mut cluster, &colored, &layout, &tree);
+            let lines = grid_phase(&mut cluster, &colored, &layout);
             let (active, classified) =
                 oracle::classify(&mut cluster, &colored, lines, &layout, routing);
-            let active = attach_base_f_tree(&mut cluster, active, &layout, &tree);
+            let active = attach_base_f(&mut cluster, active, &layout);
             let points = cluster.map(&classified, |(p, _)| *p);
             let windows: BTreeMap<Target, (u16, u16)> = active
                 .iter()
@@ -2266,24 +2638,19 @@ mod tests {
             let mut cluster = Cluster::new(config());
             let colored = cluster.distribute(real_unions(rng, parents));
             let layout = Layout::new(&colored, &specs);
-            let tree = LeveledIndex::build(&layout);
-            let lines = grid_phase_tree(&mut cluster, &colored, &layout, &tree);
+            let lines = grid_phase(&mut cluster, &colored, &layout);
             let active = classify(&mut cluster, &colored, &lines, &layout, routing).active;
-            type Attach = fn(
-                &mut Cluster,
-                DistVec<ActiveSubgrid>,
-                &Layout,
-                &LeveledIndex,
-            ) -> DistVec<ActiveSubgrid>;
-            let run = |attach: Attach| {
+            let tree = LeveledIndex::build(&layout);
+            let run = |attach: &dyn Fn(&mut Cluster) -> DistVec<ActiveSubgrid>| {
                 let mut cluster = Cluster::new(config());
-                let out = attach(&mut cluster, active.clone(), &layout, &tree);
+                let out = attach(&mut cluster);
                 let out: Vec<Vec<ActiveSubgrid>> =
                     (0..out.machines()).map(|i| out.part(i).to_vec()).collect();
                 (out, cluster.ledger().clone())
             };
-            let (got, ledger) = run(attach_base_f_tree);
-            let (want, want_ledger) = run(oracle::attach_base_f_tree);
+            let (got, ledger) = run(&|cluster| attach_base_f(cluster, active.clone(), &layout));
+            let (want, want_ledger) =
+                run(&|cluster| oracle::attach_base_f_tree(cluster, active.clone(), &layout, &tree));
             assert_eq!(got, want, "subgrids per machine, {case}");
             assert_eq!(ledger, want_ledger, "ledger, {case}");
             active.len()
@@ -2295,23 +2662,23 @@ mod tests {
     /// and requires the same lines on every machine and the same ledger.
     /// Returns the lines produced.
     fn check_grid_phase(points: &[Colored], specs: &[ParentSpec], case: &str) -> usize {
-        type Grid =
-            fn(&mut Cluster, &DistVec<Colored>, &Layout, &LeveledIndex) -> DistVec<LineInfo>;
+        type Grid = fn(&mut Cluster, &DistVec<Colored>, &Layout) -> DistVec<LineInfo>;
         let specs: BTreeMap<u64, ParentSpec> = specs.iter().map(|s| (s.inst, *s)).collect();
         let run = |grid: Grid| {
             let mut cluster = Cluster::new(config());
             let colored = cluster.distribute(points.to_vec());
             let layout = Layout::new(&colored, &specs);
-            let tree = LeveledIndex::build(&layout);
             cluster.set_phase(Some("combine-grid"));
-            let lines = grid(&mut cluster, &colored, &layout, &tree);
+            let lines = grid(&mut cluster, &colored, &layout);
             let lines: Vec<Vec<LineInfo>> = (0..lines.machines())
                 .map(|i| lines.part(i).to_vec())
                 .collect();
             (lines, cluster.ledger().clone())
         };
-        let (got, ledger) = run(grid_phase_tree);
-        let (want, want_ledger) = run(oracle::grid_phase_tree);
+        let (got, ledger) = run(grid_phase);
+        let (want, want_ledger) = run(|cluster, colored, layout| {
+            oracle::grid_phase_tree(cluster, colored, layout, &LeveledIndex::build(layout))
+        });
         assert_eq!(got, want, "lines per machine, {case}");
         assert_eq!(ledger, want_ledger, "ledger, {case}");
         got.iter().map(Vec::len).sum()
@@ -2347,6 +2714,129 @@ mod tests {
         assert!(lines > 0, "no case produced a line");
     }
 
+    /// The counts the combine reads off the layout, against brute force,
+    /// and every crossover row with its per-level segment counts against the
+    /// test tree's walk. Random unions at H ∈ {2, 3, 5, 8}, with G = 5 and
+    /// parents of n ∈ {1, 2, G − 1, G, G + 1} and 37, which is no power of
+    /// any H; every pair of every line is searched for its first and its last
+    /// matching row.
+    #[test]
+    fn layout_counts_match_brute_force_and_the_tree_walk() {
+        let mut rng = StdRng::seed_from_u64(61);
+        let g = 5;
+        let mut searched = 0;
+        for h in [2usize, 3, 5, 8] {
+            let parents: Vec<(u64, usize, usize)> = [1, 2, g - 1, g, g + 1, 37]
+                .into_iter()
+                .enumerate()
+                .map(|(i, n)| (3 * i as u64 + 1, n, h))
+                .collect();
+            let specs: BTreeMap<u64, ParentSpec> = parents
+                .iter()
+                .map(|&(inst, n, h)| (inst, ParentSpec { inst, n, h, g }))
+                .collect();
+            let mut cluster = Cluster::new(config());
+            let colored = cluster.distribute(random_unions(&mut rng, &parents));
+            let layout = Layout::new(&colored, &specs);
+            let tree = LeveledIndex::build(&layout);
+            assert_eq!(layout.tree_values(), tree.index.len(), "h={h}");
+
+            let mut lines = Vec::new();
+            let mut searches = Vec::new();
+            let mut want = Vec::new();
+            for p in &layout.parents {
+                let (n, w) = (p.spec.n, p.w());
+                let mine: Vec<&Colored> =
+                    colored.iter().filter(|q| q.inst == p.spec.inst).collect();
+                let count = |keep: &dyn Fn(&Colored) -> bool| -> u32 {
+                    mine.iter().filter(|q| keep(q)).count() as u32
+                };
+                let case = format!("h={h} n={n}");
+
+                // The precompute's and the corner step's U_x(c) and n_x.
+                for l in 0..p.lines() {
+                    let c = p.line(l);
+                    for x in 0..h {
+                        let brute = count(&|q| q.color as usize == x && q.col < c);
+                        assert_eq!(p.left(l)[x], brute, "U_{x}({c}), {case}");
+                    }
+                }
+
+                // The corner row prefixes at every band's first row.
+                let mut sweep = RowSweep::new(p, &layout);
+                let bands = n.div_ceil(g);
+                for gi in 0..bands {
+                    let r0 = (gi * g) as u32;
+                    sweep.advance(r0 as usize);
+                    for y in 0..h {
+                        let above = count(&|q| q.color as usize == y && q.row < r0);
+                        assert_eq!(sweep.above(y), above, "#{{{y}, row < {r0}}}, {case}");
+                        for gj in 0..=bands {
+                            let c0 = (gj * g) as u32;
+                            let brute =
+                                count(&|q| q.color as usize == y && q.row < r0 && q.col < c0);
+                            assert_eq!(
+                                sweep.above_left(y, gj),
+                                brute,
+                                "#{{{y}, row < {r0}, col < {c0}}}, {case}"
+                            );
+                        }
+                    }
+                }
+
+                // Every pair of every line, for its first and last match.
+                for l in 0..p.lines() {
+                    let c = p.line(l);
+                    let line = lines.len();
+                    lines.push(Line { p, c, machine: 0 });
+                    for q in 0..h as u16 {
+                        for r in q + 1..h as u16 {
+                            let range = q as u64 * w + c as u64..r as u64 * w + c as u64;
+                            let mut rows: Vec<u32> = mine
+                                .iter()
+                                .filter(|x| range.contains(&(x.color as u64 * w + x.col as u64)))
+                                .map(|x| x.row)
+                                .collect();
+                            rows.sort_unstable();
+                            let mut ks = vec![1, rows.len()];
+                            ks.dedup();
+                            ks.retain(|k| (1..=rows.len()).contains(k));
+                            for k in ks {
+                                searches.push(Search {
+                                    pair: 0,
+                                    line,
+                                    q,
+                                    r,
+                                    delta_0: 1 - k as i64,
+                                });
+                                want.push(rows[k - 1]);
+                            }
+                        }
+                    }
+                }
+            }
+
+            let leaves = crossover_rows(&layout, &lines, &searches);
+            assert_eq!(leaves, want, "h={h}: the k-th matching rows");
+            for (s, &leaf) in searches.iter().zip(&leaves) {
+                let (line, p) = (&lines[s.line], lines[s.line].p);
+                let case = format!("h={h} n={} c={} q={} r={}", p.spec.n, line.c, s.q, s.r);
+                let mut segs = vec![0u16; p.height().max(1)];
+                assert_eq!(descend(&tree, line, s, &mut segs), leaf + 1, "{case}");
+                for (t, &walked) in segs.iter().enumerate() {
+                    assert_eq!(
+                        segments(p, leaf, t + 1),
+                        walked as usize,
+                        "level {}, {case}",
+                        t + 1
+                    );
+                }
+            }
+            searched += searches.len();
+        }
+        assert!(searched > 0, "no case searched");
+    }
+
     #[test]
     fn row_ordered_tree_answers_like_the_entry_built_oracle() {
         let mut rng = StdRng::seed_from_u64(29);
@@ -2371,7 +2861,9 @@ mod tests {
             // The bottom-up runs are the from-scratch ones, entry for entry.
             let sorted = LeveledIndex::runs(&layout, sort_blocks);
             for threads in [1, 4] {
-                let built = on_threads(threads, || LeveledIndex::runs(&layout, build_levels));
+                let built = on_threads(threads, || {
+                    LeveledIndex::runs(&layout, oracle::build_levels)
+                });
                 assert!(
                     built == sorted,
                     "{parents:?}, {threads} threads: runs differ"
@@ -2382,14 +2874,14 @@ mod tests {
             let mut queries: Vec<(u64, Vec<u64>)> = Vec::new();
             for p in &layout.parents {
                 for (level, &size) in p.sizes.iter().enumerate() {
-                    for node in 0..node_count(p.spec.n, size) {
+                    for node in 0..oracle::node_count(p.spec.n, size) {
                         let mut t: Vec<u64> = (0..6)
-                            .map(|_| rng.gen_range(0..p.w * (p.spec.h as u64 + 1)))
+                            .map(|_| rng.gen_range(0..p.w() * (p.spec.h as u64 + 1)))
                             .collect();
                         t.push(0);
                         t.push(u64::MAX);
                         t.sort_unstable();
-                        queries.push((p.group(level as u32, node), t));
+                        queries.push((tree.group(p, level as u32, node), t));
                     }
                 }
             }
@@ -2453,7 +2945,12 @@ mod tests {
             let layout = Layout::new(&colored, &specs_of(&[(0, n, h)]));
             let p = &layout.parents[0];
             for upto in [0u64, 1, 5, (n / 2) as u64, (n - 1) as u64] {
-                let nodes = prefix_decomposition(upto, p);
+                let nodes = oracle::prefix_decomposition(upto, p);
+                assert_eq!(
+                    nodes.len(),
+                    prefix_nodes(upto, p),
+                    "n={n} h={h} upto={upto}"
+                );
                 // The ranges must be disjoint and cover exactly [0, upto).
                 let mut covered: Vec<(u64, u64)> = nodes
                     .iter()

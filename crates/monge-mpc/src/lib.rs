@@ -23,7 +23,9 @@
 //!    breakpoints, demarcation rows `b_q`) computed by descending the colored
 //!    H-ary tree with batched rank-search packages, active-subgrid
 //!    identification, Lemma 3.12 pierced-interval routing, and the per-subgrid
-//!    local phase (`monge::multiway::process_subgrid`).
+//!    local phase (`monge::multiway::process_subgrid`). The simulator charges
+//!    every tree query as the model runs it but builds no tree: it reads the
+//!    counts from each parent's row and column tables (see [`combine`]).
 //!
 //! ## Space conformance
 //!

@@ -168,9 +168,9 @@ impl Workspace {
         let mut cols_hi = self.take();
         {
             let mut rank = self.take();
-            rank.resize(n, 0);
-            compact_columns_into(&pb[..half], &mut rank, &mut b_lo, &mut cols_lo);
-            compact_columns_into(&pb[half..], &mut rank, &mut b_hi, &mut cols_hi);
+            split_columns_into(pb, half, &mut rank, [&mut cols_lo, &mut cols_hi]);
+            b_lo.extend(pb[..half].iter().map(|&c| rank[c as usize]));
+            b_hi.extend(pb[half..].iter().map(|&c| rank[c as usize]));
             self.give(rank);
         }
 
@@ -354,31 +354,36 @@ pub fn mul_rows_reference(pa: &[u32], pb: &[u32]) -> Vec<u32> {
 /// Compacts the columns of a row-slice of a permutation: returns the relabelled
 /// slice (columns replaced by their rank) and the sorted list of original columns.
 fn compact_columns(rows: &[u32], total_cols: usize) -> (Vec<u32>, Vec<u32>) {
-    let mut rank = vec![0u32; total_cols];
-    let mut relabelled = Vec::new();
-    let mut cols = Vec::new();
-    compact_columns_into(rows, &mut rank, &mut relabelled, &mut cols);
-    (relabelled, cols)
-}
-
-/// [`compact_columns`] writing into caller-provided buffers. `rank` must have
-/// length ≥ the column universe; only entries for used columns are written
-/// before being read, so it needs no clearing between calls.
-fn compact_columns_into(
-    rows: &[u32],
-    rank: &mut [u32],
-    relabelled: &mut Vec<u32>,
-    cols: &mut Vec<u32>,
-) {
-    cols.clear();
-    cols.extend_from_slice(rows);
+    let mut cols = rows.to_vec();
     cols.sort_unstable();
     // rank[c] = position of column c in `cols` (only meaningful for used columns).
+    let mut rank = vec![0u32; total_cols];
     for (i, &c) in cols.iter().enumerate() {
         rank[c as usize] = i as u32;
     }
-    relabelled.clear();
-    relabelled.extend(rows.iter().map(|&c| rank[c as usize]));
+    let relabelled = rows.iter().map(|&c| rank[c as usize]).collect();
+    (relabelled, cols)
+}
+
+/// Splits the columns of the permutation `pb` between its rows `..half`
+/// (`lo`) and `half..` (`hi`) in linear time: fills `cols` with each side's
+/// columns in ascending order, and `rank` (cleared first) with every
+/// column's position among its side's. `pb` is a permutation of `0..n`, so
+/// one ascending scan over the columns, each marked with its side, ranks
+/// both sides at once.
+fn split_columns_into(pb: &[u32], half: usize, rank: &mut Vec<u32>, cols: [&mut Vec<u32>; 2]) {
+    const LO: u32 = 1;
+    rank.clear();
+    rank.resize(pb.len(), 0);
+    for &c in &pb[..half] {
+        rank[c as usize] = LO;
+    }
+    let [lo, hi] = cols;
+    for (c, r) in rank.iter_mut().enumerate() {
+        let side = if *r == LO { &mut *lo } else { &mut *hi };
+        *r = side.len() as u32;
+        side.push(c as u32);
+    }
 }
 
 /// Combines the two expanded subproblem results with the ant traversal.

@@ -715,6 +715,12 @@ impl Cluster {
     /// `charged_values` values — same primitive, rounds, communication and
     /// rebalanced output — so sharing one index across several searches
     /// changes the simulator's speed, never the ledger.
+    ///
+    /// Its callers are [`Cluster::rank_search_multi`], which the benchmark
+    /// harness measures, and the test oracle of the ⊡ combine (`monge-mpc`),
+    /// which queries its leveled colored tree through it; the combine itself
+    /// reads its counts from its own tables and charges them with
+    /// [`Cluster::charge_rank_search_multi`].
     pub fn rank_search_multi_in<Q, K, FQ>(
         &mut self,
         index: &RankIndex<K>,
@@ -747,8 +753,9 @@ impl Cluster {
     /// rebalanced, whatever the packages' placement. A strict cluster panics
     /// identically. Returns the answers' shape.
     ///
-    /// For a caller that answers the packages itself, e.g. by walking a
-    /// shared [`RankIndex`] once per search across several levels.
+    /// For a caller that answers the packages itself, e.g. the ⊡ combine,
+    /// which reads the counts its tree queries ask for from per-parent row
+    /// and column tables.
     pub fn charge_rank_search_multi(
         &mut self,
         charged_values: u64,
@@ -1146,7 +1153,8 @@ impl Cluster {
     /// identically. Returns the copies' shape.
     ///
     /// For a caller that needs a multicast's cost but not its copies, e.g.
-    /// when a prebuilt [`RankIndex`] already holds what the copies would feed.
+    /// the ⊡ combine's per-level tree copies, whose counts it reads from
+    /// its own tables.
     pub fn charge_multicast(&mut self, volume: usize) -> Shape {
         self.apply_step(Superstep::new("multicast", costs::MULTICAST, volume as u64));
         let out = Shape::balanced(volume, self.config.machines);

@@ -3,12 +3,10 @@
 //! [`crate::Cluster::rank_search_multi`] answers packages of thresholds
 //! against values grouped by key. Its value side — every `(group, value)`
 //! entry sorted — depends only on the values, so a caller that queries the
-//! same values repeatedly (the ⊡ combine's tree descent queries one colored
-//! union once per tree level, then again for the corner `F` vectors) builds a
-//! [`RankIndex`] once and answers every batch from it with
-//! [`crate::Cluster::rank_search_multi_in`]. The build is local simulator
-//! work; each query still charges the full value side, as if the machines had
-//! re-sorted it.
+//! same values repeatedly builds a [`RankIndex`] once and answers every batch
+//! from it with [`crate::Cluster::rank_search_multi_in`]. The build is local
+//! simulator work; each query still charges the full value side, as if the
+//! machines had re-sorted it.
 //!
 //! An index is built one of two ways:
 //!
@@ -19,8 +17,7 @@
 //!   `n log n` comparisons;
 //! * from runs the caller already holds grouped and sorted
 //!   ([`RankIndex::from_sorted_runs`], compressed-sparse-row form): nothing is
-//!   sorted at all. The ⊡ combine builds its colored tree this way, because
-//!   every tree node is a contiguous block of rows.
+//!   sorted at all.
 
 use std::marker::PhantomData;
 
@@ -80,6 +77,11 @@ impl<K: RankKey> RankIndex<K> {
     ///
     /// If `starts` does not hold one more offset than there are groups, or
     /// its last offset is not `values.len()`.
+    ///
+    /// Its one caller outside this module's tests is the test oracle of the
+    /// ⊡ combine (`monge-mpc`), which builds its leveled colored tree this
+    /// way, every tree node being a contiguous block of rows; the combine
+    /// itself reads its counts from its own tables.
     pub fn from_sorted_runs(groups: Vec<K>, starts: Vec<usize>, values: Vec<u64>) -> Self {
         assert_eq!(
             starts.len(),

@@ -12,9 +12,11 @@
 //!   it is skipped above [`REF_COMB_CAP`] columns; the fast path is linear-space
 //!   and sweeps on toward 2^22.
 //! * **mul** — arena-backed [`monge::steady_ant::mul_rows`] (thread-local
-//!   [`monge::steady_ant::Workspace`], dense base case) and the data-parallel
+//!   [`monge::steady_ant::Workspace`], 0-Hecke base case) and the data-parallel
 //!   [`monge::steady_ant::mul_batch`] vs the allocate-per-level
-//!   [`monge::steady_ant::mul_rows_reference`].
+//!   [`monge::steady_ant::mul_rows_reference`], on random operands at fixed
+//!   small sizes around the base-case cutoff and over the size grid, plus one
+//!   row with the reversed `pa` (the base case's worst input).
 //! * **subgrid** — the ⊡ combine's local kernel
 //!   [`monge::multiway::process_subgrid`] (one walk, per-worker workspace,
 //!   reading the union's row and column tables) vs
@@ -52,6 +54,15 @@ const REF_COMB_CAP: usize = 1 << 16;
 
 /// Instances per `mul_batch` timing, sharing one arena per worker.
 const BATCH_K: usize = 4;
+
+/// Fixed small `mul` sizes, timed whatever `--max-n` is: below, at and just
+/// above the steady ant's 0-Hecke base-case cutoff (64), and one size whose
+/// recursion bottoms out in the base after two levels.
+const MUL_SMALL: [usize; 4] = [16, 64, 65, 256];
+
+/// Size of the `mul` row whose `pa` is the reversal: every base case then
+/// applies the longest word, `n(n − 1)/2` compare-exchanges.
+const MUL_REVERSED: usize = 1024;
 
 /// Largest size the cubic dense product is timed at.
 const DENSE_CAP: usize = 256;
@@ -112,6 +123,7 @@ pub(crate) fn run(opts: &ExpOpts) -> Report {
     // -------------------------------------------------------------------- mul
     let mut mul = Table::new(vec![
         "n",
+        "input",
         "ref ns",
         "ws ns",
         "batch ns/inst",
@@ -119,16 +131,32 @@ pub(crate) fn run(opts: &ExpOpts) -> Report {
         "elems/us",
         "identical",
     ]);
-    for &n in &sizes {
+    // Fixed small rows put the steady ant's 0-Hecke base case on record on
+    // both sides of its cutoff, and the reversed `pa` (the longest word, so
+    // the base's worst case) sits beside the random rows.
+    let mul_cases = MUL_SMALL
+        .iter()
+        .chain(&sizes)
+        .map(|&n| (n, false))
+        .chain([(MUL_REVERSED, true)]);
+    for (n, reversed) in mul_cases {
         let (a, b) = (
-            random_permutation(n, 0xA0 + n as u64),
+            if reversed {
+                PermutationMatrix::from_rows((0..n as u32).rev().collect())
+            } else {
+                random_permutation(n, 0xA0 + n as u64)
+            },
             random_permutation(n, 0xB0 + n as u64),
         );
         let (pa, pb) = (a.rows(), b.rows());
         let instances: Vec<(PermutationMatrix, PermutationMatrix)> = (0..BATCH_K as u64)
             .map(|i| {
                 (
-                    random_permutation(n, 2 * i + 1),
+                    if reversed {
+                        a.clone()
+                    } else {
+                        random_permutation(n, 2 * i + 1)
+                    },
                     random_permutation(n, 2 * i + 2),
                 )
             })
@@ -150,6 +178,7 @@ pub(crate) fn run(opts: &ExpOpts) -> Report {
                 .all(|(c, (a, b))| c.rows() == mul_rows_reference(a.rows(), b.rows()));
         mul.row(vec![
             n.to_string(),
+            if reversed { "reversed pa" } else { "random" }.to_string(),
             ref_ns.to_string(),
             ws_ns.to_string(),
             batch_ns.to_string(),

@@ -14,6 +14,14 @@
 //!    subproblem) does, then keep `lo` nonzeros strictly above/left of the line,
 //!    `hi` nonzeros strictly below/right of it, and insert a new nonzero at every
 //!    up-then-right turn of the line (the "interesting points" of Lemma 3.9).
+//!    Both sides' results are expanded into two tagged maps, one per axis
+//!    (row → column, column → row, the side in the top bit), since every row
+//!    and column of the product belongs to exactly one side.
+//! 3. Subproblems of at most 64 (`HECKE_BASE`) are not split further. `⊡` is the
+//!    product of the 0-Hecke (seaweed) monoid (A. Tiskin, *Fast distance
+//!    multiplication of unit-Monge matrices*, Algorithmica 71, 2015), so a
+//!    small product is `P_B` run through the compare-exchanges of a reduced
+//!    word of `P_A`: insertion-sort `pa`, then apply its swaps backwards.
 
 use crate::matrix::{PermutationMatrix, SubPermutationMatrix};
 use rayon::prelude::*;
@@ -21,12 +29,33 @@ use std::cell::RefCell;
 
 const NONE: u32 = u32::MAX;
 
-/// Subproblems of at most this size are solved directly through the dense
-/// distribution-matrix (min, +) product instead of recursing further. The
+/// Subproblems of at most this size are solved directly as a run of 0-Hecke
+/// compare-exchanges ([`mul_hecke_base`]) instead of recursing further. The
 /// product `⊡` is unique, so the base case is bit-identical to full recursion;
 /// it exists because the deepest recursion levels are dominated by bookkeeping,
-/// not by work.
-const DENSE_BASE: usize = 8;
+/// not by work. Its cost grows with the inversions of `pa` (`n²/4` on random
+/// input, `n²/2` on the reversal), so the cutoff trades recursion levels
+/// against the word length. A sweep of cutoffs 16–128 (µs per product, best
+/// of 5–7 round-robin runs, 1 thread, 2-vCPU Xeon host), where "pipeline" is
+/// the 84 products of one Theorem 1.3 solve (`lis_witness_mpc`, n = 2¹⁴,
+/// δ = 0.5, layerbench's noisy trend; sizes 1024 and 1792, 4.9% of the
+/// maximum inversions) and "rev" a reversed `pa`:
+///
+/// | cutoff | pipeline | rand 256 | rand 1024 | rand 4096 | rand 16384 | rev 1024 |
+/// |-------:|---------:|---------:|----------:|----------:|-----------:|---------:|
+/// | 16     | 175      | 45       | 255       | 1267      | 6303       | 135      |
+/// | 32     | 147      | 38       | 227       | 1146      | 5849       | 142      |
+/// | 48     | 149      | 38       | 227       | 1132      | 5839       | 144      |
+/// | 64     | 127      | 34       | 215       | 1106      | 5552       | 177      |
+/// | 96     | 132      | 35       | 218       | 1122      | 5579       | 179      |
+/// | 128    | 117      | 39       | 237       | 1200      | 5863       | 279      |
+///
+/// The dense (min, +) base at 8 that this replaced read 461, 103, 528, 2413,
+/// 11445 and 310. Halving recursions on these sizes only meet the cutoff's
+/// largest power of two, so 32/48 and 64/96 pair up. 128 wins the pipeline
+/// but loses every random row, and its reversal row is back near the old
+/// base's; 64 is the fastest on the rest.
+const HECKE_BASE: usize = 64;
 
 /// Multiplies two permutation matrices: returns `P_C = P_A ⊡ P_B` (Theorem 1.1's
 /// sequential counterpart). `O(n log n)` time, `O(n)` auxiliary space per level,
@@ -72,9 +101,10 @@ thread_local! {
 /// The workspace instead keeps a pool of `u32` buffers: every recursion level
 /// *takes* its scratch from the pool and *gives* it back before returning, so
 /// steady state runs allocation-free (the returned product vector is the only
-/// allocation per call). The four n-sized expansion maps of a combine step are
-/// carved out of a single pooled buffer (struct-of-arrays, one take instead of
-/// four `vec![NONE; n]`).
+/// allocation per call). A combine step expands both sides' results into two
+/// tagged maps, row → column and column → row, carved out of one pooled `2n`
+/// buffer; every slot is written, so the buffer needs no fill. Subproblems of
+/// at most 64 (`HECKE_BASE`) run the 0-Hecke base case on the stack.
 ///
 /// An `outstanding` counter tracks take/give balance; `mul_rows` asserts (debug
 /// builds) that every instance returns all of its buffers — the classic
@@ -135,8 +165,8 @@ impl Workspace {
     fn mul_rec(&mut self, pa: &[u32], pb: &[u32], out: &mut Vec<u32>) {
         let n = pa.len();
         out.clear();
-        if n <= DENSE_BASE {
-            mul_dense_base(pa, pb, out);
+        if n <= HECKE_BASE {
+            mul_hecke_base(pa, pb, out);
             return;
         }
         let half = n / 2;
@@ -144,146 +174,176 @@ impl Workspace {
         // --- Split A by columns of the middle dimension. -----------------------
         // Rows of A whose nonzero lies in columns [0, half) form the `lo`
         // subproblem; the rest form `hi`. Row order is preserved (compaction by
-        // rank), columns are relabelled to 0..half / 0..n-half.
-        let mut rows_lo = self.take();
-        let mut rows_hi = self.take();
-        let mut a_lo = self.take();
-        let mut a_hi = self.take();
+        // rank), columns are relabelled to 0..half / 0..n-half. Both sides
+        // share one buffer each: `lo` in `[..half]`, `hi` in `[half..]`.
+        let mut rows = self.take();
+        let mut a = self.take();
+        rows.resize(n, 0);
+        a.resize(n, 0);
+        let (mut lo, mut hi) = (0, half);
         for (i, &c) in pa.iter().enumerate() {
-            if (c as usize) < half {
-                rows_lo.push(i as u32);
-                a_lo.push(c);
-            } else {
-                rows_hi.push(i as u32);
-                a_hi.push(c - half as u32);
-            }
+            let is_lo = (c as usize) < half;
+            let at = if is_lo { lo } else { hi };
+            rows[at] = i as u32;
+            a[at] = if is_lo { c } else { c - half as u32 };
+            lo += usize::from(is_lo);
+            hi += usize::from(!is_lo);
         }
 
         // --- Split B by rows of the middle dimension. --------------------------
         // The first `half` rows of B form `lo`; their columns are compacted by
         // rank among themselves (and analogously for `hi`).
-        let mut b_lo = self.take();
-        let mut cols_lo = self.take();
-        let mut b_hi = self.take();
-        let mut cols_hi = self.take();
+        let mut cols = self.take();
+        let mut b = self.take();
         {
             let mut rank = self.take();
-            split_columns_into(pb, half, &mut rank, [&mut cols_lo, &mut cols_hi]);
-            b_lo.extend(pb[..half].iter().map(|&c| rank[c as usize]));
-            b_hi.extend(pb[half..].iter().map(|&c| rank[c as usize]));
+            split_columns_into(pb, half, &mut rank, &mut cols);
+            b.extend(pb.iter().map(|&c| rank[c as usize]));
             self.give(rank);
         }
 
-        // Recurse, releasing each child's inputs as soon as it returns so the
-        // pool's peak stays O(log n) buffers.
         let mut c_lo = self.take();
-        self.mul_rec(&a_lo, &b_lo, &mut c_lo);
-        self.give(a_lo);
-        self.give(b_lo);
+        self.mul_rec(&a[..half], &b[..half], &mut c_lo);
         let mut c_hi = self.take();
-        self.mul_rec(&a_hi, &b_hi, &mut c_hi);
-        self.give(a_hi);
-        self.give(b_hi);
+        self.mul_rec(&a[half..], &b[half..], &mut c_hi);
+        self.give(a);
+        self.give(b);
 
         // --- Expand the compacted results back to n×n sub-permutations. --------
-        // All four row→col / col→row maps live in one pooled 4n buffer.
+        // Every row and every column of the product belongs to exactly one
+        // side, so one row → col and one col → row map, each entry tagged with
+        // its side, cover both: every slot is written, nothing needs a fill.
         let mut maps = self.take();
-        maps.resize(4 * n, NONE);
+        maps.resize(2 * n, 0);
         {
-            let (lo_maps, hi_maps) = maps.split_at_mut(2 * n);
-            let (lo_col_of_row, lo_row_of_col) = lo_maps.split_at_mut(n);
-            let (hi_col_of_row, hi_row_of_col) = hi_maps.split_at_mut(n);
-            for (r, &c) in c_lo.iter().enumerate() {
-                let row = rows_lo[r];
-                let col = cols_lo[c as usize];
-                lo_col_of_row[row as usize] = col;
-                lo_row_of_col[col as usize] = row;
-            }
-            for (r, &c) in c_hi.iter().enumerate() {
-                let row = rows_hi[r];
-                let col = cols_hi[c as usize];
-                hi_col_of_row[row as usize] = col;
-                hi_row_of_col[col as usize] = row;
+            let (col_of_row, row_of_col) = maps.split_at_mut(n);
+            for (base, c_side, tag) in [(0, &c_lo, 0), (half, &c_hi, HI)] {
+                for (&row, &c) in rows[base..].iter().zip(c_side.iter()) {
+                    let col = cols[base + c as usize];
+                    col_of_row[row as usize] = col | tag;
+                    row_of_col[col as usize] = row | tag;
+                }
             }
         }
-        self.give(rows_lo);
-        self.give(rows_hi);
-        self.give(cols_lo);
-        self.give(cols_hi);
+        self.give(rows);
+        self.give(cols);
         self.give(c_lo);
         self.give(c_hi);
 
-        {
-            let mut max_k = self.take();
-            let (lo_maps, hi_maps) = maps.split_at(2 * n);
-            let (lo_col_of_row, lo_row_of_col) = lo_maps.split_at(n);
-            let (hi_col_of_row, hi_row_of_col) = hi_maps.split_at(n);
-            combine_ant_into(
-                n,
-                lo_col_of_row,
-                lo_row_of_col,
-                hi_col_of_row,
-                hi_row_of_col,
-                &mut max_k,
-                out,
-            );
-            self.give(max_k);
-        }
+        let mut max_k = self.take();
+        let (col_of_row, row_of_col) = maps.split_at(n);
+        combine_tagged_into(col_of_row, row_of_col, &mut max_k, out);
+        self.give(max_k);
         self.give(maps);
     }
 }
 
-/// Dense base case: `P_A ⊡ P_B` for `n ≤ DENSE_BASE` through the explicit
-/// distribution matrices and the (min, +) product, entirely on the stack.
-/// The `⊡` product is unique, so this is bit-identical to the recursion.
-fn mul_dense_base(pa: &[u32], pb: &[u32], out: &mut Vec<u32>) {
+/// Side tag of an entry of the tagged maps of [`combine_tagged_into`]: set
+/// for the `hi` subproblem's points, clear for `lo`'s.
+const HI: u32 = 1 << 31;
+
+/// Whether a tagged entry `e` (index `v` in its low bits) counts toward the
+/// ant's `delta` against boundary `b`: a `hi` point below it (`v < b`), or a
+/// `lo` point at or above it (`v ≥ b`).
+#[inline(always)]
+fn counts(e: u32, b: usize) -> bool {
+    (((e & !HI) as usize) < b) == (e & HI != 0)
+}
+
+/// [`combine_ant_into`] on one tagged map per axis: `col_of_row[r]` and
+/// `row_of_col[c]` hold the point of row `r` / column `c` with [`HI`] set when
+/// it belongs to the `hi` subproblem. The walk runs exactly `2n` steps; each
+/// step writes `max_k[i]` (the last write for row `i` is its demarcation
+/// column) and its placement (into the dummy slot `out[n]` when it places
+/// nothing), so neither write sits behind a branch.
+fn combine_tagged_into(
+    col_of_row: &[u32],
+    row_of_col: &[u32],
+    max_k: &mut Vec<u32>,
+    out: &mut Vec<u32>,
+) {
+    let n = col_of_row.len();
+    out.clear();
+    out.resize(n + 1, 0);
+    max_k.clear();
+    max_k.resize(n + 1, 0);
+
+    let (mut i, mut k) = (n, 0usize);
+    let mut delta: i32 = 0;
+    let mut last_was_up = false;
+    for _ in 0..2 * n {
+        max_k[i] = k as u32;
+        let move_right = k < n && (i == 0 || delta + i32::from(counts(row_of_col[k], i)) <= 0);
+        if move_right {
+            // An up-then-right turn at (i, k) is a new nonzero (Lemma 3.9).
+            out[if last_was_up { i } else { n }] = k as u32;
+            delta += i32::from(counts(row_of_col[k], i));
+            k += 1;
+        } else {
+            i -= 1;
+            delta -= i32::from(counts(col_of_row[i], k));
+        }
+        last_was_up = !move_right;
+    }
+    max_k[0] = n as u32;
+    out.truncate(n);
+
+    // A lo point (r, c) survives iff c < max_k[r + 1], a hi point iff
+    // c > max_k[r]; every other row got its point from the walk.
+    for (r, &e) in col_of_row.iter().enumerate() {
+        let c = e & !HI;
+        let survives = if e & HI != 0 {
+            c > max_k[r]
+        } else {
+            c < max_k[r + 1]
+        };
+        if survives {
+            out[r] = c;
+        }
+    }
+}
+
+/// 0-Hecke base case: `P_A ⊡ P_B` for `n ≤ HECKE_BASE` as a run of
+/// compare-exchanges, entirely on the stack.
+///
+/// `⊡` is the product of the 0-Hecke (seaweed) monoid (Tiskin, *Fast
+/// distance multiplication of unit-Monge matrices*, Algorithmica 71, 2015):
+/// if insertion-sorting `pa` ascending swaps positions `(i₁, i₁+1)`, …,
+/// `(i_m, i_m+1)` in that order, then `P_A ⊡ P_B` is `pb` with the
+/// compare-exchange "put the larger first" applied at `i_m`, …, `i₁`. The
+/// recorded swaps are a reduced word of `P_A`, one per inversion of `pa`, so
+/// the cost is `O(n + inv(pa))` with no allocation.
+fn mul_hecke_base(pa: &[u32], pb: &[u32], out: &mut Vec<u32>) {
     let n = pa.len();
-    if n == 0 {
-        return;
-    }
-    const W: usize = DENSE_BASE + 1;
-    debug_assert!(n < W);
-    let w = n + 1;
-    // d(i, j) = #{nonzeros with row ≥ i, col < j}; row n and column 0 are zero.
-    let mut da = [0u32; W * W];
-    let mut db = [0u32; W * W];
-    for (d, p) in [(&mut da, pa), (&mut db, pb)] {
-        for i in (0..n).rev() {
-            let c = p[i] as usize;
-            for j in 1..=n {
-                d[i * w + j] = d[(i + 1) * w + j] + u32::from(c < j);
-            }
+    debug_assert!(n <= HECKE_BASE);
+    let mut sorted = [0u32; HECKE_BASE];
+    let mut word = [0u8; HECKE_BASE * (HECKE_BASE - 1) / 2];
+    let mut len = 0;
+    for (j, &c) in pa.iter().enumerate() {
+        let mut i = j;
+        while i > 0 && sorted[i - 1] > c {
+            sorted[i] = sorted[i - 1];
+            i -= 1;
+            word[len] = i as u8;
+            len += 1;
         }
+        sorted[i] = c;
     }
-    // dc(i, k) = min_j da(i, j) + db(j, k); nonzeros via finite differences.
-    let mut dc = [0u32; W * W];
-    for i in 0..=n {
-        for k in 0..=n {
-            let mut best = u32::MAX;
-            for j in 0..=n {
-                best = best.min(da[i * w + j] + db[j * w + k]);
-            }
-            dc[i * w + k] = best;
-        }
+    out.extend_from_slice(pb);
+    for &i in word[..len].iter().rev() {
+        let i = usize::from(i);
+        let (x, y) = (out[i], out[i + 1]);
+        out[i] = x.max(y);
+        out[i + 1] = x.min(y);
     }
-    out.resize(n, NONE);
-    for i in 0..n {
-        for k in 0..n {
-            if dc[i * w + k + 1] + dc[(i + 1) * w + k]
-                == dc[i * w + k] + dc[(i + 1) * w + k + 1] + 1
-            {
-                out[i] = k as u32;
-                break;
-            }
-        }
-    }
-    debug_assert!(out.iter().all(|&c| c != NONE));
 }
 
 /// The allocate-per-level reference implementation of `P_A ⊡ P_B`, kept verbatim
 /// as the differential oracle for the arena-backed fast path ([`mul_rows`]):
 /// `exp_kernel_bench` and the proptests in `tests/properties.rs` assert the two
-/// are bit-identical.
+/// are bit-identical. It recurses down to `n = 1` and runs its own ant
+/// combine (`combine_ant_into`), so it shares neither the base case nor the
+/// combine with the fast path.
 pub fn mul_rows_reference(pa: &[u32], pb: &[u32]) -> Vec<u32> {
     let n = pa.len();
     debug_assert_eq!(n, pb.len());
@@ -366,27 +426,33 @@ fn compact_columns(rows: &[u32], total_cols: usize) -> (Vec<u32>, Vec<u32>) {
 }
 
 /// Splits the columns of the permutation `pb` between its rows `..half`
-/// (`lo`) and `half..` (`hi`) in linear time: fills `cols` with each side's
-/// columns in ascending order, and `rank` (cleared first) with every
-/// column's position among its side's. `pb` is a permutation of `0..n`, so
-/// one ascending scan over the columns, each marked with its side, ranks
-/// both sides at once.
-fn split_columns_into(pb: &[u32], half: usize, rank: &mut Vec<u32>, cols: [&mut Vec<u32>; 2]) {
+/// (`lo`) and `half..` (`hi`) in linear time: fills `cols` with `lo`'s
+/// columns ascending in `[..half]` and `hi`'s in `[half..]`, and `rank` with
+/// every column's position among its side's (both are cleared first). `pb` is
+/// a permutation of `0..n`, so one ascending scan over the columns, each
+/// marked with its side, ranks both sides at once.
+fn split_columns_into(pb: &[u32], half: usize, rank: &mut Vec<u32>, cols: &mut Vec<u32>) {
     const LO: u32 = 1;
     rank.clear();
     rank.resize(pb.len(), 0);
+    cols.clear();
+    cols.resize(pb.len(), 0);
     for &c in &pb[..half] {
         rank[c as usize] = LO;
     }
-    let [lo, hi] = cols;
+    let (mut lo, mut hi) = (0, half);
     for (c, r) in rank.iter_mut().enumerate() {
-        let side = if *r == LO { &mut *lo } else { &mut *hi };
-        *r = side.len() as u32;
-        side.push(c as u32);
+        let is_lo = *r == LO;
+        let at = if is_lo { lo } else { hi };
+        cols[at] = c as u32;
+        *r = (if is_lo { at } else { at - half }) as u32;
+        lo += usize::from(is_lo);
+        hi += usize::from(!is_lo);
     }
 }
 
-/// Combines the two expanded subproblem results with the ant traversal.
+/// Combines the two expanded subproblem results with the ant traversal: the
+/// reference's combine (the fast path runs [`combine_tagged_into`]).
 ///
 /// `lo_*` / `hi_*` are the row→col and col→row maps of the two n×n sub-permutation
 /// matrices (with `u32::MAX` for empty rows/columns). Writes the row→col array of
@@ -706,10 +772,11 @@ mod tests {
     #[test]
     fn workspace_matches_reference_across_sizes() {
         // The arena-backed path must be bit-identical to the allocate-per-level
-        // oracle, in particular around the dense base-case cutoff.
+        // oracle, in particular around the base-case cutoff and one recursion
+        // level above it.
         let mut rng = StdRng::seed_from_u64(0xD1FF);
         let mut ws = Workspace::new();
-        for n in 0..=40 {
+        for n in 0..=2 * HECKE_BASE + 1 {
             for _ in 0..4 {
                 let a = random_permutation(n.max(1), &mut rng);
                 let b = random_permutation(n.max(1), &mut rng);
@@ -798,29 +865,45 @@ mod tests {
     }
 
     #[test]
-    fn dense_base_matches_reference_exhaustively() {
-        // Every permutation pair at and below the cutoff goes through the dense
-        // (min, +) base case; it must agree with the reference recursion.
-        for n in 1..=4 {
+    fn hecke_base_matches_reference() {
+        // Every product at or below the cutoff is a run of 0-Hecke
+        // compare-exchanges; it must agree with the reference recursion and
+        // with the dense (min, +) product.
+        let check = |pa: &[u32], pb: &[u32]| {
+            let mut out = Vec::new();
+            mul_hecke_base(pa, pb, &mut out);
+            assert_eq!(out, mul_rows_reference(pa, pb), "pa={pa:?} pb={pb:?}");
+            out
+        };
+        check(&[], &[]);
+        for n in 1..=5 {
             let perms = all_permutations(n);
             for a in &perms {
                 for b in &perms {
-                    let mut out = Vec::new();
-                    mul_dense_base(a.rows(), b.rows(), &mut out);
-                    assert_eq!(out, mul_rows_reference(a.rows(), b.rows()));
+                    let out = check(a.rows(), b.rows());
+                    assert_eq!(out, mul_dense(a, b).rows(), "a={a:?} b={b:?}");
                 }
             }
         }
         let mut rng = StdRng::seed_from_u64(5);
-        for n in 5..=DENSE_BASE {
+        for n in 6..=HECKE_BASE {
             for _ in 0..20 {
                 let a = random_permutation(n, &mut rng);
                 let b = random_permutation(n, &mut rng);
-                let mut out = Vec::new();
-                mul_dense_base(a.rows(), b.rows(), &mut out);
-                assert_eq!(out, mul_rows_reference(a.rows(), b.rows()), "n={n}");
+                check(a.rows(), b.rows());
             }
         }
+        // The longest word (the reversal, n(n − 1)/2 swaps) and the empty one.
+        let n = HECKE_BASE as u32;
+        let reversal: Vec<u32> = (0..n).rev().collect();
+        let identity: Vec<u32> = (0..n).collect();
+        for _ in 0..4 {
+            let b = random_permutation(HECKE_BASE, &mut rng);
+            assert_eq!(check(&identity, b.rows()), b.rows());
+            check(&reversal, b.rows());
+        }
+        check(&reversal, &reversal);
+        check(&reversal, &identity);
     }
 
     #[test]

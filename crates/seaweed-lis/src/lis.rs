@@ -115,7 +115,14 @@ pub fn lis_witness_in_rank_range(items: &[(u32, u32)], vlo: u32, vhi: u32) -> Ve
 /// plus its opaque cells, against the `⊡` merges' `O(n log n)` per level with a
 /// much larger constant. A sweep of cutoffs 256–2048 over blocks of 158–4096
 /// elements and five input families (random, noisy trend, duplicate-heavy,
-/// sorted, reversed; one thread) was fastest at 2048 on every row.
+/// sorted, reversed; one thread) was fastest at 2048 on every row. Re-run
+/// over cutoffs 1024–4096 with the 0-Hecke-based steady ant (same blocks and
+/// families, 16 blocks per row, best of 5), the cheaper `⊡` narrows the gap
+/// but does not move the crossover: at B = 1792 a 1024 cutoff is still
+/// 1.3–2.7× slower than 2048 (random 20.2 vs 15.7 ms), and at B = 4096 a
+/// 4096 cutoff still combs 1.2–2.2× faster than recursing from 2048 (random
+/// 46.7 vs 56.7 ms, sorted 15.2 vs 32.0), where the previous `⊡` left
+/// 1.8–3.5× (85.6 vs 46.4, 53.1 vs 15.1).
 const COMB_BASE: usize = 2048;
 
 /// Size above which the two recursive halves are forked onto the thread pool.

@@ -83,8 +83,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Tiskin's Lemma 2.1: the steady ant computes exactly the (min,+) product.
+    /// Sizes reach past twice the 0-Hecke base-case cutoff (64), so cases
+    /// cross the cutoff and a recursion level above it.
     #[test]
-    fn steady_ant_matches_dense((a, b) in perm_pair(48)) {
+    fn steady_ant_matches_dense((a, b) in perm_pair(160)) {
         let pa = PermutationMatrix::from_rows(a);
         let pb = PermutationMatrix::from_rows(b);
         prop_assert_eq!(mul_steady_ant(&pa, &pb), mul_dense(&pa, &pb));
@@ -146,7 +148,7 @@ proptest! {
         );
     }
 
-    /// The arena-backed steady ant (pooled workspace + dense base case) is
+    /// The arena-backed steady ant (pooled workspace + 0-Hecke base case) is
     /// bit-identical to the allocate-per-level reference recursion.
     #[test]
     fn workspace_steady_ant_matches_reference((a, b) in perm_pair(96)) {

@@ -5,10 +5,13 @@
 //! it). Output: the nonzeros of each parent's product matrix.
 //!
 //! A parent's colored union has exactly one point per row and one per column.
-//! The combine therefore lays every parent out once, in one pass over the
-//! union: its points filed in a row table and a column table (indexed by the
-//! parent's offset plus the coordinate), its first band id and its colored
-//! tree's geometry. Every phase below reads that one layout.
+//! So the lift, which produces the union, files it once per level in one
+//! [`Layout`]: every parent's points in a row table, a column table (both
+//! indexed by the parent's offset plus the coordinate) and a by-color table
+//! in the lift's slot order, with the parent's first band id, its colored
+//! tree's geometry and its per-line color counts. The combine takes that
+//! layout and the placement of the lift's last join, which says where each
+//! point lives; every phase below reads them.
 //!
 //! The combine runs in a constant number of primitive rounds per level:
 //!
@@ -38,9 +41,10 @@
 //!    *pierced interval* `[opt(r0,c0), opt(r1,c1)]` — the colors of the
 //!    demarcation lines crossing it. The model joins every column band's
 //!    points with its two grid lines in one rebalancing `group_map`; the
-//!    simulator charges that join but computes it by dense index: a
-//!    counting-sort scatter files the points under their band ids, and each
-//!    band reads its two lines by index.
+//!    simulator charges that join but computes it by dense index: a band's
+//!    points are one column range of each color's run in the by-color table,
+//!    sorted into the join's arrival order, and each band reads its two
+//!    lines by index.
 //! 3. **Routing** — with the default [`Routing::Pierced`] strategy (Lemma 3.12)
 //!    every active subgrid receives only the union points in its row/column range
 //!    whose color lies in its pierced interval, plus the corner `F` vector
@@ -63,17 +67,18 @@
 //!    reads its descriptor by index and its points straight from its slices
 //!    of the two tables, which the kernel filters to the window itself.
 
-use crate::mul::Nonzero;
+use crate::mul::{starts, Nonzero};
 use crate::params::Routing;
 use monge::multiway::{opt_breakpoints_from_cmp, process_subgrid, ColoredPoint, SubgridTables};
-use mpc_runtime::{Cluster, DistVec, Shape};
+use mpc_runtime::{Cluster, DistVec, Placement, Shape};
 use rayon::prelude::*;
-use std::collections::BTreeMap;
 use std::ops::Range;
 
-/// A nonzero of the union permutation, tagged with its parent instance and color.
+/// A nonzero of the union permutation, tagged with its parent instance and
+/// color: what the materialized lift's join 2 emits.
+#[cfg(test)]
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Colored {
+pub(crate) struct Colored {
     /// Parent instance being combined.
     pub inst: u64,
     /// Row of the nonzero in the parent's coordinates.
@@ -86,7 +91,7 @@ pub struct Colored {
 
 /// Static description of a parent instance participating in a combine.
 #[derive(Clone, Copy, Debug)]
-pub struct ParentSpec {
+pub(crate) struct ParentSpec {
     /// Instance id.
     pub inst: u64,
     /// Matrix dimension of the parent.
@@ -144,56 +149,49 @@ struct LineInfo {
     b: Vec<u32>,
 }
 
-/// Runs the distributed combine for all `parents` at once and returns the product
-/// nonzeros of every parent.
-pub fn distributed_combine(
+/// Runs the distributed combine for every parent of `layout` at once and
+/// returns the product nonzeros of every parent. `union` is where the
+/// lift's join 2 placed every slot of the union (see [`Layout`]).
+pub(crate) fn distributed_combine(
     cluster: &mut Cluster,
-    colored: DistVec<Colored>,
-    parents: &[ParentSpec],
+    layout: &Layout,
+    union: &Placement,
     routing: Routing,
 ) -> DistVec<Nonzero> {
-    let specs: BTreeMap<u64, ParentSpec> = parents.iter().map(|p| (p.inst, *p)).collect();
-    let layout = Layout::new(&colored, &cluster.broadcast(specs));
+    // The parents' specs reach every machine.
+    cluster.broadcast(&layout.parents);
 
     // Phase 1: per-line demarcation rows.
     cluster.set_phase(Some("combine-grid"));
-    let lines = grid_phase(cluster, &colored, &layout);
+    let lines = grid_phase(cluster, layout);
 
     // Phase 2: classify points, enumerate active subgrids with their windows.
     cluster.set_phase(Some("combine"));
-    let classified = classify(cluster, &colored, &lines, &layout, routing);
-    let active = attach_base_f(cluster, classified.active, &layout);
+    let classified = classify(cluster, union, &lines, layout, routing);
+    let active = attach_base_f(cluster, classified.active, layout);
 
     // Points of non-active subgrids that survive (Lemma 3.10, constant case).
-    let (points, verdicts) = (&classified.points, &classified.verdicts);
-    let kept_points = cluster.filter(classified.placed.clone(), |&i| {
-        verdicts[i as usize] == Verdict::Keep
-    });
-    let kept: DistVec<Nonzero> = cluster.map(&kept_points, |&i| {
-        let p = points[i as usize];
-        Nonzero {
-            inst: p.inst,
-            row: p.row,
-            col: p.col,
-        }
-    });
+    let points_shape = classified.placed.shape();
+    let kept_points = cluster.filter(classified.placed, |&(_, verdict)| verdict == Verdict::Keep);
+    let kept: DistVec<Nonzero> =
+        cluster.map(&kept_points, |&(slot, _)| layout.nonzero(slot as usize));
 
     // Phase 3: routing. The points leave their verdicts behind.
     cluster.set_phase(Some("combine-route"));
-    let points_shape = classified.placed.shape();
     cluster.charge_map(&points_shape);
-    let rows = route_band(cluster, &layout, &points_shape, &active, true);
-    let cols = route_band(cluster, &layout, &points_shape, &active, false);
+    let rows = route_band(cluster, layout, &points_shape, &active, true);
+    let cols = route_band(cluster, layout, &points_shape, &active, false);
 
     // Phase 4: local subgrid resolution (communication-wise this is the routed
     // volume arriving at its target machines, so it stays under "combine-route").
-    let subgrid_out = resolve_subgrids(cluster, &active, [&rows, &cols], &layout);
+    let subgrid_out = resolve_subgrids(cluster, &active, [&rows, &cols], layout);
 
     cluster.set_phase(None::<String>);
     cluster.concat(kept, subgrid_out)
 }
 
-/// Every parent of a combine laid out once, parents in ascending id.
+/// Every parent of a level's combine laid out once, parents in ascending
+/// id, with its colored union filed by the lift.
 ///
 /// A band is one grid row or one grid column of a parent (`G` rows or
 /// columns), and both are numbered alike: parent `p`'s band `b` has id
@@ -203,19 +201,28 @@ pub fn distributed_combine(
 /// `rows[p.first + r]` and its point in column `c` is `cols[p.first + c]`.
 /// The grid phase, the corner-`F` step, the routing's band slices and the
 /// subgrids' slices all read these tables.
-struct Layout {
+///
+/// The third table lists the union in the lift's slot order, `(child, child
+/// column)`: parents ascend in it as they do in `first`, a parent's
+/// children are its colors in order, and a child's column map is monotone.
+/// So `by_color[p.first..p.first + n]` is parent `p`'s union color by color,
+/// each color in column order, and slot `p.first + k` is that run's `k`-th
+/// point. The crossover searches read a color's points from it, and
+/// classify a band's.
+pub(crate) struct Layout {
     parents: Vec<Parent>,
     /// Number of bands over all parents.
     bands: usize,
     rows: Vec<ColoredPoint>,
     cols: Vec<ColoredPoint>,
+    by_color: Vec<ColoredPoint>,
 }
 
 /// One parent's place in the [`Layout`], its colored tree's geometry and
 /// its per-line color counts.
 struct Parent {
     spec: ParentSpec,
-    /// The parent's first slot in the row and column tables.
+    /// The parent's first slot in the row, column and by-color tables.
     first: usize,
     /// The id of the parent's first band.
     band: usize,
@@ -224,16 +231,37 @@ struct Parent {
     /// Per grid line `l` and color `x`, at `l·h + x`: `U_x(c_l)`, the
     /// number of color-`x` points left of the line (see [`Parent::left`]).
     left: Vec<u32>,
+    /// Per color `x`: where its run starts in the parent's by-color table,
+    /// closed by `n`.
+    colors: Vec<usize>,
+}
+
+/// Splits the first `n` items off `rest`.
+fn take<'a, T>(rest: &mut &'a mut [T], n: usize) -> &'a mut [T] {
+    let (head, tail) = std::mem::take(rest).split_at_mut(n);
+    *rest = tail;
+    head
 }
 
 impl Layout {
-    /// Lays out every parent of `specs`, files the points of `colored` in
-    /// one pass, then counts every parent's colors left of its grid lines
-    /// from its column table, parents in parallel.
-    fn new(colored: &DistVec<Colored>, specs: &BTreeMap<u64, ParentSpec>) -> Self {
+    /// Lays out the parents of `specs` (ascending id) and files their
+    /// union, one pool task per parent: `file(i, push)` pushes parent `i`'s
+    /// points in slot order as `push(row, col, color)`, which files each in
+    /// its row, in its column and next in the by-color table. Each task then
+    /// counts its parent's colors left of every grid line.
+    ///
+    /// # Panics
+    ///
+    /// If a pushed point's row or column already holds one: a parent's
+    /// colored union has one point per row and one per column.
+    pub(crate) fn new(
+        specs: &[ParentSpec],
+        file: impl Fn(usize, &mut dyn FnMut(u32, u32, u16)) + Sync,
+    ) -> Self {
+        debug_assert!(specs.windows(2).all(|w| w[0].inst < w[1].inst));
         let (mut first, mut bands) = (0usize, 0usize);
         let mut parents: Vec<Parent> = specs
-            .values()
+            .iter()
             .map(|&spec| {
                 let parent = Parent {
                     spec,
@@ -241,6 +269,7 @@ impl Layout {
                     band: bands,
                     sizes: level_sizes(spec.n, spec.h),
                     left: Vec::new(),
+                    colors: Vec::new(),
                 };
                 first += spec.n;
                 bands += spec.n.div_ceil(spec.g);
@@ -254,56 +283,54 @@ impl Layout {
             col: 0,
             color: u16::MAX,
         };
-        let (mut rows, mut cols) = (vec![empty; first], vec![empty; first]);
-        // Look each parent up once per run of its points.
-        let mut at = 0;
-        for p in colored.iter() {
-            if parents[at].spec.inst != p.inst {
-                at = parents.partition_point(|q| q.spec.inst < p.inst);
-            }
-            let (first, n) = (parents[at].first, parents[at].spec.n);
-            debug_assert!(
-                (p.row as usize) < n && rows[first + p.row as usize].color == u16::MAX,
-                "the colored union of parent {} must have one union point per row \
-                 (row {} of n = {})",
-                p.inst,
-                p.row,
-                n
-            );
-            debug_assert!(
-                (p.col as usize) < n && cols[first + p.col as usize].color == u16::MAX,
-                "the colored union of parent {} must have one union point per column \
-                 (column {} of n = {})",
-                p.inst,
-                p.col,
-                n
-            );
-            let point = ColoredPoint {
-                row: p.row,
-                col: p.col,
-                color: p.color,
-            };
-            rows[first + p.row as usize] = point;
-            cols[first + p.col as usize] = point;
-        }
-        debug_assert!(
-            rows.iter().all(|p| p.color != u16::MAX),
-            "the colored union of every parent must have one union point per row \
-             (a row has none)"
-        );
-        let left: Vec<Vec<u32>> = parents
-            .par_iter()
-            .map(|p| p.count_left(&cols[p.first..p.first + p.spec.n]))
+        let mut rows = vec![empty; first];
+        let mut cols = rows.clone();
+        let mut by_color = rows.clone();
+        let (mut r, mut c, mut b) = (&mut rows[..], &mut cols[..], &mut by_color[..]);
+        let tasks: Vec<_> = parents
+            .iter_mut()
+            .map(|p| {
+                let n = p.spec.n;
+                (p, take(&mut r, n), take(&mut c, n), take(&mut b, n))
+            })
             .collect();
-        for (p, left) in parents.iter_mut().zip(left) {
-            p.left = left;
-        }
+        tasks
+            .into_par_iter()
+            .enumerate()
+            .for_each(|(i, (p, rows, cols, by_color))| {
+                let (inst, mut filed) = (p.spec.inst, 0);
+                file(i, &mut |row, col, color| {
+                    let point = ColoredPoint { row, col, color };
+                    for (table, at, axis) in [(&mut *rows, row, "row"), (&mut *cols, col, "column")]
+                    {
+                        let entry = &mut table[at as usize];
+                        assert_eq!(
+                            entry.color,
+                            u16::MAX,
+                            "lift: parent {inst} {axis} {at} has two union points"
+                        );
+                        *entry = point;
+                    }
+                    by_color[filed] = point;
+                    filed += 1;
+                });
+                debug_assert_eq!(filed, p.spec.n, "parent {inst} has a point per row");
+                p.left = p.count_left(cols);
+                let totals = p.left(p.lines() - 1).iter().map(|&total| total as usize);
+                p.colors = starts(totals);
+            });
         Self {
             parents,
             bands,
             rows,
             cols,
+            by_color,
         }
+    }
+
+    /// The number of union points over all parents.
+    fn len(&self) -> usize {
+        self.rows.len()
     }
 
     /// The parent with id `id`.
@@ -323,6 +350,30 @@ impl Layout {
     fn table(&self, p: &Parent, by_rows: bool, range: Range<u32>) -> &[ColoredPoint] {
         let table = if by_rows { &self.rows } else { &self.cols };
         &table[p.first + range.start as usize..p.first + range.end as usize]
+    }
+
+    /// `p`'s color-`x` points, in column order.
+    fn color(&self, p: &Parent, x: usize) -> &[ColoredPoint] {
+        &self.by_color[p.first + p.colors[x]..p.first + p.colors[x + 1]]
+    }
+
+    /// The slots of `p`'s color-`x` points in column band `band`: a
+    /// column range of the color's run.
+    fn band_slots(&self, p: &Parent, band: u32, x: usize) -> Range<usize> {
+        let at = p.first + p.colors[x];
+        let band = band as usize;
+        at + p.left(band)[x] as usize..at + p.left(band + 1)[x] as usize
+    }
+
+    /// The union point in slot `slot`, as a nonzero of its parent.
+    fn nonzero(&self, slot: usize) -> Nonzero {
+        let p = &self.parents[self.parents.partition_point(|p| p.first <= slot) - 1];
+        let point = self.by_color[slot];
+        Nonzero {
+            inst: p.spec.inst,
+            row: point.row,
+            col: point.col,
+        }
     }
 
     /// The number of values the colored trees hold, every union point once
@@ -647,14 +698,10 @@ struct Search {
 /// level's groups are the searches still pending there (a parent's searches
 /// all resolve at its leaf level), sized by their segment counts (see
 /// [`segments`]), and the placement the charged join gives them decides where
-/// the next level's packages start. Every query charges `colored.len()`
-/// values, what a rank search over the points keyed for that one level costs.
-fn grid_phase(
-    cluster: &mut Cluster,
-    colored: &DistVec<Colored>,
-    layout: &Layout,
-) -> DistVec<LineInfo> {
-    let charged = colored.len() as u64;
+/// the next level's packages start. Every query charges the union's size,
+/// what a rank search over the points keyed for that one level costs.
+fn grid_phase(cluster: &mut Cluster, layout: &Layout) -> DistVec<LineInfo> {
+    let charged = layout.len() as u64;
     // Precompute round: per line, one package of `2h + 1` thresholds over the
     // root, answering the color totals and the prefix counts `U_x(c)`. The
     // line descriptors are O(n/G) metadata; like the input, they start out
@@ -829,23 +876,7 @@ fn crossover_rows(layout: &Layout, lines: &[Line<'_>], searches: &[Search]) -> V
 fn parent_crossovers(layout: &Layout, lines: &[Line<'_>], searches: &[Search]) -> Vec<u32> {
     let p = lines[searches[0].line].p;
     let (n, h) = (p.spec.n, p.spec.h);
-    // The parent's points by color, each color's in column order: a
-    // counting sort of its column table.
-    let cols = layout.table(p, false, 0..n as u32);
-    let mut start = vec![0usize; h + 1];
-    for point in cols {
-        start[point.color as usize + 1] += 1;
-    }
-    for x in 0..h {
-        start[x + 1] += start[x];
-    }
-    let mut next = start.clone();
-    let mut by_color = cols.to_vec();
-    for point in cols {
-        by_color[next[point.color as usize]] = *point;
-        next[point.color as usize] += 1;
-    }
-    let color = |x: u16| &by_color[start[x as usize]..start[x as usize + 1]];
+    let color = |x: u16| layout.color(p, x as usize);
 
     // The searches by `(q, r)`, line order kept within a pair.
     let mut order: Vec<usize> = (0..searches.len()).collect();
@@ -1007,13 +1038,9 @@ fn b_vector(breakpoints: &[(u32, u16)], h: usize, n: u32) -> Vec<u32> {
 struct Classified {
     /// The active subgrids, each with its pierced interval.
     active: DistVec<ActiveSubgrid>,
-    /// Every union point, band by band (arrival order within a band).
-    points: Vec<Colored>,
-    /// Every point's verdict, aligned with `points`.
-    verdicts: Vec<Verdict>,
-    /// The classified points as indices into `points`, on the machines where
-    /// the classification leaves them.
-    placed: DistVec<u32>,
+    /// Every union point's slot (see [`Layout`]) with its verdict, on the
+    /// machines where the classification leaves them.
+    placed: DistVec<(u32, Verdict)>,
 }
 
 /// Classifies points and enumerates active subgrids from the per-line information,
@@ -1024,23 +1051,26 @@ struct Classified {
 /// lines in one rebalancing `group_map` (a band can enumerate many active
 /// subgrids, so its outputs leave rebalanced). The simulator charges those
 /// steps and the two filter-and-map passes that split the outputs, but
-/// computes the join by dense band id (see [`Layout`]): a counting-sort scatter
-/// files the points under their bands in arrival order, every band reads its
-/// borders by index and is classified by [`classify_band`], and the join's
-/// outputs are indices into the flat results, so splitting them moves no
-/// descriptor or point.
+/// computes the join by dense band id (see [`Layout`]). A band's points are
+/// one column range of every color's run in the by-color table; the join
+/// gathers them in arrival order, by the machine the lift's join 2 placed
+/// them on (`union`) and then by slot, so every band sorts its slots so.
+/// Every band reads its borders by index and is classified by
+/// [`classify_band`], and the join's outputs are an index into the active
+/// subgrids or a point's slot, so splitting them moves no descriptor or
+/// point.
 fn classify(
     cluster: &mut Cluster,
-    colored: &DistVec<Colored>,
+    union: &Placement,
     lines: &DistVec<LineInfo>,
     layout: &Layout,
     routing: Routing,
 ) -> Classified {
-    // One output of the join, as an index into the flat results.
+    // One output of the join: an active subgrid, or a point's slot.
     #[derive(Clone, Copy)]
     enum Out {
         Active(u32),
-        Point(u32),
+        Point(u32, Verdict),
     }
 
     // A grid line at column c borders the band to its right (if c < n) and
@@ -1063,83 +1093,59 @@ fn classify(
             borders[id][side] = Some(line);
         }
     }
-    let band_ids: Vec<usize> = colored
-        .iter()
-        .map(|p| layout.parent(p.inst).band_of(p.col))
-        .collect();
-    let mut starts = vec![0usize; bands + 1];
-    for &id in &band_ids {
-        starts[id + 1] += 1;
-    }
-    for id in 0..bands {
-        starts[id + 1] += starts[id];
-    }
-    let mut next = starts[..bands].to_vec();
-    let mut points = vec![
-        Colored {
-            inst: 0,
-            row: 0,
-            col: 0,
-            color: 0
-        };
-        colored.len()
-    ];
-    for (p, &id) in colored.iter().zip(&band_ids) {
-        points[next[id]] = *p;
-        next[id] += 1;
-    }
 
-    let per_band: Vec<(Vec<ActiveSubgrid>, Vec<Verdict>)> = (0..bands)
+    let (actives, points): (Vec<_>, Vec<_>) = (0..bands)
         .into_par_iter()
         .map(|id| {
             let (p, band) = layout.band(id);
             let [left, right] = borders[id].map(|line| line.expect("grid line missing for band"));
-            let band_points = &points[starts[id]..starts[id + 1]];
-            classify_band(&p.spec, band, left, right, band_points, routing)
+            // The band's slots in arrival order, keyed `machine << 32 | slot`.
+            let mut arrival: Vec<u64> = (0..p.spec.h)
+                .flat_map(|x| layout.band_slots(p, band, x))
+                .map(|slot| (union.machine(slot) as u64) << 32 | slot as u64)
+                .collect();
+            arrival.sort_unstable();
+            let slots = arrival.into_iter().map(|key| key as u32);
+            classify_band(&p.spec, band, left, right, slots, layout, routing)
         })
-        .collect();
-    let mut actives = Vec::new();
-    let mut active_starts = vec![0usize];
-    let mut verdicts = Vec::with_capacity(points.len());
-    for (band_actives, band_verdicts) in per_band {
-        actives.extend(band_actives);
-        active_starts.push(actives.len());
-        verdicts.extend(band_verdicts);
-    }
+        .collect::<Vec<_>>()
+        .into_iter()
+        .unzip();
+    let active_starts = starts(actives.iter().map(Vec::len));
+    let actives: Vec<ActiveSubgrid> = actives.into_iter().flatten().collect();
 
     // The charged join: the line copies, the keyed points, their
     // concatenation and one group per band — its two lines and its points —
     // emitting the band's active subgrids, then its points.
     let line_copies = cluster.flat_map(lines, borders_of);
-    let colored_shape = colored.shape();
-    cluster.charge_map(&colored_shape);
-    cluster.charge_concat(&line_copies.shape(), &colored_shape);
-    let sizes: Vec<usize> = starts.windows(2).map(|w| 2 + w[1] - w[0]).collect();
+    cluster.charge_map(union.shape());
+    cluster.charge_concat(&line_copies.shape(), union.shape());
+    let sizes: Vec<usize> = points.iter().map(|points| 2 + points.len()).collect();
     let outs: DistVec<Out> = cluster.group_map_rebalanced_sized(&sizes, |id| {
         let active = (active_starts[id]..active_starts[id + 1]).map(|i| Out::Active(i as u32));
-        active.chain((starts[id]..starts[id + 1]).map(|i| Out::Point(i as u32)))
+        active.chain(
+            points[id]
+                .iter()
+                .map(|&(slot, verdict)| Out::Point(slot, verdict)),
+        )
     });
     let active = cluster.filter(outs.clone(), |o| matches!(o, Out::Active(_)));
     let active = cluster.map(&active, |o| match o {
         Out::Active(i) => actives[*i as usize].clone(),
-        Out::Point(_) => unreachable!(),
+        Out::Point(..) => unreachable!(),
     });
-    let placed = cluster.filter(outs, |o| matches!(o, Out::Point(_)));
-    let placed = cluster.map(&placed, |o| match o {
-        Out::Point(i) => *i,
+    let placed = cluster.filter(outs, |o| matches!(o, Out::Point(..)));
+    let placed = cluster.map(&placed, |o| match *o {
+        Out::Point(slot, verdict) => (slot, verdict),
         Out::Active(_) => unreachable!(),
     });
-    Classified {
-        active,
-        points,
-        verdicts,
-        placed,
-    }
+    Classified { active, placed }
 }
 
-/// Classifies the `points` of column band `band` of `spec` from the band's
-/// `left` and `right` grid lines: returns the band's active subgrids in
-/// ascending grid row, and every point's verdict in the points' order.
+/// Classifies the points in `slots` of column band `band` of `spec` from
+/// the band's `left` and `right` grid lines: returns the band's active
+/// subgrids in ascending grid row, and every slot with its verdict, in the
+/// order of `slots`.
 ///
 /// Demarcation line `q` crosses subgrid `(gi, band)` iff `R_gi < b_q(c_left)`
 /// and `R_{gi+1} ≥ b_q(c_right)`, which holds for one contiguous range of
@@ -1150,9 +1156,10 @@ fn classify_band(
     band: u32,
     left: &LineInfo,
     right: &LineInfo,
-    points: &[Colored],
+    slots: impl Iterator<Item = u32>,
+    layout: &Layout,
     routing: Routing,
-) -> (Vec<ActiveSubgrid>, Vec<Verdict>) {
+) -> (Vec<ActiveSubgrid>, Vec<(u32, Verdict)>) {
     let (g, n, h) = (spec.g as u32, spec.n as u32, spec.h);
     let band_rows = spec.n.div_ceil(spec.g) as u32;
     // opt at a corner lying on a known grid line: #{q : b_q ≤ row}.
@@ -1200,17 +1207,18 @@ fn classify_band(
         from = from.max(hi);
     }
 
-    let verdicts = points
-        .iter()
-        .map(|p| {
+    let verdicts = slots
+        .map(|slot| {
+            let p = layout.by_color[slot as usize];
             let gi = p.row / g;
-            if (is_active[gi as usize / 64] >> (gi % 64)) & 1 == 1 {
+            let verdict = if (is_active[gi as usize / 64] >> (gi % 64)) & 1 == 1 {
                 Verdict::Active
             } else if opt_on(left, gi * g) == p.color {
                 Verdict::Keep
             } else {
                 Verdict::Drop
-            }
+            };
+            (slot, verdict)
         })
         .collect();
     (active, verdicts)
@@ -1389,15 +1397,60 @@ impl<'a> RowSweep<'a> {
     }
 }
 
+#[cfg(test)]
+impl Layout {
+    /// Files `points`, the colored union of every parent of `specs`,
+    /// through the lift's writer in lift order: by parent, color and column.
+    pub(crate) fn of_union<'a>(
+        specs: &[ParentSpec],
+        points: impl IntoIterator<Item = &'a Colored>,
+    ) -> Self {
+        let mut specs = specs.to_vec();
+        specs.sort_unstable_by_key(|spec| spec.inst);
+        let mut points: Vec<Colored> = points.into_iter().copied().collect();
+        points.sort_unstable_by_key(|p| (p.inst, p.color, p.col));
+        let runs: Vec<&[Colored]> = points.chunk_by(|a, b| a.inst == b.inst).collect();
+        Self::new(&specs, |i, push| {
+            assert_eq!(runs[i][0].inst, specs[i].inst, "every parent has points");
+            for p in runs[i] {
+                push(p.row, p.col, p.color);
+            }
+        })
+    }
+
+    /// The union point in slot `slot`.
+    pub(crate) fn colored(&self, slot: usize) -> Colored {
+        let Nonzero { inst, row, col } = self.nonzero(slot);
+        let color = self.by_color[slot].color;
+        Colored {
+            inst,
+            row,
+            col,
+            color,
+        }
+    }
+
+    /// The union per machine as the lift's join 2 leaves it: every slot's
+    /// point on the machine `union` places it on, in slot order.
+    pub(crate) fn union_parts(&self, union: &Placement) -> Vec<Vec<Colored>> {
+        let mut parts = vec![Vec::new(); union.shape().loads().count()];
+        for slot in 0..self.len() {
+            parts[union.machine(slot)].push(self.colored(slot));
+        }
+        parts
+    }
+}
+
 /// The materialized combine the indexed one is tested against: the grid
 /// descent, the classification, the corner-`F` join, the routing and the
 /// subgrid join run as the primitives they are charged as, every join
 /// gathering its groups by key.
 #[cfg(test)]
-mod oracle {
+pub(crate) mod oracle {
     use super::*;
     use monge::multiway::{process_subgrid_reference, SubgridInstance};
     use mpc_runtime::{Group, RankIndex};
+    use std::collections::BTreeMap;
 
     impl Parent {
         /// The composite stride `W = n + 1` of the tree's values `color·W + col`.
@@ -1772,14 +1825,13 @@ mod oracle {
 
     /// [`super::distributed_combine`], with the gathering grid descent,
     /// classification, corner-`F` join, routing and subgrid join.
-    pub(super) fn distributed_combine(
+    pub(crate) fn distributed_combine(
         cluster: &mut Cluster,
         colored: DistVec<Colored>,
         parents: &[ParentSpec],
         routing: Routing,
     ) -> DistVec<Nonzero> {
-        let specs: BTreeMap<u64, ParentSpec> = parents.iter().map(|p| (p.inst, *p)).collect();
-        let layout = Layout::new(&colored, &cluster.broadcast(specs));
+        let layout = Layout::of_union(&cluster.broadcast(parents.to_vec()), colored.iter());
 
         cluster.set_phase(Some("combine-grid"));
         let tree = LeveledIndex::build(&layout);
@@ -2375,6 +2427,7 @@ mod tests {
     use monge::multiway::{lift_subresult, split_into_subproblems};
     use mpc_runtime::{MpcConfig, RankIndex};
     use rand::prelude::*;
+    use std::collections::BTreeMap;
 
     impl LeveledIndex {
         /// The oracle build: every union point entered once per tree level
@@ -2412,7 +2465,8 @@ mod tests {
     }
 
     /// A random colored union per parent: a permutation of `n` rows onto `n`
-    /// columns, each point colored by one of `h` subproblems.
+    /// columns, each point colored by one of `h` subproblems. The combine
+    /// reads it filed in lift order, whatever its order here.
     fn random_unions(rng: &mut StdRng, parents: &[(u64, usize, usize)]) -> Vec<Colored> {
         let mut points = Vec::new();
         for &(inst, n, h) in parents {
@@ -2428,15 +2482,33 @@ mod tests {
                 });
             }
         }
-        points.shuffle(rng);
         points
     }
 
-    fn specs_of(parents: &[(u64, usize, usize)]) -> BTreeMap<u64, ParentSpec> {
+    fn specs_of(parents: &[(u64, usize, usize)], g: usize) -> Vec<ParentSpec> {
         parents
             .iter()
-            .map(|&(inst, n, h)| (inst, ParentSpec { inst, n, h, g: 1 }))
+            .map(|&(inst, n, h)| ParentSpec { inst, n, h, g })
             .collect()
+    }
+
+    /// The union of `points` as the lift leaves it on `cluster`: filed in
+    /// lift order by the lift's writer, and placed by join 2's charged
+    /// group map.
+    fn lifted(
+        cluster: &mut Cluster,
+        specs: &[ParentSpec],
+        points: &[Colored],
+    ) -> (Layout, Placement) {
+        let layout = Layout::of_union(specs, points);
+        let union = cluster.charge_group_map_sized(&vec![2; layout.len()], |_| 1);
+        (layout, union)
+    }
+
+    /// The same union materialized: join 2 run as the group map it is
+    /// charged as, every slot's point on its machine.
+    fn materialized(cluster: &mut Cluster, layout: &Layout) -> DistVec<Colored> {
+        cluster.group_map_sized(&vec![2; layout.len()], |slot| Some(layout.colored(slot)))
     }
 
     /// Real colored unions: per parent `(inst, n, h)`, two random
@@ -2465,7 +2537,6 @@ mod tests {
                 );
             }
         }
-        points.shuffle(rng);
         points
     }
 
@@ -2535,11 +2606,10 @@ mod tests {
     #[test]
     fn indexed_routing_matches_the_materialized_oracle() {
         let routed = for_each_case(41, |rng, parents, specs, routing, case| {
-            let specs: BTreeMap<u64, ParentSpec> = specs.iter().map(|s| (s.inst, *s)).collect();
             let mut cluster = Cluster::new(config());
-            let colored = cluster.distribute(real_unions(rng, parents));
-            let layout = Layout::new(&colored, &specs);
-            let lines = grid_phase(&mut cluster, &colored, &layout);
+            let (layout, _) = lifted(&mut cluster, specs, &real_unions(rng, parents));
+            let colored = materialized(&mut cluster, &layout);
+            let lines = grid_phase(&mut cluster, &layout);
             let (active, classified) =
                 oracle::classify(&mut cluster, &colored, lines, &layout, routing);
             let active = attach_base_f(&mut cluster, active, &layout);
@@ -2612,18 +2682,19 @@ mod tests {
     fn indexed_combine_matches_the_materialized_oracle() {
         let produced = for_each_case(43, |rng, parents, specs, routing, case| {
             let points = real_unions(rng, parents);
-            type Combine =
-                fn(&mut Cluster, DistVec<Colored>, &[ParentSpec], Routing) -> DistVec<Nonzero>;
-            let run = |combine: Combine| {
-                let mut cluster = Cluster::new(config());
-                let colored = cluster.distribute(points.clone());
-                let out = combine(&mut cluster, colored, specs, routing);
+            let parts = |out: DistVec<Nonzero>, cluster: Cluster| {
                 let out: Vec<Vec<Nonzero>> =
                     (0..out.machines()).map(|i| out.part(i).to_vec()).collect();
                 (out, cluster.ledger().clone())
             };
-            let (got, ledger) = run(distributed_combine);
-            let (want, want_ledger) = run(oracle::distributed_combine);
+            let mut cluster = Cluster::new(config());
+            let (layout, union) = lifted(&mut cluster, specs, &points);
+            let out = distributed_combine(&mut cluster, &layout, &union, routing);
+            let (got, ledger) = parts(out, cluster);
+            let mut cluster = Cluster::new(config());
+            let colored = materialized(&mut cluster, &layout);
+            let out = oracle::distributed_combine(&mut cluster, colored, specs, routing);
+            let (want, want_ledger) = parts(out, cluster);
             assert_eq!(got, want, "outputs per machine, {case}");
             assert_eq!(ledger, want_ledger, "ledger, {case}");
             got.iter().map(Vec::len).sum()
@@ -2634,12 +2705,10 @@ mod tests {
     #[test]
     fn indexed_corner_join_matches_the_gathered_oracle() {
         let attached = for_each_case(47, |rng, parents, specs, routing, case| {
-            let specs: BTreeMap<u64, ParentSpec> = specs.iter().map(|s| (s.inst, *s)).collect();
             let mut cluster = Cluster::new(config());
-            let colored = cluster.distribute(real_unions(rng, parents));
-            let layout = Layout::new(&colored, &specs);
-            let lines = grid_phase(&mut cluster, &colored, &layout);
-            let active = classify(&mut cluster, &colored, &lines, &layout, routing).active;
+            let (layout, union) = lifted(&mut cluster, specs, &real_unions(rng, parents));
+            let lines = grid_phase(&mut cluster, &layout);
+            let active = classify(&mut cluster, &union, &lines, &layout, routing).active;
             let tree = LeveledIndex::build(&layout);
             let run = |attach: &dyn Fn(&mut Cluster) -> DistVec<ActiveSubgrid>| {
                 let mut cluster = Cluster::new(config());
@@ -2663,11 +2732,10 @@ mod tests {
     /// Returns the lines produced.
     fn check_grid_phase(points: &[Colored], specs: &[ParentSpec], case: &str) -> usize {
         type Grid = fn(&mut Cluster, &DistVec<Colored>, &Layout) -> DistVec<LineInfo>;
-        let specs: BTreeMap<u64, ParentSpec> = specs.iter().map(|s| (s.inst, *s)).collect();
         let run = |grid: Grid| {
             let mut cluster = Cluster::new(config());
-            let colored = cluster.distribute(points.to_vec());
-            let layout = Layout::new(&colored, &specs);
+            let (layout, _) = lifted(&mut cluster, specs, points);
+            let colored = materialized(&mut cluster, &layout);
             cluster.set_phase(Some("combine-grid"));
             let lines = grid(&mut cluster, &colored, &layout);
             let lines: Vec<Vec<LineInfo>> = (0..lines.machines())
@@ -2675,7 +2743,7 @@ mod tests {
                 .collect();
             (lines, cluster.ledger().clone())
         };
-        let (got, ledger) = run(grid_phase);
+        let (got, ledger) = run(|cluster, _, layout| grid_phase(cluster, layout));
         let (want, want_ledger) = run(|cluster, colored, layout| {
             oracle::grid_phase_tree(cluster, colored, layout, &LeveledIndex::build(layout))
         });
@@ -2731,13 +2799,8 @@ mod tests {
                 .enumerate()
                 .map(|(i, n)| (3 * i as u64 + 1, n, h))
                 .collect();
-            let specs: BTreeMap<u64, ParentSpec> = parents
-                .iter()
-                .map(|&(inst, n, h)| (inst, ParentSpec { inst, n, h, g }))
-                .collect();
-            let mut cluster = Cluster::new(config());
-            let colored = cluster.distribute(random_unions(&mut rng, &parents));
-            let layout = Layout::new(&colored, &specs);
+            let points = random_unions(&mut rng, &parents);
+            let layout = Layout::of_union(&specs_of(&parents, g), &points);
             let tree = LeveledIndex::build(&layout);
             assert_eq!(layout.tree_values(), tree.index.len(), "h={h}");
 
@@ -2746,8 +2809,7 @@ mod tests {
             let mut want = Vec::new();
             for p in &layout.parents {
                 let (n, w) = (p.spec.n, p.w());
-                let mine: Vec<&Colored> =
-                    colored.iter().filter(|q| q.inst == p.spec.inst).collect();
+                let mine: Vec<&Colored> = points.iter().filter(|q| q.inst == p.spec.inst).collect();
                 let count = |keep: &dyn Fn(&Colored) -> bool| -> u32 {
                     mine.iter().filter(|q| keep(q)).count() as u32
                 };
@@ -2849,11 +2911,10 @@ mod tests {
             vec![(1, 20_000, 2), (3, 9_000, 3)],
         ];
         for parents in batches {
-            let specs = specs_of(&parents);
             let points = random_unions(&mut rng, &parents);
+            let layout = Layout::of_union(&specs_of(&parents, 1), &points);
             let mut cluster = Cluster::new(MpcConfig::lenient(1000, 0.5).with_machines(6));
             let colored = cluster.distribute(points);
-            let layout = Layout::new(&colored, &specs);
             let tree = LeveledIndex::build(&layout);
             let oracle = LeveledIndex::build_from_entries(&cluster, &colored, &layout);
             assert_eq!(tree.index.len(), oracle.index.len(), "{parents:?}");
@@ -2900,23 +2961,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "one union point per row")]
-    fn a_union_with_a_repeated_row_is_rejected() {
-        let specs = specs_of(&[(1, 3, 2)]);
-        let mut cluster = Cluster::new(MpcConfig::lenient(100, 0.5));
-        let point = |row, col, color| Colored {
-            inst: 1,
-            row,
-            col,
-            color,
-        };
-        // Row 0 holds two points, row 1 none.
-        let colored = cluster.distribute(vec![point(0, 0, 0), point(0, 1, 1), point(2, 2, 0)]);
-        let _ = Layout::new(&colored, &specs);
-    }
-
-    #[test]
     fn tree_height_covers_the_domain() {
         let tree_height = |n, h| level_sizes(n, h).len() as u32 - 1;
         assert_eq!(tree_height(1, 2), 0);
@@ -2940,9 +2984,8 @@ mod tests {
     fn prefix_decomposition_partitions_the_prefix() {
         let mut rng = StdRng::seed_from_u64(31);
         for (n, h) in [(37usize, 2usize), (100, 3), (64, 4), (1000, 10)] {
-            let mut cluster = Cluster::new(MpcConfig::lenient(1000, 0.5));
-            let colored = cluster.distribute(random_unions(&mut rng, &[(0, n, h)]));
-            let layout = Layout::new(&colored, &specs_of(&[(0, n, h)]));
+            let points = random_unions(&mut rng, &[(0, n, h)]);
+            let layout = Layout::of_union(&specs_of(&[(0, n, h)], 1), &points);
             let p = &layout.parents[0];
             for upto in [0u64, 1, 5, (n / 2) as u64, (n - 1) as u64] {
                 let nodes = oracle::prefix_decomposition(upto, p);

@@ -25,7 +25,8 @@
 //!    identification, Lemma 3.12 pierced-interval routing, and the per-subgrid
 //!    local phase (`monge::multiway::process_subgrid`). The simulator charges
 //!    every tree query as the model runs it but builds no tree: it reads the
-//!    counts from each parent's row and column tables (see [`combine`]).
+//!    counts from the tables the lift files each parent's union in (the
+//!    crate-private `combine` module).
 //!
 //! ## Space conformance
 //!
@@ -46,7 +47,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod combine;
+mod combine;
 pub mod mul;
 pub mod params;
 pub mod subperm;

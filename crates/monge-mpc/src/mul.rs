@@ -15,8 +15,9 @@
 //!   alike — runs allocation-free after warm-up);
 //! * **split** — larger instances are cut into `H` compacted subproblems with one
 //!   rank relabelling per operand (Lemma 2.3/2.5);
-//! * on the way back up, **lift** (two joins restore parent coordinates)
-//!   and **combine** (the distributed §3.2/§3.3 merge in `crate::combine`).
+//! * on the way back up, **lift** (two joins restore parent coordinates and
+//!   file every parent's colored union in the combine's layout) and
+//!   **combine** (the distributed §3.2/§3.3 merge in `crate::combine`).
 //!
 //! The local solve's join, the split's rank searches and the lift's joins
 //! are charged exactly as the primitives the model runs (a `group_map` on
@@ -26,17 +27,21 @@
 //! a parent's points are a permutation, so its ranked coordinates are
 //! exactly `0..n`, and one ascending scan with a counter per child yields
 //! every rank; the children's coordinates are the dense ranges `0..n_child`,
-//! so each lift join is an array lookup. The lift's first join is only
-//! charged — its outputs feed nothing but the second — and every computed
-//! output lands on the machine the charged group map packs its key onto, in
-//! key order. Nothing is sorted, hashed or gathered.
+//! so each lift join is an array lookup. Both lift joins are only charged:
+//! the first's outputs feed nothing but the second, and the second's are
+//! written straight into the combine's layout, one pool task per parent,
+//! while the placement of its charged group map says which machine holds
+//! each point. Every other computed output lands on the machine the charged
+//! group map packs its key onto, in key order. Nothing is sorted, hashed or
+//! gathered.
 
-use crate::combine::{distributed_combine, Colored, ParentSpec};
-use crate::params::MulParams;
+#[cfg(test)]
+use crate::combine::Colored;
+use crate::combine::{distributed_combine, Layout, ParentSpec};
+use crate::params::{MulParams, ResolvedParams};
 use monge::steady_ant;
 use monge::PermutationMatrix;
-use mpc_runtime::{Cluster, DistVec, Shape};
-use rayon::prelude::*;
+use mpc_runtime::{Cluster, DistVec, Placement, Shape};
 use std::ops::Range;
 
 /// A nonzero of an operand or result matrix, tagged with its (batched) instance id.
@@ -109,10 +114,9 @@ type CoordMap = (u64, u32, u32);
 struct LevelRecord {
     parents: Vec<ParentSpec>,
     children: Range<u64>,
-    /// Size of every child, indexed by `child - children.start`.
+    /// Size of every child, indexed by `child - children.start`: parent
+    /// `parents[i]`'s color `q` is the `q`-th child after its predecessors'.
     sizes: Vec<usize>,
-    /// `(parent, color)` of every child, indexed by `child - children.start`.
-    parent_color: Vec<(u64, u16)>,
     row_maps: DistVec<CoordMap>, // (child, child_row, parent_row)
     col_maps: DistVec<CoordMap>, // (child, child_col, parent_col)
 }
@@ -135,8 +139,7 @@ pub fn mul_batch(
     instances: &[(PermutationMatrix, PermutationMatrix)],
     params: &MulParams,
 ) -> Vec<PermutationMatrix> {
-    let k = instances.len();
-    if k == 0 {
+    if instances.is_empty() {
         return Vec::new();
     }
     for (a, b) in instances {
@@ -144,7 +147,48 @@ pub fn mul_batch(
     }
     let max_n = instances.iter().map(|(a, _)| a.size()).max().unwrap_or(0);
     let rp = params.resolved(cluster.config(), max_n.max(2));
+    let Descent {
+        records,
+        mut results,
+        mut solved_from,
+    } = descend(cluster, instances, &rp);
 
+    // ------------------------------------------------------------------- unwind
+    // A level's children got their products from their own local solve, if
+    // any, and from the combine that unwound just before: every product of
+    // theirs lies past the earlier of those two marks.
+    let mut combined_from = None;
+    for (level, record) in records.into_iter().enumerate().rev() {
+        let from = solved_from[level + 1]
+            .take()
+            .or(combined_from.take())
+            .expect("every child level gets products from a local solve or a combine");
+        let (layout, union) = lift(cluster, &results, &from, &record);
+        let combined = distributed_combine(cluster, &layout, &union, rp.routing);
+        combined_from = Some(part_lengths(&results));
+        results = cluster.concat(results, combined);
+    }
+    readout(cluster, results, instances)
+}
+
+/// A batch's descent: every split level's record, shallowest first, and
+/// the products of every local solve.
+struct Descent {
+    records: Vec<LevelRecord>,
+    results: DistVec<Nonzero>,
+    /// Per descent level: `results`' part lengths before its local solve's
+    /// products were appended, if it had one.
+    solved_from: Vec<Option<Vec<usize>>>,
+}
+
+/// Splits the batch level by level until every instance fits the local
+/// solve, solving the small instances of every level as it goes.
+fn descend(
+    cluster: &mut Cluster,
+    instances: &[(PermutationMatrix, PermutationMatrix)],
+    rp: &ResolvedParams,
+) -> Descent {
+    let k = instances.len();
     // Driver-side registry of instance sizes and parentage. The paper keeps the
     // corresponding mappings implicit in the machine layout; here they are O(#sub-
     // problems) metadata, broadcast when needed. Instance ids are dense: the
@@ -176,9 +220,7 @@ pub fn mul_batch(
     // to one of them.
     let mut frontier: Range<u64> = 0..k as u64;
 
-    let mut level_records: Vec<LevelRecord> = Vec::new();
-    // Per descent level: `results`' part lengths before its local solve's
-    // products were appended, if it had one.
+    let mut records: Vec<LevelRecord> = Vec::new();
     let mut solved_from: Vec<Option<Vec<usize>>> = Vec::new();
 
     // ------------------------------------------------------------------ descend
@@ -213,7 +255,6 @@ pub fn mul_batch(
         // Allocate children and slice boundaries: parent `p`'s slice `q` is
         // child `first_child[at(p)] + q`.
         let mut parents = Vec::new();
-        let mut parent_color = Vec::new();
         let mut bounds_of: Vec<Vec<u32>> = vec![Vec::new(); small_flags.len()];
         let mut first_child: Vec<u64> = vec![0; small_flags.len()];
         for p in frontier.clone().filter(|&p| !small_flags[at(p)]) {
@@ -223,7 +264,6 @@ pub fn mul_batch(
             first_child[at(p)] = n_of.len() as u64;
             for q in 0..h_p {
                 n_of.push((bounds[q + 1] - bounds[q]) as usize);
-                parent_color.push((p, q as u16));
             }
             bounds_of[at(p)] = bounds;
             parents.push(ParentSpec {
@@ -245,11 +285,10 @@ pub fn mul_batch(
         let (a_children, row_maps) = relabel(cluster, &a_large, &slicing, Operand::A);
         let (b_children, col_maps) = relabel(cluster, &b_large, &slicing, Operand::B);
 
-        level_records.push(LevelRecord {
+        records.push(LevelRecord {
             parents,
             children: children.clone(),
             sizes: n_of[children.start as usize..].to_vec(),
-            parent_color,
             row_maps,
             col_maps,
         });
@@ -258,23 +297,20 @@ pub fn mul_batch(
         frontier = children;
     }
 
-    // ------------------------------------------------------------------- unwind
-    // A level's children got their products from their own local solve, if
-    // any, and from the combine that unwound just before: every product of
-    // theirs lies past the earlier of those two marks.
-    let mut combined_from = None;
-    for (level, record) in level_records.into_iter().enumerate().rev() {
-        let from = solved_from[level + 1]
-            .take()
-            .or(combined_from.take())
-            .expect("every child level gets products from a local solve or a combine");
-        let colored = lift(cluster, &results, &from, &record);
-        let combined = distributed_combine(cluster, colored, &record.parents, rp.routing);
-        combined_from = Some(part_lengths(&results));
-        results = cluster.concat(results, combined);
+    Descent {
+        records,
+        results,
+        solved_from,
     }
+}
 
-    // ------------------------------------------------------------------ readout
+/// Every instance of the batch's product, read off its rows in `results`.
+fn readout(
+    cluster: &mut Cluster,
+    results: DistVec<Nonzero>,
+    instances: &[(PermutationMatrix, PermutationMatrix)],
+) -> Vec<PermutationMatrix> {
+    let k = instances.len();
     let all = cluster.collect(results);
     let mut out: Vec<Vec<u32>> = instances
         .iter()
@@ -423,9 +459,11 @@ fn relabel(
 }
 
 /// One level's lift: joins every child product with the children's
-/// coordinate maps to restore parent rows, then parent columns, and colors
-/// every nonzero with its child's parent and slice. Every child product lies
-/// in `results` past `from`: per machine, the length its part had before the
+/// coordinate maps to restore parent rows, then parent columns, colors
+/// every nonzero with its child's parent and slice, and files the colored
+/// union in the combine's [`Layout`]. Returns the layout and where join 2
+/// placed every slot `(child, child column)`. Every child product lies in
+/// `results` past `from`: per machine, the length its part had before the
 /// level's first product was appended (0 for machines past `from`'s end).
 ///
 /// Charged as the model runs it — the filter keeping the child products,
@@ -433,23 +471,24 @@ fn relabel(
 /// `group_map` on `(child, child coordinate)` — but every join key is a
 /// dense index (child `c`'s coordinates are `0..sizes[c]`), so each join is
 /// an array lookup. The products are counted and filed where they lie, not
-/// filtered into a copy. Join 1 is only charged: its outputs feed nothing
-/// but join 2's column table, which composes the product with the row map
-/// directly, and its shape, which the placement of its charged group map
-/// gives. Join 2's keys get their lifted rows child by child on the pool,
-/// and every output is built straight into the part of the machine its
-/// group map packs its key onto.
+/// filtered into a copy. Both joins are only charged: join 1's outputs feed
+/// nothing but join 2's column table, which composes the product with the
+/// row map directly, and join 2's outputs are written straight into the
+/// layout, one pool task per parent, while the placement of its charged
+/// group map says which machine holds each slot.
 ///
 /// # Panics
 ///
 /// If a child row or column lacks its product or its map record, or has two:
 /// every child of a level holds its full product when the level unwinds.
+/// If two children's points land in one parent row or column: the row and
+/// column maps of a parent's children partition its rows and columns.
 fn lift(
     cluster: &mut Cluster,
     results: &DistVec<Nonzero>,
     from: &[usize],
     record: &LevelRecord,
-) -> DistVec<Colored> {
+) -> (Layout, Placement) {
     cluster.set_phase(Some("lift"));
     let children = cluster.broadcast(record.children.clone());
 
@@ -519,57 +558,47 @@ fn lift(
     cluster.charge_map(join1.shape());
     cluster.charge_map(&record.col_maps.shape());
     cluster.charge_concat(join1.shape(), &record.col_maps.shape());
-    let parent_color = cluster.broadcast(record.parent_color.clone());
-    // Per slot `(child, child column)`: its lifted parent row and its
-    // child, child by child on the pool.
-    let mut lifted = vec![u32::MAX; total];
-    let mut child_of = vec![0u32; total];
-    let (mut rows, mut owners) = (lifted.as_mut_slice(), child_of.as_mut_slice());
-    let mut per_child = Vec::with_capacity(record.sizes.len());
-    for (c, &size) in record.sizes.iter().enumerate() {
-        let (mine, tail) = std::mem::take(&mut rows).split_at_mut(size);
-        rows = tail;
-        let (owner, tail) = std::mem::take(&mut owners).split_at_mut(size);
-        owners = tail;
-        per_child.push((c, mine, owner));
-    }
-    per_child.into_par_iter().for_each(|(c, lifted, owner)| {
-        let child = children.start + c as u64;
-        let slots = start[c]..start[c + 1];
-        owner.fill(c as u32);
-        for (cr, (&row, &cc)) in parent_row[slots.clone()]
-            .iter()
-            .zip(&child_col[slots.clone()])
-            .enumerate()
-        {
-            assert!(
-                row != u32::MAX && cc != u32::MAX,
-                "lift: child {child} row {cr} lacks its product or its row map record"
-            );
-            let entry = &mut lifted[cc as usize];
-            assert_eq!(
-                *entry,
-                u32::MAX,
-                "lift: child {child} column {cc} has two lifted rows"
-            );
-            *entry = row;
-        }
-        for (cc, (&row, &col)) in lifted.iter().zip(&parent_col[slots]).enumerate() {
-            assert!(
-                row != u32::MAX && col != u32::MAX,
-                "lift: child {child} column {cc} lacks its lifted row or its column map record"
-            );
+    // Every machine learns each child's parent and color from the specs.
+    cluster.broadcast(&record.parents);
+    let union = cluster.charge_group_map_sized(&pairs, |_| 1);
+    // Parent `i`'s colors are the children `first_child[i]..first_child[i +
+    // 1]`; per child, its lifted parent row at every child column.
+    let first_child = starts(record.parents.iter().map(|p| p.h));
+    let layout = Layout::new(&record.parents, |i, push| {
+        let mut lifted = Vec::new();
+        for c in first_child[i]..first_child[i + 1] {
+            let child = children.start + c as u64;
+            let slots = start[c]..start[c + 1];
+            lifted.clear();
+            lifted.resize(slots.len(), u32::MAX);
+            for (cr, (&row, &cc)) in parent_row[slots.clone()]
+                .iter()
+                .zip(&child_col[slots.clone()])
+                .enumerate()
+            {
+                assert!(
+                    row != u32::MAX && cc != u32::MAX,
+                    "lift: child {child} row {cr} lacks its product or its row map record"
+                );
+                let entry = &mut lifted[cc as usize];
+                assert_eq!(
+                    *entry,
+                    u32::MAX,
+                    "lift: child {child} column {cc} has two lifted rows"
+                );
+                *entry = row;
+            }
+            let color = (c - first_child[i]) as u16;
+            for (cc, (&row, &col)) in lifted.iter().zip(&parent_col[slots]).enumerate() {
+                assert!(
+                    row != u32::MAX && col != u32::MAX,
+                    "lift: child {child} column {cc} lacks its lifted row or its column map record"
+                );
+                push(row, col, color);
+            }
         }
     });
-    cluster.group_map_sized(&pairs, |g| {
-        let (inst, color) = parent_color[child_of[g] as usize];
-        Some(Colored {
-            inst,
-            row: lifted[g],
-            col: parent_col[g],
-            color,
-        })
-    })
+    (layout, union)
 }
 
 /// The length of every machine's part of `results`.
@@ -581,7 +610,7 @@ fn part_lengths(results: &DistVec<Nonzero>) -> Vec<usize> {
 
 /// The running starts of consecutive ranges of the given lengths, closed by
 /// the total: range `i` is `starts[i]..starts[i + 1]`.
-fn starts(lengths: impl Iterator<Item = usize>) -> Vec<usize> {
+pub(crate) fn starts(lengths: impl Iterator<Item = usize>) -> Vec<usize> {
     let mut starts = vec![0];
     for len in lengths {
         starts.push(starts[starts.len() - 1] + len);
@@ -742,7 +771,11 @@ mod oracle {
         let lifted_items = cluster.map(&lifted_rows, |&(c, pr, cc)| ColJoin::Lifted(c, pr, cc));
         let cmap_items = cluster.map(&record.col_maps, |&(c, cc, pc)| ColJoin::Map(c, cc, pc));
         let joined2 = cluster.concat(lifted_items, cmap_items);
-        let parent_color = cluster.broadcast(record.parent_color.clone());
+        let parents = cluster.broadcast(&record.parents);
+        let parent_color: Vec<(u64, u16)> = parents
+            .iter()
+            .flat_map(|p| (0..p.h as u16).map(move |q| (p.inst, q)))
+            .collect();
         cluster.group_map_view(
             joined2,
             |item| match item {
@@ -773,6 +806,7 @@ mod oracle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::combine;
     use mpc_runtime::{Ledger, MpcConfig};
     use rand::prelude::*;
 
@@ -810,7 +844,29 @@ mod tests {
         &Slicing<'_>,
         Operand,
     ) -> (DistVec<Nonzero>, DistVec<CoordMap>);
-    type Lift = fn(&mut Cluster, &DistVec<Nonzero>, &[usize], &LevelRecord) -> DistVec<Colored>;
+    type Lift = fn(&mut Cluster, &DistVec<Nonzero>, &[usize], &LevelRecord) -> Vec<Vec<Colored>>;
+
+    /// The indexed lift's union per machine, rebuilt from the layout's
+    /// by-color table and join 2's placement.
+    fn lift_union(
+        cluster: &mut Cluster,
+        results: &DistVec<Nonzero>,
+        from: &[usize],
+        record: &LevelRecord,
+    ) -> Vec<Vec<Colored>> {
+        let (layout, union) = lift(cluster, results, from, record);
+        layout.union_parts(&union)
+    }
+
+    /// The materialized lift's union per machine.
+    fn oracle_union(
+        cluster: &mut Cluster,
+        results: &DistVec<Nonzero>,
+        from: &[usize],
+        record: &LevelRecord,
+    ) -> Vec<Vec<Colored>> {
+        parts(&oracle::lift(cluster, results, from, record))
+    }
 
     /// One split level: the frontier `base..base + ns.len()` of instances of
     /// sizes `ns`, all large but the one at index `small`, each large one cut
@@ -824,7 +880,6 @@ mod tests {
         parents: Vec<ParentSpec>,
         children: Range<u64>,
         sizes: Vec<usize>,
-        parent_color: Vec<(u64, u16)>,
     }
 
     impl Level {
@@ -838,7 +893,6 @@ mod tests {
                 parents: Vec::new(),
                 children: base + ns.len() as u64..base + ns.len() as u64,
                 sizes: Vec::new(),
-                parent_color: Vec::new(),
             };
             for (i, &n) in ns.iter().enumerate() {
                 let inst = base + i as u64;
@@ -860,7 +914,6 @@ mod tests {
                 lv.first_child.push(lv.children.end);
                 for q in 0..h_p {
                     lv.sizes.push((bounds[q + 1] - bounds[q]) as usize);
-                    lv.parent_color.push((inst, q as u16));
                 }
                 lv.children.end += h_p as u64;
                 lv.bounds_of.push(bounds);
@@ -940,7 +993,6 @@ mod tests {
                 parents: self.parents.clone(),
                 children: self.children.clone(),
                 sizes: self.sizes.clone(),
-                parent_color: self.parent_color.clone(),
                 row_maps,
                 col_maps,
             }
@@ -957,8 +1009,8 @@ mod tests {
     ) -> (Vec<Vec<Colored>>, Ledger) {
         let mut cluster = Cluster::new(config.clone());
         let results = cluster.distribute(products.to_vec());
-        let colored = lift(&mut cluster, &results, &[], record);
-        (parts(&colored), cluster.ledger().clone())
+        let union = lift(&mut cluster, &results, &[], record);
+        (union, cluster.ledger().clone())
     }
 
     #[test]
@@ -994,8 +1046,8 @@ mod tests {
 
                         let products = lv.products(&children, &mut rng);
                         let record = lv.record(maps);
-                        let got = lift_on(&config, &products, &record, lift);
-                        let want = lift_on(&config, &products, &record, oracle::lift);
+                        let got = lift_on(&config, &products, &record, lift_union);
+                        let want = lift_on(&config, &products, &record, oracle_union);
                         assert_eq!(got.0, want.0, "lifted union, {case}");
                         assert_eq!(got.1, want.1, "lift ledger, {case}");
                         assert_eq!(
@@ -1088,7 +1140,7 @@ mod tests {
         } else {
             products.remove(at);
         }
-        lift_on(&config, &products, &lv.record(maps), lift);
+        lift_on(&config, &products, &lv.record(maps), lift_union);
     }
 
     #[test]
@@ -1101,6 +1153,133 @@ mod tests {
     #[should_panic(expected = "lift: child 1 row 3 has two products")]
     fn a_lift_with_a_repeated_product_names_the_child_and_row() {
         lift_with_a_broken_product(true);
+    }
+
+    /// Unwinds `instances` as [`mul_batch`] does, and at every level runs
+    /// the lift and the combine twice, indexed and materialized, each on a
+    /// fresh cluster of `config` that starts from the level's products
+    /// where production leaves them. Requires equal per-machine unions and
+    /// outputs and equal ledgers, unwinds on from the indexed outputs and
+    /// checks the batch's products. Returns the levels compared.
+    fn check_unwind(
+        config: &MpcConfig,
+        instances: &[(PermutationMatrix, PermutationMatrix)],
+        params: &MulParams,
+        case: &str,
+    ) -> usize {
+        let mut cluster = Cluster::new(config.clone());
+        let max_n = instances.iter().map(|(a, _)| a.size()).max().unwrap_or(2);
+        let rp = params.resolved(config, max_n);
+        let Descent {
+            records,
+            mut results,
+            mut solved_from,
+        } = descend(&mut cluster, instances, &rp);
+        let levels = records.len();
+        let mut combined_from = None;
+        for (level, record) in records.into_iter().enumerate().rev() {
+            let from = solved_from[level + 1]
+                .take()
+                .or(combined_from.take())
+                .expect("every child level gets products");
+            let case = format!("level {level}, {case}");
+            let (mut got, mut want) = (Cluster::new(config.clone()), Cluster::new(config.clone()));
+            let (layout, union) = lift(&mut got, &results, &from, &record);
+            let colored = oracle::lift(&mut want, &results, &from, &record);
+            assert_eq!(
+                layout.union_parts(&union),
+                parts(&colored),
+                "lifted union per machine, {case}"
+            );
+            assert_eq!(got.ledger(), want.ledger(), "lift ledger, {case}");
+            let out = distributed_combine(&mut got, &layout, &union, rp.routing);
+            let want_out = combine::oracle::distributed_combine(
+                &mut want,
+                colored,
+                &record.parents,
+                rp.routing,
+            );
+            assert_eq!(
+                parts(&out),
+                parts(&want_out),
+                "combined per machine, {case}"
+            );
+            assert_eq!(got.ledger(), want.ledger(), "combine ledger, {case}");
+            combined_from = Some(part_lengths(&results));
+            results = cluster.concat(results, out);
+        }
+        let got = readout(&mut cluster, results, instances);
+        for (i, (a, b)) in instances.iter().enumerate() {
+            assert_eq!(got[i], steady_ant::mul(a, b), "instance {i}, {case}");
+        }
+        levels
+    }
+
+    /// The unwind of a batch of three instances (`n/2`, `n/4 ± 3`) on
+    /// `MpcConfig::new(n, δ)` at `H ∈ {2, 4, 8}` and δ ∈ {0.25, 0.5, 0.75},
+    /// at 1 and 2 threads, against the materialized lift and combine. The
+    /// local threshold is the default capped at `n/16`, so every case
+    /// unwinds at least one level with several parents.
+    fn check_unwind_at(n: usize) {
+        let mut rng = StdRng::seed_from_u64(n as u64);
+        let instances: Vec<_> = [n / 2, n / 4 + 3, n / 4 - 3]
+            .into_iter()
+            .map(|m| {
+                (
+                    random_permutation(m, &mut rng),
+                    random_permutation(m, &mut rng),
+                )
+            })
+            .collect();
+        for delta in [0.25, 0.5, 0.75] {
+            let config = MpcConfig::new(n, delta);
+            let threshold = (config.space / 4).min(n / 16);
+            for h in [2, 4, 8] {
+                let params = MulParams::default()
+                    .with_h(h)
+                    .with_local_threshold(threshold);
+                for threads in [1, 2] {
+                    let case = format!("n={n} δ={delta} H={h} threads={threads}");
+                    let levels = on_threads(threads, || {
+                        check_unwind(&config, &instances, &params, &case)
+                    });
+                    assert!(levels > 0, "no level unwound, {case}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[ignore = "at scale: run in release with --ignored"]
+    fn unwind_matches_the_materialized_lift_and_combine_at_2_12() {
+        check_unwind_at(1 << 12);
+    }
+
+    #[test]
+    #[ignore = "at scale: run in release with --ignored"]
+    fn unwind_matches_the_materialized_lift_and_combine_at_2_14() {
+        check_unwind_at(1 << 14);
+    }
+
+    #[test]
+    #[should_panic(expected = "lift: parent 0 row 3 has two union points")]
+    fn a_lift_whose_row_maps_repeat_a_parent_row_names_the_parent_and_row() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let lv = Level::new(&[10], 2, 9, 0, &mut rng);
+        let config = MpcConfig::lenient(100, 0.5).with_machines(3);
+        let (children, [row_maps, col_maps], _) = lv.split(&config, relabel);
+        let products = lv.products(&children, &mut rng);
+        // Row 0 of both children (1 and 2) is sent to parent row 3.
+        let mut cluster = Cluster::new(config.clone());
+        let row_maps = cluster.map(&row_maps, |&(child, row, parent_row)| {
+            (child, row, if row == 0 { 3 } else { parent_row })
+        });
+        lift_on(
+            &config,
+            &products,
+            &lv.record([row_maps, col_maps]),
+            lift_union,
+        );
     }
 
     #[test]
